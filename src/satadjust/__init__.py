@@ -21,8 +21,6 @@ from .errors import (
     ParseError,
     RankDeficient,
     SatAdjustError,
-    SingularPointBlock,
-    TriangulationFailed,
     WindowOutOfBounds,
 )
 from .raster import Raster, bilinear_sample, read_pgm, write_pgm
@@ -56,7 +54,6 @@ from .match import (
     MBCensusDescriptor,
     detect_corners,
     epipolar_curve,
-    footprint,
     match_pair,
     match_score,
     mbcensus_descriptor,

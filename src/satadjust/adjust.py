@@ -50,7 +50,8 @@ class ObservationGraph:
 
     ``visibility[j]`` holds the sorted image indices observing track j
     and ``observations[j]`` the matching (degree, 2) array of observed
-    (row, col) pixels; both are derived from the tracks on construction.
+    (row, col) pixels; both are derived from the tracks on construction,
+    as is ``models``, the image models packed in image order.
     """
 
     images: list[ImageState]
@@ -58,11 +59,13 @@ class ObservationGraph:
     index: dict[str, int] = field(init=False)
     visibility: list[np.ndarray] = field(init=False)
     observations: list[np.ndarray] = field(init=False)
+    models: rpc_mod.RpcArrays = field(init=False)
 
     def __post_init__(self):
         self.index = {im.image_id: i for i, im in enumerate(self.images)}
         if len(self.index) != len(self.images):
             raise ConfigInvalid("duplicate image ids")
+        self.models = rpc_mod.stack_models([im.rpc for im in self.images])
         self.visibility = []
         self.observations = []
         for track in self.tracks:
@@ -123,23 +126,6 @@ class ReprojectionReport:
     count: int
 
 
-class _ModelStack:
-    """Per-image model constants packed as arrays for vectorized use."""
-
-    def __init__(self, images: list[ImageState]):
-        rpcs = [im.rpc for im in images]
-        for name in ("line_off", "line_scale", "samp_off", "samp_scale",
-                     "lat_off", "lat_scale", "lon_off", "lon_scale",
-                     "hei_off", "hei_scale"):
-            setattr(self, name,
-                    np.array([getattr(r, name) for r in rpcs]))
-        for name in ("line_num", "line_den", "samp_num", "samp_den"):
-            setattr(self, name,
-                    np.stack([getattr(r, name) for r in rpcs]))
-        self.bias = np.array([(im.bias.d_row, im.bias.d_col)
-                              for im in images])
-
-
 def track_scales(graph: ObservationGraph, track: Track) -> np.ndarray:
     """Ground normalization used for a track's eliminated unknowns: the
     (lat, lon, hei) scales of its first observing image.  Pure
@@ -149,47 +135,26 @@ def track_scales(graph: ObservationGraph, track: Track) -> np.ndarray:
     return np.array([rpc.lat_scale, rpc.lon_scale, rpc.hei_scale])
 
 
-def _track_residuals(stack: _ModelStack, idxs: np.ndarray,
-                     obs: np.ndarray, g: GroundPoint):
-    """Vectorized residuals of one track, plus the pieces the Jacobian
-    needs (normalized coordinates and rational values per image)."""
-    P = (g.lat - stack.lat_off[idxs]) / stack.lat_scale[idxs]
-    L = (g.lon - stack.lon_off[idxs]) / stack.lon_scale[idxs]
-    H = (g.hei - stack.hei_off[idxs]) / stack.hei_scale[idxs]
-    terms = rpc_mod.poly_terms(P, L, H)
-    num_r = (terms * stack.line_num[idxs]).sum(axis=1)
-    den_r = (terms * stack.line_den[idxs]).sum(axis=1)
-    num_c = (terms * stack.samp_num[idxs]).sum(axis=1)
-    den_c = (terms * stack.samp_den[idxs]).sum(axis=1)
-    rows = (num_r / den_r) * stack.line_scale[idxs] + stack.line_off[idxs]
-    cols = (num_c / den_c) * stack.samp_scale[idxs] + stack.samp_off[idxs]
-    v = np.empty((len(idxs), 2))
-    v[:, 0] = obs[:, 0] - (rows - stack.bias[idxs, 0])
-    v[:, 1] = obs[:, 1] - (cols - stack.bias[idxs, 1])
-    return v, (P, L, H, num_r, den_r, num_c, den_c, terms)
+def _bias_array(graph: ObservationGraph) -> np.ndarray:
+    """Current (d_row, d_col) of every image as an (N, 2) array."""
+    return np.array([(im.bias.d_row, im.bias.d_col) for im in graph.images])
 
 
-def _track_blocks(stack: _ModelStack, idxs: np.ndarray,
-                  obs: np.ndarray, g: GroundPoint):
-    """Residuals and residual/ground Jacobians (t, 2, 3) of one track."""
-    v, (P, L, H, num_r, den_r, num_c, den_c, terms) = _track_residuals(
-        stack, idxs, obs, g)
-    d_p, d_l, d_h = rpc_mod.poly_partials(P, L, H)
-    b = np.empty((len(idxs), 2, 3))
-    gnd_scales = (stack.lat_scale[idxs], stack.lon_scale[idxs],
-                  stack.hei_scale[idxs])
-    for out, (num, den, n_val, d_val, img_scale) in enumerate((
-        (stack.line_num[idxs], stack.line_den[idxs], num_r, den_r,
-         stack.line_scale[idxs]),
-        (stack.samp_num[idxs], stack.samp_den[idxs], num_c, den_c,
-         stack.samp_scale[idxs]),
-    )):
-        for axis, d_terms in enumerate((d_p, d_l, d_h)):
-            dn = (d_terms * num).sum(axis=1)
-            dd = (d_terms * den).sum(axis=1)
-            d_norm = (dn * d_val - n_val * dd) / (d_val * d_val)
-            b[:, out, axis] = -d_norm * img_scale / gnd_scales[axis]
-    return v, b
+def _track_blocks(graph: ObservationGraph, j: int, bias: np.ndarray,
+                  derivatives: bool = True):
+    """Residuals (t, 2) of track j under the biases ``bias`` and, with
+    ``derivatives``, their (2t, 3) Jacobian with respect to the track's
+    ground in its normalized units (:func:`track_scales`), else None."""
+    idxs = graph.visibility[j]
+    track = graph.tracks[j]
+    g = track.ground
+    raw, d_raw = rpc_mod.evaluate(graph.models.take(idxs), g.lat, g.lon,
+                                  g.hei, derivatives)
+    v = graph.observations[j] + bias[idxs] - raw
+    if d_raw is None:
+        return v, None
+    # residual = observed - project: minus the projection derivative
+    return v, (-d_raw * track_scales(graph, track)).reshape(-1, 3)
 
 
 def _interleaved(idxs: np.ndarray) -> np.ndarray:
@@ -206,7 +171,7 @@ def assemble(
 ) -> ObservationGraph:
     """Build the observation graph: zero biases, triangulated grounds.
 
-    GCP tracks (flagged via ``gcps``, keyed by track position) take their
+    GCP tracks (flagged via ``gcps``, keyed by track id) take their
     surveyed coordinates verbatim.  Tracks that already carry a ground
     estimate keep it; the rest are triangulated with zero biases, and
     tracks whose triangulation fails are dropped with a log message.
@@ -262,39 +227,33 @@ def accumulate_reduced(
     schur = alloc(2 * n, 2 * n)
     rhs_a = alloc(2 * n)
     rhs_schur = alloc(2 * n)
-    stack = _ModelStack(graph.images)
+    bias = _bias_array(graph)
     excluded = []
 
     for j, track in enumerate(graph.tracks):
-        idxs = graph.visibility[j]
-        obs = graph.observations[j]
-        rows = _interleaved(idxs)
+        rows = _interleaved(graph.visibility[j])
         if track.is_gcp:
-            v, _ = _track_residuals(stack, idxs, obs, track.ground)
+            v, _ = _track_blocks(graph, j, bias, derivatives=False)
             n_a[rows, rows] += 1.0
             rhs_a[rows] -= v.ravel()
             continue
-        v, b = _track_blocks(stack, idxs, obs, track.ground)
-        b_flat = (b * track_scales(graph, track)).reshape(-1, 3)
+        v, b = _track_blocks(graph, j, bias)
         # Column equilibration keeps the conditioning check scale-free;
         # the Schur contribution b (b'b)^-1 b' is invariant under it.
-        col_norms = np.linalg.norm(b_flat, axis=0)
-        n_b = np.zeros((3, 3))
-        if col_norms.min() > 0.0:
-            b_flat = b_flat / col_norms
-            n_b = b_flat.T @ b_flat
-        if col_norms.min() <= 0.0 or np.linalg.cond(n_b) > POINT_BLOCK_COND_MAX:
+        block = rpc_mod.equilibrated_point_block(b, POINT_BLOCK_COND_MAX)
+        if block is None:
             excluded.append(j)
             logger.warning(
                 "excluding track %d: point block condition above %.0e",
                 j, POINT_BLOCK_COND_MAX,
             )
             continue
+        b_eq, n_b, _ = block
         n_a[rows, rows] += 1.0
         rhs_a[rows] -= v.ravel()
-        l_b = -b_flat.T @ v.ravel()
-        tmp = b_flat @ np.linalg.inv(n_b)
-        schur[np.ix_(rows, rows)] += tmp @ b_flat.T
+        l_b = -b_eq.T @ v.ravel()
+        tmp = b_eq @ np.linalg.inv(n_b)
+        schur[np.ix_(rows, rows)] += tmp @ b_eq.T
         rhs_schur[rows] += tmp @ l_b
     return ReducedNormalSystem(n_a=n_a, schur=schur, rhs_a=rhs_a,
                                rhs_schur=rhs_schur,
@@ -350,25 +309,19 @@ def ground_corrections(
 ) -> dict[int, np.ndarray]:
     """Schur back-substitution: per-track normalized ground corrections
     implied by bias corrections ``x`` at the current linearization."""
-    stack = _ModelStack(graph.images)
+    bias = _bias_array(graph)
     x_flat = np.asarray(x, dtype=np.float64).reshape(-1)
     out = {}
     for j, track in enumerate(graph.tracks):
         if track.is_gcp:
             continue
-        idxs = graph.visibility[j]
-        v, b = _track_blocks(stack, idxs, graph.observations[j],
-                             track.ground)
-        b_flat = (b * track_scales(graph, track)).reshape(-1, 3)
-        col_norms = np.linalg.norm(b_flat, axis=0)
-        if col_norms.min() <= 0.0:
+        v, b = _track_blocks(graph, j, bias)
+        block = rpc_mod.equilibrated_point_block(b, POINT_BLOCK_COND_MAX)
+        if block is None:
             continue
-        b_eq = b_flat / col_norms
-        n_b = b_eq.T @ b_eq
-        if np.linalg.cond(n_b) > POINT_BLOCK_COND_MAX:
-            continue
+        b_eq, n_b, col_norms = block
         l_b = -b_eq.T @ v.ravel()
-        rows = _interleaved(idxs)
+        rows = _interleaved(graph.visibility[j])
         out[j] = np.linalg.solve(
             n_b, l_b - b_eq.T @ x_flat[rows]) / col_norms
     return out
@@ -404,16 +357,15 @@ def report(graph: ObservationGraph) -> ReprojectionReport:
     y = row), avg_xy the mean Euclidean distance, max_* the maxima;
     per-image averages use the Euclidean distance.
     """
-    stack = _ModelStack(graph.images)
+    bias = _bias_array(graph)
     abs_r = []
     abs_c = []
     euclid = []
     image_sums = np.zeros(len(graph.images))
     image_counts = np.zeros(len(graph.images), dtype=np.int64)
-    for j, track in enumerate(graph.tracks):
+    for j in range(len(graph.tracks)):
         idxs = graph.visibility[j]
-        v, _ = _track_residuals(stack, idxs, graph.observations[j],
-                                track.ground)
+        v, _ = _track_blocks(graph, j, bias, derivatives=False)
         d = np.hypot(v[:, 0], v[:, 1])
         abs_r.append(np.abs(v[:, 0]))
         abs_c.append(np.abs(v[:, 1]))
@@ -448,17 +400,12 @@ def adjust_loop(
     graph: ObservationGraph,
     tol: float = CONVERGENCE_PX,
     max_iter: int = MAX_ITER,
-    line_search: bool = False,
 ) -> AdjustmentResult:
     """Iterate accumulate -> solve -> apply -> re-triangulate.
 
     Stops when consecutive average reprojection errors differ by less
     than ``tol`` pixels; ``converged`` is False when the iteration cap
     was hit instead.  ``history[0]`` is the pre-adjustment average.
-
-    The optional line search halves a step that increased the average by
-    more than 10% (plain Gauss-Newton otherwise, which is what the
-    reduced normal equations imply).
     """
     gauge = None if graph.has_gcp else 0
     history = [report(graph).avg_xy]
@@ -470,15 +417,6 @@ def adjust_loop(
         _apply_corrections(graph, x)
         update_points(graph)
         avg = report(graph).avg_xy
-        if line_search and avg > history[-1] * 1.1:
-            step = x.copy()
-            for _ in range(5):
-                step = step / 2
-                _apply_corrections(graph, -step)
-                update_points(graph)
-                avg = report(graph).avg_xy
-                if avg <= history[-1] * 1.1:
-                    break
         iterations += 1
         history.append(avg)
         if abs(history[-1] - history[-2]) < tol:

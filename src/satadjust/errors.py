@@ -54,14 +54,6 @@ class RankDeficient(NumericalError):
     """The reduced normal system is singular (missing datum or GCPs)."""
 
 
-class SingularPointBlock(NumericalError):
-    """A per-point 3x3 normal block is too close to singular."""
-
-
-class TriangulationFailed(NumericalError):
-    """A track could not be triangulated from its observations."""
-
-
 class EmptyFootprint(DataError):
     """An image footprint is degenerate (zero area)."""
 

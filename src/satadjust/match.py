@@ -25,11 +25,10 @@ from .errors import (
     IllConditioned,
     NoConvergence,
     ParseError,
-    TriangulationFailed,
     WindowOutOfBounds,
 )
 from .raster import Raster
-from .rectify import GroundBBox, Level2Product
+from .rectify import Level2Product
 from .rpc import BiasCorrection, ImagePoint
 
 _ZERO_BIAS = BiasCorrection(0.0, 0.0)
@@ -116,11 +115,6 @@ class MatchParams:
                 raise ValueError(f"{name} must be positive")
 
 
-def footprint(product: Level2Product) -> GroundBBox:
-    """Axis-aligned ground bounding box of a product."""
-    return product.footprint
-
-
 def select_pairs(
     products: list[Level2Product], threshold: float = 0.6
 ) -> list[tuple[int, int]]:
@@ -129,7 +123,7 @@ def select_pairs(
     A pair (i, j), i < j, is selected iff the intersection area over the
     smaller footprint area is at least ``threshold``.
     """
-    boxes = [footprint(p) for p in products]
+    boxes = [p.footprint for p in products]
     pairs = []
     for i in range(len(products)):
         for j in range(i + 1, len(products)):
@@ -479,7 +473,7 @@ def _pair_reprojection(
                                         left.plane_height)
         except (NoConvergence, IllConditioned):
             return None
-    except (NoConvergence, TriangulationFailed):
+    except NoConvergence:
         return None
     errors = []
     for rpc, bias, p in obs:

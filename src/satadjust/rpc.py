@@ -6,6 +6,12 @@ polynomials with 20 coefficients each in numerator and denominator.  The
 monomial ordering follows the de-facto RPC00B convention so that real RPC
 text files load correctly.
 
+:func:`evaluate` is the only place the polynomials are evaluated: every
+projection, residual, Jacobian, image-to-ground iteration, triangulation
+and the adjustment's per-track reduction call it on constants packed once
+per model (:class:`RpcArrays`).  :meth:`RpcModel.validate` and the RPC
+fit in :mod:`.rectify` use the monomials only as a design matrix.
+
 Sign conventions used throughout the package:
 
 * ``project(rpc, bias, g)`` returns the denormalized RPC projection minus
@@ -24,6 +30,7 @@ this package assumes the ellipsoid throughout).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,13 +97,39 @@ class Jacobians:
     b_block: np.ndarray
 
 
+class RpcArrays(NamedTuple):
+    """Constants of one RPC model, or of a stack of models along leading
+    axes, packed for :func:`evaluate`.
+
+    ``offset`` and ``scale`` are (..., 5): latitude, longitude, height,
+    line, sample.  ``coeffs`` is (..., 4, 20): the line and sample
+    numerators, then the line and sample denominators.
+    """
+
+    offset: np.ndarray
+    scale: np.ndarray
+    coeffs: np.ndarray
+
+    def take(self, idxs) -> "RpcArrays":
+        """The models at ``idxs`` of a stack, in that order."""
+        return RpcArrays(*(a[idxs] for a in self))
+
+
+def stack_models(models) -> RpcArrays:
+    """Stack the packed constants of several models along a new first
+    axis."""
+    return RpcArrays(*(np.stack(a) for a in zip(*(m.arrays for m in models))))
+
+
 @dataclass(frozen=True)
 class RpcModel:
     """The 80-coefficient rational polynomial camera.
 
     Coefficient vectors are length-20 float arrays ordered per RPC00B.
     Instances are immutable after construction; all operations on them are
-    pure functions and safe to call concurrently.
+    pure functions and safe to call concurrently.  ``arrays`` holds the
+    same constants packed for :func:`evaluate`, built once on
+    construction.
     """
 
     line_off: float
@@ -113,6 +146,7 @@ class RpcModel:
     line_den: np.ndarray = field(repr=False)
     samp_num: np.ndarray = field(repr=False)
     samp_den: np.ndarray = field(repr=False)
+    arrays: RpcArrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("line_num", "line_den", "samp_num", "samp_den"):
@@ -124,6 +158,14 @@ class RpcModel:
                      "hei_scale"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        object.__setattr__(self, "arrays", RpcArrays(
+            offset=np.array([self.lat_off, self.lon_off, self.hei_off,
+                             self.line_off, self.samp_off]),
+            scale=np.array([self.lat_scale, self.lon_scale, self.hei_scale,
+                            self.line_scale, self.samp_scale]),
+            coeffs=np.stack([self.line_num, self.samp_num,
+                             self.line_den, self.samp_den]),
+        ))
 
     def validate(self, samples_per_axis: int = 7) -> None:
         """Check the denominator magnitude over the validity cube.
@@ -143,15 +185,6 @@ class RpcModel:
                     f"{name} denominator reaches |{worst:.3e}| inside the "
                     f"validity cube"
                 )
-
-
-def normalize_ground(g: GroundPoint, rpc: RpcModel) -> tuple[float, float, float]:
-    """Map a ground point to the model's normalized (P, L, H) coordinates."""
-    return (
-        (g.lat - rpc.lat_off) / rpc.lat_scale,
-        (g.lon - rpc.lon_off) / rpc.lon_scale,
-        (g.hei - rpc.hei_off) / rpc.hei_scale,
-    )
 
 
 def poly_terms(P, L, H) -> np.ndarray:
@@ -229,27 +262,70 @@ def poly_partials(P, L, H) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d_p, d_l, d_h
 
 
-def _check_denominators(num_r, den_r, num_c, den_c):
-    bad = min(float(np.min(np.abs(den_r))), float(np.min(np.abs(den_c))))
-    if bad <= DENOMINATOR_EPS:
+def evaluate(models: RpcArrays, lats, lons, heis, derivatives: bool = False):
+    """Raw (row, col) projection of ground points by packed RPC models.
+
+    ``models`` is one model's :class:`RpcArrays` or a stack whose leading
+    axes broadcast against the ground arrays: one model covers a whole
+    grid, a per-observation stack pairs with its points row by row.
+
+    Returns:
+        ``(raw, d_raw)``: the (..., 2) projection without bias and, with
+        ``derivatives``, its (..., 2, 3) derivative with respect to
+        (lat, lon, hei) in pixels per degree and per meter (else None).
+
+    Raises:
+        DegenerateDenominator: a rational denominator vanished at some
+            evaluation point.
+    """
+    off, scale = models.offset, models.scale
+    P = (np.asarray(lats, dtype=np.float64) - off[..., 0]) / scale[..., 0]
+    L = (np.asarray(lons, dtype=np.float64) - off[..., 1]) / scale[..., 1]
+    H = (np.asarray(heis, dtype=np.float64) - off[..., 2]) / scale[..., 2]
+    vals = np.einsum("...t,...ct->...c", poly_terms(P, L, H), models.coeffs)
+    num, den = vals[..., :2], vals[..., 2:]
+    worst = float(np.min(np.abs(den)))
+    if worst <= DENOMINATOR_EPS:
         raise DegenerateDenominator(
-            f"denominator magnitude {bad:.3e} at evaluation point"
+            f"denominator magnitude {worst:.3e} at evaluation point"
         )
-    return num_r / den_r, num_c / den_c
+    raw = num / den * scale[..., 3:] + off[..., 3:]
+    if not derivatives:
+        return raw, None
+    partials = np.stack(poly_partials(P, L, H), axis=-2)
+    d_vals = np.einsum("...kt,...ct->...ck", partials, models.coeffs)
+    d_num, d_den = d_vals[..., :2, :], d_vals[..., 2:, :]
+    # quotient rule, chained through the image and ground normalizations
+    d_norm = ((d_num * den[..., None] - num[..., None] * d_den)
+              / (den * den)[..., None])
+    return raw, d_norm * scale[..., 3:, None] / scale[..., None, :3]
+
+
+def equilibrated_point_block(b_stack: np.ndarray, cond_max: float):
+    """Normal matrix of one ground point's stacked (r, 3) Jacobian with
+    its columns scaled to unit norm.
+
+    Equilibration makes the condition check reflect ray geometry rather
+    than the disparity between planimetric and height sensitivities.
+
+    Returns:
+        ``(b_eq, normal, col_norms)``, or None when a column vanishes or
+        the equilibrated normal matrix condition exceeds ``cond_max``.
+    """
+    col_norms = np.linalg.norm(b_stack, axis=0)
+    if col_norms.min() <= 0.0:
+        return None
+    b_eq = b_stack / col_norms
+    normal = b_eq.T @ b_eq
+    if np.linalg.cond(normal) > cond_max:
+        return None
+    return b_eq, normal, col_norms
 
 
 def project_arrays(rpc: RpcModel, bias: BiasCorrection, lats, lons, heis):
     """Vectorized projection of ground arrays to (rows, cols) pixel arrays."""
-    P = (np.asarray(lats, dtype=np.float64) - rpc.lat_off) / rpc.lat_scale
-    L = (np.asarray(lons, dtype=np.float64) - rpc.lon_off) / rpc.lon_scale
-    H = (np.asarray(heis, dtype=np.float64) - rpc.hei_off) / rpc.hei_scale
-    t = poly_terms(P, L, H)
-    r_n, c_n = _check_denominators(
-        t @ rpc.line_num, t @ rpc.line_den, t @ rpc.samp_num, t @ rpc.samp_den
-    )
-    rows = r_n * rpc.line_scale + rpc.line_off - bias.d_row
-    cols = c_n * rpc.samp_scale + rpc.samp_off - bias.d_col
-    return rows, cols
+    raw, _ = evaluate(rpc.arrays, lats, lons, heis)
+    return raw[..., 0] - bias.d_row, raw[..., 1] - bias.d_col
 
 
 def project(rpc: RpcModel, bias: BiasCorrection, g: GroundPoint) -> ImagePoint:
@@ -274,36 +350,13 @@ def jacobian(rpc: RpcModel, bias0: BiasCorrection, g0: GroundPoint) -> Jacobians
     """Analytic residual derivatives at the linearization point ``g0``.
 
     The bias block is the identity because the bias enters the residual
-    linearly; the ground block applies the quotient rule to the rational
-    polynomials, chained through the ground normalization.
+    linearly; the ground block is minus the projection derivative.
 
     Raises:
         DegenerateDenominator: a rational denominator vanished at ``g0``.
     """
-    P, L, H = normalize_ground(g0, rpc)
-    t = poly_terms(P, L, H)
-    d_p, d_l, d_h = poly_partials(P, L, H)
-
-    b = np.empty((2, 3))
-    for out_row, (num, den, img_scale) in enumerate(
-        ((rpc.line_num, rpc.line_den, rpc.line_scale),
-         (rpc.samp_num, rpc.samp_den, rpc.samp_scale))
-    ):
-        n_val = float(t @ num)
-        d_val = float(t @ den)
-        if abs(d_val) <= DENOMINATOR_EPS:
-            raise DegenerateDenominator(
-                f"denominator magnitude {abs(d_val):.3e} at evaluation point"
-            )
-        for out_col, (d_terms, gnd_scale) in enumerate(
-            ((d_p, rpc.lat_scale), (d_l, rpc.lon_scale), (d_h, rpc.hei_scale))
-        ):
-            dn = float(d_terms @ num)
-            dd = float(d_terms @ den)
-            d_norm = (dn * d_val - n_val * dd) / (d_val * d_val)
-            # residual = observed - project: minus the projection derivative
-            b[out_row, out_col] = -d_norm * img_scale / gnd_scale
-    return Jacobians(a_block=np.eye(2), b_block=b)
+    _, d_raw = evaluate(rpc.arrays, g0.lat, g0.lon, g0.hei, derivatives=True)
+    return Jacobians(a_block=np.eye(2), b_block=-d_raw)
 
 
 def inverse_project(
@@ -312,7 +365,7 @@ def inverse_project(
     """Ground point at height ``hei`` whose projection is ``p``.
 
     Newton iteration on (lat, lon) using the 2x2 planimetric sub-block of
-    the residual Jacobian, started at the model's ground offsets.
+    the projection derivative, started at the model's ground offsets.
 
     Raises:
         NoConvergence: residual above 1e-6 px after 20 iterations, or the
@@ -320,14 +373,15 @@ def inverse_project(
         DegenerateDenominator: propagated from projection.
     """
     lat, lon = rpc.lat_off, rpc.lon_off
+    # residual = observed - (raw - bias), so fold the bias into the target
+    target = np.array([p.row + bias.d_row, p.col + bias.d_col])
     for _ in range(MAX_ITERATIONS):
-        g = GroundPoint(lat, lon, float(hei))
-        v_row, v_col = residual(rpc, bias, g, p)
-        if max(abs(v_row), abs(v_col)) < IMAGE_TOL_PX:
-            return g
-        b2 = jacobian(rpc, bias, g).b_block[:, :2]
+        raw, d_raw = evaluate(rpc.arrays, lat, lon, hei, derivatives=True)
+        v = target - raw
+        if float(np.max(np.abs(v))) < IMAGE_TOL_PX:
+            return GroundPoint(lat, lon, float(hei))
         try:
-            step = np.linalg.solve(b2, [-v_row, -v_col])
+            step = np.linalg.solve(d_raw[:, :2], v)
         except np.linalg.LinAlgError:
             raise IllConditioned("planimetric Jacobian is singular") from None
         lat = float(lat + step[0])
@@ -350,10 +404,8 @@ def triangulate(
 
     Gauss-Newton on (lat, lon, hei), parameterized in the first model's
     normalized ground units with the Jacobian columns equilibrated to
-    unit norm, so the 3x3 normal matrix conditioning reflects actual ray
-    geometry rather than the disparity between planimetric and height
-    sensitivities.  Initialized by casting the first observation onto
-    its height offset.
+    unit norm (:func:`equilibrated_point_block`).  Initialized by casting
+    the first observation onto its height offset.
 
     Raises:
         ValueError: fewer than two observations.
@@ -365,66 +417,25 @@ def triangulate(
         raise ValueError("triangulation needs at least two observations")
     rpc0, bias0, p0 = observations[0]
     g = inverse_project(rpc0, bias0, p0, rpc0.hei_off)
-    scales = np.array([rpc0.lat_scale, rpc0.lon_scale, rpc0.hei_scale])
-
-    # Stacked coefficients: each Gauss-Newton pass evaluates every
-    # observation in one vectorized sweep instead of a Python loop.
-    line_num = np.stack([m.line_num for m, _, _ in observations])
-    line_den = np.stack([m.line_den for m, _, _ in observations])
-    samp_num = np.stack([m.samp_num for m, _, _ in observations])
-    samp_den = np.stack([m.samp_den for m, _, _ in observations])
-    g_off = np.array([(m.lat_off, m.lon_off, m.hei_off)
-                      for m, _, _ in observations])
-    g_scale = np.array([(m.lat_scale, m.lon_scale, m.hei_scale)
-                        for m, _, _ in observations])
-    img_off = np.array([(m.line_off, m.samp_off)
-                        for m, _, _ in observations])
-    img_scale = np.array([(m.line_scale, m.samp_scale)
-                          for m, _, _ in observations])
+    scales = rpc0.arrays.scale[:3]
+    models = stack_models([m for m, _, _ in observations])
     # residual = observed - (raw - bias), so fold the bias into the target
     target = np.array([(p.row + b.d_row, p.col + b.d_col)
                        for _, b, p in observations])
 
     for _ in range(MAX_ITERATIONS):
-        P = (g.lat - g_off[:, 0]) / g_scale[:, 0]
-        L = (g.lon - g_off[:, 1]) / g_scale[:, 1]
-        H = (g.hei - g_off[:, 2]) / g_scale[:, 2]
-        terms = poly_terms(P, L, H)
-        partials = poly_partials(P, L, H)
-        b = np.empty((len(observations), 2, 3))
-        v = np.empty((len(observations), 2))
-        for chan, (num, den) in enumerate(((line_num, line_den),
-                                           (samp_num, samp_den))):
-            n_val = np.einsum("tk,tk->t", terms, num)
-            d_val = np.einsum("tk,tk->t", terms, den)
-            if float(np.min(np.abs(d_val))) <= DENOMINATOR_EPS:
-                raise DegenerateDenominator(
-                    f"denominator magnitude "
-                    f"{float(np.min(np.abs(d_val))):.3e} at evaluation point"
-                )
-            raw = n_val / d_val * img_scale[:, chan] + img_off[:, chan]
-            v[:, chan] = target[:, chan] - raw
-            for k, d_terms in enumerate(partials):
-                dn = np.einsum("tk,tk->t", d_terms, num)
-                dd = np.einsum("tk,tk->t", d_terms, den)
-                d_norm = (dn * d_val - n_val * dd) / (d_val * d_val)
-                # residual = observed - project: minus the projection slope
-                b[:, chan, k] = -d_norm * img_scale[:, chan] / g_scale[:, k]
-        b_stack = (b * scales).reshape(-1, 3)
-        v_stack = v.reshape(-1)
-        col_norms = np.linalg.norm(b_stack, axis=0)
-        if col_norms.min() <= 0.0:
+        raw, d_raw = evaluate(models, g.lat, g.lon, g.hei, derivatives=True)
+        # residual = observed - project: minus the projection slope
+        block = equilibrated_point_block((-d_raw * scales).reshape(-1, 3),
+                                         TRIANGULATION_COND_MAX)
+        if block is None:
             raise IllConditioned(
                 "triangulation normal matrix condition exceeds 1e8"
             )
-        b_eq = b_stack / col_norms
-        normal = b_eq.T @ b_eq
-        if np.linalg.cond(normal) > TRIANGULATION_COND_MAX:
-            raise IllConditioned(
-                "triangulation normal matrix condition exceeds 1e8"
-            )
+        b_eq, normal, col_norms = block
         # residual linearizes as v + B*step, so solve for the decrement
-        step = np.linalg.solve(normal, -b_eq.T @ v_stack) / col_norms
+        v = (target - raw).reshape(-1)
+        step = np.linalg.solve(normal, -b_eq.T @ v) / col_norms
         g = GroundPoint(
             float(g.lat + step[0] * scales[0]),
             float(g.lon + step[1] * scales[1]),

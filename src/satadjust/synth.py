@@ -334,20 +334,22 @@ def _render_image(scene: SyntheticScene, index: int) -> Raster:
         d2 = (rows - r0) ** 2 + (cols - c0) ** 2
         canvas[r_lo:r_hi, c_lo:c_hi] += amp * np.exp(-d2 / (2 * sigma * sigma))
 
+    # (lat, lon, hei, amplitude, sigma) of every dot, in drawing order:
+    # each visible point, then its constellation.
+    dots = []
     for j, g in enumerate(scene.true_points):
-        obs = scene.true_observations[j].get(index)
-        if obs is None:
+        if index not in scene.true_observations[j]:
             continue
-        raw = rpc_mod.project(img.rpc, BiasCorrection(), g)
-        r0 = raw.row - img.true_bias.d_row
-        c0 = raw.col - img.true_bias.d_col
-        stamp(r0, c0, 45.0, 1.3)
-        for d_east, d_north, amp in scene.constellations[j]:
-            sat = GroundPoint(g.lat + d_north / m_lat,
-                              g.lon + d_east / m_lon, g.hei)
-            sat_raw = rpc_mod.project(img.rpc, BiasCorrection(), sat)
-            stamp(sat_raw.row - img.true_bias.d_row,
-                  sat_raw.col - img.true_bias.d_col, amp, 1.0)
+        dots.append((g.lat, g.lon, g.hei, 45.0, 1.3))
+        dots.extend((g.lat + d_north / m_lat, g.lon + d_east / m_lon, g.hei,
+                     amp, 1.0)
+                    for d_east, d_north, amp in scene.constellations[j])
+    if dots:
+        lats, lons, heis, amps, sigmas = np.array(dots).T
+        rows, cols = rpc_mod.project_arrays(img.rpc, img.true_bias,
+                                            lats, lons, heis)
+        for r0, c0, amp, sigma in zip(rows, cols, amps, sigmas):
+            stamp(r0, c0, amp, sigma)
 
     pixels = np.clip(np.rint(canvas), 1, 112).astype(np.uint8)
     return Raster(pixels, nodata=0)
@@ -457,6 +459,8 @@ def gen_scene(
                             n_points)
     points = [GroundPoint(float(a), float(b), float(c))
               for a, b, c in zip(lats, lons, heis)]
+    raw = [rpc_mod.project_arrays(im.rpc, BiasCorrection(), lats, lons, heis)
+           for im in images]
 
     observations: list[dict[int, ImagePoint]] = []
     for j in range(n_points):
@@ -468,10 +472,10 @@ def gen_scene(
         noise = rng.normal(0.0, noise_sigma_px, (len(seen), 2))
         per_image = {}
         for slot, i in enumerate(seen):
-            raw = rpc_mod.project(images[i].rpc, BiasCorrection(), points[j])
+            rows, cols = raw[i]
             per_image[i] = ImagePoint(
-                raw.row - images[i].true_bias.d_row + noise[slot, 0],
-                raw.col - images[i].true_bias.d_col + noise[slot, 1],
+                rows[j] - images[i].true_bias.d_row + noise[slot, 0],
+                cols[j] - images[i].true_bias.d_col + noise[slot, 1],
             )
         observations.append(per_image)
 

@@ -22,12 +22,16 @@ class Track:
 
     ``ground`` is filled by triangulation during adjustment assembly.
     GCP tracks additionally carry their fixed surveyed coordinates.
+    ``id`` is the number GCP files refer to the track by: its id in the
+    track file it was loaded from, or its position in the list that
+    :func:`build_tracks` returned.
     """
 
     observations: dict[str, ImagePoint]
     ground: GroundPoint | None = None
     is_gcp: bool = False
     gcp_ground: GroundPoint | None = None
+    id: int | None = None
 
     def __post_init__(self):
         if len(self.observations) < 2:
@@ -54,7 +58,8 @@ def build_tracks(correspondences: list[Correspondence]) -> list[Track]:
 
     Feature identity is the exact pair (image_id, position); detection
     runs once per image, so equal positions mean the same feature.  The
-    result is canonically ordered and independent of input order.
+    result is canonically ordered and independent of input order; each
+    track's id is its position in it.
     """
     parent: dict = {}
 
@@ -87,6 +92,8 @@ def build_tracks(correspondences: list[Correspondence]) -> list[Track]:
     tracks.sort(key=lambda t: sorted(
         (image_id, p.row, p.col) for image_id, p in t.observations.items()
     ))
+    for tid, track in enumerate(tracks):
+        track.id = tid
     return tracks
 
 
@@ -104,18 +111,21 @@ def track_stats(tracks: list[Track]) -> dict[int, int]:
 
 
 def save_tracks(tracks: list[Track], path, header: str | None = None) -> None:
-    """One line per observation: ``track_id image_id row col``."""
+    """One line per observation: ``track_id image_id row col``, the
+    track id being the track's position in ``tracks``."""
     with open(path, "w") as fh:
         if header:
             fh.write(f"# {header}\n")
         fh.write("# track_id image_id row col\n")
         for tid, track in enumerate(tracks):
             for image_id, p in sorted(track.observations.items()):
-                fh.write(f"{tid} {image_id} {p.row!r} {p.col!r}\n")
+                fh.write(f"{tid} {image_id} {float(p.row)!r} "
+                         f"{float(p.col)!r}\n")
 
 
 def load_tracks(path) -> list[Track]:
-    """Read a track file written by :func:`save_tracks`.
+    """Read a track file written by :func:`save_tracks`, in id order;
+    each track keeps its id from the file.
 
     Raises:
         ParseError: malformed record, duplicate image within a track, or
@@ -152,7 +162,7 @@ def load_tracks(path) -> list[Track]:
         if len(obs) < 2:
             raise ParseError(f"{path}: track {tid} has fewer than two "
                              f"observations")
-        tracks.append(Track(observations=obs))
+        tracks.append(Track(observations=obs, id=tid))
     return tracks
 
 
@@ -162,7 +172,8 @@ def save_gcps(gcps: dict[int, GroundPoint], path) -> None:
         fh.write("# track_id lat lon hei\n")
         for tid in sorted(gcps):
             g = gcps[tid]
-            fh.write(f"{tid} {g.lat!r} {g.lon!r} {g.hei!r}\n")
+            fh.write(f"{tid} {float(g.lat)!r} {float(g.lon)!r} "
+                     f"{float(g.hei)!r}\n")
 
 
 def load_gcps(path) -> dict[int, GroundPoint]:
@@ -193,13 +204,14 @@ def load_gcps(path) -> dict[int, GroundPoint]:
 
 
 def apply_gcps(tracks: list[Track], gcps: dict[int, GroundPoint]) -> None:
-    """Flag tracks (by position in the list) as ground control points.
+    """Flag the tracks with the given ids as ground control points.
 
     Raises:
-        ConfigInvalid: a GCP track id does not exist.
+        ConfigInvalid: no track has a GCP's track id.
     """
+    by_id = {track.id: track for track in tracks}
     for tid, g in gcps.items():
-        if not 0 <= tid < len(tracks):
+        if tid not in by_id:
             raise ConfigInvalid(f"GCP refers to unknown track {tid}")
-        tracks[tid].is_gcp = True
-        tracks[tid].gcp_ground = g
+        by_id[tid].is_gcp = True
+        by_id[tid].gcp_ground = g

@@ -12,11 +12,12 @@ from satadjust.tracks import Track
 
 
 def scene_tracks(scene: SyntheticScene) -> list[Track]:
-    """One track per scene point, observations keyed by image id."""
+    """One track per scene point, observations keyed by image id; track
+    ids are point indices, as GCPs refer to them."""
     tracks = []
-    for per_image in scene.true_observations:
+    for j, per_image in enumerate(scene.true_observations):
         obs = {scene.images[i].image_id: p for i, p in per_image.items()}
-        tracks.append(Track(observations=obs))
+        tracks.append(Track(observations=obs, id=j))
     return tracks
 
 

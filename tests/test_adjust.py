@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,8 @@ from satadjust.adjust import (
 )
 from satadjust.errors import ConfigInvalid, RankDeficient
 from satadjust.rpc import BiasCorrection, GroundPoint, ImagePoint, project
-from satadjust.synth import dense_solve, gen_scene
-from satadjust.tracks import Track
+from satadjust.synth import dense_solve, gen_scene, save_scene
+from satadjust.tracks import Track, save_tracks
 
 # ---------------------------------------------------------------------------
 # Graph assembly
@@ -246,6 +248,20 @@ def test_report_statistics_shape(small_scene):
     assert set(rep.per_image_avg_xy) == {im.image_id for im in graph.images}
     # Euclidean mean dominates each per-axis mean and never their sum
     assert max(rep.avg_x, rep.avg_y) <= rep.avg_xy <= rep.avg_x + rep.avg_y
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("## Library", 1)[1]
+    snippet = library.split("```python\n", 1)[1].split("```", 1)[0]
+    scene = gen_scene(3, 30, 10.0, 0.1, seed=31)
+    save_scene(scene, tmp_path)
+    save_tracks(scene_tracks(scene), tmp_path / "tracks.txt")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(snippet, namespace)
+    assert namespace["result"].converged
+    assert len(namespace["graph"].tracks) == len(scene.true_points)
 
 
 # ---------------------------------------------------------------------------

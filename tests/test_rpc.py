@@ -16,6 +16,7 @@ from satadjust.rpc import (
     GroundPoint,
     ImagePoint,
     RpcModel,
+    evaluate,
     format_rpc_text,
     inverse_project,
     jacobian,
@@ -23,7 +24,9 @@ from satadjust.rpc import (
     poly_partials,
     poly_terms,
     project,
+    project_arrays,
     residual,
+    stack_models,
     triangulate,
 )
 from satadjust.synth import fd_jacobian, random_rpc
@@ -151,6 +154,68 @@ def test_jacobian_matches_finite_differences(rng):
         scale = np.abs(num.b_block).max()
         np.testing.assert_allclose(ana.b_block, num.b_block,
                                    atol=1e-5 * scale)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation kernel
+# ---------------------------------------------------------------------------
+
+
+def inside(rpc: RpcModel, rng, spread: float = 0.8) -> GroundPoint:
+    return GroundPoint(
+        rpc.lat_off + rng.uniform(-spread, spread) * rpc.lat_scale,
+        rpc.lon_off + rng.uniform(-spread, spread) * rpc.lon_scale,
+        rpc.hei_off + rng.uniform(-spread, spread) * rpc.hei_scale,
+    )
+
+
+def test_evaluate_mixed_stack_matches_each_model(rng):
+    models = [random_rpc(rng) for _ in range(3)]
+    # several rows per model, interleaved in one call
+    owner = [0, 1, 2, 2, 0, 1, 1, 0, 2, 0]
+    rows = [(models[k], inside(models[k], rng)) for k in owner]
+    raw, d_raw = evaluate(stack_models([m for m, _ in rows]),
+                          [g.lat for _, g in rows], [g.lon for _, g in rows],
+                          [g.hei for _, g in rows], derivatives=True)
+    assert raw.shape == (len(rows), 2)
+    assert d_raw.shape == (len(rows), 2, 3)
+    for k, (rpc, g) in enumerate(rows):
+        p = project(rpc, BiasCorrection(), g)
+        np.testing.assert_allclose(raw[k], [p.row, p.col], rtol=1e-13)
+        num = fd_jacobian(rpc, BiasCorrection(), g).b_block
+        # the kernel differentiates the projection, the residual is minus it
+        np.testing.assert_allclose(-d_raw[k], num,
+                                   atol=1e-5 * np.abs(num).max())
+
+
+def test_evaluate_one_model_over_a_grid(rng):
+    rpc = random_rpc(rng)
+    axis = np.linspace(-0.9, 0.9, 7)
+    lats, lons = np.meshgrid(rpc.lat_off + axis[:5] * rpc.lat_scale,
+                             rpc.lon_off + axis * rpc.lon_scale,
+                             indexing="ij")
+    heis = np.full_like(lats, rpc.hei_off + 0.3 * rpc.hei_scale)
+    raw, d_raw = evaluate(rpc.arrays, lats, lons, heis)
+    assert raw.shape == (5, 7, 2) and d_raw is None
+    bias = BiasCorrection(1.5, -2.5)
+    rows, cols = project_arrays(rpc, bias, lats, lons, heis)
+    np.testing.assert_array_equal(rows, raw[..., 0] - bias.d_row)
+    np.testing.assert_array_equal(cols, raw[..., 1] - bias.d_col)
+    for idx in np.ndindex(lats.shape):
+        p = project(rpc, bias, GroundPoint(lats[idx], lons[idx], heis[idx]))
+        np.testing.assert_allclose([rows[idx], cols[idx]], [p.row, p.col],
+                                   rtol=1e-13)
+
+
+def test_evaluate_rejects_degenerate_denominator_in_a_stack(rng):
+    from dataclasses import replace
+
+    good = random_rpc(rng)
+    bad = replace(good, line_den=np.zeros(20))
+    stack = stack_models([good, bad])
+    g = inside(good, rng, spread=0.0)
+    with pytest.raises(DegenerateDenominator):
+        evaluate(stack, g.lat, g.lon, g.hei)
 
 
 # ---------------------------------------------------------------------------

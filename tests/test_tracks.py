@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from satadjust.errors import ConfigInvalid, ParseError
 from satadjust.match import Correspondence, Feature
 from satadjust.rpc import GroundPoint, ImagePoint
+from satadjust.synth import gen_scene
 from satadjust.tracks import (
     Track,
     apply_gcps,
@@ -100,6 +102,27 @@ def test_track_file_round_trip(tmp_path):
     assert load_tracks(path) == tracks
 
 
+def test_files_round_trip_numpy_scalars_from_gen_scene(tmp_path):
+    scene = gen_scene(3, 5, 5.0, 0.25, seed=1)
+    tracks = [Track(observations={scene.images[i].image_id: p
+                                  for i, p in per_image.items()})
+              for per_image in scene.true_observations]
+    assert any(isinstance(p.row, np.float64)
+               for t in tracks for p in t.observations.values())
+    path = tmp_path / "tracks.txt"
+    save_tracks(tracks, path)
+    loaded = load_tracks(path)
+    assert [t.observations for t in loaded] == [t.observations
+                                                for t in tracks]
+    assert [t.id for t in loaded] == list(range(len(tracks)))
+
+    gcps = {j: GroundPoint(*np.array([g.lat, g.lon, g.hei]))
+            for j, g in enumerate(scene.true_points[:2])}
+    gcp_path = tmp_path / "gcps.txt"
+    save_gcps(gcps, gcp_path)
+    assert load_gcps(gcp_path) == gcps
+
+
 def test_load_tracks_rejects_malformed_lines(tmp_path):
     path = tmp_path / "tracks.txt"
     path.write_text("0 a 1.0\n")
@@ -147,6 +170,20 @@ def test_apply_gcps_flags_tracks():
     assert not tracks[0].is_gcp
     assert tracks[1].is_gcp
     assert tracks[1].gcp_ground == g
+
+
+def test_gcps_bind_to_track_file_ids(tmp_path):
+    path = tmp_path / "tracks.txt"
+    path.write_text("5 a 1.0 2.0\n5 b 3.0 4.0\n"
+                    "9 a 5.0 6.0\n9 c 7.0 8.0\n")
+    g = GroundPoint(25.5, 48.25, 410.0)
+    tracks = load_tracks(path)
+    assert [t.id for t in tracks] == [5, 9]
+    apply_gcps(tracks, {9: g})
+    assert not tracks[0].is_gcp
+    assert tracks[1].is_gcp and tracks[1].gcp_ground == g
+    with pytest.raises(ConfigInvalid):
+        apply_gcps(load_tracks(path), {1: g})
 
 
 def test_apply_gcps_rejects_unknown_track():
