@@ -1,11 +1,13 @@
 """Bias-compensated bundle adjustment with reduced normal equations.
 
-Ground-point unknowns are eliminated track by track while the normal
-equations are accumulated, so the largest matrix ever materialized is the
-2N x 2N reduced bias system for N images (each track touches at most a
-2t x 2t sub-block, t being its degree).  GCP tracks keep their surveyed
-grounds fixed and contribute only bias terms, the exact limit of an
-infinitely stiff ground constraint.
+Gauss-Newton on biases and grounds.  Ground-point unknowns are
+eliminated track by track while the normal equations are accumulated, so
+the largest matrix ever materialized is the 2N x 2N reduced bias system
+for N images (each track touches at most a 2t x 2t sub-block, t being
+its degree); the ground corrections are then recovered per track by
+back-substitution.  GCP tracks keep their surveyed grounds fixed and
+contribute only bias terms, the exact limit of an infinitely stiff
+ground constraint.
 
 Free networks (no GCPs) have an unobservable common image-space
 translation; the datum is fixed by pinning image 0's bias correction to
@@ -23,7 +25,7 @@ import scipy.linalg
 from . import rpc as rpc_mod
 from .errors import ConfigInvalid, NumericalError, RankDeficient
 from .rpc import BiasCorrection, GroundPoint, RpcModel
-from .tracks import Track
+from .tracks import Track, apply_gcps
 
 logger = logging.getLogger(__name__)
 
@@ -88,27 +90,26 @@ class ObservationGraph:
 
 @dataclass
 class ReducedNormalSystem:
-    """The four 2N-sized pieces of the reduced normal equations: bias
-    block, its Schur correction, and the matching right-hand sides.
+    """Reduced normal equations ``matrix @ x = rhs`` in the 2N bias
+    corrections, the Schur terms of the eliminated grounds subtracted,
+    and the tracks left out because their point block is singular.
     """
 
-    n_a: np.ndarray
-    schur: np.ndarray
-    rhs_a: np.ndarray
-    rhs_schur: np.ndarray
+    matrix: np.ndarray
+    rhs: np.ndarray
     excluded_tracks: list[int]
-
-    @property
-    def n_images(self) -> int:
-        return self.n_a.shape[0] // 2
 
 
 @dataclass
 class AdjustmentResult:
+    """``history[k]`` is the average reprojection error after k steps
+    (``history[0]`` before the first); ``steps[k]`` is the largest
+    |bias correction| of step k + 1, in pixels."""
+
     biases: list[BiasCorrection]
-    grounds: list[GroundPoint | None]
     iterations: int
     history: list[float]
+    steps: list[float]
     converged: bool
 
 
@@ -142,9 +143,12 @@ def _bias_array(graph: ObservationGraph) -> np.ndarray:
 
 def _track_blocks(graph: ObservationGraph, j: int, bias: np.ndarray,
                   derivatives: bool = True):
-    """Residuals (t, 2) of track j under the biases ``bias`` and, with
-    ``derivatives``, their (2t, 3) Jacobian with respect to the track's
-    ground in its normalized units (:func:`track_scales`), else None."""
+    """Residuals (t, 2) of track j under the biases ``bias`` and the
+    equilibrated point block of their Jacobian with respect to the
+    track's ground in its normalized units (:func:`track_scales`); the
+    block is None without ``derivatives`` or when it is singular.
+    Equilibration keeps the conditioning check scale-free; the Schur
+    contribution b (b'b)^-1 b' is invariant under it."""
     idxs = graph.visibility[j]
     track = graph.tracks[j]
     g = track.ground
@@ -154,7 +158,8 @@ def _track_blocks(graph: ObservationGraph, j: int, bias: np.ndarray,
     if d_raw is None:
         return v, None
     # residual = observed - project: minus the projection derivative
-    return v, (-d_raw * track_scales(graph, track)).reshape(-1, 3)
+    b = (-d_raw * track_scales(graph, track)).reshape(-1, 3)
+    return v, rpc_mod.equilibrated_point_block(b, POINT_BLOCK_COND_MAX)
 
 
 def _interleaved(idxs: np.ndarray) -> np.ndarray:
@@ -172,34 +177,29 @@ def assemble(
     """Build the observation graph: zero biases, triangulated grounds.
 
     GCP tracks (flagged via ``gcps``, keyed by track id) take their
-    surveyed coordinates verbatim.  Tracks that already carry a ground
-    estimate keep it; the rest are triangulated with zero biases, and
-    tracks whose triangulation fails are dropped with a log message.
-    The track list is modified in place (GCP flags).
+    surveyed coordinates verbatim; the rest are triangulated with zero
+    biases by :func:`update_points`, and those that fail are dropped.
+    The tracks are modified in place (GCP flags and grounds).
+
+    Raises:
+        ConfigInvalid: duplicate or unknown image ids, or a GCP naming an
+            unknown track.
     """
     if gcps:
-        from .tracks import apply_gcps
-
         apply_gcps(tracks, gcps)
-    states = [ImageState(image_id, rpc, BiasCorrection())
-              for image_id, rpc in images]
-    by_id = {s.image_id: s for s in states}
-    kept = []
-    for j, track in enumerate(tracks):
+    for track in tracks:
         if track.is_gcp:
             track.ground = track.gcp_ground
-            kept.append(track)
-            continue
-        if track.ground is None:
-            obs = [(by_id[image_id].rpc, BiasCorrection(), p)
-                   for image_id, p in sorted(track.observations.items())]
-            try:
-                track.ground = rpc_mod.triangulate(obs)
-            except NumericalError as exc:
-                logger.warning("dropping track %d: %s", j, exc)
-                continue
-        kept.append(track)
-    return ObservationGraph(images=states, tracks=kept)
+    states = [ImageState(image_id, rpc, BiasCorrection())
+              for image_id, rpc in images]
+    graph = ObservationGraph(images=states, tracks=list(tracks))
+    failed = set(update_points(graph))
+    if not failed:
+        return graph
+    return ObservationGraph(
+        images=states,
+        tracks=[t for j, t in enumerate(tracks) if j not in failed],
+    )
 
 
 def accumulate_reduced(
@@ -208,9 +208,10 @@ def accumulate_reduced(
     """One pass over the tracks building the reduced 2N x 2N system.
 
     Each track's 3x3 point block is inverted on the spot and its Schur
-    contribution scattered into the 2t x 2t sub-block of its observing
+    contribution subtracted from the 2t x 2t sub-block of its observing
     images, so no matrix larger than 2N x 2N exists at any time.  Tracks
-    whose point block is numerically singular are excluded and logged.
+    whose point block is numerically singular are excluded and named in
+    one log warning.
 
     Args:
         alloc_hook: optional callable receiving the shape of every array
@@ -223,40 +224,34 @@ def accumulate_reduced(
             alloc_hook(shape)
         return np.zeros(shape)
 
-    n_a = alloc(2 * n, 2 * n)
-    schur = alloc(2 * n, 2 * n)
-    rhs_a = alloc(2 * n)
-    rhs_schur = alloc(2 * n)
+    matrix = alloc(2 * n, 2 * n)
+    rhs = alloc(2 * n)
     bias = _bias_array(graph)
     excluded = []
 
     for j, track in enumerate(graph.tracks):
-        rows = _interleaved(graph.visibility[j])
-        if track.is_gcp:
-            v, _ = _track_blocks(graph, j, bias, derivatives=False)
-            n_a[rows, rows] += 1.0
-            rhs_a[rows] -= v.ravel()
-            continue
-        v, b = _track_blocks(graph, j, bias)
-        # Column equilibration keeps the conditioning check scale-free;
-        # the Schur contribution b (b'b)^-1 b' is invariant under it.
-        block = rpc_mod.equilibrated_point_block(b, POINT_BLOCK_COND_MAX)
-        if block is None:
+        v, block = _track_blocks(graph, j, bias,
+                                 derivatives=not track.is_gcp)
+        if block is None and not track.is_gcp:
             excluded.append(j)
-            logger.warning(
-                "excluding track %d: point block condition above %.0e",
-                j, POINT_BLOCK_COND_MAX,
-            )
+            continue
+        rows = _interleaved(graph.visibility[j])
+        matrix[rows, rows] += 1.0
+        rhs[rows] -= v.ravel()
+        if track.is_gcp:
             continue
         b_eq, n_b, _ = block
-        n_a[rows, rows] += 1.0
-        rhs_a[rows] -= v.ravel()
         l_b = -b_eq.T @ v.ravel()
         tmp = b_eq @ np.linalg.inv(n_b)
-        schur[np.ix_(rows, rows)] += tmp @ b_eq.T
-        rhs_schur[rows] += tmp @ l_b
-    return ReducedNormalSystem(n_a=n_a, schur=schur, rhs_a=rhs_a,
-                               rhs_schur=rhs_schur,
+        matrix[np.ix_(rows, rows)] -= tmp @ b_eq.T
+        rhs[rows] -= tmp @ l_b
+    if excluded:
+        logger.warning(
+            "excluded %d track(s) with point block condition above %.0e "
+            "(first indices: %s)", len(excluded), POINT_BLOCK_COND_MAX,
+            excluded[:5],
+        )
+    return ReducedNormalSystem(matrix=matrix, rhs=rhs,
                                excluded_tracks=excluded)
 
 
@@ -277,16 +272,14 @@ def solve_bias(
         RankDeficient: the (gauge-fixed) reduced matrix is not positive
             definite, e.g. a free network with no gauge.
     """
-    reduced = system.n_a - system.schur
-    rhs = system.rhs_a - system.rhs_schur
-    size = reduced.shape[0]
+    size = system.matrix.shape[0]
     keep = np.ones(size, dtype=bool)
     if gauge_image is not None:
         keep[2 * gauge_image:2 * gauge_image + 2] = False
     x = np.zeros(size)
     if int(keep.sum()) == 0:
         return x.reshape(-1, 2)
-    kept = reduced[np.ix_(keep, keep)]
+    kept = system.matrix[np.ix_(keep, keep)]
     try:
         factor = scipy.linalg.cho_factor(kept)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
@@ -300,7 +293,7 @@ def solve_bias(
             "reduced bias system is numerically rank deficient; free "
             "networks need a gauge image or GCPs"
         )
-    x[keep] = scipy.linalg.cho_solve(factor, rhs[keep])
+    x[keep] = scipy.linalg.cho_solve(factor, system.rhs[keep])
     return x.reshape(-1, 2)
 
 
@@ -308,31 +301,30 @@ def ground_corrections(
     graph: ObservationGraph, x: np.ndarray
 ) -> dict[int, np.ndarray]:
     """Schur back-substitution: per-track normalized ground corrections
-    implied by bias corrections ``x`` at the current linearization."""
+    implied by bias corrections ``x`` at the current linearization (none
+    for GCP tracks and the tracks :func:`accumulate_reduced` excludes)."""
     bias = _bias_array(graph)
     x_flat = np.asarray(x, dtype=np.float64).reshape(-1)
     out = {}
     for j, track in enumerate(graph.tracks):
         if track.is_gcp:
             continue
-        v, b = _track_blocks(graph, j, bias)
-        block = rpc_mod.equilibrated_point_block(b, POINT_BLOCK_COND_MAX)
+        v, block = _track_blocks(graph, j, bias)
         if block is None:
             continue
         b_eq, n_b, col_norms = block
-        l_b = -b_eq.T @ v.ravel()
         rows = _interleaved(graph.visibility[j])
         out[j] = np.linalg.solve(
-            n_b, l_b - b_eq.T @ x_flat[rows]) / col_norms
+            n_b, -b_eq.T @ (v.ravel() + x_flat[rows])) / col_norms
     return out
 
 
 def update_points(graph: ObservationGraph) -> list[int]:
-    """Re-triangulate every non-GCP track with the current biases.
+    """Triangulate every non-GCP track afresh with the current biases.
 
-    GCP grounds are never touched.  Tracks whose re-triangulation fails
-    keep their previous ground and are logged; the failed indices are
-    returned.
+    GCP grounds are never touched.  Tracks whose triangulation fails
+    keep their previous ground; their indices are returned and named in
+    one log warning.
     """
     failed = []
     for j, track in enumerate(graph.tracks):
@@ -343,10 +335,11 @@ def update_points(graph: ObservationGraph) -> list[int]:
                for slot, i in enumerate(graph.visibility[j])]
         try:
             track.ground = rpc_mod.triangulate(obs)
-        except NumericalError as exc:
+        except NumericalError:
             failed.append(j)
-            logger.warning("keeping previous ground for track %d: %s",
-                           j, exc)
+    if failed:
+        logger.warning("triangulation failed for %d track(s) (first "
+                       "indices: %s)", len(failed), failed[:5])
     return failed
 
 
@@ -390,42 +383,41 @@ def report(graph: ObservationGraph) -> ReprojectionReport:
     )
 
 
-def _apply_corrections(graph: ObservationGraph, x: np.ndarray) -> None:
-    for i, im in enumerate(graph.images):
-        im.bias = BiasCorrection(im.bias.d_row + float(x[i, 0]),
-                                 im.bias.d_col + float(x[i, 1]))
-
-
 def adjust_loop(
     graph: ObservationGraph,
     tol: float = CONVERGENCE_PX,
     max_iter: int = MAX_ITER,
 ) -> AdjustmentResult:
-    """Iterate accumulate -> solve -> apply -> re-triangulate.
+    """Gauss-Newton on biases and grounds: each step runs accumulate ->
+    solve -> back-substitute -> report and applies the bias and ground
+    corrections together.  No track is re-triangulated.
 
-    Stops when consecutive average reprojection errors differ by less
-    than ``tol`` pixels; ``converged`` is False when the iteration cap
-    was hit instead.  ``history[0]`` is the pre-adjustment average.
+    Stops once no bias component moves by more than ``tol`` pixels in a
+    step; ``converged`` is False when ``max_iter`` steps were taken
+    instead.
     """
     gauge = None if graph.has_gcp else 0
     history = [report(graph).avg_xy]
-    converged = False
-    iterations = 0
+    steps = []
     for _ in range(max_iter):
-        system = accumulate_reduced(graph)
-        x = solve_bias(system, gauge)
-        _apply_corrections(graph, x)
-        update_points(graph)
-        avg = report(graph).avg_xy
-        iterations += 1
-        history.append(avg)
-        if abs(history[-1] - history[-2]) < tol:
-            converged = True
+        x = solve_bias(accumulate_reduced(graph), gauge)
+        dg = ground_corrections(graph, x)
+        for im, (d_row, d_col) in zip(graph.images, x.tolist()):
+            im.bias = BiasCorrection(im.bias.d_row + d_row,
+                                     im.bias.d_col + d_col)
+        for j, d in dg.items():
+            track = graph.tracks[j]
+            lat, lon, hei = (d * track_scales(graph, track)).tolist()
+            g = track.ground
+            track.ground = GroundPoint(g.lat + lat, g.lon + lon, g.hei + hei)
+        history.append(report(graph).avg_xy)
+        steps.append(float(np.abs(x).max()))
+        if steps[-1] <= tol:
             break
     return AdjustmentResult(
-        biases=[im.bias for im in graph.images],
-        grounds=[t.ground for t in graph.tracks],
-        iterations=iterations, history=history, converged=converged,
+        biases=[im.bias for im in graph.images], iterations=len(steps),
+        history=history, steps=steps,
+        converged=bool(steps) and steps[-1] <= tol,
     )
 
 

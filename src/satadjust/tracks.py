@@ -112,12 +112,17 @@ def track_stats(tracks: list[Track]) -> dict[int, int]:
 
 def save_tracks(tracks: list[Track], path, header: str | None = None) -> None:
     """One line per observation: ``track_id image_id row col``, the
-    track id being the track's position in ``tracks``."""
+    track id being ``Track.id``, or the track's position in ``tracks``
+    when that is None.  Raises ValueError if two ids would be equal."""
+    ids = [pos if track.id is None else track.id
+           for pos, track in enumerate(tracks)]
+    if len(set(ids)) != len(ids):
+        raise ValueError("two tracks would be saved with the same id")
     with open(path, "w") as fh:
         if header:
             fh.write(f"# {header}\n")
         fh.write("# track_id image_id row col\n")
-        for tid, track in enumerate(tracks):
+        for tid, track in zip(ids, tracks):
             for image_id, p in sorted(track.observations.items()):
                 fh.write(f"{tid} {image_id} {float(p.row)!r} "
                          f"{float(p.col)!r}\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import scene_graph, scene_tracks
 from satadjust import adjust, synth
+from satadjust import rpc as rpc_mod
 from satadjust.adjust import (
     ObservationGraph,
     accumulate_reduced,
@@ -227,6 +229,65 @@ def test_adjust_loop_history_and_convergence_flag():
     assert res.iterations <= 50
     assert abs(res.history[-1] - res.history[-2]) < 0.001
     assert len(res.history) == res.iterations + 1
+    # the documented rule: stop at the first step moving no bias > tol
+    assert len(res.steps) == res.iterations
+    assert res.steps[-1] <= 0.001
+    assert all(step > 0.001 for step in res.steps[:-1])
+
+
+@pytest.mark.parametrize("with_gcps", [False, True])
+def test_back_substituted_grounds_match_retriangulation(with_gcps):
+    scene = gen_scene(4, 80, 15.0, 0.2, seed=55)
+    gcps = ({j: scene.true_points[j] for j in (0, 1, 2)}
+            if with_gcps else None)
+    graph = scene_graph(scene, gcps=gcps)
+    assert adjust_loop(graph).converged
+    before = report(graph).avg_xy
+    assert update_points(graph) == []
+    assert abs(report(graph).avg_xy - before) < 1e-6
+
+
+def test_adjust_loop_never_triangulates(small_scene, monkeypatch):
+    graph = scene_graph(small_scene)
+
+    def refuse(observations):
+        raise AssertionError("adjust_loop triangulated a track")
+
+    monkeypatch.setattr(rpc_mod, "triangulate", refuse)
+    assert adjust_loop(graph).converged
+
+
+def twin_image_tracks(scene, count):
+    """Tracks seen only by image 0 and a "twin" image with the same RPC:
+    their rays coincide, so they cannot be triangulated and their point
+    block is singular."""
+    image_id = scene.images[0].image_id
+    return [Track(observations={image_id: per_image[0], "twin": per_image[0]})
+            for per_image in scene.true_observations[:count]]
+
+
+def test_track_failures_log_one_warning_per_call(small_scene, caplog):
+    images = [(im.image_id, im.rpc) for im in small_scene.images]
+    images.append(("twin", small_scene.images[0].rpc))
+    n = len(small_scene.true_points)
+    first = str(list(range(n, n + 5)))
+    with caplog.at_level(logging.WARNING, logger="satadjust.adjust"):
+        graph = assemble(images, scene_tracks(small_scene)
+                         + twin_image_tracks(small_scene, 7))
+    assert len(graph.tracks) == n
+    assert len(caplog.records) == 1
+    assert "7 track(s)" in caplog.text and first in caplog.text
+
+    caplog.clear()
+    twins = twin_image_tracks(small_scene, 7)
+    for track, g in zip(twins, small_scene.true_points):
+        track.ground = g
+    graph = ObservationGraph(images=graph.images, tracks=graph.tracks + twins)
+    with caplog.at_level(logging.WARNING, logger="satadjust.adjust"):
+        system = accumulate_reduced(graph)
+    assert system.excluded_tracks == list(range(n, n + 7))
+    assert len(caplog.records) == 1
+    assert "7 track(s)" in caplog.text and first in caplog.text
 
 
 def test_update_points_retriangulates_under_current_bias(small_scene):

@@ -200,6 +200,12 @@ def test_exit_2_on_data_errors(dataset, pipeline_out, tmp_path):
     cfg.write_text("warp_speed = 9\n")
     assert main(["match", "--products", str(pipeline_out / "products"),
                  "--out", str(tmp_path / "o4"), "--config", str(cfg)]) == 2
+    # a track observed in an image missing from --products
+    ghost = tmp_path / "ghost_tracks.txt"
+    ghost.write_text("0 img_000 10.0 20.0\n0 img_999 11.0 21.0\n")
+    assert main(["adjust", "--tracks", str(ghost),
+                 "--products", str(pipeline_out / "products"),
+                 "--out", str(tmp_path / "o5")]) == 2
 
 
 def test_exit_3_on_rank_deficient_network(tmp_path):

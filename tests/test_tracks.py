@@ -176,14 +176,25 @@ def test_gcps_bind_to_track_file_ids(tmp_path):
     path = tmp_path / "tracks.txt"
     path.write_text("5 a 1.0 2.0\n5 b 3.0 4.0\n"
                     "9 a 5.0 6.0\n9 c 7.0 8.0\n")
+    resaved = tmp_path / "resaved.txt"
+    save_tracks(load_tracks(path), resaved)
     g = GroundPoint(25.5, 48.25, 410.0)
-    tracks = load_tracks(path)
-    assert [t.id for t in tracks] == [5, 9]
-    apply_gcps(tracks, {9: g})
-    assert not tracks[0].is_gcp
-    assert tracks[1].is_gcp and tracks[1].gcp_ground == g
-    with pytest.raises(ConfigInvalid):
-        apply_gcps(load_tracks(path), {1: g})
+    for source in (path, resaved):
+        tracks = load_tracks(source)
+        assert [t.id for t in tracks] == [5, 9]
+        apply_gcps(tracks, {9: g})
+        assert not tracks[0].is_gcp
+        assert tracks[1].is_gcp and tracks[1].gcp_ground == g
+        with pytest.raises(ConfigInvalid):
+            apply_gcps(load_tracks(source), {1: g})
+
+
+def test_save_tracks_rejects_equal_ids(tmp_path):
+    obs = {"a": ImagePoint(1.0, 2.0), "b": ImagePoint(3.0, 4.0)}
+    # the first track falls back to its position, 0, which the second has
+    tracks = [Track(observations=obs), Track(observations=obs, id=0)]
+    with pytest.raises(ValueError):
+        save_tracks(tracks, tmp_path / "tracks.txt")
 
 
 def test_apply_gcps_rejects_unknown_track():
