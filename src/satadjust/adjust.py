@@ -1,13 +1,22 @@
 """Bias-compensated bundle adjustment with reduced normal equations.
 
 Gauss-Newton on biases and grounds.  Ground-point unknowns are
-eliminated track by track while the normal equations are accumulated, so
-the largest matrix ever materialized is the 2N x 2N reduced bias system
-for N images (each track touches at most a 2t x 2t sub-block, t being
-its degree); the ground corrections are then recovered per track by
+eliminated track by track while the normal equations are accumulated;
+the ground corrections are then recovered per track by
 back-substitution.  GCP tracks keep their surveyed grounds fixed and
 contribute only bias terms, the exact limit of an infinitely stiff
 ground constraint.
+
+The passes of each adjustment step (accumulation, back-substitution
+and the report) run on the observations that :class:`ObservationGraph`
+packs once, in chunks of whole tracks holding at most
+``CHUNK_OBSERVATIONS`` observations: one RPC evaluation per chunk and
+stacked 3x3 point blocks.  A chunk's Schur terms are subtracted as dense
+panel products of at most 2N/3 tracks each, so no matrix larger than the
+2N x 2N reduced bias system for N images is formed; the other per-chunk
+arrays are bounded by the chunk size.  Triangulation
+(:func:`update_points`) solves one track per :func:`rpc.triangulate`
+call.  No temporary grows with the number of tracks.
 
 Free networks (no GCPs) have an unobservable common image-space
 translation; the datum is fixed by pinning image 0's bias correction to
@@ -18,12 +27,18 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from . import rpc as rpc_mod
-from .errors import ConfigInvalid, NumericalError, RankDeficient
+from .errors import (
+    ConfigInvalid,
+    DegenerateDenominator,
+    NumericalError,
+    RankDeficient,
+)
 from .rpc import BiasCorrection, GroundPoint, RpcModel
 from .tracks import Track, apply_gcps
 
@@ -38,6 +53,10 @@ PIVOT_RATIO_MIN = 1e-7
 CONVERGENCE_PX = 0.001
 MAX_ITER = 50
 
+# Observations per chunk of the per-track passes; bounds their
+# temporaries whatever the number of tracks.
+CHUNK_OBSERVATIONS = 1024
+
 
 @dataclass
 class ImageState:
@@ -50,15 +69,20 @@ class ImageState:
 class ObservationGraph:
     """Images, tracks and the visibility linking them.
 
-    ``visibility[j]`` holds the sorted image indices observing track j
-    and ``observations[j]`` the matching (degree, 2) array of observed
-    (row, col) pixels; both are derived from the tracks on construction,
-    as is ``models``, the image models packed in image order.
+    The observations are packed once on construction, track by track
+    and within a track in image order: ``obs_image`` and ``obs_pixel``
+    hold each one's image index and observed (row, col) pixel, and track
+    j owns rows ``track_start[j]:track_start[j + 1]``.
+    ``visibility[j]`` and ``observations[j]`` are views of those rows;
+    ``models`` holds the image models packed in image order.
     """
 
     images: list[ImageState]
     tracks: list[Track]
     index: dict[str, int] = field(init=False)
+    obs_image: np.ndarray = field(init=False)
+    obs_pixel: np.ndarray = field(init=False)
+    track_start: np.ndarray = field(init=False)
     visibility: list[np.ndarray] = field(init=False)
     observations: list[np.ndarray] = field(init=False)
     models: rpc_mod.RpcArrays = field(init=False)
@@ -68,24 +92,44 @@ class ObservationGraph:
         if len(self.index) != len(self.images):
             raise ConfigInvalid("duplicate image ids")
         self.models = rpc_mod.stack_models([im.rpc for im in self.images])
-        self.visibility = []
-        self.observations = []
-        for track in self.tracks:
-            items = []
-            for image_id, p in track.observations.items():
-                if image_id not in self.index:
-                    raise ConfigInvalid(f"track references unknown image "
-                                        f"{image_id}")
-                items.append((self.index[image_id], p.row, p.col))
-            items.sort()
-            self.visibility.append(np.array([i for i, _, _ in items]))
-            self.observations.append(
-                np.array([(r, c) for _, r, c in items])
-            )
+        image, rows, cols = [], [], []
+        degrees = np.empty(len(self.tracks), dtype=np.intp)
+        for j, track in enumerate(self.tracks):
+            try:
+                image.extend(map(self.index.__getitem__, track.observations))
+            except KeyError as exc:
+                raise ConfigInvalid(f"track references unknown image "
+                                    f"{exc.args[0]}") from None
+            points = track.observations.values()
+            rows.extend(p.row for p in points)
+            cols.extend(p.col for p in points)
+            degrees[j] = len(points)
+        self.track_start = np.zeros(len(self.tracks) + 1, dtype=np.intp)
+        np.cumsum(degrees, out=self.track_start[1:])
+        # track by track, and in image order within a track
+        order = np.lexsort((image, np.repeat(np.arange(len(degrees)),
+                                             degrees)))
+        self.obs_image = np.array(image, dtype=np.intp)[order]
+        self.obs_pixel = np.column_stack([rows, cols])[order]
+        bounds = list(zip(self.track_start[:-1], self.track_start[1:]))
+        self.visibility = [self.obs_image[a:b] for a, b in bounds]
+        self.observations = [self.obs_pixel[a:b] for a, b in bounds]
 
     @property
     def has_gcp(self) -> bool:
         return any(t.is_gcp for t in self.tracks)
+
+    def chunks(self):
+        """Consecutive track ranges ``(a, b)`` holding at most
+        ``CHUNK_OBSERVATIONS`` observations each, or a single track."""
+        starts = self.track_start
+        a = 0
+        while a < len(self.tracks):
+            b = int(np.searchsorted(starts, starts[a] + CHUNK_OBSERVATIONS,
+                                    side="right")) - 1
+            b = max(b, a + 1)
+            yield a, b
+            a = b
 
 
 @dataclass
@@ -104,12 +148,14 @@ class ReducedNormalSystem:
 class AdjustmentResult:
     """``history[k]`` is the average reprojection error after k steps
     (``history[0]`` before the first); ``steps[k]`` is the largest
-    |bias correction| of step k + 1, in pixels."""
+    |bias correction| of step k + 1, in pixels, and ``excluded[k]`` the
+    number of tracks that step left out of the reduced system."""
 
     biases: list[BiasCorrection]
     iterations: int
     history: list[float]
     steps: list[float]
+    excluded: list[int]
     converged: bool
 
 
@@ -141,32 +187,60 @@ def _bias_array(graph: ObservationGraph) -> np.ndarray:
     return np.array([(im.bias.d_row, im.bias.d_col) for im in graph.images])
 
 
-def _track_blocks(graph: ObservationGraph, j: int, bias: np.ndarray,
-                  derivatives: bool = True):
-    """Residuals (t, 2) of track j under the biases ``bias`` and the
-    equilibrated point block of their Jacobian with respect to the
-    track's ground in its normalized units (:func:`track_scales`); the
-    block is None without ``derivatives`` or when it is singular.
-    Equilibration keeps the conditioning check scale-free; the Schur
-    contribution b (b'b)^-1 b' is invariant under it."""
-    idxs = graph.visibility[j]
-    track = graph.tracks[j]
-    g = track.ground
-    raw, d_raw = rpc_mod.evaluate(graph.models.take(idxs), g.lat, g.lon,
-                                  g.hei, derivatives)
-    v = graph.observations[j] + bias[idxs] - raw
+class _Linearization(NamedTuple):
+    """Tracks a..b-1 of a graph at their current grounds and biases.
+
+    ``starts`` offsets their observations in the (k, ...) arrays:
+    ``owner`` (the track, counted from a), ``image``, the (k, 2)
+    residuals ``v`` and, with derivatives, their
+    (k, 2, 3) Jacobians ``b`` with respect to each track's ground in its
+    normalized units (:func:`track_scales`).  ``usable`` is False for a
+    track whose residual met a vanished denominator.  ``blocks`` is the
+    ``(normal, col_norms, ok)`` of :func:`rpc.equilibrated_point_blocks`
+    for those Jacobians (None without derivatives).  Equilibration keeps
+    the conditioning check scale-free; the Schur contribution
+    b (b'b)^-1 b' is invariant under it.
+    """
+
+    starts: np.ndarray
+    owner: np.ndarray
+    image: np.ndarray
+    v: np.ndarray
+    usable: np.ndarray
+    b: np.ndarray | None
+    blocks: tuple | None
+
+
+def _linearize(graph: ObservationGraph, a: int, b: int, bias: np.ndarray,
+               derivatives: bool) -> _Linearization:
+    span = slice(graph.track_start[a], graph.track_start[b])
+    starts = graph.track_start[a:b + 1] - graph.track_start[a]
+    image = graph.obs_image[span]
+    owner = np.repeat(np.arange(b - a), np.diff(starts))
+    g = np.array([(t.ground.lat, t.ground.lon, t.ground.hei)
+                  for t in graph.tracks[a:b]])[owner]
+    raw, d_raw, usable = rpc_mod.evaluate_masked(
+        graph.models.take(image), g[:, 0], g[:, 1], g[:, 2], derivatives)
+    v = graph.obs_pixel[span] + bias[image] - raw
+    usable = np.logical_and.reduceat(usable, starts[:-1])
     if d_raw is None:
-        return v, None
+        return _Linearization(starts, owner, image, v, usable, None, None)
     # residual = observed - project: minus the projection derivative
-    b = (-d_raw * track_scales(graph, track)).reshape(-1, 3)
-    return v, rpc_mod.equilibrated_point_block(b, POINT_BLOCK_COND_MAX)
+    scales = graph.models.scale[image[starts[:-1]], :3]
+    jac = -d_raw * scales[owner][:, None, :]
+    blocks = rpc_mod.equilibrated_point_blocks(jac, starts,
+                                               POINT_BLOCK_COND_MAX)
+    return _Linearization(starts, owner, image, v, usable, jac, blocks)
 
 
-def _interleaved(idxs: np.ndarray) -> np.ndarray:
-    rows = np.empty(2 * len(idxs), dtype=np.intp)
-    rows[0::2] = 2 * idxs
-    rows[1::2] = 2 * idxs + 1
-    return rows
+def _gcp_mask(graph: ObservationGraph, a: int, b: int) -> np.ndarray:
+    return np.array([t.is_gcp for t in graph.tracks[a:b]])
+
+
+def _warn_tracks(tracks: list[int], what: str) -> None:
+    if tracks:
+        logger.warning("%d track(s) %s (first indices: %s)", len(tracks),
+                       what, tracks[:5])
 
 
 def assemble(
@@ -205,13 +279,22 @@ def assemble(
 def accumulate_reduced(
     graph: ObservationGraph, alloc_hook=None
 ) -> ReducedNormalSystem:
-    """One pass over the tracks building the reduced 2N x 2N system.
+    """One pass over the tracks, chunk by chunk, building the reduced
+    2N x 2N system.
 
-    Each track's 3x3 point block is inverted on the spot and its Schur
-    contribution subtracted from the 2t x 2t sub-block of its observing
-    images, so no matrix larger than 2N x 2N exists at any time.  Tracks
-    whose point block is numerically singular are excluded and named in
-    one log warning.
+    A chunk's 3x3 point blocks are inverted as one stack and its Schur
+    terms subtracted as dense panel products ``W @ B.T``: B (2u x 3c)
+    holds the equilibrated point blocks of c tracks side by side, on the
+    bias rows of the u images those tracks see, and W the same blocks
+    times their inverse normal matrices.  With c <= 2N/3, neither panel
+    nor their product is larger than the 2N x 2N reduced matrix; the
+    other per-chunk arrays are bounded by ``CHUNK_OBSERVATIONS``.  So
+    the working memory is a few (2N)^2 arrays (the matrix, the two
+    panels and the product) and each panel costs O(u^2 c) flops; both
+    were measured only up to N = 50.
+    Tracks whose point block condition exceeds 1e10, or whose residual
+    meets a vanished denominator, are excluded and named in one log
+    warning.
 
     Args:
         alloc_hook: optional callable receiving the shape of every array
@@ -226,31 +309,57 @@ def accumulate_reduced(
 
     matrix = alloc(2 * n, 2 * n)
     rhs = alloc(2 * n)
+    per_panel = max(1, 2 * n // 3)
+    w_panel = alloc(2 * n, 3 * per_panel)
+    b_panel = alloc(2 * n, 3 * per_panel)
+    diag = np.arange(2 * n)
     bias = _bias_array(graph)
     excluded = []
 
-    for j, track in enumerate(graph.tracks):
-        v, block = _track_blocks(graph, j, bias,
-                                 derivatives=not track.is_gcp)
-        if block is None and not track.is_gcp:
-            excluded.append(j)
+    for a, b in graph.chunks():
+        lin = _linearize(graph, a, b, bias, derivatives=True)
+        normal, col_norms, ok = lin.blocks
+        gcp = _gcp_mask(graph, a, b)
+        used = lin.usable & (gcp | ok)
+        excluded.extend((a + np.flatnonzero(~used)).tolist())
+        rows = 2 * lin.image[:, None] + np.arange(2)
+        obs_used = used[lin.owner]
+        matrix[diag, diag] += np.bincount(rows[obs_used].ravel(),
+                                          minlength=2 * n)
+        rhs -= np.bincount(rows[obs_used].ravel(),
+                           weights=lin.v[obs_used].ravel(), minlength=2 * n)
+        free = used & ~gcp
+        if not free.any():
             continue
-        rows = _interleaved(graph.visibility[j])
-        matrix[rows, rows] += 1.0
-        rhs[rows] -= v.ravel()
-        if track.is_gcp:
-            continue
-        b_eq, n_b, _ = block
-        l_b = -b_eq.T @ v.ravel()
-        tmp = b_eq @ np.linalg.inv(n_b)
-        matrix[np.ix_(rows, rows)] -= tmp @ b_eq.T
-        rhs[rows] -= tmp @ l_b
-    if excluded:
-        logger.warning(
-            "excluded %d track(s) with point block condition above %.0e "
-            "(first indices: %s)", len(excluded), POINT_BLOCK_COND_MAX,
-            excluded[:5],
-        )
+        # the other tracks get zero blocks and so add nothing below
+        owner = lin.owner
+        b_eq = np.where(free[owner][:, None, None],
+                        lin.b / col_norms[owner][:, None, :], 0.0)
+        inverse = np.linalg.inv(np.where(free[:, None, None], normal,
+                                         np.eye(3)))
+        l_b = -np.add.reduceat(np.einsum("kri,kr->ki", b_eq, lin.v),
+                               lin.starts[:-1])
+        w_obs = np.einsum("kri,kij->krj", b_eq, inverse[owner])
+        for p0 in range(0, b - a, per_panel):
+            p1 = min(p0 + per_panel, b - a)
+            span = slice(lin.starts[p0], lin.starts[p1])
+            # panel rows: the bias rows of the images these tracks see
+            seen, local = np.unique(lin.image[span], return_inverse=True)
+            bias_rows = (2 * seen[:, None] + np.arange(2)).ravel()
+            w = w_panel[:bias_rows.size, :3 * (p1 - p0)]
+            bt = b_panel[:bias_rows.size, :3 * (p1 - p0)]
+            w.fill(0.0)
+            bt.fill(0.0)
+            # (panel row, panel column) of each observation row and
+            # ground column
+            r = (2 * local[:, None] + np.arange(2))[:, :, None]
+            c = 3 * (owner[span] - p0)[:, None, None] + np.arange(3)
+            w[r, c] = w_obs[span]
+            bt[r, c] = b_eq[span]
+            matrix[np.ix_(bias_rows, bias_rows)] -= w @ bt.T
+            rhs[bias_rows] -= w @ l_b[p0:p1].ravel()
+    _warn_tracks(excluded, f"excluded: point block condition above "
+                 f"{POINT_BLOCK_COND_MAX:.0e} or a vanished denominator")
     return ReducedNormalSystem(matrix=matrix, rhs=rhs,
                                excluded_tracks=excluded)
 
@@ -302,25 +411,28 @@ def ground_corrections(
 ) -> dict[int, np.ndarray]:
     """Schur back-substitution: per-track normalized ground corrections
     implied by bias corrections ``x`` at the current linearization (none
-    for GCP tracks and the tracks :func:`accumulate_reduced` excludes)."""
+    for GCP tracks and the tracks :func:`accumulate_reduced` excludes),
+    chunk by chunk with stacked 3x3 solves."""
     bias = _bias_array(graph)
-    x_flat = np.asarray(x, dtype=np.float64).reshape(-1)
+    shift = np.asarray(x, dtype=np.float64).reshape(-1, 2)
     out = {}
-    for j, track in enumerate(graph.tracks):
-        if track.is_gcp:
-            continue
-        v, block = _track_blocks(graph, j, bias)
-        if block is None:
-            continue
-        b_eq, n_b, col_norms = block
-        rows = _interleaved(graph.visibility[j])
-        out[j] = np.linalg.solve(
-            n_b, -b_eq.T @ (v.ravel() + x_flat[rows])) / col_norms
+    for a, b in graph.chunks():
+        lin = _linearize(graph, a, b, bias, derivatives=True)
+        normal, col_norms, ok = lin.blocks
+        free = lin.usable & ok & ~_gcp_mask(graph, a, b)
+        # the residual once the biases move by x
+        rhs = -np.add.reduceat(
+            np.einsum("kri,kr->ki", lin.b, lin.v + shift[lin.image]),
+            lin.starts[:-1]) / col_norms
+        step = (np.linalg.solve(normal[free], rhs[free][:, :, None])[:, :, 0]
+                / col_norms[free])
+        out.update(zip((a + np.flatnonzero(free)).tolist(), step))
     return out
 
 
 def update_points(graph: ObservationGraph) -> list[int]:
-    """Triangulate every non-GCP track afresh with the current biases.
+    """Triangulate every non-GCP track afresh with the current biases,
+    one :func:`rpc.triangulate` call per track.
 
     GCP grounds are never touched.  Tracks whose triangulation fails
     keep their previous ground; their indices are returned and named in
@@ -337,49 +449,53 @@ def update_points(graph: ObservationGraph) -> list[int]:
             track.ground = rpc_mod.triangulate(obs)
         except NumericalError:
             failed.append(j)
-    if failed:
-        logger.warning("triangulation failed for %d track(s) (first "
-                       "indices: %s)", len(failed), failed[:5])
+    _warn_tracks(failed, "failed to triangulate")
     return failed
 
 
 def report(graph: ObservationGraph) -> ReprojectionReport:
-    """Residual statistics of all observations at the current state.
+    """Residual statistics of all observations at the current state,
+    accumulated chunk by chunk.
 
     avg_x / avg_y are mean absolute per-axis distances (x = column,
     y = row), avg_xy the mean Euclidean distance, max_* the maxima;
     per-image averages use the Euclidean distance.
+
+    Raises:
+        DegenerateDenominator: a rational denominator vanished at some
+            observation.
     """
-    bias = _bias_array(graph)
-    abs_r = []
-    abs_c = []
-    euclid = []
-    image_sums = np.zeros(len(graph.images))
-    image_counts = np.zeros(len(graph.images), dtype=np.int64)
-    for j in range(len(graph.tracks)):
-        idxs = graph.visibility[j]
-        v, _ = _track_blocks(graph, j, bias, derivatives=False)
-        d = np.hypot(v[:, 0], v[:, 1])
-        abs_r.append(np.abs(v[:, 0]))
-        abs_c.append(np.abs(v[:, 1]))
-        euclid.append(d)
-        np.add.at(image_sums, idxs, d)
-        np.add.at(image_counts, idxs, 1)
-    if not euclid:
+    n = len(graph.images)
+    count = int(graph.track_start[-1])
+    if not count:
         return ReprojectionReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, {}, 0)
-    abs_r = np.concatenate(abs_r)
-    abs_c = np.concatenate(abs_c)
-    euclid = np.concatenate(euclid)
+    bias = _bias_array(graph)
+    # columns: |row residual| (y), |column residual| (x), Euclidean
+    sums = np.zeros(3)
+    maxima = np.zeros(3)
+    image_sums = np.zeros(n)
+    for a, b in graph.chunks():
+        lin = _linearize(graph, a, b, bias, derivatives=False)
+        if not lin.usable.all():
+            raise DegenerateDenominator(
+                f"denominator vanished at an observation of track "
+                f"{a + int(np.argmin(lin.usable))}")
+        dist = np.column_stack([np.abs(lin.v), np.hypot(*lin.v.T)])
+        sums += dist.sum(axis=0)
+        maxima = np.maximum(maxima, dist.max(axis=0))
+        image_sums += np.bincount(lin.image, weights=dist[:, 2],
+                                  minlength=n)
+    image_counts = np.bincount(graph.obs_image, minlength=n)
     per_image = {
         im.image_id: float(image_sums[i] / image_counts[i])
         for i, im in enumerate(graph.images) if image_counts[i]
     }
+    avg_y, avg_x, avg_xy = (sums / count).tolist()
+    max_y, max_x, max_xy = maxima.tolist()
     return ReprojectionReport(
-        avg_x=float(abs_c.mean()), avg_y=float(abs_r.mean()),
-        avg_xy=float(euclid.mean()),
-        max_x=float(abs_c.max()), max_y=float(abs_r.max()),
-        max_xy=float(euclid.max()),
-        per_image_avg_xy=per_image, count=int(euclid.size),
+        avg_x=avg_x, avg_y=avg_y, avg_xy=avg_xy,
+        max_x=max_x, max_y=max_y, max_xy=max_xy,
+        per_image_avg_xy=per_image, count=count,
     )
 
 
@@ -397,26 +513,31 @@ def adjust_loop(
     instead.
     """
     gauge = None if graph.has_gcp else 0
+    # each track's corrections are in its first image's ground units
+    first = graph.obs_image[graph.track_start[:-1]]
     history = [report(graph).avg_xy]
     steps = []
+    excluded = []
     for _ in range(max_iter):
-        x = solve_bias(accumulate_reduced(graph), gauge)
+        system = accumulate_reduced(graph)
+        x = solve_bias(system, gauge)
         dg = ground_corrections(graph, x)
         for im, (d_row, d_col) in zip(graph.images, x.tolist()):
             im.bias = BiasCorrection(im.bias.d_row + d_row,
                                      im.bias.d_col + d_col)
         for j, d in dg.items():
             track = graph.tracks[j]
-            lat, lon, hei = (d * track_scales(graph, track)).tolist()
+            lat, lon, hei = (d * graph.models.scale[first[j], :3]).tolist()
             g = track.ground
             track.ground = GroundPoint(g.lat + lat, g.lon + lon, g.hei + hei)
         history.append(report(graph).avg_xy)
         steps.append(float(np.abs(x).max()))
+        excluded.append(len(system.excluded_tracks))
         if steps[-1] <= tol:
             break
     return AdjustmentResult(
         biases=[im.bias for im in graph.images], iterations=len(steps),
-        history=history, steps=steps,
+        history=history, steps=steps, excluded=excluded,
         converged=bool(steps) and steps[-1] <= tol,
     )
 

@@ -310,13 +310,15 @@ def cmd_pipeline(inputs: list[str], out_dir: str, config: PipelineConfig,
         cmd_adjust(track_path, products_dir, out_dir, config, gcp_path)
 
 
-def cmd_report(track_path: str, products_dir: str,
-               bias_path: str | None) -> None:
-    """Recompute the metric table for stored tracks and biases."""
+def cmd_report(track_path: str, products_dir: str, bias_path: str | None,
+               gcp_path: str | None = None) -> None:
+    """Recompute the metric table for stored tracks and biases; GCP
+    tracks keep their surveyed grounds, as in :func:`cmd_adjust`."""
     products = _load_products(products_dir)
     track_list = tracks_mod.load_tracks(track_path)
+    gcps = tracks_mod.load_gcps(gcp_path) if gcp_path else None
     images = [(p.image_id, p.rpc) for p in products]
-    graph = adjust_mod.assemble(images, track_list)
+    graph = adjust_mod.assemble(images, track_list, gcps)
     before = adjust_mod.report(graph)
     if bias_path:
         biases = adjust_mod.load_biases(bias_path)
@@ -421,6 +423,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--tracks", required=True)
     p.add_argument("--products", required=True)
     p.add_argument("--biases")
+    p.add_argument("--gcps")
     return parser
 
 
@@ -444,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_pipeline(args.inputs, args.out, config, args.gcps,
                          args.resume)
         elif args.command == "report":
-            cmd_report(args.tracks, args.products, args.biases)
+            cmd_report(args.tracks, args.products, args.biases, args.gcps)
         return 0
     except (DataError, OSError) as exc:
         print(f"satadjust: data error: {exc}", file=sys.stderr)

@@ -6,11 +6,21 @@ polynomials with 20 coefficients each in numerator and denominator.  The
 monomial ordering follows the de-facto RPC00B convention so that real RPC
 text files load correctly.
 
-:func:`evaluate` is the only place the polynomials are evaluated: every
-projection, residual, Jacobian, image-to-ground iteration, triangulation
-and the adjustment's per-track reduction call it on constants packed once
-per model (:class:`RpcArrays`).  :meth:`RpcModel.validate` and the RPC
-fit in :mod:`.rectify` use the monomials only as a design matrix.
+:func:`evaluate` (and :func:`evaluate_masked`, the same kernel reporting
+vanished denominators per point instead of raising) is the only place the
+polynomials are evaluated: every projection, residual, Jacobian,
+image-to-ground iteration, triangulation and the adjustment's per-track
+reduction call it on constants packed once per model (:class:`RpcArrays`).
+:meth:`RpcModel.validate` and the RPC fit in :mod:`.rectify` use the
+monomials only as a design matrix.
+
+Image-to-ground and triangulation are batched: :func:`inverse_project_many`
+and :func:`triangulate_many` iterate many points or tracks in lock-step,
+one kernel call per step, and report a per-point outcome code, so one
+failing point never fails the others.  Their temporaries are proportional
+to the points passed in, which the caller bounds.  :func:`inverse_project`
+and :func:`triangulate` are their one-point cases and raise the matching
+error.
 
 Sign conventions used throughout the package:
 
@@ -103,12 +113,16 @@ class RpcArrays(NamedTuple):
 
     ``offset`` and ``scale`` are (..., 5): latitude, longitude, height,
     line, sample.  ``coeffs`` is (..., 4, 20): the line and sample
-    numerators, then the line and sample denominators.
+    numerators, then the line and sample denominators.  ``slopes`` is
+    (..., 4, 3, 10): the derivatives of those four polynomials with
+    respect to normalized (P, L, H), as coefficients of the first ten
+    monomials.
     """
 
     offset: np.ndarray
     scale: np.ndarray
     coeffs: np.ndarray
+    slopes: np.ndarray
 
     def take(self, idxs) -> "RpcArrays":
         """The models at ``idxs`` of a stack, in that order."""
@@ -158,13 +172,15 @@ class RpcModel:
                      "hei_scale"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        coeffs = np.stack([self.line_num, self.samp_num,
+                           self.line_den, self.samp_den])
         object.__setattr__(self, "arrays", RpcArrays(
             offset=np.array([self.lat_off, self.lon_off, self.hei_off,
                              self.line_off, self.samp_off]),
             scale=np.array([self.lat_scale, self.lon_scale, self.hei_scale,
                             self.line_scale, self.samp_scale]),
-            coeffs=np.stack([self.line_num, self.samp_num,
-                             self.line_den, self.samp_den]),
+            coeffs=coeffs,
+            slopes=np.einsum("ct,kts->cks", coeffs, _SLOPES),
         ))
 
     def validate(self, samples_per_axis: int = 7) -> None:
@@ -192,74 +208,88 @@ def poly_terms(P, L, H) -> np.ndarray:
 
     Accepts scalars or equally shaped arrays; broadcasting follows numpy
     rules.  Order: 1, L, P, H, LP, LH, PH, L2, P2, H2, PLH, L3, LP2, LH2,
-    L2P, P3, PH2, L2H, P2H, H3.
+    L2P, P3, PH2, L2H, P2H, H3.  Every monomial is a product of two
+    others (``np.power`` costs some 40x a multiplication on [-1, 1]).
     """
     P = np.asarray(P, dtype=np.float64)
     L = np.asarray(L, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
     one = np.ones(np.broadcast(P, L, H).shape)
+    lp, lh, ph = L * P, L * H, P * H
+    ll, pp, hh = L * L, P * P, H * H
     return np.stack(
         [
             one,
             L, P, H,
-            L * P, L * H, P * H,
-            L * L, P * P, H * H,
-            P * L * H,
-            L ** 3, L * P * P, L * H * H, L * L * P,
-            P ** 3, P * H * H, L * L * H, P * P * H,
-            H ** 3,
+            lp, lh, ph,
+            ll, pp, hh,
+            lp * H,
+            ll * L, lp * P, lh * H, ll * P,
+            pp * P, ph * H, ll * H, pp * H,
+            hh * H,
         ],
         axis=-1,
     )
+
+
+# (P, L, H) exponents of the poly_terms monomials, in their order.
+_EXPONENTS = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, 0),
+              (0, 1, 1), (1, 0, 1), (0, 2, 0), (2, 0, 0), (0, 0, 2),
+              (1, 1, 1), (0, 3, 0), (2, 1, 0), (0, 1, 2), (1, 2, 0),
+              (3, 0, 0), (1, 0, 2), (0, 2, 1), (2, 0, 1), (0, 0, 3))
+
+
+def _slope_table() -> np.ndarray:
+    """(3, 20, 10): entry [k, t, s] is the factor of monomial s (one of
+    the first ten, degree two or less) in the derivative of monomial t
+    with respect to variable k of (P, L, H)."""
+    table = np.zeros((3, 20, 10))
+    for t, exps in enumerate(_EXPONENTS):
+        for k, e in enumerate(exps):
+            if e:
+                lower = tuple(x - (i == k) for i, x in enumerate(exps))
+                table[k, t, _EXPONENTS.index(lower)] = e
+    return table
+
+
+_SLOPES = _slope_table()
 
 
 def poly_partials(P, L, H) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partial derivatives of :func:`poly_terms` w.r.t. P, L and H."""
-    P = np.asarray(P, dtype=np.float64)
-    L = np.asarray(L, dtype=np.float64)
-    H = np.asarray(H, dtype=np.float64)
-    zero = np.zeros(np.broadcast(P, L, H).shape)
-    one = np.ones_like(zero)
-    d_p = np.stack(
-        [
-            zero,
-            zero, one, zero,
-            L, zero, H,
-            zero, 2 * P, zero,
-            L * H,
-            zero, 2 * L * P, zero, L * L,
-            3 * P * P, H * H, zero, 2 * P * H,
-            zero,
-        ],
-        axis=-1,
-    )
-    d_l = np.stack(
-        [
-            zero,
-            one, zero, zero,
-            P, H, zero,
-            2 * L, zero, zero,
-            P * H,
-            3 * L * L, P * P, H * H, 2 * L * P,
-            zero, zero, 2 * L * H, zero,
-            zero,
-        ],
-        axis=-1,
-    )
-    d_h = np.stack(
-        [
-            zero,
-            zero, zero, one,
-            zero, L, P,
-            zero, zero, 2 * H,
-            P * L,
-            zero, zero, 2 * L * H, zero,
-            zero, 2 * P * H, L * L, P * P,
-            3 * H * H,
-        ],
-        axis=-1,
-    )
-    return d_p, d_l, d_h
+    """Partial derivatives of :func:`poly_terms` w.r.t. P, L and H: the
+    slope table applied to the monomials of degree two or less."""
+    lower = poly_terms(P, L, H)[..., :10]
+    return tuple(lower @ table.T for table in _SLOPES)
+
+
+def evaluate_masked(models: RpcArrays, lats, lons, heis,
+                    derivatives: bool = False):
+    """:func:`evaluate` without the denominator check.
+
+    Returns:
+        ``(raw, d_raw, usable)``: ``usable`` is False at the evaluation
+        points where a rational denominator vanished; the values there
+        are finite but meaningless.
+    """
+    off, scale = models.offset, models.scale
+    P = (np.asarray(lats, dtype=np.float64) - off[..., 0]) / scale[..., 0]
+    L = (np.asarray(lons, dtype=np.float64) - off[..., 1]) / scale[..., 1]
+    H = (np.asarray(heis, dtype=np.float64) - off[..., 2]) / scale[..., 2]
+    terms = poly_terms(P, L, H)
+    vals = np.einsum("...t,...ct->...c", terms, models.coeffs)
+    num, den = vals[..., :2], vals[..., 2:]
+    usable = ~(np.abs(den) <= DENOMINATOR_EPS).any(axis=-1)
+    if not usable.all():
+        den = np.where(usable[..., None], den, 1.0)
+    raw = num / den * scale[..., 3:] + off[..., 3:]
+    if not derivatives:
+        return raw, None, usable
+    d_vals = np.einsum("...s,...cks->...ck", terms[..., :10], models.slopes)
+    d_num, d_den = d_vals[..., :2, :], d_vals[..., 2:, :]
+    # quotient rule, chained through the image and ground normalizations
+    d_norm = ((d_num * den[..., None] - num[..., None] * d_den)
+              / (den * den)[..., None])
+    return raw, d_norm * scale[..., 3:, None] / scale[..., None, :3], usable
 
 
 def evaluate(models: RpcArrays, lats, lons, heis, derivatives: bool = False):
@@ -278,48 +308,53 @@ def evaluate(models: RpcArrays, lats, lons, heis, derivatives: bool = False):
         DegenerateDenominator: a rational denominator vanished at some
             evaluation point.
     """
-    off, scale = models.offset, models.scale
-    P = (np.asarray(lats, dtype=np.float64) - off[..., 0]) / scale[..., 0]
-    L = (np.asarray(lons, dtype=np.float64) - off[..., 1]) / scale[..., 1]
-    H = (np.asarray(heis, dtype=np.float64) - off[..., 2]) / scale[..., 2]
-    vals = np.einsum("...t,...ct->...c", poly_terms(P, L, H), models.coeffs)
-    num, den = vals[..., :2], vals[..., 2:]
-    worst = float(np.min(np.abs(den)))
-    if worst <= DENOMINATOR_EPS:
+    raw, d_raw, usable = evaluate_masked(models, lats, lons, heis,
+                                         derivatives)
+    if not usable.all():
         raise DegenerateDenominator(
-            f"denominator magnitude {worst:.3e} at evaluation point"
+            f"denominator magnitude at or below {DENOMINATOR_EPS:.0e} at "
+            f"{int(usable.size - usable.sum())} evaluation point(s)"
         )
-    raw = num / den * scale[..., 3:] + off[..., 3:]
-    if not derivatives:
-        return raw, None
-    partials = np.stack(poly_partials(P, L, H), axis=-2)
-    d_vals = np.einsum("...kt,...ct->...ck", partials, models.coeffs)
-    d_num, d_den = d_vals[..., :2, :], d_vals[..., 2:, :]
-    # quotient rule, chained through the image and ground normalizations
-    d_norm = ((d_num * den[..., None] - num[..., None] * d_den)
-              / (den * den)[..., None])
-    return raw, d_norm * scale[..., 3:, None] / scale[..., None, :3]
+    return raw, d_raw
 
 
-def equilibrated_point_block(b_stack: np.ndarray, cond_max: float):
-    """Normal matrix of one ground point's stacked (r, 3) Jacobian with
-    its columns scaled to unit norm.
+def _segment_rows(starts: np.ndarray, which: np.ndarray):
+    """Rows of the segments ``which`` of an array packed segment by
+    segment (segment j spans rows ``starts[j]:starts[j + 1]``), and the
+    offsets of those segments once the rows are gathered."""
+    lengths = starts[which + 1] - starts[which]
+    sub = np.zeros(len(which) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=sub[1:])
+    rows = np.arange(sub[-1]) + np.repeat(starts[which] - sub[:-1], lengths)
+    return rows, sub
 
-    Equilibration makes the condition check reflect ray geometry rather
-    than the disparity between planimetric and height sensitivities.
+
+def equilibrated_point_blocks(b: np.ndarray, starts: np.ndarray,
+                              cond_max: float):
+    """Normal matrices of many ground points' stacked Jacobians, each
+    with its columns scaled to unit norm.
+
+    ``b`` holds (k, 2, 3) per-observation blocks packed point by point:
+    point j owns rows ``starts[j]:starts[j + 1]``.  Equilibration makes
+    the condition check reflect ray geometry rather than the disparity
+    between planimetric and height sensitivities; the equilibrated
+    blocks are ``b`` divided by their point's column norms.
 
     Returns:
-        ``(b_eq, normal, col_norms)``, or None when a column vanishes or
-        the equilibrated normal matrix condition exceeds ``cond_max``.
+        ``(normal, col_norms, ok)``: the (T, 3, 3) equilibrated normal
+        matrices, the (T, 3) column norms (1 where ``ok`` is False) and a
+        (T,) mask that is False where a column vanishes or is not
+        finite, or the equilibrated condition exceeds ``cond_max``.
     """
-    col_norms = np.linalg.norm(b_stack, axis=0)
-    if col_norms.min() <= 0.0:
-        return None
-    b_eq = b_stack / col_norms
-    normal = b_eq.T @ b_eq
-    if np.linalg.cond(normal) > cond_max:
-        return None
-    return b_eq, normal, col_norms
+    rows = b.reshape(-1, 3)
+    gram = np.add.reduceat(rows[:, :, None] * rows[:, None, :],
+                           2 * starts[:-1])
+    squares = np.einsum("tii->ti", gram)
+    ok = (squares > 0.0).all(axis=1) & np.isfinite(gram).all(axis=(1, 2))
+    col_norms = np.sqrt(np.where(ok[:, None], squares, 1.0))
+    normal = gram / (col_norms[:, :, None] * col_norms[:, None, :])
+    ok[ok] = np.linalg.cond(normal[ok]) <= cond_max
+    return normal, col_norms, ok
 
 
 def project_arrays(rpc: RpcModel, bias: BiasCorrection, lats, lons, heis):
@@ -359,91 +394,192 @@ def jacobian(rpc: RpcModel, bias0: BiasCorrection, g0: GroundPoint) -> Jacobians
     return Jacobians(a_block=np.eye(2), b_block=-d_raw)
 
 
+# Per-point outcome of the batched solvers; the one-point wrappers raise
+# the matching error.
+SOLVED, DEGENERATE, SINGULAR, ILL_CONDITIONED, DIVERGED, NOT_CONVERGED = \
+    range(6)
+
+_FAILURES = {
+    DEGENERATE: (DegenerateDenominator,
+                 "a rational denominator vanished at an iterate"),
+    SINGULAR: (IllConditioned, "planimetric Jacobian is singular"),
+    ILL_CONDITIONED: (IllConditioned, "triangulation normal matrix "
+                      f"condition exceeds {TRIANGULATION_COND_MAX:.0e}"),
+    DIVERGED: (NoConvergence,
+               "image-to-ground iteration left the model validity region"),
+    NOT_CONVERGED: (NoConvergence,
+                    f"no fix within {MAX_ITERATIONS} iterations"),
+}
+
+
+def _raise_failure(status) -> None:
+    if status != SOLVED:
+        error, message = _FAILURES[int(status)]
+        raise error(message)
+
+
+def inverse_project_many(models: RpcArrays, targets, heis):
+    """Ground points at heights ``heis`` whose raw projections are the
+    (K, 2) ``targets``, one per row of the model stack ``models``.
+
+    Newton iteration on (lat, lon) in lock-step over the points, each
+    using the 2x2 planimetric sub-block of its projection derivative and
+    started at its model's ground offsets.  A point leaves the iteration
+    once its residual is below 1e-6 px, or fails: a vanished denominator,
+    a singular planimetric block, an iterate beyond 10 ground scales of
+    the model offsets, or no fix in 20 iterations.
+
+    Returns:
+        ``(lats, lons, status)``: per-point outcome codes (``SOLVED`` or
+        a failure); a failed point's coordinates are meaningless.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    heis = np.broadcast_to(np.asarray(heis, dtype=np.float64),
+                           len(targets))
+    lats = models.offset[:, 0].copy()
+    lons = models.offset[:, 1].copy()
+    status = np.full(len(targets), NOT_CONVERGED)
+    live = np.arange(len(targets))
+    for _ in range(MAX_ITERATIONS):
+        if not live.size:
+            break
+        # gathering only once some point has left saves ~10% per
+        # one-point call (the wrappers' case)
+        m = models if live.size == len(targets) else models.take(live)
+        raw, d_raw, usable = evaluate_masked(m, lats[live], lons[live],
+                                             heis[live], derivatives=True)
+        v = targets[live] - raw
+        done = usable & (np.abs(v).max(axis=1) < IMAGE_TOL_PX)
+        a, b = d_raw[:, 0, 0], d_raw[:, 0, 1]
+        c, d = d_raw[:, 1, 0], d_raw[:, 1, 1]
+        det = a * d - b * c
+        status[live[~usable]] = DEGENERATE
+        status[live[done]] = SOLVED
+        status[live[usable & ~done & (det == 0.0)]] = SINGULAR
+        s = np.flatnonzero(usable & ~done & (det != 0.0))
+        moving = live[s]
+        lats[moving] += (d[s] * v[s, 0] - b[s] * v[s, 1]) / det[s]
+        lons[moving] += (a[s] * v[s, 1] - c[s] * v[s, 0]) / det[s]
+        off, scale = m.offset[s], m.scale[s]
+        far = ((np.abs(lats[moving] - off[:, 0]) / scale[:, 0]
+                > DIVERGENCE_BOUND)
+               | (np.abs(lons[moving] - off[:, 1]) / scale[:, 1]
+                  > DIVERGENCE_BOUND))
+        status[moving[far]] = DIVERGED
+        live = moving[~far]
+    return lats, lons, status
+
+
 def inverse_project(
     rpc: RpcModel, bias: BiasCorrection, p: ImagePoint, hei: float
 ) -> GroundPoint:
-    """Ground point at height ``hei`` whose projection is ``p``.
-
-    Newton iteration on (lat, lon) using the 2x2 planimetric sub-block of
-    the projection derivative, started at the model's ground offsets.
+    """Ground point at height ``hei`` whose projection is ``p``: the
+    one-point case of :func:`inverse_project_many`.
 
     Raises:
         NoConvergence: residual above 1e-6 px after 20 iterations, or the
             iterate left the normalized ground cube by a wide margin.
-        DegenerateDenominator: propagated from projection.
+        IllConditioned: the planimetric Jacobian is singular.
+        DegenerateDenominator: a rational denominator vanished.
     """
-    lat, lon = rpc.lat_off, rpc.lon_off
     # residual = observed - (raw - bias), so fold the bias into the target
-    target = np.array([p.row + bias.d_row, p.col + bias.d_col])
+    lats, lons, status = inverse_project_many(
+        stack_models([rpc]), [(p.row + bias.d_row, p.col + bias.d_col)],
+        hei)
+    _raise_failure(status[0])
+    return GroundPoint(float(lats[0]), float(lons[0]), float(hei))
+
+
+def triangulate_many(models: RpcArrays, targets, starts):
+    """Least-squares ground points of many tracks by Gauss-Newton in
+    lock-step.
+
+    Track j's observations are rows ``starts[j]:starts[j + 1]`` of the
+    per-observation model stack ``models`` and of the (K, 2) ``targets``,
+    the observed pixels plus their image's bias (the raw projection the
+    ground must reproduce); every track needs at least two.  Each track
+    is parameterized in its first model's normalized ground units with
+    the Jacobian columns equilibrated to unit norm
+    (:func:`equilibrated_point_blocks`), and started by casting its first
+    observation onto that model's height offset
+    (:func:`inverse_project_many`).  A track leaves the iteration once
+    every normalized coordinate moves by less than 1e-9, or fails: its
+    start fails, a denominator vanishes, its equilibrated normal matrix
+    condition exceeds 1e8, or 20 iterations pass.  The tracks share
+    nothing but the loop, so one failure leaves the others untouched.
+
+    Returns:
+        ``(grounds, status)``: (T, 3) lat, lon, hei and the per-track
+        outcome codes; a failed track's ground is meaningless.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.intp)
+    heads = models.take(starts[:-1])
+    scales = heads.scale[:, :3]
+    hei = heads.offset[:, 2]
+    lats, lons, status = inverse_project_many(heads, targets[starts[:-1]],
+                                              hei)
+    grounds = np.stack([lats, lons, hei], axis=1)
+    live = np.flatnonzero(status == SOLVED)
+    status[live] = NOT_CONVERGED
     for _ in range(MAX_ITERATIONS):
-        raw, d_raw = evaluate(rpc.arrays, lat, lon, hei, derivatives=True)
-        v = target - raw
-        if float(np.max(np.abs(v))) < IMAGE_TOL_PX:
-            return GroundPoint(lat, lon, float(hei))
-        try:
-            step = np.linalg.solve(d_raw[:, :2], v)
-        except np.linalg.LinAlgError:
-            raise IllConditioned("planimetric Jacobian is singular") from None
-        lat = float(lat + step[0])
-        lon = float(lon + step[1])
-        if (abs(lat - rpc.lat_off) / rpc.lat_scale > DIVERGENCE_BOUND
-                or abs(lon - rpc.lon_off) / rpc.lon_scale > DIVERGENCE_BOUND):
-            raise NoConvergence(
-                "image-to-ground iteration left the model validity region"
-            )
-    raise NoConvergence(
-        f"image-to-ground residual above {IMAGE_TOL_PX} px "
-        f"after {MAX_ITERATIONS} iterations"
-    )
+        if not live.size:
+            break
+        # as in inverse_project_many, gather once some track has left
+        if live.size == len(grounds):
+            rows, sub, m = slice(None), starts, models
+        else:
+            rows, sub = _segment_rows(starts, live)
+            m = models.take(rows)
+        owner = np.repeat(np.arange(live.size), np.diff(sub))
+        g = grounds[live][owner]
+        raw, d_raw, usable = evaluate_masked(m, g[:, 0], g[:, 1], g[:, 2],
+                                             derivatives=True)
+        # residual = observed - project: minus the projection slope
+        b = -d_raw * scales[live][owner][:, None, :]
+        normal, col_norms, ok = equilibrated_point_blocks(
+            b, sub, TRIANGULATION_COND_MAX)
+        degenerate = ~np.logical_and.reduceat(usable, sub[:-1])
+        status[live[degenerate]] = DEGENERATE
+        status[live[~ok & ~degenerate]] = ILL_CONDITIONED
+        ok &= ~degenerate
+        # residual linearizes as v + B*step, so solve for the decrement
+        v = targets[rows] - raw
+        rhs = (-np.add.reduceat(np.einsum("kri,kr->ki", b, v), sub[:-1])
+               / col_norms)
+        step = (np.linalg.solve(normal[ok], rhs[ok][:, :, None])[:, :, 0]
+                / col_norms[ok])
+        moved = live[ok]
+        grounds[moved] += step * scales[moved]
+        done = np.abs(step).max(axis=1) < GROUND_TOL_NORM
+        status[moved[done]] = SOLVED
+        live = moved[~done]
+    return grounds, status
 
 
 def triangulate(
     observations: list[tuple[RpcModel, BiasCorrection, ImagePoint]],
 ) -> GroundPoint:
-    """Least-squares ground point from two or more image observations.
-
-    Gauss-Newton on (lat, lon, hei), parameterized in the first model's
-    normalized ground units with the Jacobian columns equilibrated to
-    unit norm (:func:`equilibrated_point_block`).  Initialized by casting
-    the first observation onto its height offset.
+    """Least-squares ground point from two or more image observations:
+    the one-track case of :func:`triangulate_many`, started from the
+    first observation.
 
     Raises:
         ValueError: fewer than two observations.
         IllConditioned: equilibrated normal matrix condition above 1e8
             (e.g. all rays from one image).
         NoConvergence: no ground fix after 20 iterations.
+        DegenerateDenominator: a rational denominator vanished.
     """
     if len(observations) < 2:
         raise ValueError("triangulation needs at least two observations")
-    rpc0, bias0, p0 = observations[0]
-    g = inverse_project(rpc0, bias0, p0, rpc0.hei_off)
-    scales = rpc0.arrays.scale[:3]
-    models = stack_models([m for m, _, _ in observations])
     # residual = observed - (raw - bias), so fold the bias into the target
-    target = np.array([(p.row + b.d_row, p.col + b.d_col)
-                       for _, b, p in observations])
-
-    for _ in range(MAX_ITERATIONS):
-        raw, d_raw = evaluate(models, g.lat, g.lon, g.hei, derivatives=True)
-        # residual = observed - project: minus the projection slope
-        block = equilibrated_point_block((-d_raw * scales).reshape(-1, 3),
-                                         TRIANGULATION_COND_MAX)
-        if block is None:
-            raise IllConditioned(
-                "triangulation normal matrix condition exceeds 1e8"
-            )
-        b_eq, normal, col_norms = block
-        # residual linearizes as v + B*step, so solve for the decrement
-        v = (target - raw).reshape(-1)
-        step = np.linalg.solve(normal, -b_eq.T @ v) / col_norms
-        g = GroundPoint(
-            float(g.lat + step[0] * scales[0]),
-            float(g.lon + step[1] * scales[1]),
-            float(g.hei + step[2] * scales[2]),
-        )
-        if float(np.max(np.abs(step))) < GROUND_TOL_NORM:
-            return g
-    raise NoConvergence("triangulation did not converge in 20 iterations")
+    targets = [(p.row + b.d_row, p.col + b.d_col) for _, b, p in observations]
+    grounds, status = triangulate_many(
+        stack_models([m for m, _, _ in observations]), targets,
+        [0, len(observations)])
+    _raise_failure(status[0])
+    return GroundPoint(*(float(x) for x in grounds[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -253,7 +254,11 @@ def test_adjust_loop_never_triangulates(small_scene, monkeypatch):
     def refuse(observations):
         raise AssertionError("adjust_loop triangulated a track")
 
+    def refuse_many(models, targets, starts):
+        raise AssertionError("adjust_loop triangulated a batch of tracks")
+
     monkeypatch.setattr(rpc_mod, "triangulate", refuse)
+    monkeypatch.setattr(rpc_mod, "triangulate_many", refuse_many)
     assert adjust_loop(graph).converged
 
 
@@ -288,6 +293,99 @@ def test_track_failures_log_one_warning_per_call(small_scene, caplog):
     assert system.excluded_tracks == list(range(n, n + 7))
     assert len(caplog.records) == 1
     assert "7 track(s)" in caplog.text and first in caplog.text
+
+
+def test_adjust_loop_counts_excluded_tracks_per_step(small_scene):
+    # every ordinary track also sees the twin image, so its biases stay
+    # observable once the twin-only tracks are excluded
+    image_id = small_scene.images[0].image_id
+    tracks = scene_tracks(small_scene)
+    for track in tracks:
+        track.observations["twin"] = track.observations[image_id]
+    images = [(im.image_id, im.rpc) for im in small_scene.images]
+    images.append(("twin", small_scene.images[0].rpc))
+    graph = assemble(images, tracks)
+    twins = twin_image_tracks(small_scene, 7)
+    for track, g in zip(twins, small_scene.true_points):
+        track.ground = g
+    res = adjust_loop(ObservationGraph(images=graph.images,
+                                       tracks=graph.tracks + twins))
+    assert res.converged
+    assert res.excluded == [7] * res.iterations
+    clean = adjust_loop(scene_graph(small_scene))
+    assert clean.excluded == [0] * clean.iterations
+
+
+def test_triangulate_many_equals_per_track_calls():
+    """One lock-step batch over every track of a random-visibility scene
+    gives the grounds and the failures of the per-track
+    :func:`rpc.triangulate` calls that :func:`update_points` makes, and
+    those grounds agree with the truth: at the true biases, a
+    least-squares fit moves a track's projections away from the true
+    point's by no more than the track's observation noise."""
+    scene = gen_scene(8, 150, 10.0, 0.3, seed=404, visibility="random")
+    assert {len(obs) for obs in scene.true_observations} >= {2, 8}
+    images = [(im.image_id, im.rpc) for im in scene.images]
+    images.append(("twin", scene.images[0].rpc))
+    graph = assemble(images, scene_tracks(scene))
+    twins = twin_image_tracks(scene, 3)
+    for track, g in zip(twins, scene.true_points):
+        track.ground = g
+    graph = ObservationGraph(images=graph.images, tracks=graph.tracks + twins)
+    n = len(scene.true_points)
+    assert len(graph.tracks) == n + 3
+    true_biases = [im.true_bias for im in scene.images]
+    true_biases.append(scene.images[0].true_bias)
+    for im, bias in zip(graph.images, true_biases):
+        im.bias = bias
+
+    bias = np.array([(b.d_row, b.d_col) for b in true_biases])
+    grounds, status = rpc_mod.triangulate_many(
+        graph.models.take(graph.obs_image),
+        graph.obs_pixel + bias[graph.obs_image], graph.track_start)
+    failed = np.flatnonzero(status != rpc_mod.SOLVED).tolist()
+    assert update_points(graph) == failed == list(range(n, n + 3))
+    for j, track in enumerate(graph.tracks[:n]):
+        got = np.array([track.ground.lat, track.ground.lon,
+                        track.ground.hei])
+        diff = (got - grounds[j]) / adjust.track_scales(graph, track)
+        assert np.abs(diff).max() < 1e-9
+        noise = moved = 0.0
+        for i, (row, col) in zip(graph.visibility[j],
+                                 graph.observations[j]):
+            im = graph.images[i]
+            at_truth = project(im.rpc, im.bias, scene.true_points[j])
+            at_fit = project(im.rpc, im.bias, track.ground)
+            noise += (row - at_truth.row) ** 2 + (col - at_truth.col) ** 2
+            moved += ((at_fit.row - at_truth.row) ** 2
+                      + (at_fit.col - at_truth.col) ** 2)
+        assert 0.0 < moved <= 1.001 * noise
+
+
+def test_pass_memory_does_not_grow_with_track_count():
+    """Triangulation works track by track and the reduction chunk by
+    chunk: quadrupling the tracks leaves the peak of their temporaries
+    where it was.  A temporary is
+    what a call frees before it returns, so its size is the traced peak
+    above the memory held after the call (the new grounds and the
+    result are kept)."""
+    peaks = {}
+    for m in (400, 1600):
+        graph = scene_graph(gen_scene(6, m, 10.0, 0.2, seed=5))
+        tracemalloc.start()
+        try:
+            for name, fn in (("update_points", update_points),
+                             ("accumulate_reduced", accumulate_reduced)):
+                tracemalloc.reset_peak()
+                fn(graph)
+                held, peak = tracemalloc.get_traced_memory()
+                peaks[name, m] = peak - held
+        finally:
+            tracemalloc.stop()
+    # 1200 more tracks hold 7200 more observations; one float per
+    # observation would be 57,600 bytes
+    for name in ("update_points", "accumulate_reduced"):
+        assert peaks[name, 1600] - peaks[name, 400] < 16_384, name
 
 
 def test_update_points_retriangulates_under_current_bias(small_scene):

@@ -15,8 +15,10 @@ from satadjust.geodesy import meters_per_degree
 from satadjust.raster import Raster
 from satadjust.rectify import GroundBBox, Level2Product, save_product
 from satadjust.rpc import BiasCorrection, GroundPoint, project
-from satadjust.synth import PushbroomCamera, camera_rpc
-from satadjust.tracks import Track, save_tracks
+from satadjust.synth import PushbroomCamera, camera_rpc, gen_scene
+from satadjust.tracks import Track, save_gcps, save_tracks
+
+from conftest import scene_tracks
 
 SYNTH_ARGS = [
     "--images", "2", "--points", "40", "--bias-range", "6",
@@ -124,6 +126,46 @@ def test_report_command(pipeline_out, capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "Before" in out and "After" in out
+
+
+def metadata_products(scene, directory):
+    """Save each scene image as a product whose raster is a 4x4 stub:
+    the adjustment reads only the RPCs."""
+    directory.mkdir()
+    for im in scene.images:
+        rpc = im.rpc
+        box = GroundBBox(rpc.lat_off - rpc.lat_scale,
+                         rpc.lat_off + rpc.lat_scale,
+                         rpc.lon_off - rpc.lon_scale,
+                         rpc.lon_off + rpc.lon_scale)
+        save_product(Level2Product(
+            raster=Raster(np.full((4, 4), 60, dtype=np.uint8)), rpc=rpc,
+            plane_height=rpc.hei_off, gsd=0.5,
+            geo_transform=np.array([box.max_lat, 0.0, -1e-5,
+                                    box.min_lon, 1e-5, 0.0]),
+            footprint=box, image_id=im.image_id,
+        ), str(directory / im.image_id))
+
+
+def test_report_with_gcps_matches_adjust(tmp_path, capsys):
+    scene = gen_scene(5, 60, 20.0, 0.25, seed=7)
+    metadata_products(scene, tmp_path / "products")
+    save_tracks(scene_tracks(scene), tmp_path / "tracks.txt")
+    save_gcps({j: scene.true_points[j] for j in (0, 1, 2)},
+              tmp_path / "gcps.txt")
+    common = ["--tracks", str(tmp_path / "tracks.txt"),
+              "--products", str(tmp_path / "products")]
+    assert main(["adjust", *common, "--gcps", str(tmp_path / "gcps.txt"),
+                 "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    capsys.readouterr()
+    assert main(["report", *common, "--gcps", str(tmp_path / "gcps.txt"),
+                 "--biases", str(tmp_path / "out" / "biases.txt")]) == 0
+    rows = {line.split()[0]: [float(v) for v in line.split()[1:]]
+            for line in capsys.readouterr().out.splitlines()[1:]}
+    columns = ("avg_x", "avg_y", "avg_xy", "max_x", "max_y", "max_xy")
+    assert rows["Before"] == [payload["before"][c] for c in columns]
+    assert rows["After"] == [payload["after"][c] for c in columns]
 
 
 def test_resume_matches_single_run(dataset, pipeline_out, tmp_path, capsys):

@@ -9,6 +9,7 @@ from satadjust import rpc as rpc_mod
 from satadjust.errors import (
     DegenerateDenominator,
     IllConditioned,
+    NoConvergence,
     ParseError,
 )
 from satadjust.rpc import (
@@ -266,6 +267,69 @@ def test_triangulate_rejects_rays_from_one_image(small_scene):
            (im.rpc, BiasCorrection(), ImagePoint(raw.row + 1, raw.col + 1))]
     with pytest.raises(IllConditioned):
         triangulate(obs)
+
+
+def packed_tracks(tracks):
+    """Per-observation model stack, targets and track offsets of tracks
+    given as lists of (model, (row, col)) observations."""
+    starts = np.cumsum([0] + [len(t) for t in tracks])
+    models = stack_models([m for t in tracks for m, _ in t])
+    targets = np.array([p for t in tracks for _, p in t])
+    return models, targets, starts
+
+
+def test_batched_triangulation_fails_only_the_bad_tracks(small_scene):
+    from dataclasses import replace
+
+    rpcs = [im.rpc for im in small_scene.images]
+    ordinary = [[(rpcs[i], (p.row, p.col)) for i, p in sorted(obs.items())]
+                for obs in small_scene.true_observations[:6]]
+    p0 = small_scene.true_observations[0][0]
+    p1 = small_scene.true_observations[1]
+    twin = [(rpcs[0], (p0.row, p0.col))] * 2
+    far_start = [(rpcs[0], (1e7, -1e7)), (rpcs[1], (p1[1].row, p1[1].col))]
+    vanishing = [(rpcs[0], (p1[0].row, p1[0].col)),
+                 (replace(rpcs[2], line_den=np.zeros(20)),
+                  (p1[2].row, p1[2].col))]
+    mixed = ordinary[:3] + [twin, far_start] + ordinary[3:] + [vanishing]
+    grounds, status = rpc_mod.triangulate_many(*packed_tracks(mixed))
+    assert status.tolist() == [rpc_mod.SOLVED] * 3 + [
+        rpc_mod.ILL_CONDITIONED, rpc_mod.DIVERGED] + [rpc_mod.SOLVED] * 3 \
+        + [rpc_mod.DEGENERATE]
+    alone, alone_status = rpc_mod.triangulate_many(*packed_tracks(ordinary))
+    assert (alone_status == rpc_mod.SOLVED).all()
+    np.testing.assert_allclose(grounds[[0, 1, 2, 5, 6, 7]], alone,
+                               rtol=0, atol=1e-12)
+    # the one-track wrappers still raise
+    with pytest.raises(IllConditioned):
+        triangulate([(m, BiasCorrection(), ImagePoint(*p)) for m, p in twin])
+    with pytest.raises(NoConvergence):
+        triangulate([(m, BiasCorrection(), ImagePoint(*p))
+                     for m, p in far_start])
+    with pytest.raises(NoConvergence):
+        inverse_project(rpcs[0], BiasCorrection(), ImagePoint(1e7, -1e7),
+                        rpcs[0].hei_off)
+    with pytest.raises(DegenerateDenominator):
+        triangulate([(m, BiasCorrection(), ImagePoint(*p))
+                     for m, p in vanishing])
+
+
+def test_batched_inverse_project_matches_one_point_calls(rng):
+    rpc = random_rpc(rng)
+    grounds = [inside(rpc, rng, spread=0.7) for _ in range(12)]
+    targets = [project(rpc, BiasCorrection(), g) for g in grounds]
+    targets[4] = ImagePoint(1e7, -1e7)
+    lats, lons, status = rpc_mod.inverse_project_many(
+        stack_models([rpc] * len(grounds)),
+        [(p.row, p.col) for p in targets], [g.hei for g in grounds])
+    assert status[4] == rpc_mod.DIVERGED
+    for k, (g, p) in enumerate(zip(grounds, targets)):
+        if k == 4:
+            continue
+        assert status[k] == rpc_mod.SOLVED
+        one = inverse_project(rpc, BiasCorrection(), p, g.hei)
+        assert abs(lats[k] - one.lat) < 1e-12
+        assert abs(lons[k] - one.lon) < 1e-12
 
 
 # ---------------------------------------------------------------------------
