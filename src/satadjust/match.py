@@ -273,18 +273,35 @@ def epipolar_curve(
     right: Level2Product,
     min_h: float,
     max_h: float,
-    dh: float,
 ) -> list[ImagePoint]:
     """Quasi-epipolar polyline of a left pixel in the right image.
 
-    The left pixel is cast onto height planes min_h, min_h + dh, ...,
-    max_h and each ground point projected into the right image; vertices
-    falling outside the right raster are clipped away.
+    The left pixel is cast onto height planes from min_h to max_h and
+    each ground point projected into the right image.  The planes are
+    evenly spaced so that the vertices fall about 1 px apart, with at
+    most MAX_CURVE_SAMPLES of them; vertices falling outside the right
+    raster are clipped away.
+
+    Raises:
+        ValueError: min_h is not below max_h.
+        NoConvergence, IllConditioned, DegenerateDenominator: casting
+            the pixel onto some height failed.
     """
     if not min_h < max_h:
         raise ValueError("min_h must be below max_h")
-    if not dh > 0:
-        raise ValueError("dh must be positive")
+
+    def cast(heights):
+        lats, lons = rpc_mod.inverse_project_arrays(
+            left.rpc, _ZERO_BIAS, p.row, p.col, heights)
+        return rpc_mod.project_arrays(right.rpc, _ZERO_BIAS, lats, lons,
+                                      heights)
+
+    rows, cols = cast([min_h, max_h])
+    span = math.hypot(rows[1] - rows[0], cols[1] - cols[0])
+    n_vertices = int(min(max(math.ceil(span) + 1, 2), MAX_CURVE_SAMPLES))
+    dh = (max_h - min_h) / (n_vertices - 1)
+    # accumulated steps, not np.linspace, whose heights differ in the
+    # last bits
     heights = []
     h = min_h
     while h < max_h - 1e-12:
@@ -292,61 +309,34 @@ def epipolar_curve(
         h += dh
     heights.append(max_h)
 
-    vertices = []
-    for hei in heights:
-        g = rpc_mod.inverse_project(left.rpc, _ZERO_BIAS, p, hei)
-        vertex = rpc_mod.project(right.rpc, _ZERO_BIAS, g)
-        if (0 <= vertex.row <= right.raster.height - 1
-                and 0 <= vertex.col <= right.raster.width - 1):
-            vertices.append(vertex)
-    return vertices
+    rows, cols = cast(heights)
+    inside = ((0 <= rows) & (rows <= right.raster.height - 1)
+              & (0 <= cols) & (cols <= right.raster.width - 1))
+    return [ImagePoint(float(r), float(c))
+            for r, c in zip(rows[inside], cols[inside])]
 
 
-def _polyline_distances(points: np.ndarray,
-                        vertices: np.ndarray) -> np.ndarray:
-    """Min distance from each point (n, 2) to a polyline (m, 2)."""
+def _nearest_on_polyline(points: np.ndarray, vertices: np.ndarray):
+    """Closest points of a polyline (m, 2) to points (n, 2).
+
+    Returns:
+        ``(distances, nearest)``: the (n,) distances and the (n, 2)
+        closest polyline points.
+    """
     if len(vertices) == 1:
-        return np.hypot(points[:, 0] - vertices[0, 0],
-                        points[:, 1] - vertices[0, 1])
+        nearest = np.broadcast_to(vertices[0], points.shape)
+        return np.hypot(*(points - nearest).T), nearest
     a = vertices[:-1]
     seg = vertices[1:] - a
     seg_len2 = np.maximum((seg * seg).sum(axis=1), 1e-30)
     rel = points[:, None, :] - a[None, :, :]
     t = np.clip((rel * seg[None]).sum(axis=2) / seg_len2[None], 0.0, 1.0)
-    nearest = a[None] + t[:, :, None] * seg[None]
-    d = np.hypot(points[:, None, 0] - nearest[:, :, 0],
-                 points[:, None, 1] - nearest[:, :, 1])
-    return d.min(axis=1)
-
-
-def _nearest_on_polyline(point: np.ndarray,
-                         vertices: np.ndarray) -> np.ndarray:
-    """Closest point of a polyline to one point (2,)."""
-    if len(vertices) == 1:
-        return vertices[0]
-    a = vertices[:-1]
-    seg = vertices[1:] - a
-    seg_len2 = np.maximum((seg * seg).sum(axis=1), 1e-30)
-    t = np.clip(((point[None] - a) * seg).sum(axis=1) / seg_len2, 0.0, 1.0)
-    nearest = a + t[:, None] * seg
-    d2 = ((nearest - point[None]) ** 2).sum(axis=1)
-    return nearest[int(np.argmin(d2))]
-
-
-def _curve_for_feature(
-    p: ImagePoint, left: Level2Product, right: Level2Product,
-    min_h: float, max_h: float,
-) -> list[ImagePoint]:
-    """Adaptive-step epipolar curve: vertices about 1 px apart, at most
-    MAX_CURVE_SAMPLES of them."""
-    g_lo = rpc_mod.inverse_project(left.rpc, _ZERO_BIAS, p, min_h)
-    g_hi = rpc_mod.inverse_project(left.rpc, _ZERO_BIAS, p, max_h)
-    p_lo = rpc_mod.project(right.rpc, _ZERO_BIAS, g_lo)
-    p_hi = rpc_mod.project(right.rpc, _ZERO_BIAS, g_hi)
-    span = math.hypot(p_hi.row - p_lo.row, p_hi.col - p_lo.col)
-    n_vertices = int(min(max(math.ceil(span) + 1, 2), MAX_CURVE_SAMPLES))
-    dh = (max_h - min_h) / (n_vertices - 1)
-    return epipolar_curve(p, left, right, min_h, max_h, dh)
+    on_segment = a[None] + t[:, :, None] * seg[None]
+    d = np.hypot(points[:, None, 0] - on_segment[:, :, 0],
+                 points[:, None, 1] - on_segment[:, :, 1])
+    k = d.argmin(axis=1)
+    n = np.arange(len(points))
+    return d[n, k], on_segment[n, k]
 
 
 def match_pair(
@@ -405,14 +395,13 @@ def match_pair(
     tentative = []  # (left feature, right feature, score, displacement)
     for fl, dl in zip(left_use, left_desc):
         try:
-            curve = _curve_for_feature(fl.position, left, right, min_h,
-                                       max_h)
+            curve = epipolar_curve(fl.position, left, right, min_h, max_h)
         except (NoConvergence, IllConditioned):
             continue
         if not curve:
             continue
         vertices = np.array([(v.row, v.col) for v in curve])
-        dist = _polyline_distances(right_pos, vertices)
+        dist, nearest = _nearest_on_polyline(right_pos, vertices)
         candidate_idx = np.nonzero(dist <= params.epipolar_buffer_px)[0]
         if candidate_idx.size == 0:
             continue
@@ -425,10 +414,8 @@ def match_pair(
             second_score = scores[order[1]]
             if not best_score < params.ratio_threshold * second_score:
                 continue
-        fr = right_use[best]
-        point = np.array([fr.position.row, fr.position.col])
-        disp = point - _nearest_on_polyline(point, vertices)
-        tentative.append((fl, fr, best_score, disp))
+        disp = right_pos[best] - nearest[best]
+        tentative.append((fl, right_use[best], best_score, disp))
 
     if not tentative:
         return []
@@ -480,33 +467,6 @@ def _pair_reprojection(
         v = rpc_mod.residual(rpc, bias, g, p)
         errors.append(math.hypot(*v))
     return max(errors)
-
-
-def pair_offset(
-    corrs: list[Correspondence],
-    left: Level2Product,
-    right: Level2Product,
-) -> tuple[float, float]:
-    """Median displacement of stored matches from their epipolar curves.
-
-    Recomputable from persisted correspondences, so the reprojection
-    guarantee of match_pair can be re-checked after the fact.
-    """
-    min_h = left.rpc.hei_off - left.rpc.hei_scale
-    max_h = left.rpc.hei_off + left.rpc.hei_scale
-    disps = []
-    for corr in corrs:
-        curve = _curve_for_feature(corr.left.position, left, right,
-                                   min_h, max_h)
-        if not curve:
-            continue
-        vertices = np.array([(v.row, v.col) for v in curve])
-        point = np.array([corr.right.position.row, corr.right.position.col])
-        disps.append(point - _nearest_on_polyline(point, vertices))
-    if not disps:
-        return 0.0, 0.0
-    median = np.median(np.array(disps), axis=0)
-    return float(median[0]), float(median[1])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .geodesy import meters_per_degree, polygon_area_m2
 from .raster import Raster, bilinear_sample, read_pgm, write_pgm
-from .rpc import BiasCorrection, GroundPoint, ImagePoint, RpcModel
+from .rpc import BiasCorrection, RpcModel
 
 # Virtual GCP grid used to refit level-2 RPCs: 10x10 planimetric samples at
 # 5 height levels, about six times the 78 free coefficients.
@@ -94,28 +94,27 @@ class Level2Product:
         return lats, lons
 
     def ground_to_pixel(self, lats, lons):
-        gt = self.geo_transform
-        det = gt[1] * gt[5] - gt[2] * gt[4]
-        dlat = np.asarray(lats) - gt[0]
-        dlon = np.asarray(lons) - gt[3]
-        cols = (gt[5] * dlat - gt[2] * dlon) / det
-        rows = (-gt[4] * dlat + gt[1] * dlon) / det
-        return rows, cols
+        return _ground_to_pixel(self.geo_transform, lats, lons)
 
 
-def _outer_corners(raster: Raster) -> list[tuple[float, float]]:
-    # Pixel-area corners (half a pixel beyond the centers) so that the
-    # footprint area over the pixel count reproduces the sampling distance
-    # exactly.
-    h, w = raster.height, raster.width
-    return [(-0.5, -0.5), (-0.5, w - 0.5), (h - 0.5, w - 0.5), (h - 0.5, -0.5)]
+def _ground_to_pixel(gt: np.ndarray, lats, lons):
+    """Grid (rows, cols) of plane points: the geo transform inverted."""
+    det = gt[1] * gt[5] - gt[2] * gt[4]
+    dlat = np.asarray(lats) - gt[0]
+    dlon = np.asarray(lons) - gt[3]
+    cols = (gt[5] * dlat - gt[2] * dlon) / det
+    rows = (-gt[4] * dlat + gt[1] * dlon) / det
+    return rows, cols
 
 
 def _corner_ground(raster: Raster, rpc: RpcModel, plane: float):
-    return [
-        rpc_mod.inverse_project(rpc, _ZERO_BIAS, ImagePoint(r, c), plane)
-        for r, c in _outer_corners(raster)
-    ]
+    """(lats, lons) of the four pixel-area corners (half a pixel beyond
+    the centers) cast onto the plane, so that the footprint area over the
+    pixel count reproduces the sampling distance exactly."""
+    h, w = raster.height, raster.width
+    return rpc_mod.inverse_project_arrays(
+        rpc, _ZERO_BIAS, [-0.5, -0.5, h - 0.5, h - 0.5],
+        [-0.5, w - 0.5, w - 0.5, -0.5], plane)
 
 
 def common_plane_height(rpcs: list[RpcModel]) -> float:
@@ -136,16 +135,15 @@ def common_gsd(images: list[tuple[Raster, RpcModel]], plane: float) -> float:
         raise EmptyInput("no images given")
     worst = 0.0
     for raster, rpc in images:
-        corners = _corner_ground(raster, rpc, plane)
-        area = polygon_area_m2([g.lat for g in corners],
-                               [g.lon for g in corners])
+        area = polygon_area_m2(*_corner_ground(raster, rpc, plane))
         gsd = math.sqrt(area / (raster.width * raster.height))
         worst = max(worst, gsd)
     return worst
 
 
-def fit_rpc(samples: list[tuple[GroundPoint, ImagePoint]]) -> RpcModel:
-    """Fit an RPC model to ground/image sample pairs.
+def fit_rpc(lats, lons, heis, rows, cols) -> RpcModel:
+    """Fit an RPC model to ground/image samples given as five equally
+    long arrays.
 
     Offsets are the midranges of the samples and scales their half-ranges.
     The 39 free coefficients per coordinate are solved from the
@@ -158,19 +156,15 @@ def fit_rpc(samples: list[tuple[GroundPoint, ImagePoint]]) -> RpcModel:
             distinct heights.
         IllConditioned: normal matrix condition above 1e12 after ridge.
     """
-    if len(samples) < MIN_FIT_SAMPLES:
+    lats, lons, heis, rows, cols = (np.asarray(a, dtype=np.float64)
+                                    for a in (lats, lons, heis, rows, cols))
+    if len(heis) < MIN_FIT_SAMPLES:
         raise InsufficientSamples(
             f"RPC fit needs at least {MIN_FIT_SAMPLES} samples, "
-            f"got {len(samples)}"
+            f"got {len(heis)}"
         )
-    heis = np.array([g.hei for g, _ in samples])
     if np.unique(heis).size < 3:
         raise InsufficientSamples("RPC fit needs at least 3 distinct heights")
-
-    lats = np.array([g.lat for g, _ in samples])
-    lons = np.array([g.lon for g, _ in samples])
-    rows = np.array([p.row for _, p in samples])
-    cols = np.array([p.col for _, p in samples])
 
     def mid_half(v):
         lo, hi = float(np.min(v)), float(np.max(v))
@@ -231,26 +225,18 @@ def _refit_level2_rpc(
     On the plane itself this reduces to the geo transform, which keeps the
     two descriptions of the product consistent.
     """
-    lat_ax = np.linspace(bbox.min_lat, bbox.max_lat, FIT_GRID_XY)
-    lon_ax = np.linspace(bbox.min_lon, bbox.max_lon, FIT_GRID_XY)
-    hei_ax = np.linspace(source_rpc.hei_off - source_rpc.hei_scale,
-                         source_rpc.hei_off + source_rpc.hei_scale,
-                         FIT_GRID_Z)
-    det = geo_transform[1] * geo_transform[5] - geo_transform[2] * geo_transform[4]
-    samples = []
-    for hei in hei_ax:
-        for lat in lat_ax:
-            for lon in lon_ax:
-                g = GroundPoint(lat, lon, hei)
-                p_src = rpc_mod.project(source_rpc, _ZERO_BIAS, g)
-                g_pl = rpc_mod.inverse_project(source_rpc, _ZERO_BIAS,
-                                               p_src, plane)
-                dlat = g_pl.lat - geo_transform[0]
-                dlon = g_pl.lon - geo_transform[3]
-                col = (geo_transform[5] * dlat - geo_transform[2] * dlon) / det
-                row = (-geo_transform[4] * dlat + geo_transform[1] * dlon) / det
-                samples.append((g, ImagePoint(row, col)))
-    return fit_rpc(samples)
+    heis, lats, lons = (a.ravel() for a in np.meshgrid(
+        np.linspace(source_rpc.hei_off - source_rpc.hei_scale,
+                    source_rpc.hei_off + source_rpc.hei_scale, FIT_GRID_Z),
+        np.linspace(bbox.min_lat, bbox.max_lat, FIT_GRID_XY),
+        np.linspace(bbox.min_lon, bbox.max_lon, FIT_GRID_XY),
+        indexing="ij"))
+    src_rows, src_cols = rpc_mod.project_arrays(source_rpc, _ZERO_BIAS,
+                                                lats, lons, heis)
+    plane_lats, plane_lons = rpc_mod.inverse_project_arrays(
+        source_rpc, _ZERO_BIAS, src_rows, src_cols, plane)
+    rows, cols = _ground_to_pixel(geo_transform, plane_lats, plane_lons)
+    return fit_rpc(lats, lons, heis, rows, cols)
 
 
 def rectify_image(
@@ -269,13 +255,9 @@ def rectify_image(
     """
     if gsd <= 0:
         raise ValueError("gsd must be positive")
-    corners = _corner_ground(image, rpc, plane)
-    bbox = GroundBBox(
-        min_lat=min(g.lat for g in corners),
-        max_lat=max(g.lat for g in corners),
-        min_lon=min(g.lon for g in corners),
-        max_lon=max(g.lon for g in corners),
-    )
+    corner_lats, corner_lons = _corner_ground(image, rpc, plane)
+    bbox = GroundBBox(float(corner_lats.min()), float(corner_lats.max()),
+                      float(corner_lons.min()), float(corner_lons.max()))
     center_lat = (bbox.min_lat + bbox.max_lat) / 2.0
     m_lat, m_lon = meters_per_degree(center_lat)
     extent_m_lat = (bbox.max_lat - bbox.min_lat) * m_lat
@@ -390,6 +372,13 @@ def load_product(stem) -> Level2Product:
     for key in _SIDE_KEYS:
         if key not in values:
             raise ParseError(f"{stem}.meta: missing key {key}")
+    if not values["NODATA"].is_integer():
+        raise ParseError(f"{stem}.meta: key NODATA must be an integer, got "
+                         f"{values['NODATA']!r}")
+    for axis in ("LAT", "LON"):
+        lo, hi = f"FOOTPRINT_MIN_{axis}", f"FOOTPRINT_MAX_{axis}"
+        if not values[lo] <= values[hi]:
+            raise ParseError(f"{stem}.meta: key {lo} exceeds {hi}")
     if any(v is None for v in geo):
         missing = geo.index(None)
         raise ParseError(f"{stem}.meta: missing key GEO_TRANSFORM_{missing}")

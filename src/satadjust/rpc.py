@@ -18,9 +18,15 @@ Image-to-ground and triangulation are batched: :func:`inverse_project_many`
 and :func:`triangulate_many` iterate many points or tracks in lock-step,
 one kernel call per step, and report a per-point outcome code, so one
 failing point never fails the others.  Their temporaries are proportional
-to the points passed in, which the caller bounds.  :func:`inverse_project`
-and :func:`triangulate` are their one-point cases and raise the matching
-error.
+to the points passed in, which the caller bounds.
+
+Callers outside the adjustment work on arrays of points under one model:
+:func:`project_arrays` projects ground arrays to pixel arrays, and
+:func:`inverse_project_arrays`, its twin, casts pixel arrays onto given
+heights and raises the error of the first point that fails.
+:func:`project` and :func:`inverse_project` are their one-point cases,
+and :func:`triangulate` is the one-track case of
+:func:`triangulate_many`.
 
 Sign conventions used throughout the package:
 
@@ -470,11 +476,34 @@ def inverse_project_many(models: RpcArrays, targets, heis):
     return lats, lons, status
 
 
+def inverse_project_arrays(rpc: RpcModel, bias: BiasCorrection, rows, cols,
+                           heis):
+    """Vectorized image-to-ground: (lats, lons) arrays at heights ``heis``
+    whose projections, bias applied, are the pixel arrays ``rows`` and
+    ``cols``.  One :func:`inverse_project_many` call over the model
+    repeated for each point.
+
+    Raises:
+        NoConvergence, IllConditioned, DegenerateDenominator: the error of
+            the first point that fails, as for :func:`inverse_project`.
+    """
+    rows, cols, heis = np.broadcast_arrays(rows, cols, heis)
+    # residual = observed - (raw - bias), so fold the bias into the target
+    targets = np.stack([np.ravel(rows) + bias.d_row,
+                        np.ravel(cols) + bias.d_col], axis=1)
+    lats, lons, status = inverse_project_many(
+        stack_models([rpc] * len(targets)), targets, np.ravel(heis))
+    failed = np.flatnonzero(status != SOLVED)
+    if failed.size:
+        _raise_failure(status[failed[0]])
+    return lats.reshape(rows.shape), lons.reshape(rows.shape)
+
+
 def inverse_project(
     rpc: RpcModel, bias: BiasCorrection, p: ImagePoint, hei: float
 ) -> GroundPoint:
     """Ground point at height ``hei`` whose projection is ``p``: the
-    one-point case of :func:`inverse_project_many`.
+    one-point case of :func:`inverse_project_arrays`.
 
     Raises:
         NoConvergence: residual above 1e-6 px after 20 iterations, or the
@@ -482,12 +511,8 @@ def inverse_project(
         IllConditioned: the planimetric Jacobian is singular.
         DegenerateDenominator: a rational denominator vanished.
     """
-    # residual = observed - (raw - bias), so fold the bias into the target
-    lats, lons, status = inverse_project_many(
-        stack_models([rpc]), [(p.row + bias.d_row, p.col + bias.d_col)],
-        hei)
-    _raise_failure(status[0])
-    return GroundPoint(float(lats[0]), float(lons[0]), float(hei))
+    lats, lons = inverse_project_arrays(rpc, bias, p.row, p.col, hei)
+    return GroundPoint(float(lats), float(lons), float(hei))
 
 
 def triangulate_many(models: RpcArrays, targets, starts):
@@ -614,7 +639,8 @@ def parse_rpc_text(text: str, source: str = "<string>") -> RpcModel:
     (``LINE_OFF: 10872.0 pixels``).  Unknown keys are ignored.
 
     Raises:
-        ParseError: a required key is missing or has a non-numeric value.
+        ParseError: a required key is missing, has a non-numeric value,
+            or is a scale that is not positive.
     """
     scalars: dict[str, float] = {}
     coeffs = {name: [None] * 20 for name in _COEFF_GROUPS.values()}
@@ -645,6 +671,9 @@ def parse_rpc_text(text: str, source: str = "<string>") -> RpcModel:
     for key, attr in _SCALAR_KEYS.items():
         if attr not in scalars:
             raise ParseError(f"{source}: missing key {key}")
+        if key.endswith("_SCALE") and not scalars[attr] > 0:
+            raise ParseError(f"{source}: key {key} must be positive, got "
+                             f"{scalars[attr]!r}")
     for group, attr in _COEFF_GROUPS.items():
         missing = [i + 1 for i, v in enumerate(coeffs[attr]) if v is None]
         if missing:

@@ -233,19 +233,16 @@ def camera_fit_samples(
     lat_half: float,
     lon_half: float,
     hei_half: float,
-    grid_xy: int = 8,
-    grid_z: int = 5,
-) -> list[tuple[GroundPoint, ImagePoint]]:
-    """Ground/image sample grid of a camera, ready for RPC fitting."""
-    samples = []
-    for hei in np.linspace(cam.h0 - hei_half, cam.h0 + hei_half, grid_z):
-        for lat in np.linspace(cam.lat0 - lat_half, cam.lat0 + lat_half,
-                               grid_xy):
-            for lon in np.linspace(cam.lon0 - lon_half, cam.lon0 + lon_half,
-                                   grid_xy):
-                g = GroundPoint(lat, lon, hei)
-                samples.append((g, cam.project(g)))
-    return samples
+) -> tuple[np.ndarray, ...]:
+    """Ground/image sample grid of a camera, ready for :func:`fit_rpc`:
+    8 x 8 planimetric samples at 5 heights, height-major, as the arrays
+    ``(lats, lons, heis, rows, cols)``."""
+    heis, lats, lons = (a.ravel() for a in np.meshgrid(
+        np.linspace(cam.h0 - hei_half, cam.h0 + hei_half, 5),
+        np.linspace(cam.lat0 - lat_half, cam.lat0 + lat_half, 8),
+        np.linspace(cam.lon0 - lon_half, cam.lon0 + lon_half, 8),
+        indexing="ij"))
+    return (lats, lons, heis) + cam.project_arrays(lats, lons, heis)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +443,8 @@ def gen_scene(
             tan_across=float(base_across + jit_across),
             altitude=altitudes[i % len(altitudes)],
         )
-        fitted = fit_rpc(camera_fit_samples(cam, lat_half, lon_half,
-                                            hei_half))
+        fitted = fit_rpc(*camera_fit_samples(cam, lat_half, lon_half,
+                                             hei_half))
         images.append(SceneImage(
             image_id=f"img_{i:03d}", rpc=fitted, true_bias=biases[i],
             camera=cam, shape=shape,

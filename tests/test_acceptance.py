@@ -271,7 +271,7 @@ def test_projection_round_trips_and_self_fit():
                           row0=2000.0, col0=2000.0, azimuth=0.7,
                           tan_along=0.1, tan_across=-0.2, altitude=6.0e5)
     lat_half, lon_half = 1000.0 / m_lat, 1000.0 / m_lon
-    fitted = fit_rpc(camera_fit_samples(cam, lat_half, lon_half, 60.0))
+    fitted = fit_rpc(*camera_fit_samples(cam, lat_half, lon_half, 60.0))
     held = np.linspace(-0.93, 0.93, 11)
     lats = 30.0 + held * lat_half
     lons = 50.0 + held * lon_half

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -248,6 +249,25 @@ def test_exit_2_on_data_errors(dataset, pipeline_out, tmp_path):
     assert main(["adjust", "--tracks", str(ghost),
                  "--products", str(pipeline_out / "products"),
                  "--out", str(tmp_path / "o5")]) == 2
+    # a scale that is not positive in a raw .rpc file
+    raw = tmp_path / "raw"
+    shutil.copytree(dataset, raw)
+    rpc_file = raw / "img_000.rpc"
+    rpc_file.write_text(re.sub(r"^LINE_SCALE: .*$", "LINE_SCALE: 0.0",
+                               rpc_file.read_text(), flags=re.M))
+    assert main(["rectify", *stems(raw), "--out", str(tmp_path / "o6")]) == 2
+    # malformed numbers in a product sidecar; the last puts the minimum
+    # latitude of the footprint above its maximum
+    for k, line in enumerate(["SAMP_SCALE: -1.0", "NODATA: nan",
+                              "FOOTPRINT_MIN_LAT: 90.0"]):
+        bad = tmp_path / f"bad_meta_{k}"
+        shutil.copytree(pipeline_out / "products", bad)
+        meta = bad / "img_000.meta"
+        key = line.split(":")[0]
+        meta.write_text(re.sub(rf"^{key}: .*$", line, meta.read_text(),
+                               flags=re.M))
+        assert main(["match", "--products", str(bad),
+                     "--out", str(tmp_path / f"o{7 + k}")]) == 2
 
 
 def test_exit_3_on_rank_deficient_network(tmp_path):

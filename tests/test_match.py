@@ -12,13 +12,13 @@ from satadjust.match import (
     Correspondence,
     Feature,
     MatchParams,
+    _nearest_on_polyline,
     detect_corners,
     epipolar_curve,
     load_correspondences,
     match_pair,
     match_score,
     mbcensus_descriptor,
-    pair_offset,
     save_correspondences,
     select_pairs,
 )
@@ -54,6 +54,29 @@ def planted_positions(scene, index):
         out.append((raw.row - img.true_bias.d_row,
                     raw.col - img.true_bias.d_col))
     return np.array(out)
+
+
+def pair_offset(corrs, left, right) -> tuple[float, float]:
+    """Median displacement of stored matches from their epipolar curves.
+
+    Recomputed from the persisted correspondences alone, so the
+    reprojection guarantee of match_pair can be re-checked after the fact.
+    """
+    min_h = left.rpc.hei_off - left.rpc.hei_scale
+    max_h = left.rpc.hei_off + left.rpc.hei_scale
+    disps = []
+    for corr in corrs:
+        curve = epipolar_curve(corr.left.position, left, right, min_h, max_h)
+        if not curve:
+            continue
+        vertices = np.array([(v.row, v.col) for v in curve])
+        point = np.array([[corr.right.position.row, corr.right.position.col]])
+        _, nearest = _nearest_on_polyline(point, vertices)
+        disps.append(point[0] - nearest[0])
+    if not disps:
+        return 0.0, 0.0
+    median = np.median(np.array(disps), axis=0)
+    return float(median[0]), float(median[1])
 
 
 def monotone(raster: Raster) -> Raster:
@@ -170,7 +193,7 @@ def test_epipolar_curve_tracks_true_counterpart(stereo):
     for j in range(0, len(scene.true_points), 10):
         p = ImagePoint(*left_pos[j])
         curve = epipolar_curve(p, products[0], products[1],
-                               hei - span, hei + span, span / 16)
+                               hei - span, hei + span)
         if len(curve) < 2:
             continue
         vertices = np.array([(v.row, v.col) for v in curve])
@@ -186,9 +209,7 @@ def test_epipolar_curve_validates_heights(stereo):
     _, products = stereo
     p = ImagePoint(400.0, 400.0)
     with pytest.raises(ValueError):
-        epipolar_curve(p, products[0], products[1], 500.0, 400.0, 10.0)
-    with pytest.raises(ValueError):
-        epipolar_curve(p, products[0], products[1], 400.0, 500.0, -1.0)
+        epipolar_curve(p, products[0], products[1], 500.0, 400.0)
 
 
 # ---------------------------------------------------------------------------

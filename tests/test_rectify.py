@@ -92,17 +92,16 @@ def test_fit_rpc_self_fit_below_a_thousandth_pixel(small_scene):
 
 def test_fit_rpc_requires_enough_samples(small_scene):
     cam = small_scene.images[0].camera
-    samples = camera_fit_samples(cam, 1e-3, 1e-3, 50.0)[:20]
+    samples = camera_fit_samples(cam, 1e-3, 1e-3, 50.0)
     with pytest.raises(InsufficientSamples):
-        fit_rpc(samples)
+        fit_rpc(*(a[:20] for a in samples))
 
 
 def test_fit_rpc_requires_height_diversity(small_scene):
     cam = small_scene.images[0].camera
-    samples = camera_fit_samples(cam, 1e-3, 1e-3, 50.0)
-    flat = [(GroundPoint(g.lat, g.lon, cam.h0), p) for g, p in samples]
+    lats, lons, heis, rows, cols = camera_fit_samples(cam, 1e-3, 1e-3, 50.0)
     with pytest.raises(InsufficientSamples):
-        fit_rpc(flat)
+        fit_rpc(lats, lons, np.full_like(heis, cam.h0), rows, cols)
 
 
 # ---------------------------------------------------------------------------

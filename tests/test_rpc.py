@@ -330,6 +330,20 @@ def test_batched_inverse_project_matches_one_point_calls(rng):
         one = inverse_project(rpc, BiasCorrection(), p, g.hei)
         assert abs(lats[k] - one.lat) < 1e-12
         assert abs(lons[k] - one.lon) < 1e-12
+    # the array form equals the one-point calls bit for bit, bias included
+    bias = BiasCorrection(1.5, -2.25)
+    rows = np.array([p.row for p in targets])
+    cols = np.array([p.col for p in targets])
+    heis = np.array([g.hei for g in grounds])
+    good = np.arange(len(grounds)) != 4
+    arr_lats, arr_lons = rpc_mod.inverse_project_arrays(
+        rpc, bias, rows[good], cols[good], heis[good])
+    for k, i in enumerate(np.flatnonzero(good)):
+        one = inverse_project(rpc, bias, targets[i], grounds[i].hei)
+        assert (arr_lats[k], arr_lons[k]) == (one.lat, one.lon)
+    # one diverging point fails the whole array call with its error
+    with pytest.raises(NoConvergence):
+        rpc_mod.inverse_project_arrays(rpc, bias, rows, cols, heis)
 
 
 # ---------------------------------------------------------------------------
