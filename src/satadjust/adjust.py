@@ -33,10 +33,12 @@ import numpy as np
 import scipy.linalg
 
 from . import rpc as rpc_mod
+from . import textfile
 from .errors import (
     ConfigInvalid,
     DegenerateDenominator,
     NumericalError,
+    ParseError,
     RankDeficient,
 )
 from .rpc import BiasCorrection, GroundPoint, RpcModel
@@ -72,9 +74,8 @@ class ObservationGraph:
     The observations are packed once on construction, track by track
     and within a track in image order: ``obs_image`` and ``obs_pixel``
     hold each one's image index and observed (row, col) pixel, and track
-    j owns rows ``track_start[j]:track_start[j + 1]``.
-    ``visibility[j]`` and ``observations[j]`` are views of those rows;
-    ``models`` holds the image models packed in image order.
+    j owns rows ``track_start[j]:track_start[j + 1]``.  ``models``
+    holds the image models packed in image order.
     """
 
     images: list[ImageState]
@@ -83,8 +84,6 @@ class ObservationGraph:
     obs_image: np.ndarray = field(init=False)
     obs_pixel: np.ndarray = field(init=False)
     track_start: np.ndarray = field(init=False)
-    visibility: list[np.ndarray] = field(init=False)
-    observations: list[np.ndarray] = field(init=False)
     models: rpc_mod.RpcArrays = field(init=False)
 
     def __post_init__(self):
@@ -111,9 +110,6 @@ class ObservationGraph:
                                              degrees)))
         self.obs_image = np.array(image, dtype=np.intp)[order]
         self.obs_pixel = np.column_stack([rows, cols])[order]
-        bounds = list(zip(self.track_start[:-1], self.track_start[1:]))
-        self.visibility = [self.obs_image[a:b] for a, b in bounds]
-        self.observations = [self.obs_pixel[a:b] for a, b in bounds]
 
     @property
     def has_gcp(self) -> bool:
@@ -439,12 +435,15 @@ def update_points(graph: ObservationGraph) -> list[int]:
     one log warning.
     """
     failed = []
+    starts = graph.track_start
     for j, track in enumerate(graph.tracks):
         if track.is_gcp:
             continue
+        span = slice(starts[j], starts[j + 1])
         obs = [(graph.images[i].rpc, graph.images[i].bias,
-                rpc_mod.ImagePoint(*graph.observations[j][slot]))
-               for slot, i in enumerate(graph.visibility[j])]
+                rpc_mod.ImagePoint(*pixel))
+               for i, pixel in zip(graph.obs_image[span],
+                                   graph.obs_pixel[span])]
         try:
             track.ground = rpc_mod.triangulate(obs)
         except NumericalError:
@@ -559,25 +558,12 @@ def save_biases(graph: ObservationGraph, path,
 
 
 def load_biases(path) -> dict[str, BiasCorrection]:
-    """Read a bias file written by :func:`save_biases`."""
-    from .errors import ParseError
-
+    """Read a bias file written by :func:`save_biases`; raises
+    ParseError for a malformed record or an image id given twice."""
     biases = {}
-    with open(path, "r") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 3:
-                raise ParseError(
-                    f"{path}:{line_no}: expected 3 fields, got {len(tokens)}"
-                )
-            try:
-                biases[tokens[0]] = BiasCorrection(float(tokens[1]),
-                                                   float(tokens[2]))
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{line_no}: non-numeric field"
-                ) from None
+    for line_no, image_id, d_row, d_col in textfile.records(path, "sff"):
+        if image_id in biases:
+            raise ParseError(f"{path}:{line_no}: duplicate bias for image "
+                             f"{image_id}")
+        biases[image_id] = BiasCorrection(d_row, d_col)
     return biases

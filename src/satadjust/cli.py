@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -49,8 +50,8 @@ class PipelineConfig:
         for name in ("overlap_threshold", "epipolar_buffer_px",
                      "ratio_threshold", "reproj_filter_px",
                      "convergence_px", "fast_threshold", "nms_radius"):
-            if not getattr(self, name) > 0:
-                raise ConfigInvalid(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigInvalid(f"{name} must be positive and finite")
         if self.max_iter < 1 or self.threads < 1:
             raise ConfigInvalid("max_iter and threads must be >= 1")
 
@@ -119,6 +120,15 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
+def _map(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, on a pool of ``threads`` workers
+    when that is above one; the results stay in input order."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def _input_stems(paths: list[str]) -> list[str]:
     stems = []
     for path in paths:
@@ -150,12 +160,7 @@ def cmd_rectify(inputs: list[str], out_dir: str,
         rectify_mod.save_product(product, out_stem)
         return out_stem
 
-    jobs = list(zip(stems, images))
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            out_stems = list(pool.map(run, jobs))
-    else:
-        out_stems = [run(job) for job in jobs]
+    out_stems = _map(run, zip(stems, images), config.threads)
     print(f"rectified {len(out_stems)} image(s) onto plane "
           f"{plane:.3f} m at {gsd:.3f} m/px")
     return out_stems
@@ -179,19 +184,12 @@ def cmd_match(products_dir: str, out_dir: str,
     params = config.match_params()
     pairs = match_mod.select_pairs(products, config.overlap_threshold)
 
-    features = {}
-
     def detect(i):
-        features[i] = match_mod.detect_corners(
+        return match_mod.detect_corners(
             products[i].raster, params.fast_threshold, params.nms_radius)
 
     needed = sorted({i for pair in pairs for i in pair})
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(detect, needed))
-    else:
-        for i in needed:
-            detect(i)
+    features = dict(zip(needed, _map(detect, needed, config.threads)))
 
     def run(pair):
         i, j = pair
@@ -199,12 +197,7 @@ def cmd_match(products_dir: str, out_dir: str,
                                     left_features=features[i],
                                     right_features=features[j])
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            per_pair = list(pool.map(run, pairs))
-    else:
-        per_pair = [run(pair) for pair in pairs]
-
+    per_pair = _map(run, pairs, config.threads)
     corrs = [c for batch in per_pair for c in batch]
     os.makedirs(out_dir, exist_ok=True)
     corr_path = os.path.join(out_dir, "correspondences.txt")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rpc as rpc_mod
+from . import textfile
 from .errors import (
     ConfigMismatch,
     IllConditioned,
@@ -506,31 +507,14 @@ def load_correspondences(path) -> list[Correspondence]:
         ParseError: malformed record or pair identifier.
     """
     corrs = []
-    with open(path, "r") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 6:
-                raise ParseError(
-                    f"{path}:{line_no}: expected 6 fields, got {len(tokens)}"
-                )
-            pair = tokens[0].split(":")
-            if len(pair) != 2:
-                raise ParseError(
-                    f"{path}:{line_no}: bad pair id {tokens[0]!r}"
-                )
-            try:
-                lr, lc, rr, rc = (float(t) for t in tokens[1:5])
-                score = int(tokens[5])
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{line_no}: non-numeric field"
-                ) from None
-            corrs.append(Correspondence(
-                left=Feature(ImagePoint(lr, lc), 0.0),
-                right=Feature(ImagePoint(rr, rc), 0.0),
-                score=score, left_image=pair[0], right_image=pair[1],
-            ))
+    for line_no, pair_id, lr, lc, rr, rc, score in textfile.records(
+            path, "sffffi"):
+        pair = pair_id.split(":")
+        if len(pair) != 2:
+            raise ParseError(f"{path}:{line_no}: bad pair id {pair_id!r}")
+        corrs.append(Correspondence(
+            left=Feature(ImagePoint(lr, lc), 0.0),
+            right=Feature(ImagePoint(rr, rc), 0.0),
+            score=score, left_image=pair[0], right_image=pair[1],
+        ))
     return corrs

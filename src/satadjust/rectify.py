@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rpc as rpc_mod
+from . import textfile
 from .errors import (
     EmptyFootprint,
     EmptyInput,
@@ -309,7 +310,8 @@ def rectify_image(
 
 _SIDE_KEYS = ("PLANE_HEIGHT", "GSD", "NODATA",
               "FOOTPRINT_MIN_LAT", "FOOTPRINT_MAX_LAT",
-              "FOOTPRINT_MIN_LON", "FOOTPRINT_MAX_LON")
+              "FOOTPRINT_MIN_LON", "FOOTPRINT_MAX_LON",
+              *(f"GEO_TRANSFORM_{i}" for i in range(6)))
 
 
 def save_product(product: Level2Product, stem) -> None:
@@ -338,58 +340,35 @@ def load_product(stem) -> Level2Product:
     """Load a product written by :func:`save_product`.
 
     Raises:
-        ParseError: a sidecar key is missing or malformed (the message
-            names the key).
+        ParseError: a sidecar line or key is missing or malformed (the
+            message names the line or the key).
     """
     stem = str(stem)
-    with open(stem + ".meta", "r") as fh:
-        text = fh.read()
-    values: dict[str, float] = {}
-    geo = [None] * 6
-    for line in text.splitlines():
-        if ":" not in line:
-            continue
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        tokens = rest.split()
-        if not tokens:
-            continue
-        if key in _SIDE_KEYS or key.startswith("GEO_TRANSFORM_"):
-            try:
-                value = float(tokens[0])
-            except ValueError:
-                raise ParseError(
-                    f"{stem}.meta: key {key} has non-numeric value "
-                    f"{tokens[0]!r}"
-                ) from None
-            if key.startswith("GEO_TRANSFORM_"):
-                idx = key.rsplit("_", 1)[1]
-                if not idx.isdigit() or not 0 <= int(idx) <= 5:
-                    raise ParseError(f"{stem}.meta: bad key {key}")
-                geo[int(idx)] = value
-            else:
-                values[key] = value
+    source = stem + ".meta"
+    with open(source, "r") as fh:
+        values = textfile.keys(fh.read(), source)
+    for key in values:
+        if key.startswith("GEO_TRANSFORM_") and key not in _SIDE_KEYS:
+            raise ParseError(f"{source}: bad key {key}")
     for key in _SIDE_KEYS:
         if key not in values:
-            raise ParseError(f"{stem}.meta: missing key {key}")
+            raise ParseError(f"{source}: missing key {key}")
     if not values["NODATA"].is_integer():
-        raise ParseError(f"{stem}.meta: key NODATA must be an integer, got "
+        raise ParseError(f"{source}: key NODATA must be an integer, got "
                          f"{values['NODATA']!r}")
     for axis in ("LAT", "LON"):
         lo, hi = f"FOOTPRINT_MIN_{axis}", f"FOOTPRINT_MAX_{axis}"
         if not values[lo] <= values[hi]:
-            raise ParseError(f"{stem}.meta: key {lo} exceeds {hi}")
-    if any(v is None for v in geo):
-        missing = geo.index(None)
-        raise ParseError(f"{stem}.meta: missing key GEO_TRANSFORM_{missing}")
-    rpc = rpc_mod.parse_rpc_text(text, source=stem + ".meta")
+            raise ParseError(f"{source}: key {lo} exceeds {hi}")
+    rpc = rpc_mod.rpc_from_keys(values, source)
     raster = read_pgm(stem + ".pgm", nodata=int(values["NODATA"]))
     return Level2Product(
         raster=raster,
         rpc=rpc,
         plane_height=values["PLANE_HEIGHT"],
         gsd=values["GSD"],
-        geo_transform=np.array(geo, dtype=np.float64),
+        geo_transform=np.array([values[f"GEO_TRANSFORM_{i}"]
+                                for i in range(6)], dtype=np.float64),
         footprint=GroundBBox(
             min_lat=values["FOOTPRINT_MIN_LAT"],
             max_lat=values["FOOTPRINT_MAX_LAT"],

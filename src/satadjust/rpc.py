@@ -50,6 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import textfile
 from .errors import (
     DegenerateDenominator,
     IllConditioned,
@@ -194,7 +195,7 @@ class RpcModel:
 
         Samples a regular grid on [-1.2, 1.2]^3 in normalized ground
         coordinates and raises DegenerateDenominator if either denominator
-        polynomial comes within 1e-10 of zero.
+        polynomial comes within 1e-10 of zero or is NaN somewhere.
         """
         axis = np.linspace(-VALIDITY_MARGIN, VALIDITY_MARGIN, samples_per_axis)
         pp, ll, hh = np.meshgrid(axis, axis, axis, indexing="ij")
@@ -202,7 +203,7 @@ class RpcModel:
         for name, den in (("line", self.line_den), ("samp", self.samp_den)):
             vals = t @ den
             worst = float(np.min(np.abs(vals)))
-            if worst <= DENOMINATOR_EPS:
+            if not worst > DENOMINATOR_EPS:  # NaN too
                 raise DegenerateDenominator(
                     f"{name} denominator reaches |{worst:.3e}| inside the "
                     f"validity cube"
@@ -631,58 +632,45 @@ _COEFF_GROUPS = {
     "SAMP_DEN_COEFF": "samp_den",
 }
 
+_COEFF_KEYS = {attr: [f"{group}_{i}" for i in range(1, 21)]
+               for group, attr in _COEFF_GROUPS.items()}
+# every key, in file order
+_RPC_KEYS = dict.fromkeys([*_SCALAR_KEYS, *sum(_COEFF_KEYS.values(), [])])
+
 
 def parse_rpc_text(text: str, source: str = "<string>") -> RpcModel:
     """Parse the line-oriented ``KEY: value`` RPC format.
 
     Tolerates extra whitespace, scientific notation and trailing unit words
-    (``LINE_OFF: 10872.0 pixels``).  Unknown keys are ignored.
+    (``LINE_OFF: 10872.0 pixels``).  Other keys are skipped, but their
+    values must be numbers too; see :func:`textfile.keys` and
+    :func:`rpc_from_keys` for the ParseErrors raised.
+    """
+    return rpc_from_keys(textfile.keys(text, source), source)
+
+
+def rpc_from_keys(values: dict[str, float], source: str) -> RpcModel:
+    """The model given by the RPC keys among ``values``, read from
+    ``source`` by :func:`textfile.keys`.
 
     Raises:
-        ParseError: a required key is missing, has a non-numeric value,
-            or is a scale that is not positive.
+        ParseError: a missing key, a coefficient index outside 1-20, a
+            scale that is not positive or a zero constant denominator.
     """
-    scalars: dict[str, float] = {}
-    coeffs = {name: [None] * 20 for name in _COEFF_GROUPS.values()}
-    for line in text.splitlines():
-        if ":" not in line:
-            continue
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        tokens = rest.split()
-        if not tokens:
-            continue
-        try:
-            value = float(tokens[0])
-        except ValueError:
-            raise ParseError(f"{source}: key {key} has non-numeric value "
-                             f"{tokens[0]!r}") from None
-        if key in _SCALAR_KEYS:
-            scalars[_SCALAR_KEYS[key]] = value
-            continue
-        group, _, index = key.rpartition("_")
-        if group in _COEFF_GROUPS and index.isdigit():
-            i = int(index)
-            if not 1 <= i <= 20:
-                raise ParseError(f"{source}: coefficient index {i} out of "
-                                 f"range in key {key}")
-            coeffs[_COEFF_GROUPS[group]][i - 1] = value
-
-    for key, attr in _SCALAR_KEYS.items():
-        if attr not in scalars:
+    for key in values:
+        if key not in _RPC_KEYS and key.rpartition("_")[0] in _COEFF_GROUPS:
+            raise ParseError(f"{source}: coefficient index out of range 1-20 "
+                             f"in key {key}")
+    for key in _RPC_KEYS:
+        if key not in values:
             raise ParseError(f"{source}: missing key {key}")
-        if key.endswith("_SCALE") and not scalars[attr] > 0:
+    for key in _SCALAR_KEYS:
+        if key.endswith("_SCALE") and not values[key] > 0:
             raise ParseError(f"{source}: key {key} must be positive, got "
-                             f"{scalars[attr]!r}")
-    for group, attr in _COEFF_GROUPS.items():
-        missing = [i + 1 for i, v in enumerate(coeffs[attr]) if v is None]
-        if missing:
-            raise ParseError(
-                f"{source}: missing key {group}_{missing[0]}"
-            )
-
-    arrays = {name: np.array(vals, dtype=np.float64)
-              for name, vals in coeffs.items()}
+                             f"{values[key]!r}")
+    scalars = {attr: values[key] for key, attr in _SCALAR_KEYS.items()}
+    arrays = {attr: np.array([values[k] for k in keys], dtype=np.float64)
+              for attr, keys in _COEFF_KEYS.items()}
     # Normalize so both constant denominator coefficients are exactly one.
     for num_name, den_name in (("line_num", "line_den"),
                                ("samp_num", "samp_den")):
@@ -699,12 +687,8 @@ def parse_rpc_text(text: str, source: str = "<string>") -> RpcModel:
 
 def load_rpc_file(path) -> RpcModel:
     """Load and validate an RPC model from a text file."""
-    try:
-        with open(path, "r") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read RPC file {path}: {exc}") from None
-    rpc = parse_rpc_text(text, source=str(path))
+    with open(path, "r") as fh:
+        rpc = parse_rpc_text(fh.read(), source=str(path))
     rpc.validate()
     return rpc
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import textfile
 from .errors import ConfigInvalid, ParseError
 from .match import Correspondence
 from .rpc import GroundPoint, ImagePoint
@@ -137,30 +138,14 @@ def load_tracks(path) -> list[Track]:
             a track with fewer than two observations.
     """
     per_track: dict[int, dict[str, ImagePoint]] = {}
-    with open(path, "r") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 4:
-                raise ParseError(
-                    f"{path}:{line_no}: expected 4 fields, got {len(tokens)}"
-                )
-            try:
-                tid = int(tokens[0])
-                row, col = float(tokens[2]), float(tokens[3])
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{line_no}: non-numeric field"
-                ) from None
-            obs = per_track.setdefault(tid, {})
-            if tokens[1] in obs:
-                raise ParseError(
-                    f"{path}:{line_no}: image {tokens[1]} appears twice in "
-                    f"track {tid}"
-                )
-            obs[tokens[1]] = ImagePoint(row, col)
+    for line_no, tid, image_id, row, col in textfile.records(path, "isff"):
+        obs = per_track.get(tid)
+        if obs is None:
+            obs = per_track[tid] = {}
+        elif image_id in obs:
+            raise ParseError(f"{path}:{line_no}: image {image_id} appears "
+                             f"twice in track {tid}")
+        obs[image_id] = ImagePoint(row, col)
     tracks = []
     for tid in sorted(per_track):
         obs = per_track[tid]
@@ -182,29 +167,14 @@ def save_gcps(gcps: dict[int, GroundPoint], path) -> None:
 
 
 def load_gcps(path) -> dict[int, GroundPoint]:
-    """Read a GCP companion file written by :func:`save_gcps`."""
+    """Read a GCP companion file written by :func:`save_gcps`; raises
+    ParseError for a malformed record or a track id given twice."""
     gcps: dict[int, GroundPoint] = {}
-    with open(path, "r") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 4:
-                raise ParseError(
-                    f"{path}:{line_no}: expected 4 fields, got {len(tokens)}"
-                )
-            try:
-                tid = int(tokens[0])
-                lat, lon, hei = (float(t) for t in tokens[1:])
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{line_no}: non-numeric field"
-                ) from None
-            if tid in gcps:
-                raise ParseError(f"{path}:{line_no}: duplicate GCP for "
-                                 f"track {tid}")
-            gcps[tid] = GroundPoint(lat, lon, hei)
+    for line_no, tid, lat, lon, hei in textfile.records(path, "ifff"):
+        if tid in gcps:
+            raise ParseError(f"{path}:{line_no}: duplicate GCP for "
+                             f"track {tid}")
+        gcps[tid] = GroundPoint(lat, lon, hei)
     return gcps
 
 

@@ -24,7 +24,7 @@ from satadjust.adjust import (
     solve_bias,
     update_points,
 )
-from satadjust.errors import ConfigInvalid, RankDeficient
+from satadjust.errors import ConfigInvalid, ParseError, RankDeficient
 from satadjust.rpc import BiasCorrection, GroundPoint, ImagePoint, project
 from satadjust.synth import dense_solve, gen_scene, save_scene
 from satadjust.tracks import Track, save_tracks
@@ -54,9 +54,10 @@ def test_assemble_keeps_gcp_grounds_verbatim(small_scene):
 def test_graph_visibility_is_sorted_and_consistent(small_scene):
     graph = scene_graph(small_scene)
     for j, track in enumerate(graph.tracks):
-        idxs = graph.visibility[j]
+        span = slice(graph.track_start[j], graph.track_start[j + 1])
+        idxs = graph.obs_image[span]
         assert list(idxs) == sorted(idxs)
-        assert graph.observations[j].shape == (len(idxs), 2)
+        assert graph.obs_pixel[span].shape == (len(idxs), 2)
 
 
 def test_duplicate_image_ids_rejected(small_scene):
@@ -351,8 +352,9 @@ def test_triangulate_many_equals_per_track_calls():
         diff = (got - grounds[j]) / adjust.track_scales(graph, track)
         assert np.abs(diff).max() < 1e-9
         noise = moved = 0.0
-        for i, (row, col) in zip(graph.visibility[j],
-                                 graph.observations[j]):
+        span = slice(graph.track_start[j], graph.track_start[j + 1])
+        for i, (row, col) in zip(graph.obs_image[span],
+                                 graph.obs_pixel[span]):
             im = graph.images[i]
             at_truth = project(im.rpc, im.bias, scene.true_points[j])
             at_fit = project(im.rpc, im.bias, track.ground)
@@ -402,7 +404,7 @@ def test_update_points_retriangulates_under_current_bias(small_scene):
 def test_report_statistics_shape(small_scene):
     graph = scene_graph(small_scene)
     rep = report(graph)
-    assert rep.count == sum(len(o) for o in graph.observations)
+    assert rep.count == sum(t.degree for t in graph.tracks)
     assert rep.max_xy >= rep.avg_xy > 0
     assert set(rep.per_image_avg_xy) == {im.image_id for im in graph.images}
     # Euclidean mean dominates each per-axis mean and never their sum
@@ -436,3 +438,11 @@ def test_bias_save_load_round_trip(tmp_path, small_scene):
     loaded = load_biases(path)
     assert loaded["img_000"] == BiasCorrection(1.25, -0.5)
     assert set(loaded) == {im.image_id for im in graph.images}
+
+
+def test_load_biases_rejects_a_repeated_image(tmp_path):
+    path = tmp_path / "bias.txt"
+    path.write_text("# image_id d_row d_col\na 1.0 2.0\nb 0.5 0.5\n"
+                    "a 3.0 4.0\n")
+    with pytest.raises(ParseError, match=r"bias\.txt:4: .*image a"):
+        load_biases(path)

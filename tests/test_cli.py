@@ -83,6 +83,9 @@ def test_pipeline_config_rejects_bad_values():
         PipelineConfig(threads=0)
     with pytest.raises(ConfigInvalid):
         PipelineConfig(ratio_threshold=-1.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ConfigInvalid):
+            PipelineConfig(epipolar_buffer_px=value)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +259,10 @@ def test_exit_2_on_data_errors(dataset, pipeline_out, tmp_path):
     rpc_file.write_text(re.sub(r"^LINE_SCALE: .*$", "LINE_SCALE: 0.0",
                                rpc_file.read_text(), flags=re.M))
     assert main(["rectify", *stems(raw), "--out", str(tmp_path / "o6")]) == 2
-    # malformed numbers in a product sidecar; the last puts the minimum
+    # malformed numbers in a product sidecar; the third puts the minimum
     # latitude of the footprint above its maximum
     for k, line in enumerate(["SAMP_SCALE: -1.0", "NODATA: nan",
-                              "FOOTPRINT_MIN_LAT: 90.0"]):
+                              "FOOTPRINT_MIN_LAT: 90.0", "LAT_OFF: nan"]):
         bad = tmp_path / f"bad_meta_{k}"
         shutil.copytree(pipeline_out / "products", bad)
         meta = bad / "img_000.meta"

@@ -128,6 +128,19 @@ def test_project_rejects_degenerate_denominator():
         project(bad, BiasCorrection(), GroundPoint(10.0, 20.0, 0.0))
 
 
+def test_validate_rejects_nan_denominator():
+    from dataclasses import replace
+
+    rpc = linear_rpc()
+    rpc.validate()
+    den = rpc.line_den.copy()
+    den[1] = np.nan
+    with pytest.raises(DegenerateDenominator):
+        replace(rpc, line_den=den).validate()
+    with pytest.raises(DegenerateDenominator):
+        replace(rpc, samp_den=den).validate()
+
+
 # ---------------------------------------------------------------------------
 # Jacobians
 # ---------------------------------------------------------------------------
