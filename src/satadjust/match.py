@@ -164,21 +164,21 @@ def detect_corners(
     if h < 7 or w < 7:
         return []
     center = px[3:h - 3, 3:w - 3]
-    ring = np.stack([px[3 + dr:h - 3 + dr, 3 + dc:w - 3 + dc]
+    diff = np.stack([px[3 + dr:h - 3 + dr, 3 + dc:w - 3 + dc]
                      for dr, dc in FAST_CIRCLE])
-    diff = ring - center[None]
+    diff -= center
 
     def arc_hit(mask: np.ndarray) -> np.ndarray:
-        doubled = np.concatenate([mask, mask[:FAST_ARC - 1]], axis=0)
+        n = len(FAST_CIRCLE)
         hit = np.zeros(mask.shape[1:], dtype=bool)
-        for start in range(len(FAST_CIRCLE)):
-            run = doubled[start]
+        for start in range(n):
+            run = mask[start]
             for k in range(1, FAST_ARC):
-                run = run & doubled[start + k]
+                run = run & mask[(start + k) % n]
             hit |= run
         return hit
 
-    candidates = arc_hit(diff > threshold) | arc_hit(-diff > threshold)
+    candidates = arc_hit(diff > threshold) | arc_hit(diff < -threshold)
     rows, cols = np.nonzero(candidates)
     scored = []
     for r, c in zip(rows, cols):
@@ -188,15 +188,16 @@ def detect_corners(
     scored.sort(key=lambda s: (-s[0], s[1], s[2]))
 
     kept: list[Feature] = []
-    kept_rc = np.empty((0, 2))
+    kept_rc = np.empty((len(scored), 2))
     r2 = nms_radius * nms_radius
     for score, r, c in scored:
-        if kept_rc.size:
-            d2 = (kept_rc[:, 0] - r) ** 2 + (kept_rc[:, 1] - c) ** 2
+        n = len(kept)
+        if n:
+            d2 = (kept_rc[:n, 0] - r) ** 2 + (kept_rc[:n, 1] - c) ** 2
             if float(d2.min()) <= r2:
                 continue
+        kept_rc[n] = r, c
         kept.append(Feature(ImagePoint(float(r), float(c)), score))
-        kept_rc = np.vstack([kept_rc, (r, c)])
     return kept
 
 

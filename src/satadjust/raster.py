@@ -64,23 +64,22 @@ def bilinear_sample(raster: Raster, rows, cols):
     fr = rows - r0
     fc = cols - c0
 
-    px = raster.pixels
-    q00 = px[r0c, c0c].astype(np.float64)
-    q01 = px[r0c, c0c + 1].astype(np.float64)
-    q10 = px[r0c + 1, c0c].astype(np.float64)
-    q11 = px[r0c + 1, c0c + 1].astype(np.float64)
+    # each neighbour is gathered once, from the flat pixel array, and
+    # serves both the interpolation and the nodata test
+    flat = raster.pixels.ravel()
+    i00 = r0c * raster.width + c0c
+    q00 = flat.take(i00)
+    q01 = flat.take(i00 + 1)
+    q10 = flat.take(i00 + raster.width)
+    q11 = flat.take(i00 + raster.width + 1)
 
-    values = (
-        q00 * (1 - fr) * (1 - fc)
-        + q01 * (1 - fr) * fc
-        + q10 * fr * (1 - fc)
-        + q11 * fr * fc
-    )
+    gr, gc = 1 - fr, 1 - fc
+    values = q00 * gr * gc + q01 * gr * fc + q10 * fr * gc + q11 * fr * fc
     no_data_touch = (
-        (px[r0c, c0c] == raster.nodata)
-        | (px[r0c, c0c + 1] == raster.nodata)
-        | (px[r0c + 1, c0c] == raster.nodata)
-        | (px[r0c + 1, c0c + 1] == raster.nodata)
+        (q00 == raster.nodata)
+        | (q01 == raster.nodata)
+        | (q10 == raster.nodata)
+        | (q11 == raster.nodata)
     )
     valid = inside & ~no_data_touch
     return values, valid

@@ -37,6 +37,14 @@ MIN_FIT_SAMPLES = 39
 
 _ZERO_BIAS = BiasCorrection(0.0, 0.0)
 
+# Rectification (see rectify_image): the starting knot spacing of the
+# exactly evaluated grid, the interpolation error it must meet (GDAL's
+# approximate transformer allows 0.125 px by default) and the output
+# pixels resampled per row tile.
+GRID_STEP = 64
+GRID_TOLERANCE_PX = 0.01
+TILE_PIXELS = 2 ** 18
+
 
 @dataclass(frozen=True)
 class GroundBBox:
@@ -240,6 +248,88 @@ def _refit_level2_rpc(
     return fit_rpc(lats, lons, heis, rows, cols)
 
 
+def _knots(n: int, step: int) -> np.ndarray:
+    """Grid positions every ``step`` pixels along an axis of ``n`` pixels,
+    always ending on the last pixel (on pixel 1 for a one-pixel axis, so
+    that every cell has a positive width)."""
+    last = max(n - 1, 1)
+    return np.append(np.arange(0, last, step), last)
+
+
+def _project_grid(rpc: RpcModel, geo_transform: np.ndarray, plane: float,
+                  rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Exact source (row, col) of the plane points under the output grid
+    positions ``rows`` x ``cols``, shape (2, len(rows), len(cols)),
+    evaluated in blocks of at most TILE_PIXELS points."""
+    src = np.empty((2, len(rows), len(cols)))
+    lons = geo_transform[3] + geo_transform[4] * cols
+    block = max(1, TILE_PIXELS // len(cols))
+    for lo in range(0, len(rows), block):
+        lats = geo_transform[0] + geo_transform[2] * rows[lo:lo + block]
+        src_rows, src_cols = rpc_mod.project_arrays(
+            rpc, _ZERO_BIAS, np.repeat(lats, len(cols)),
+            np.tile(lons, len(lats)), np.full(len(lats) * len(cols), plane))
+        src[0, lo:lo + block] = src_rows.reshape(len(lats), len(cols))
+        src[1, lo:lo + block] = src_cols.reshape(len(lats), len(cols))
+    return src
+
+
+def _source_grid(rpc: RpcModel, geo_transform: np.ndarray, plane: float,
+                 n_rows: int, n_cols: int):
+    """The coarsest checked grid of exact source coordinates.
+
+    Starts at GRID_STEP pixels and halves the step while the interpolated
+    source position misses the exact one by more than GRID_TOLERANCE_PX
+    at a cell centre or edge midpoint (for a quadratic map the error is
+    largest at one of them; the centre alone misses saddle-shaped error).
+    At step 1 every output pixel is a knot and the grid is exact.
+
+    Returns:
+        ``(knot_rows, knot_cols, src)``: the knot positions along each
+        output axis and the (2, len(knot_rows), len(knot_cols)) source
+        rows and columns there.
+    """
+    step = GRID_STEP
+    while True:
+        knots = _knots(n_rows, step), _knots(n_cols, step)
+        grid = (*knots, _project_grid(rpc, geo_transform, plane, *knots))
+        if step == 1:
+            return grid
+        check = [np.union1d(k, (k[:-1] + k[1:]) / 2.0) for k in knots]
+        error = np.abs(_source_coords(grid, *check)
+                       - _project_grid(rpc, geo_transform, plane, *check))
+        if error.max() <= GRID_TOLERANCE_PX:
+            return grid
+        step //= 2
+
+
+def _cell_weights(knots: np.ndarray, pos: np.ndarray):
+    """Per position along an axis: the grid cell holding it and its
+    fraction across that cell (0 and 1 on the knots)."""
+    cell = np.minimum(np.searchsorted(knots, pos, side="right") - 1,
+                      len(knots) - 2)
+    return cell, (pos - knots[cell]) / (knots[cell + 1] - knots[cell])
+
+
+def _source_coords(grid, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Source (row, col) of the output positions ``rows`` x ``cols``
+    interpolated on ``grid``, shape (2, len(rows), len(cols)): first down
+    the rows at the knot columns, then along the rows.  Exact on knots."""
+    knot_rows, knot_cols, src = grid
+    r_cell, r_frac = _cell_weights(knot_rows, rows)
+    r_frac = r_frac[:, None]
+    at_knot_cols = ((1.0 - r_frac) * src[:, r_cell]
+                    + r_frac * src[:, r_cell + 1])
+    c_cell, c_frac = _cell_weights(knot_cols, cols)
+    # in place: these two gathers are the largest arrays of a row tile
+    out = at_knot_cols[..., c_cell]
+    out *= 1.0 - c_frac
+    right = at_knot_cols[..., c_cell + 1]
+    right *= c_frac
+    out += right
+    return out
+
+
 def rectify_image(
     image: Raster, rpc: RpcModel, plane: float, gsd: float
 ) -> Level2Product:
@@ -250,6 +340,15 @@ def rectify_image(
     through the source model (zero bias) into the source image and is
     bilinearly resampled; pixels outside the source footprint get the
     nodata value.
+
+    The source model is evaluated exactly only on a coarse grid of output
+    pixels (every GRID_STEP pixels, plus the last row and column) and
+    interpolated bilinearly in between; the step halves until the
+    interpolation misses the exact source position by at most
+    GRID_TOLERANCE_PX (0.01 px) at every cell centre and edge midpoint.
+    Resampling runs in row tiles of at most TILE_PIXELS output pixels,
+    so the memory beyond the input and output rasters is about 30 MB at
+    any size.
 
     Raises:
         EmptyFootprint: the footprint on the plane is degenerate.
@@ -275,23 +374,22 @@ def rectify_image(
         bbox.min_lon + 0.5 * step_lon, step_lon, 0.0,
     ])
 
-    rr, cc = np.meshgrid(np.arange(n_rows), np.arange(n_cols), indexing="ij")
-    lats = geo_transform[0] + geo_transform[2] * rr
-    lons = geo_transform[3] + geo_transform[4] * cc
-    src_rows, src_cols = rpc_mod.project_arrays(
-        rpc, _ZERO_BIAS, lats.ravel(), lons.ravel(),
-        np.full(lats.size, plane)
-    )
-    values, valid = bilinear_sample(image, src_rows, src_cols)
-
-    out = np.full(lats.size, image.nodata, dtype=np.int64)
-    resampled = np.rint(values[valid]).astype(np.int64)
-    resampled = np.clip(resampled, 0, image.max_value)
-    # Keep the nodata value reserved: valid data never lands on it.
-    resampled[resampled == image.nodata] = image.nodata + 1
-    out[valid] = resampled
-    warped = Raster(out.reshape(n_rows, n_cols).astype(image.pixels.dtype),
-                    nodata=image.nodata)
+    grid = _source_grid(rpc, geo_transform, plane, n_rows, n_cols)
+    pixels = np.empty((n_rows, n_cols), dtype=image.pixels.dtype)
+    cols = np.arange(n_cols)
+    tile_rows = max(1, TILE_PIXELS // n_cols)
+    for lo in range(0, n_rows, tile_rows):
+        rows = np.arange(lo, min(lo + tile_rows, n_rows))
+        src_rows, src_cols = _source_coords(grid, rows, cols)
+        values, valid = bilinear_sample(image, src_rows, src_cols)
+        tile = np.full(values.shape, image.nodata, dtype=np.int64)
+        resampled = np.rint(values[valid]).astype(np.int64)
+        resampled = np.clip(resampled, 0, image.max_value)
+        # Keep the nodata value reserved: valid data never lands on it.
+        resampled[resampled == image.nodata] = image.nodata + 1
+        tile[valid] = resampled
+        pixels[lo:lo + len(rows)] = tile
+    warped = Raster(pixels, nodata=image.nodata)
 
     fitted = _refit_level2_rpc(rpc, bbox, plane, geo_transform)
     return Level2Product(

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from satadjust import rectify
 from satadjust import rpc as rpc_mod
 from satadjust.errors import EmptyFootprint, EmptyInput, InsufficientSamples, ParseError
 from satadjust.raster import Raster, bilinear_sample
@@ -18,7 +21,7 @@ from satadjust.rectify import (
     save_product,
 )
 from satadjust.rpc import BiasCorrection, GroundPoint, ImagePoint
-from satadjust.synth import camera_fit_samples, gen_scene
+from satadjust.synth import camera_fit_samples, gen_scene, random_rpc
 
 # ---------------------------------------------------------------------------
 # Common plane and GSD
@@ -166,6 +169,135 @@ def test_level2_rpc_agrees_with_geo_transform_on_plane(rectified_pair):
             row, col = product.ground_to_pixel(lat, lon)
             assert p.row == pytest.approx(float(row), abs=1e-3)
             assert p.col == pytest.approx(float(col), abs=1e-3)
+
+
+def _exact_source(rpc, gt, plane, rows, cols):
+    """Oracle: source (row, col) of every output position in rows x cols,
+    each evaluated directly through the RPC, shape (2, rows, cols)."""
+    lats = gt[0] + gt[2] * np.repeat(rows, len(cols))
+    lons = gt[3] + gt[4] * np.tile(cols, len(rows))
+    src = rpc_mod.project_arrays(rpc, BiasCorrection(), lats, lons,
+                                 np.full(lats.size, plane))
+    return np.stack(src).reshape(2, len(rows), len(cols))
+
+
+def _worst_interpolation_error(rpc, gt, plane, n_rows, n_cols, rng):
+    """Largest distance between the interpolated and the exact source
+    position over whole output rows: through every sixth cell centre,
+    where the error peaks, along a knot row and at random.  Also returns
+    the step of the grid chosen."""
+    grid = rectify._source_grid(rpc, gt, plane, n_rows, n_cols)
+    knot_rows = grid[0]
+    rows = np.unique(np.r_[(knot_rows[:-1:6] + knot_rows[1::6]) // 2,
+                           knot_rows[len(knot_rows) // 2], n_rows - 1,
+                           rng.integers(0, n_rows, 6)])
+    cols = np.arange(n_cols)
+    got = rectify._source_coords(grid, rows, cols)
+    want = _exact_source(rpc, gt, plane, rows, cols)
+    return float(np.abs(got - want).max()), int(knot_rows[1] - knot_rows[0])
+
+
+@pytest.mark.parametrize("start", [rectify.GRID_STEP, 512])
+def test_source_grid_within_tolerance_on_random_rpcs(start, monkeypatch):
+    """A 6,000-px grid over each model's whole validity box.  Step 64
+    already meets the tolerance on these models; a coarse start makes the
+    check halve the step."""
+    halving = start > rectify.GRID_STEP
+    monkeypatch.setattr(rectify, "GRID_STEP", start)
+    rng = np.random.default_rng(404)
+    n = 6000
+    steps = []
+    for _ in range(20):
+        model = random_rpc(rng)
+        gt = np.array([model.lat_off + model.lat_scale, 0.0,
+                       -2.0 * model.lat_scale / n,
+                       model.lon_off - model.lon_scale,
+                       2.0 * model.lon_scale / n, 0.0])
+        worst, step = _worst_interpolation_error(model, gt, model.hei_off,
+                                                 n, n, rng)
+        assert worst <= rectify.GRID_TOLERANCE_PX
+        steps.append(step)
+    if halving:
+        assert min(steps) < start
+    else:
+        assert steps == [start] * 20
+
+
+def test_source_grid_within_tolerance_on_pushbroom_fits(rendered_scene):
+    rng = np.random.default_rng(405)
+    plane = rendered_scene.plane_height
+    for im in rendered_scene.images:
+        product = rectify_image(im.raster, im.rpc, plane, 0.5)
+        worst, _ = _worst_interpolation_error(
+            im.rpc, product.geo_transform, plane, product.raster.height,
+            product.raster.width, rng)
+        assert worst <= rectify.GRID_TOLERANCE_PX
+
+
+def test_source_grid_is_exact_on_knots_and_at_step_one(rendered_scene,
+                                                       monkeypatch):
+    im = rendered_scene.images[0]
+    plane = rendered_scene.plane_height
+    gt = rectify_image(im.raster, im.rpc, plane, 0.5).geo_transform
+    grid = rectify._source_grid(im.rpc, gt, plane, 200, 130)
+    knot_rows, knot_cols, src = grid
+    assert knot_rows[-1] == 199 and knot_cols[-1] == 129
+    np.testing.assert_array_equal(
+        rectify._source_coords(grid, knot_rows, knot_cols), src)
+    np.testing.assert_array_equal(
+        src, _exact_source(im.rpc, gt, plane, knot_rows, knot_cols))
+    monkeypatch.setattr(rectify, "GRID_STEP", 1)
+    grid = rectify._source_grid(im.rpc, gt, plane, 40, 30)
+    np.testing.assert_array_equal(
+        rectify._source_coords(grid, np.arange(40), np.arange(30)),
+        _exact_source(im.rpc, gt, plane, np.arange(40), np.arange(30)))
+
+
+def _rectify_exact(image, rpc, plane, product):
+    """Oracle: every output pixel mapped through the RPC directly and
+    resampled, in blocks of rows to bound the memory."""
+    h, w = product.raster.height, product.raster.width
+    out = np.empty((h, w), dtype=np.int64)
+    for lo in range(0, h, 128):
+        rows = np.arange(lo, min(lo + 128, h))
+        src = _exact_source(rpc, product.geo_transform, plane, rows,
+                            np.arange(w))
+        values, valid = bilinear_sample(image, src[0], src[1])
+        block = np.full(values.shape, image.nodata, dtype=np.int64)
+        v = np.clip(np.rint(values[valid]).astype(np.int64), 0,
+                    image.max_value)
+        v[v == image.nodata] = image.nodata + 1
+        block[valid] = v
+        out[lo:lo + len(rows)] = block
+    return out.astype(image.pixels.dtype)
+
+
+def test_rectify_equals_exact_per_pixel_oracle(rectified_pair):
+    scene, products = rectified_pair
+    for im, product in zip(scene.images, products):
+        np.testing.assert_array_equal(
+            product.raster.pixels,
+            _rectify_exact(im.raster, im.rpc, scene.plane_height, product))
+
+
+def test_rectify_memory_is_bounded(rendered_scene):
+    """The traced peak of one call is the output raster plus a constant
+    (the row tiles and the coarse grid).  The whole-grid evaluation this
+    replaced peaked at about 2 GB on the 2,396 x 2,396 output."""
+    im = rendered_scene.images[0]
+    peaks, sizes = {}, {}
+    for gsd in (1.0, 0.5):
+        tracemalloc.start()
+        try:
+            product = rectify_image(im.raster, im.rpc,
+                                    rendered_scene.plane_height, gsd)
+            peaks[gsd] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sizes[gsd] = product.raster.pixels.nbytes
+    assert min(product.raster.pixels.shape) >= 2000
+    assert peaks[0.5] < 128 * 2**20
+    assert peaks[0.5] - peaks[1.0] <= 2 * (sizes[0.5] - sizes[1.0])
 
 
 def test_rectify_degenerate_footprint_raises(rendered_scene):
