@@ -21,13 +21,7 @@ import numpy as np
 
 from . import rpc as rpc_mod
 from . import textfile
-from .errors import (
-    ConfigMismatch,
-    IllConditioned,
-    NoConvergence,
-    ParseError,
-    WindowOutOfBounds,
-)
+from .errors import ConfigMismatch, ParseError, WindowOutOfBounds
 from .raster import Raster
 from .rectify import Level2Product
 from .rpc import BiasCorrection, ImagePoint
@@ -40,12 +34,20 @@ FAST_CIRCLE = np.array([
     (3, 0), (3, -1), (2, -2), (1, -3), (0, -3), (-1, -3), (-2, -2), (-3, -1),
 ])
 FAST_ARC = 9
+# Pixels per row tile of the segment test.
+FAST_TILE_PIXELS = 1 << 17
 
 # 5x5 binomial kernel, the integer Gaussian with variance 1 (sigma 1.0).
 BLUR_KERNEL = np.array([1, 4, 6, 4, 1], dtype=np.int64)
 BLUR_MARGIN = 2
 
 MAX_CURVE_SAMPLES = 64
+
+# Left features per batched curve cast and tentative matches per batched
+# triangulation: at most 4,096 rows each, since the gathered RPC
+# constants (≈1.7 kB a row) and solver temporaries grow with the rows.
+CURVE_BLOCK = 64
+MATCH_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -136,16 +138,65 @@ def select_pairs(
     return pairs
 
 
-def _segment_score(diffs: np.ndarray, threshold: float) -> float:
-    """Best min-difference over any 9-long bright or dark circular arc."""
-    best = 0.0
-    for signed in (diffs, -diffs):
-        ring = np.concatenate([signed, signed[:FAST_ARC - 1]])
-        for start in range(len(diffs)):
-            lo = float(ring[start:start + FAST_ARC].min())
-            if lo > threshold and lo > best:
-                best = lo
-    return best
+def _arc_table() -> np.ndarray:
+    """Whether some FAST_ARC contiguous bits of a 16-bit circular code
+    are set, for every code."""
+    codes = np.arange(1 << 16, dtype=np.uint32)
+    ring = codes | (codes << 16)
+    run = ring
+    for k in range(1, FAST_ARC):
+        run = run & (ring >> k)
+    return (run & 0xFFFF) != 0
+
+
+_ARC_TABLE = _arc_table()
+
+
+def _segment_test(px: np.ndarray, r0: int, r1: int, threshold: float):
+    """Corners and their scores among the pixels of rows r0..r1, the
+    3-pixel border excluded.
+
+    The 16 brighter and the 16 darker comparisons of each pixel are
+    packed into two 16-bit codes, both looked up in a table of the codes
+    that hold a 9-long circular run; only the pixels that pass are
+    scored, by the minimum over each circular 9-window of their ring.
+    Differences of 8-bit pixels fit in int16, and an integer difference
+    exceeds the threshold exactly when it exceeds its floor.
+
+    Returns:
+        ``(rows, cols, scores)`` arrays, in raster order.
+    """
+    diff_type = np.int16 if px.dtype.itemsize == 1 else np.int32
+    limit = int(np.iinfo(diff_type).max)
+    t = min(max(math.floor(threshold), -limit), limit)
+    w = px.shape[1]
+    center = px[r0:r1, 3:w - 3]
+    diff = np.empty(center.shape, dtype=diff_type)
+    test = np.empty(center.shape, dtype=bool)
+    bright = np.zeros(center.shape, dtype=np.uint16)
+    dark = np.zeros(center.shape, dtype=np.uint16)
+    for k, (dr, dc) in enumerate(FAST_CIRCLE):
+        np.subtract(px[r0 + dr:r1 + dr, 3 + dc:w - 3 + dc], center, out=diff,
+                    dtype=diff_type)
+        bit = np.uint16(1 << k)
+        np.greater(diff, t, out=test)
+        np.bitwise_or(bright, bit, out=bright, where=test)
+        np.less(diff, -t, out=test)
+        np.bitwise_or(dark, bit, out=dark, where=test)
+    rows, cols = np.nonzero(_ARC_TABLE[bright] | _ARC_TABLE[dark])
+    rows += r0
+    cols += 3
+
+    ring = np.subtract(px[rows[:, None] + FAST_CIRCLE[:, 0],
+                          cols[:, None] + FAST_CIRCLE[:, 1]],
+                       px[rows, cols][:, None], dtype=diff_type)
+    signed = np.stack([ring, -ring], axis=1)
+    arcs = signed
+    for k in range(1, FAST_ARC):
+        arcs = np.minimum(arcs, np.roll(signed, -k, axis=2))
+    scores = np.where(arcs > threshold, arcs, 0).max(axis=(1, 2))
+    keep = scores > threshold
+    return rows[keep], cols[keep], scores[keep].astype(np.float64)
 
 
 def detect_corners(
@@ -158,37 +209,25 @@ def detect_corners(
     ``threshold``; the score is the largest threshold at which the test
     still passes.  Suppression keeps the strongest feature within
     ``nms_radius`` (ties broken by position for determinism).
+
+    The test runs in row tiles of about FAST_TILE_PIXELS pixels
+    (:func:`_segment_test`), so its memory does not grow with the
+    raster.
     """
-    px = raster.pixels.astype(np.int32)
+    px = raster.pixels
     h, w = px.shape
     if h < 7 or w < 7:
         return []
-    center = px[3:h - 3, 3:w - 3]
-    diff = np.stack([px[3 + dr:h - 3 + dr, 3 + dc:w - 3 + dc]
-                     for dr, dc in FAST_CIRCLE])
-    diff -= center
-
-    def arc_hit(mask: np.ndarray) -> np.ndarray:
-        n = len(FAST_CIRCLE)
-        hit = np.zeros(mask.shape[1:], dtype=bool)
-        for start in range(n):
-            run = mask[start]
-            for k in range(1, FAST_ARC):
-                run = run & mask[(start + k) % n]
-            hit |= run
-        return hit
-
-    candidates = arc_hit(diff > threshold) | arc_hit(diff < -threshold)
-    rows, cols = np.nonzero(candidates)
-    scored = []
-    for r, c in zip(rows, cols):
-        score = _segment_score(diff[:, r, c].astype(np.float64), threshold)
-        if score > threshold:
-            scored.append((score, int(r) + 3, int(c) + 3))
-    scored.sort(key=lambda s: (-s[0], s[1], s[2]))
+    tile = max(1, FAST_TILE_PIXELS // w)
+    rows, cols, scores = (np.concatenate(parts) for parts in zip(*(
+        _segment_test(px, r0, min(r0 + tile, h - 3), threshold)
+        for r0 in range(3, h - 3, tile))))
+    order = np.lexsort((cols, rows, -scores))
+    scored = zip(scores[order].tolist(), rows[order].tolist(),
+                 cols[order].tolist())
 
     kept: list[Feature] = []
-    kept_rc = np.empty((len(scored), 2))
+    kept_rc = np.empty((len(order), 2))
     r2 = nms_radius * nms_radius
     for score, r, c in scored:
         n = len(kept)
@@ -269,6 +308,111 @@ def match_score(d1: MBCensusDescriptor, d2: MBCensusDescriptor) -> int:
     return int(np.count_nonzero(d1.bits != d2.bits))
 
 
+def _repeated(rpc: rpc_mod.RpcModel, k: int) -> rpc_mod.RpcArrays:
+    """A stack of ``k`` copies of one model's constants, as views: a
+    batched cast under one model copies no constants up front."""
+    return rpc_mod.RpcArrays(*(np.broadcast_to(a, (k, *a.shape))
+                               for a in rpc.arrays))
+
+
+def _project(rpc: rpc_mod.RpcModel, bias: BiasCorrection,
+             grounds: np.ndarray, status: np.ndarray) -> np.ndarray:
+    """(K, 2) pixels of the (K, 3) ground rows whose ``status`` is
+    ``SOLVED``, bias applied, NaN elsewhere; a row whose denominator
+    vanishes becomes ``DEGENERATE`` in ``status``."""
+    ok = np.flatnonzero(status == rpc_mod.SOLVED)
+    raw, _, usable = rpc_mod.evaluate_masked(rpc.arrays, *grounds[ok].T)
+    pix = np.full((len(grounds), 2), np.nan)
+    pix[ok] = raw - (bias.d_row, bias.d_col)
+    pix[ok[~usable]] = np.nan
+    status[ok[~usable]] = rpc_mod.DEGENERATE
+    return pix
+
+
+def _cast(left: Level2Product, right: Level2Product, targets: np.ndarray,
+          heights: np.ndarray):
+    """Right pixels of the (K, 2) left pixels ``targets`` cast onto
+    ``heights``, zero bias on both sides: one batched cast under the
+    left model, one projection under the right.
+
+    Returns:
+        ``(pix, status)``: (K, 2) pixels and the per-row outcome codes.
+    """
+    if not len(targets):
+        return np.empty((0, 2)), np.empty(0, dtype=int)
+    lats, lons, status = rpc_mod.inverse_project_many(
+        _repeated(left.rpc, len(targets)), targets, heights)
+    grounds = np.stack([lats, lons, heights], axis=1)
+    return _project(right.rpc, _ZERO_BIAS, grounds, status), status
+
+
+def epipolar_curves(
+    points,
+    left: Level2Product,
+    right: Level2Product,
+    min_h: float,
+    max_h: float,
+):
+    """Quasi-epipolar polylines of many left pixels in the right image.
+
+    Each left pixel, a (row, col) row of ``points``, is cast onto height
+    planes from min_h to max_h and each ground point projected into the
+    right image.  The planes are evenly spaced so that the vertices fall
+    about 1 px apart, with at most MAX_CURVE_SAMPLES of them; vertices
+    falling outside the right raster are clipped away.  Two batched casts
+    serve all the pixels: one at [min_h, max_h] sizes each curve, one
+    over every (pixel, height) row draws them.  Temporaries are
+    proportional to the vertices cast, which the caller bounds.
+
+    Returns:
+        ``(curves, status)``: per pixel, an (m, 2) array of vertices
+        (empty where its cast failed) and the outcome code of its cast,
+        ``SOLVED`` or the first failure.
+
+    Raises:
+        ValueError: min_h is not below max_h.
+    """
+    if not min_h < max_h:
+        raise ValueError("min_h must be below max_h")
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    n = len(points)
+    ends, end_status = _cast(left, right, np.repeat(points, 2, axis=0),
+                             np.tile([min_h, max_h], n))
+    end_status = end_status.reshape(n, 2)
+    status = np.where(end_status[:, 0] != rpc_mod.SOLVED, end_status[:, 0],
+                      end_status[:, 1])
+    good = np.flatnonzero(status == rpc_mod.SOLVED)
+    heights = []
+    starts = [0]
+    for i in good:
+        (r0, c0), (r1, c1) = ends[2 * i:2 * i + 2]
+        span = math.hypot(r1 - r0, c1 - c0)
+        n_vertices = int(min(max(math.ceil(span) + 1, 2), MAX_CURVE_SAMPLES))
+        dh = (max_h - min_h) / (n_vertices - 1)
+        # accumulated steps, not np.linspace, whose heights differ in the
+        # last bits
+        h = min_h
+        while h < max_h - 1e-12:
+            heights.append(h)
+            h += dh
+        heights.append(max_h)
+        starts.append(len(heights))
+    pix, row_status = _cast(
+        left, right, np.repeat(points[good], np.diff(starts), axis=0),
+        np.array(heights))
+    rows, cols = pix[:, 0], pix[:, 1]
+    inside = ((0 <= rows) & (rows <= right.raster.height - 1)
+              & (0 <= cols) & (cols <= right.raster.width - 1))
+    curves = [np.empty((0, 2))] * n
+    for i, lo, hi in zip(good, starts[:-1], starts[1:]):
+        failed = row_status[lo:hi][row_status[lo:hi] != rpc_mod.SOLVED]
+        if failed.size:
+            status[i] = failed[0]
+        else:
+            curves[i] = pix[lo:hi][inside[lo:hi]]
+    return curves, status
+
+
 def epipolar_curve(
     p: ImagePoint,
     left: Level2Product,
@@ -276,46 +420,18 @@ def epipolar_curve(
     min_h: float,
     max_h: float,
 ) -> list[ImagePoint]:
-    """Quasi-epipolar polyline of a left pixel in the right image.
-
-    The left pixel is cast onto height planes from min_h to max_h and
-    each ground point projected into the right image.  The planes are
-    evenly spaced so that the vertices fall about 1 px apart, with at
-    most MAX_CURVE_SAMPLES of them; vertices falling outside the right
-    raster are clipped away.
+    """Quasi-epipolar polyline of a left pixel in the right image: the
+    one-pixel case of :func:`epipolar_curves`.
 
     Raises:
         ValueError: min_h is not below max_h.
         NoConvergence, IllConditioned, DegenerateDenominator: casting
             the pixel onto some height failed.
     """
-    if not min_h < max_h:
-        raise ValueError("min_h must be below max_h")
-
-    def cast(heights):
-        lats, lons = rpc_mod.inverse_project_arrays(
-            left.rpc, _ZERO_BIAS, p.row, p.col, heights)
-        return rpc_mod.project_arrays(right.rpc, _ZERO_BIAS, lats, lons,
-                                      heights)
-
-    rows, cols = cast([min_h, max_h])
-    span = math.hypot(rows[1] - rows[0], cols[1] - cols[0])
-    n_vertices = int(min(max(math.ceil(span) + 1, 2), MAX_CURVE_SAMPLES))
-    dh = (max_h - min_h) / (n_vertices - 1)
-    # accumulated steps, not np.linspace, whose heights differ in the
-    # last bits
-    heights = []
-    h = min_h
-    while h < max_h - 1e-12:
-        heights.append(h)
-        h += dh
-    heights.append(max_h)
-
-    rows, cols = cast(heights)
-    inside = ((0 <= rows) & (rows <= right.raster.height - 1)
-              & (0 <= cols) & (cols <= right.raster.width - 1))
-    return [ImagePoint(float(r), float(c))
-            for r, c in zip(rows[inside], cols[inside])]
+    curves, status = epipolar_curves([(p.row, p.col)], left, right, min_h,
+                                     max_h)
+    rpc_mod._raise_failure(status[0])
+    return [ImagePoint(r, c) for r, c in curves[0].tolist()]
 
 
 def _nearest_on_polyline(points: np.ndarray, vertices: np.ndarray):
@@ -394,15 +510,16 @@ def match_pair(
     min_h = left.rpc.hei_off - left.rpc.hei_scale
     max_h = left.rpc.hei_off + left.rpc.hei_scale
 
+    points = np.array([(f.position.row, f.position.col) for f in left_use])
+    curves = []
+    for lo in range(0, len(points), CURVE_BLOCK):
+        curves += epipolar_curves(points[lo:lo + CURVE_BLOCK], left, right,
+                                  min_h, max_h)[0]
+
     tentative = []  # (left feature, right feature, score, displacement)
-    for fl, dl in zip(left_use, left_desc):
-        try:
-            curve = epipolar_curve(fl.position, left, right, min_h, max_h)
-        except (NoConvergence, IllConditioned):
+    for fl, dl, vertices in zip(left_use, left_desc, curves):
+        if not len(vertices):
             continue
-        if not curve:
-            continue
-        vertices = np.array([(v.row, v.col) for v in curve])
         dist, nearest = _nearest_on_polyline(right_pos, vertices)
         candidate_idx = np.nonzero(dist <= params.epipolar_buffer_px)[0]
         if candidate_idx.size == 0:
@@ -429,46 +546,60 @@ def match_pair(
     # median displacement.
     comp = BiasCorrection(-float(median[0]), -float(median[1]))
 
-    accepted = []
-    for fl, fr, score, _ in tentative:
-        error = _pair_reprojection(left, right, comp, fl.position,
-                                   fr.position)
-        if error is not None and error <= params.reproj_filter_px:
-            accepted.append(Correspondence(
-                left=fl, right=fr, score=score,
-                left_image=left.image_id, right_image=right.image_id,
-            ))
-    return accepted
+    pl = np.array([(t[0].position.row, t[0].position.col)
+                   for t in tentative])
+    pr = np.array([(t[1].position.row, t[1].position.col)
+                   for t in tentative])
+    errors = np.concatenate([
+        _reprojection_errors(left, right, comp, pl[lo:lo + MATCH_BLOCK],
+                             pr[lo:lo + MATCH_BLOCK])
+        for lo in range(0, len(pl), MATCH_BLOCK)])
+    return [Correspondence(left=fl, right=fr, score=score,
+                           left_image=left.image_id,
+                           right_image=right.image_id)
+            for (fl, fr, score, _), error in zip(tentative, errors)
+            if error <= params.reproj_filter_px]
 
 
-def _pair_reprojection(
+def _reprojection_errors(
     left: Level2Product,
     right: Level2Product,
     right_bias: BiasCorrection,
-    pl: ImagePoint,
-    pr: ImagePoint,
-) -> float | None:
-    """Worst reprojection error of a two-view match, or None on failure.
+    pl: np.ndarray,
+    pr: np.ndarray,
+) -> np.ndarray:
+    """Worst reprojection error of each two-view match, NaN on failure.
 
-    Falls back to a plane-constrained check when the two rays are too
-    parallel to triangulate (e.g. a product matched against itself).
+    ``pl`` and ``pr`` are the (n, 2) left and right pixels.  One
+    :func:`rpc.triangulate_many` call covers all matches; those whose
+    rays are too parallel to triangulate (e.g. a product matched against
+    itself) are cast onto the left plane height instead.  Any other
+    failure rejects the match.
     """
-    obs = [(left.rpc, _ZERO_BIAS, pl), (right.rpc, right_bias, pr)]
-    try:
-        g = rpc_mod.triangulate(obs)
-    except IllConditioned:
-        try:
-            g = rpc_mod.inverse_project(left.rpc, _ZERO_BIAS, pl,
-                                        left.plane_height)
-        except (NoConvergence, IllConditioned):
-            return None
-    except NoConvergence:
-        return None
-    errors = []
-    for rpc, bias, p in obs:
-        v = rpc_mod.residual(rpc, bias, g, p)
-        errors.append(math.hypot(*v))
-    return max(errors)
+    n = len(pl)
+    # residual = observed - (raw - bias), so fold the bias into the target
+    targets = np.empty((2 * n, 2))
+    targets[0::2] = pl
+    targets[1::2] = pr + (right_bias.d_row, right_bias.d_col)
+    grounds, status = rpc_mod.triangulate_many(
+        rpc_mod.stack_models([left.rpc, right.rpc] * n), targets,
+        np.arange(0, 2 * n + 1, 2))
+    flat = np.flatnonzero((status == rpc_mod.SINGULAR)
+                          | (status == rpc_mod.ILL_CONDITIONED))
+    if flat.size:
+        lats, lons, status[flat] = rpc_mod.inverse_project_many(
+            _repeated(left.rpc, flat.size), pl[flat],
+            left.plane_height)
+        grounds[flat] = np.stack(
+            [lats, lons, np.full(flat.size, left.plane_height)], axis=1)
+    errors = np.zeros(n)
+    for rpc, bias, observed in ((left.rpc, _ZERO_BIAS, pl),
+                                (right.rpc, right_bias, pr)):
+        v = observed - _project(rpc, bias, grounds, status)
+        # math.hypot, not np.hypot, which rounds differently in the last
+        # bit
+        errors = np.maximum(errors, [math.hypot(*r) for r in v.tolist()])
+    return errors
 
 
 # ---------------------------------------------------------------------------

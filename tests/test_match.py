@@ -3,18 +3,32 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from satadjust.errors import ConfigMismatch, ParseError, WindowOutOfBounds
+import satadjust.rpc as rpc_mod
+from satadjust.errors import (
+    ConfigMismatch,
+    DegenerateDenominator,
+    IllConditioned,
+    NoConvergence,
+    ParseError,
+    WindowOutOfBounds,
+)
 from satadjust.match import (
+    FAST_ARC,
+    FAST_CIRCLE,
+    MAX_CURVE_SAMPLES,
     Correspondence,
     Feature,
     MatchParams,
     _nearest_on_polyline,
+    _reprojection_errors,
     detect_corners,
     epipolar_curve,
+    epipolar_curves,
     load_correspondences,
     match_pair,
     match_score,
@@ -45,8 +59,6 @@ def stereo():
 
 def planted_positions(scene, index):
     """Noiseless rendered dot centers of every point in one image."""
-    import satadjust.rpc as rpc_mod
-
     out = []
     img = scene.images[index]
     for g in scene.true_points:
@@ -124,6 +136,73 @@ def test_nms_keeps_single_feature_for_twin_dots():
     features = detect_corners(raster, threshold=15.0, nms_radius=5.0)
     assert len(features) == 1
     assert features[0].position.col == pytest.approx(22.0, abs=1.5)
+
+
+def segment_score(diffs: np.ndarray, threshold: float) -> float:
+    """Best min-difference over any 9-long bright or dark circular arc."""
+    best = 0.0
+    for signed in (diffs, -diffs):
+        ring = np.concatenate([signed, signed[:FAST_ARC - 1]])
+        for start in range(len(diffs)):
+            lo = float(ring[start:start + FAST_ARC].min())
+            if lo > threshold and lo > best:
+                best = lo
+    return best
+
+
+def detect_corners_oracle(raster: Raster, threshold: float,
+                          nms_radius: float) -> list[Feature]:
+    """The segment test pixel by pixel, then the same suppression."""
+    px = raster.pixels.astype(np.int64)
+    h, w = px.shape
+    scored = []
+    for r in range(3, h - 3):
+        for c in range(3, w - 3):
+            diffs = np.array([px[r + dr, c + dc] - px[r, c]
+                              for dr, dc in FAST_CIRCLE], dtype=np.float64)
+            score = segment_score(diffs, threshold)
+            if score > threshold:
+                scored.append((score, r, c))
+    scored.sort(key=lambda s: (-s[0], s[1], s[2]))
+    kept = []
+    for score, r, c in scored:
+        if all((r - f.position.row) ** 2 + (c - f.position.col) ** 2
+               > nms_radius ** 2 for f in kept):
+            kept.append(Feature(ImagePoint(float(r), float(c)), score))
+    return kept
+
+
+@pytest.mark.parametrize("threshold", [15.5, 20.0])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_detect_corners_equals_per_pixel_oracle(dtype, threshold):
+    gen = np.random.default_rng(9)
+    # full-range differences on the left, differences near the threshold
+    # on the right
+    top = np.iinfo(dtype).max + 1
+    px = np.concatenate([gen.integers(0, top, (40, 26)),
+                         top // 2 + gen.integers(-24, 25, (40, 26))], axis=1)
+    raster = Raster(px.astype(dtype))
+    features = detect_corners(raster, threshold, 5.0)
+    assert len(features) > 5
+    assert features == detect_corners_oracle(raster, threshold, 5.0)
+
+
+def test_detect_corners_memory_is_bounded(stereo):
+    _, products = stereo
+    pixels = products[0].raster.pixels
+    reps = (-(-2000 // pixels.shape[0]), -(-2000 // pixels.shape[1]))
+    raster = Raster(np.ascontiguousarray(
+        np.tile(pixels, reps)[:2000, :2000]))
+    assert raster.pixels.dtype == np.uint8
+    tracemalloc.start()
+    try:
+        features = detect_corners(raster)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert features
+    # a 2000^2 uint8 raster is 4 MB; the test runs in row tiles
+    assert peak < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +289,152 @@ def test_epipolar_curve_validates_heights(stereo):
     p = ImagePoint(400.0, 400.0)
     with pytest.raises(ValueError):
         epipolar_curve(p, products[0], products[1], 500.0, 400.0)
+
+
+def curve_oracle(p, left, right, min_h, max_h) -> np.ndarray:
+    """The curve of one left pixel by two casts of that pixel alone."""
+    zero = BiasCorrection()
+
+    def cast(heights):
+        lats, lons = rpc_mod.inverse_project_arrays(left.rpc, zero, p[0],
+                                                    p[1], heights)
+        return rpc_mod.project_arrays(right.rpc, zero, lats, lons, heights)
+
+    rows, cols = cast([min_h, max_h])
+    span = math.hypot(rows[1] - rows[0], cols[1] - cols[0])
+    n_vertices = int(min(max(math.ceil(span) + 1, 2), MAX_CURVE_SAMPLES))
+    dh = (max_h - min_h) / (n_vertices - 1)
+    heights = []
+    h = min_h
+    while h < max_h - 1e-12:
+        heights.append(h)
+        h += dh
+    heights.append(max_h)
+    rows, cols = cast(heights)
+    inside = ((0 <= rows) & (rows <= right.raster.height - 1)
+              & (0 <= cols) & (cols <= right.raster.width - 1))
+    return np.stack([rows[inside], cols[inside]], axis=1)
+
+
+def test_epipolar_curves_equal_per_feature_oracle(stereo):
+    _, products = stereo
+    left, right = products
+    hei, span = left.rpc.hei_off, left.rpc.hei_scale
+    points = [(f.position.row, f.position.col)
+              for f in detect_corners(left.raster)]
+    # curves that leave the right raster in part or entirely
+    points += [(0.0, 0.0), (-300.0, 5.0), (left.raster.height + 400.0, 0.0)]
+    for min_h, max_h in ((hei - span, hei + span), (hei - 3 * span, hei)):
+        curves, status = epipolar_curves(points, left, right, min_h, max_h)
+        assert len(curves) == len(points)
+        assert (status == rpc_mod.SOLVED).all()
+        for p, curve in zip(points, curves):
+            np.testing.assert_array_equal(
+                curve, curve_oracle(p, left, right, min_h, max_h))
+        assert not len(curves[-1])
+        assert sum(len(c) >= 2 for c in curves) >= 0.9 * len(points)
+        one = epipolar_curve(ImagePoint(*points[0]), left, right, min_h,
+                             max_h)
+        assert one == [ImagePoint(r, c) for r, c in curves[0].tolist()]
+
+
+def reprojection_oracle(left, right, right_bias, pl, pr) -> float:
+    """Worst reprojection error of one match, NaN on failure."""
+    zero = BiasCorrection()
+    obs = [(left.rpc, zero, ImagePoint(*pl)),
+           (right.rpc, right_bias, ImagePoint(*pr))]
+    try:
+        ground = rpc_mod.triangulate(obs)
+    except IllConditioned:
+        try:
+            ground = rpc_mod.inverse_project(left.rpc, zero, obs[0][2],
+                                             left.plane_height)
+        except (NoConvergence, IllConditioned):
+            return math.nan
+    except NoConvergence:
+        return math.nan
+    return max(math.hypot(*rpc_mod.residual(rpc, bias, ground, p))
+               for rpc, bias, p in obs)
+
+
+@pytest.mark.parametrize("self_match", [False, True])
+def test_reprojection_errors_equal_per_pair_oracle(stereo, self_match):
+    scene, products = stereo
+    left = products[0]
+    pl = np.round(planted_positions(scene, 0))
+    if self_match:
+        # parallel rays: every match takes the plane fallback
+        right, bias, pr = left, BiasCorrection(), pl
+        with pytest.raises(IllConditioned):
+            rpc_mod.triangulate([(left.rpc, bias, ImagePoint(*pl[0]))] * 2)
+    else:
+        right, bias = products[1], RIGHT_BIAS
+        noise = np.random.default_rng(10).uniform(-4.0, 4.0, pl.shape)
+        pr = np.round(planted_positions(scene, 1)) + noise
+    errors = _reprojection_errors(left, right, bias, pl, pr)
+    expected = [reprojection_oracle(left, right, bias, a, b)
+                for a, b in zip(pl, pr)]
+    np.testing.assert_array_equal(errors, expected)
+    if self_match:
+        assert (errors < 1e-6).all()
+    else:
+        assert (errors <= 2.0).any() and (errors > 2.0).any()
+
+
+@pytest.mark.parametrize("inner", [False, True])
+def test_degenerate_curve_cast_drops_only_that_feature(stereo, monkeypatch,
+                                                       inner):
+    _, products = stereo
+    left, right = products
+    min_h = left.rpc.hei_off - left.rpc.hei_scale
+    max_h = left.rpc.hei_off + left.rpc.hei_scale
+    baseline = match_pair(*products)
+    points = [(c.left.position.row, c.left.position.col) for c in baseline]
+    k = len(points) // 2
+    victim = baseline[k].left.position
+    before, _ = epipolar_curves(points, left, right, min_h, max_h)
+    real = rpc_mod.inverse_project_many
+
+    def failing(models, targets, heis):
+        lats, lons, status = real(models, targets, heis)
+        hit = (np.asarray(targets) == (victim.row, victim.col)).all(axis=1)
+        if inner:
+            # spare the cast at the ends of the height range
+            heis = np.broadcast_to(heis, hit.shape)
+            hit &= (min_h < heis) & (heis < max_h)
+        status[hit] = rpc_mod.DEGENERATE
+        return lats, lons, status
+
+    monkeypatch.setattr(rpc_mod, "inverse_project_many", failing)
+    curves, status = epipolar_curves(points, left, right, min_h, max_h)
+    assert status[k] == rpc_mod.DEGENERATE and not len(curves[k])
+    for j, (curve, code) in enumerate(zip(curves, status)):
+        if j != k:
+            assert code == rpc_mod.SOLVED
+            np.testing.assert_array_equal(curve, before[j])
+    with pytest.raises(DegenerateDenominator):
+        epipolar_curve(victim, left, right, min_h, max_h)
+    corrs = match_pair(*products)
+    assert corrs == [c for c in baseline if c.left.position != victim]
+
+
+def test_degenerate_triangulation_drops_only_that_match(stereo, monkeypatch):
+    _, products = stereo
+    baseline = match_pair(*products)
+    victim = baseline[len(baseline) // 2].left.position
+    real = rpc_mod.triangulate_many
+
+    def failing(models, targets, starts):
+        grounds, status = real(models, targets, starts)
+        heads = np.asarray(targets)[np.asarray(starts)[:-1]]
+        status[(heads == (victim.row, victim.col)).all(axis=1)] = \
+            rpc_mod.DEGENERATE
+        return grounds, status
+
+    monkeypatch.setattr(rpc_mod, "triangulate_many", failing)
+    corrs = match_pair(*products)
+    assert corrs == [c for c in baseline if c.left.position != victim]
+    assert len(corrs) == len(baseline) - 1
 
 
 # ---------------------------------------------------------------------------
