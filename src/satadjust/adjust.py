@@ -15,8 +15,9 @@ stacked 3x3 point blocks.  A chunk's Schur terms are subtracted as dense
 panel products of at most 2N/3 tracks each, so no matrix larger than the
 2N x 2N reduced bias system for N images is formed; the other per-chunk
 arrays are bounded by the chunk size.  Triangulation
-(:func:`update_points`) solves one track per :func:`rpc.triangulate`
-call.  No temporary grows with the number of tracks.
+(:func:`update_points`) solves the free tracks of a chunk in one
+lock-step :func:`rpc.triangulate_many` call.  No temporary grows with
+the number of tracks.
 
 Free networks (no GCPs) have an unobservable common image-space
 translation; the datum is fixed by pinning image 0's bias correction to
@@ -37,7 +38,6 @@ from . import textfile
 from .errors import (
     ConfigInvalid,
     DegenerateDenominator,
-    NumericalError,
     ParseError,
     RankDeficient,
 )
@@ -428,26 +428,32 @@ def ground_corrections(
 
 def update_points(graph: ObservationGraph) -> list[int]:
     """Triangulate every non-GCP track afresh with the current biases,
-    one :func:`rpc.triangulate` call per track.
+    one lock-step :func:`rpc.triangulate_many` call per chunk of
+    :meth:`ObservationGraph.chunks` that holds a free track.
 
     GCP grounds are never touched.  Tracks whose triangulation fails
-    keep their previous ground; their indices are returned and named in
-    one log warning.
+    keep their previous ground; their indices are returned in order and
+    named in one log warning.
     """
     failed = []
-    starts = graph.track_start
-    for j, track in enumerate(graph.tracks):
-        if track.is_gcp:
+    bias = _bias_array(graph)
+    for a, b in graph.chunks():
+        free = a + np.flatnonzero(~_gcp_mask(graph, a, b))
+        if not free.size:
             continue
-        span = slice(starts[j], starts[j + 1])
-        obs = [(graph.images[i].rpc, graph.images[i].bias,
-                rpc_mod.ImagePoint(*pixel))
-               for i, pixel in zip(graph.obs_image[span],
-                                   graph.obs_pixel[span])]
-        try:
-            track.ground = rpc_mod.triangulate(obs)
-        except NumericalError:
-            failed.append(j)
+        rows, starts = rpc_mod._segment_rows(graph.track_start, free)
+        image = graph.obs_image[rows]
+        # residual = observed - (raw - bias), so fold the bias into the
+        # target, as rpc.triangulate does
+        grounds, status = rpc_mod.triangulate_many(
+            graph.models.take(image), graph.obs_pixel[rows] + bias[image],
+            starts)
+        for j, ground, ok in zip(free.tolist(), grounds.tolist(),
+                                 (status == rpc_mod.SOLVED).tolist()):
+            if ok:
+                graph.tracks[j].ground = GroundPoint(*ground)
+            else:
+                failed.append(j)
     _warn_tracks(failed, "failed to triangulate")
     return failed
 

@@ -308,13 +308,6 @@ def match_score(d1: MBCensusDescriptor, d2: MBCensusDescriptor) -> int:
     return int(np.count_nonzero(d1.bits != d2.bits))
 
 
-def _repeated(rpc: rpc_mod.RpcModel, k: int) -> rpc_mod.RpcArrays:
-    """A stack of ``k`` copies of one model's constants, as views: a
-    batched cast under one model copies no constants up front."""
-    return rpc_mod.RpcArrays(*(np.broadcast_to(a, (k, *a.shape))
-                               for a in rpc.arrays))
-
-
 def _project(rpc: rpc_mod.RpcModel, bias: BiasCorrection,
              grounds: np.ndarray, status: np.ndarray) -> np.ndarray:
     """(K, 2) pixels of the (K, 3) ground rows whose ``status`` is
@@ -341,7 +334,7 @@ def _cast(left: Level2Product, right: Level2Product, targets: np.ndarray,
     if not len(targets):
         return np.empty((0, 2)), np.empty(0, dtype=int)
     lats, lons, status = rpc_mod.inverse_project_many(
-        _repeated(left.rpc, len(targets)), targets, heights)
+        rpc_mod.repeat_model(left.rpc, len(targets)), targets, heights)
     grounds = np.stack([lats, lons, heights], axis=1)
     return _project(right.rpc, _ZERO_BIAS, grounds, status), status
 
@@ -588,7 +581,7 @@ def _reprojection_errors(
                           | (status == rpc_mod.ILL_CONDITIONED))
     if flat.size:
         lats, lons, status[flat] = rpc_mod.inverse_project_many(
-            _repeated(left.rpc, flat.size), pl[flat],
+            rpc_mod.repeat_model(left.rpc, flat.size), pl[flat],
             left.plane_height)
         grounds[flat] = np.stack(
             [lats, lons, np.full(flat.size, left.plane_height)], axis=1)

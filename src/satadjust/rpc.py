@@ -132,14 +132,25 @@ class RpcArrays(NamedTuple):
     slopes: np.ndarray
 
     def take(self, idxs) -> "RpcArrays":
-        """The models at ``idxs`` of a stack, in that order."""
-        return RpcArrays(*(a[idxs] for a in self))
+        """The models at ``idxs`` of a stack, in that order.  A stack of
+        one repeated model (:func:`repeat_model`) stays views, so the
+        shrinking live sets of a batched cast copy no constants."""
+        return RpcArrays(*(
+            np.broadcast_to(a[:1], (len(idxs), *a.shape[1:]))
+            if a.strides[0] == 0 else a[idxs] for a in self))
 
 
 def stack_models(models) -> RpcArrays:
     """Stack the packed constants of several models along a new first
     axis."""
     return RpcArrays(*(np.stack(a) for a in zip(*(m.arrays for m in models))))
+
+
+def repeat_model(rpc: RpcModel, k: int) -> RpcArrays:
+    """A stack of ``k`` copies of one model's constants, as read-only
+    views: a batched cast under one model copies no constants up front."""
+    return RpcArrays(*(np.broadcast_to(a, (k, *a.shape))
+                       for a in rpc.arrays))
 
 
 @dataclass(frozen=True)
@@ -482,7 +493,7 @@ def inverse_project_arrays(rpc: RpcModel, bias: BiasCorrection, rows, cols,
     """Vectorized image-to-ground: (lats, lons) arrays at heights ``heis``
     whose projections, bias applied, are the pixel arrays ``rows`` and
     ``cols``.  One :func:`inverse_project_many` call over the model
-    repeated for each point.
+    repeated for each point (:func:`repeat_model`).
 
     Raises:
         NoConvergence, IllConditioned, DegenerateDenominator: the error of
@@ -493,7 +504,7 @@ def inverse_project_arrays(rpc: RpcModel, bias: BiasCorrection, rows, cols,
     targets = np.stack([np.ravel(rows) + bias.d_row,
                         np.ravel(cols) + bias.d_col], axis=1)
     lats, lons, status = inverse_project_many(
-        stack_models([rpc] * len(targets)), targets, np.ravel(heis))
+        repeat_model(rpc, len(targets)), targets, np.ravel(heis))
     failed = np.flatnonzero(status != SOLVED)
     if failed.size:
         _raise_failure(status[failed[0]])

@@ -24,7 +24,12 @@ from satadjust.adjust import (
     solve_bias,
     update_points,
 )
-from satadjust.errors import ConfigInvalid, ParseError, RankDeficient
+from satadjust.errors import (
+    ConfigInvalid,
+    NumericalError,
+    ParseError,
+    RankDeficient,
+)
 from satadjust.rpc import BiasCorrection, GroundPoint, ImagePoint, project
 from satadjust.synth import dense_solve, gen_scene, save_scene
 from satadjust.tracks import Track, save_tracks
@@ -319,9 +324,9 @@ def test_adjust_loop_counts_excluded_tracks_per_step(small_scene):
 
 def test_triangulate_many_equals_per_track_calls():
     """One lock-step batch over every track of a random-visibility scene
-    gives the grounds and the failures of the per-track
-    :func:`rpc.triangulate` calls that :func:`update_points` makes, and
-    those grounds agree with the truth: at the true biases, a
+    gives the grounds and the failures of :func:`update_points`, which
+    makes one such call per chunk, and those grounds agree with the
+    truth: at the true biases, a
     least-squares fit moves a track's projections away from the true
     point's by no more than the track's observation noise."""
     scene = gen_scene(8, 150, 10.0, 0.3, seed=404, visibility="random")
@@ -364,9 +369,90 @@ def test_triangulate_many_equals_per_track_calls():
         assert 0.0 < moved <= 1.001 * noise
 
 
+def mixed_graph():
+    """A random-visibility scene at its true biases, with GCP tracks
+    (ids 0-3 and 40) and twin-image tracks that cannot be triangulated
+    among and after the free tracks."""
+    scene = gen_scene(6, 60, 10.0, 0.3, seed=808, visibility="random")
+    images = [(im.image_id, im.rpc) for im in scene.images]
+    images.append(("twin", scene.images[0].rpc))
+    gcps = {j: scene.true_points[j] for j in (0, 1, 2, 3, 40)}
+    graph = assemble(images, scene_tracks(scene), gcps)
+    twins = twin_image_tracks(scene, 4)
+    for track, g in zip(twins, scene.true_points):
+        track.ground = g
+    tracks = graph.tracks[:20] + twins[:2] + graph.tracks[20:] + twins[2:]
+    graph = ObservationGraph(images=graph.images, tracks=tracks)
+    for im, truth in zip(graph.images, scene.images):
+        im.bias = truth.true_bias
+    return graph
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 24, adjust.CHUNK_OBSERVATIONS])
+def test_update_points_equals_per_track_triangulation(chunk, monkeypatch,
+                                                      caplog):
+    """Chunked triangulation gives exactly the grounds and failures of
+    one :func:`rpc.triangulate` call per free track, whether a chunk
+    holds one track or breaks between tracks; GCP grounds and failed
+    tracks keep their ground objects."""
+    monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", chunk)
+    graph = mixed_graph()
+    before = [t.ground for t in graph.tracks]
+    expected, failed = [], []
+    for j, track in enumerate(graph.tracks):
+        obs = [(graph.images[graph.index[i]].rpc,
+                graph.images[graph.index[i]].bias, p)
+               for i, p in track.observations.items()]
+        try:
+            expected.append(None if track.is_gcp
+                            else rpc_mod.triangulate(obs))
+        except NumericalError:
+            expected.append(None)
+            failed.append(j)
+    assert failed == [20, 21, len(graph.tracks) - 2, len(graph.tracks) - 1]
+    with caplog.at_level(logging.WARNING, logger="satadjust.adjust"):
+        assert update_points(graph) == failed
+    assert len(caplog.records) == 1
+    for track, old, new in zip(graph.tracks, before, expected):
+        if new is None:
+            assert track.ground is old
+        else:
+            assert track.ground == new
+
+
+@pytest.mark.parametrize("chunk", [1, 24])
+def test_update_points_calls_triangulate_many_once_per_chunk(chunk,
+                                                             monkeypatch):
+    """One batched call per chunk that holds a free track, covering
+    exactly its free tracks; none for a chunk of GCP tracks only, and
+    no one-track call at all."""
+    monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", chunk)
+    graph = mixed_graph()
+
+    def refuse(observations):
+        raise AssertionError("update_points triangulated one track")
+
+    calls = []
+    batched = rpc_mod.triangulate_many
+
+    def count(models, targets, starts):
+        calls.append(len(starts) - 1)
+        return batched(models, targets, starts)
+
+    monkeypatch.setattr(rpc_mod, "triangulate", refuse)
+    monkeypatch.setattr(rpc_mod, "triangulate_many", count)
+    update_points(graph)
+    free = [sum(not t.is_gcp for t in graph.tracks[a:b])
+            for a, b in graph.chunks()]
+    assert calls == [f for f in free if f]
+    assert len(calls) > 1
+    if chunk == 1:
+        # one track per chunk: the five GCP tracks are chunks of their own
+        assert free.count(0) == 5
+
+
 def test_pass_memory_does_not_grow_with_track_count():
-    """Triangulation works track by track and the reduction chunk by
-    chunk: quadrupling the tracks leaves the peak of their temporaries
+    """Triangulation and the reduction work chunk by chunk: quadrupling the tracks leaves the peak of their temporaries
     where it was.  A temporary is
     what a call frees before it returns, so its size is the traced peak
     above the memory held after the call (the new grounds and the
