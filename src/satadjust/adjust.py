@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -69,13 +68,17 @@ class ImageState:
 
 @dataclass
 class ObservationGraph:
-    """Images, tracks and the visibility linking them.
+    """Images, tracks and the visibility linking them, and the state of
+    the adjustment.
 
     The observations are packed once on construction, track by track
     and within a track in image order: ``obs_image`` and ``obs_pixel``
     hold each one's image index and observed (row, col) pixel, and track
     j owns rows ``track_start[j]:track_start[j + 1]``.  ``models``
-    holds the image models packed in image order.
+    holds the image models packed in image order.  ``ground`` (M, 3)
+    holds each track's (lat, lon, hei), packed from ``Track.ground``
+    (NaN where that is None), and ``gcp`` flags the GCP tracks; these
+    arrays, not the tracks, are what the passes read and update.
     """
 
     images: list[ImageState]
@@ -85,6 +88,8 @@ class ObservationGraph:
     obs_pixel: np.ndarray = field(init=False)
     track_start: np.ndarray = field(init=False)
     models: rpc_mod.RpcArrays = field(init=False)
+    ground: np.ndarray = field(init=False)
+    gcp: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.index = {im.image_id: i for i, im in enumerate(self.images)}
@@ -110,10 +115,15 @@ class ObservationGraph:
                                              degrees)))
         self.obs_image = np.array(image, dtype=np.intp)[order]
         self.obs_pixel = np.column_stack([rows, cols])[order]
+        self.ground = np.array(
+            [(np.nan,) * 3 if t.ground is None
+             else (t.ground.lat, t.ground.lon, t.ground.hei)
+             for t in self.tracks], dtype=np.float64).reshape(-1, 3)
+        self.gcp = np.array([t.is_gcp for t in self.tracks], dtype=bool)
 
     @property
     def has_gcp(self) -> bool:
-        return any(t.is_gcp for t in self.tracks)
+        return bool(self.gcp.any())
 
     def chunks(self):
         """Consecutive track ranges ``(a, b)`` holding at most
@@ -169,68 +179,22 @@ class ReprojectionReport:
     count: int
 
 
-def track_scales(graph: ObservationGraph, track: Track) -> np.ndarray:
-    """Ground normalization used for a track's eliminated unknowns: the
-    (lat, lon, hei) scales of its first observing image.  Pure
-    conditioning; the reduced bias system is invariant to this choice."""
-    first = min(graph.index[image_id] for image_id in track.observations)
-    rpc = graph.images[first].rpc
-    return np.array([rpc.lat_scale, rpc.lon_scale, rpc.hei_scale])
-
-
 def _bias_array(graph: ObservationGraph) -> np.ndarray:
     """Current (d_row, d_col) of every image as an (N, 2) array."""
     return np.array([(im.bias.d_row, im.bias.d_col) for im in graph.images])
 
 
-class _Linearization(NamedTuple):
-    """Tracks a..b-1 of a graph at their current grounds and biases.
-
-    ``starts`` offsets their observations in the (k, ...) arrays:
-    ``owner`` (the track, counted from a), ``image``, the (k, 2)
-    residuals ``v`` and, with derivatives, their
-    (k, 2, 3) Jacobians ``b`` with respect to each track's ground in its
-    normalized units (:func:`track_scales`).  ``usable`` is False for a
-    track whose residual met a vanished denominator.  ``blocks`` is the
-    ``(normal, col_norms, ok)`` of :func:`rpc.equilibrated_point_blocks`
-    for those Jacobians (None without derivatives).  Equilibration keeps
-    the conditioning check scale-free; the Schur contribution
-    b (b'b)^-1 b' is invariant under it.
-    """
-
-    starts: np.ndarray
-    owner: np.ndarray
-    image: np.ndarray
-    v: np.ndarray
-    usable: np.ndarray
-    b: np.ndarray | None
-    blocks: tuple | None
-
-
 def _linearize(graph: ObservationGraph, a: int, b: int, bias: np.ndarray,
-               derivatives: bool) -> _Linearization:
+               cond_max: float | None = None):
+    """Tracks a..b-1 at their current grounds and biases: the image of
+    each of their observations, and :func:`rpc.linearize_tracks` of
+    them."""
     span = slice(graph.track_start[a], graph.track_start[b])
     starts = graph.track_start[a:b + 1] - graph.track_start[a]
     image = graph.obs_image[span]
-    owner = np.repeat(np.arange(b - a), np.diff(starts))
-    g = np.array([(t.ground.lat, t.ground.lon, t.ground.hei)
-                  for t in graph.tracks[a:b]])[owner]
-    raw, d_raw, usable = rpc_mod.evaluate_masked(
-        graph.models.take(image), g[:, 0], g[:, 1], g[:, 2], derivatives)
-    v = graph.obs_pixel[span] + bias[image] - raw
-    usable = np.logical_and.reduceat(usable, starts[:-1])
-    if d_raw is None:
-        return _Linearization(starts, owner, image, v, usable, None, None)
-    # residual = observed - project: minus the projection derivative
-    scales = graph.models.scale[image[starts[:-1]], :3]
-    jac = -d_raw * scales[owner][:, None, :]
-    blocks = rpc_mod.equilibrated_point_blocks(jac, starts,
-                                               POINT_BLOCK_COND_MAX)
-    return _Linearization(starts, owner, image, v, usable, jac, blocks)
-
-
-def _gcp_mask(graph: ObservationGraph, a: int, b: int) -> np.ndarray:
-    return np.array([t.is_gcp for t in graph.tracks[a:b]])
+    return image, rpc_mod.linearize_tracks(
+        graph.models.take(image), graph.obs_pixel[span] + bias[image],
+        graph.ground[a:b], starts, cond_max)
 
 
 def _warn_tracks(tracks: list[int], what: str) -> None:
@@ -249,7 +213,7 @@ def assemble(
     GCP tracks (flagged via ``gcps``, keyed by track id) take their
     surveyed coordinates verbatim; the rest are triangulated with zero
     biases by :func:`update_points`, and those that fail are dropped.
-    The tracks are modified in place (GCP flags and grounds).
+    The tracks are modified in place by :func:`tracks.apply_gcps`.
 
     Raises:
         ConfigInvalid: duplicate or unknown image ids, or a GCP naming an
@@ -257,19 +221,17 @@ def assemble(
     """
     if gcps:
         apply_gcps(tracks, gcps)
-    for track in tracks:
-        if track.is_gcp:
-            track.ground = track.gcp_ground
     states = [ImageState(image_id, rpc, BiasCorrection())
               for image_id, rpc in images]
     graph = ObservationGraph(images=states, tracks=list(tracks))
-    failed = set(update_points(graph))
+    failed = update_points(graph)
     if not failed:
         return graph
-    return ObservationGraph(
-        images=states,
-        tracks=[t for j, t in enumerate(tracks) if j not in failed],
-    )
+    kept = np.delete(np.arange(len(tracks)), failed)
+    kept_graph = ObservationGraph(images=states,
+                                  tracks=[tracks[j] for j in kept])
+    kept_graph.ground[:] = graph.ground[kept]
+    return kept_graph
 
 
 def accumulate_reduced(
@@ -313,12 +275,11 @@ def accumulate_reduced(
     excluded = []
 
     for a, b in graph.chunks():
-        lin = _linearize(graph, a, b, bias, derivatives=True)
-        normal, col_norms, ok = lin.blocks
-        gcp = _gcp_mask(graph, a, b)
-        used = lin.usable & (gcp | ok)
+        image, lin = _linearize(graph, a, b, bias, POINT_BLOCK_COND_MAX)
+        gcp = graph.gcp[a:b]
+        used = lin.usable & (gcp | lin.ok)
         excluded.extend((a + np.flatnonzero(~used)).tolist())
-        rows = 2 * lin.image[:, None] + np.arange(2)
+        rows = 2 * image[:, None] + np.arange(2)
         obs_used = used[lin.owner]
         matrix[diag, diag] += np.bincount(rows[obs_used].ravel(),
                                           minlength=2 * n)
@@ -330,8 +291,8 @@ def accumulate_reduced(
         # the other tracks get zero blocks and so add nothing below
         owner = lin.owner
         b_eq = np.where(free[owner][:, None, None],
-                        lin.b / col_norms[owner][:, None, :], 0.0)
-        inverse = np.linalg.inv(np.where(free[:, None, None], normal,
+                        lin.b / lin.col_norms[owner][:, None, :], 0.0)
+        inverse = np.linalg.inv(np.where(free[:, None, None], lin.normal,
                                          np.eye(3)))
         l_b = -np.add.reduceat(np.einsum("kri,kr->ki", b_eq, lin.v),
                                lin.starts[:-1])
@@ -340,7 +301,7 @@ def accumulate_reduced(
             p1 = min(p0 + per_panel, b - a)
             span = slice(lin.starts[p0], lin.starts[p1])
             # panel rows: the bias rows of the images these tracks see
-            seen, local = np.unique(lin.image[span], return_inverse=True)
+            seen, local = np.unique(image[span], return_inverse=True)
             bias_rows = (2 * seen[:, None] + np.arange(2)).ravel()
             w = w_panel[:bias_rows.size, :3 * (p1 - p0)]
             bt = b_panel[:bias_rows.size, :3 * (p1 - p0)]
@@ -404,26 +365,27 @@ def solve_bias(
 
 def ground_corrections(
     graph: ObservationGraph, x: np.ndarray
-) -> dict[int, np.ndarray]:
-    """Schur back-substitution: per-track normalized ground corrections
-    implied by bias corrections ``x`` at the current linearization (none
-    for GCP tracks and the tracks :func:`accumulate_reduced` excludes),
-    chunk by chunk with stacked 3x3 solves."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Schur back-substitution: the ground corrections implied by bias
+    corrections ``x`` at the current linearization, chunk by chunk with
+    stacked 3x3 solves.
+
+    Returns:
+        ``(tracks, steps)``: the indices of the tracks corrected (not
+        the GCP tracks nor those :func:`accumulate_reduced` excludes), in
+        order, and their (k, 3) corrections in their first image's
+        normalized ground units.
+    """
     bias = _bias_array(graph)
     shift = np.asarray(x, dtype=np.float64).reshape(-1, 2)
-    out = {}
+    tracks, steps = [np.empty(0, dtype=np.intp)], [np.empty((0, 3))]
     for a, b in graph.chunks():
-        lin = _linearize(graph, a, b, bias, derivatives=True)
-        normal, col_norms, ok = lin.blocks
-        free = lin.usable & ok & ~_gcp_mask(graph, a, b)
+        image, lin = _linearize(graph, a, b, bias, POINT_BLOCK_COND_MAX)
+        free = lin.usable & lin.ok & ~graph.gcp[a:b]
+        tracks.append(a + np.flatnonzero(free))
         # the residual once the biases move by x
-        rhs = -np.add.reduceat(
-            np.einsum("kri,kr->ki", lin.b, lin.v + shift[lin.image]),
-            lin.starts[:-1]) / col_norms
-        step = (np.linalg.solve(normal[free], rhs[free][:, :, None])[:, :, 0]
-                / col_norms[free])
-        out.update(zip((a + np.flatnonzero(free)).tolist(), step))
-    return out
+        steps.append(rpc_mod.point_steps(lin, lin.v + shift[image], free))
+    return np.concatenate(tracks), np.concatenate(steps)
 
 
 def update_points(graph: ObservationGraph) -> list[int]:
@@ -438,7 +400,7 @@ def update_points(graph: ObservationGraph) -> list[int]:
     failed = []
     bias = _bias_array(graph)
     for a, b in graph.chunks():
-        free = a + np.flatnonzero(~_gcp_mask(graph, a, b))
+        free = a + np.flatnonzero(~graph.gcp[a:b])
         if not free.size:
             continue
         rows, starts = rpc_mod._segment_rows(graph.track_start, free)
@@ -448,12 +410,9 @@ def update_points(graph: ObservationGraph) -> list[int]:
         grounds, status = rpc_mod.triangulate_many(
             graph.models.take(image), graph.obs_pixel[rows] + bias[image],
             starts)
-        for j, ground, ok in zip(free.tolist(), grounds.tolist(),
-                                 (status == rpc_mod.SOLVED).tolist()):
-            if ok:
-                graph.tracks[j].ground = GroundPoint(*ground)
-            else:
-                failed.append(j)
+        solved = status == rpc_mod.SOLVED
+        graph.ground[free[solved]] = grounds[solved]
+        failed.extend(free[~solved].tolist())
     _warn_tracks(failed, "failed to triangulate")
     return failed
 
@@ -480,7 +439,7 @@ def report(graph: ObservationGraph) -> ReprojectionReport:
     maxima = np.zeros(3)
     image_sums = np.zeros(n)
     for a, b in graph.chunks():
-        lin = _linearize(graph, a, b, bias, derivatives=False)
+        image, lin = _linearize(graph, a, b, bias)
         if not lin.usable.all():
             raise DegenerateDenominator(
                 f"denominator vanished at an observation of track "
@@ -488,7 +447,7 @@ def report(graph: ObservationGraph) -> ReprojectionReport:
         dist = np.column_stack([np.abs(lin.v), np.hypot(*lin.v.T)])
         sums += dist.sum(axis=0)
         maxima = np.maximum(maxima, dist.max(axis=0))
-        image_sums += np.bincount(lin.image, weights=dist[:, 2],
+        image_sums += np.bincount(image, weights=dist[:, 2],
                                   minlength=n)
     image_counts = np.bincount(graph.obs_image, minlength=n)
     per_image = {
@@ -519,22 +478,18 @@ def adjust_loop(
     """
     gauge = None if graph.has_gcp else 0
     # each track's corrections are in its first image's ground units
-    first = graph.obs_image[graph.track_start[:-1]]
+    scales = graph.models.scale[graph.obs_image[graph.track_start[:-1]], :3]
     history = [report(graph).avg_xy]
     steps = []
     excluded = []
     for _ in range(max_iter):
         system = accumulate_reduced(graph)
         x = solve_bias(system, gauge)
-        dg = ground_corrections(graph, x)
+        idx, dg = ground_corrections(graph, x)
         for im, (d_row, d_col) in zip(graph.images, x.tolist()):
             im.bias = BiasCorrection(im.bias.d_row + d_row,
                                      im.bias.d_col + d_col)
-        for j, d in dg.items():
-            track = graph.tracks[j]
-            lat, lon, hei = (d * graph.models.scale[first[j], :3]).tolist()
-            g = track.ground
-            track.ground = GroundPoint(g.lat + lat, g.lon + lon, g.hei + hei)
+        graph.ground[idx] += dg * scales[idx]
         history.append(report(graph).avg_xy)
         steps.append(float(np.abs(x).max()))
         excluded.append(len(system.excluded_tracks))

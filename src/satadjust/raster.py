@@ -123,13 +123,15 @@ def read_pgm(path, nodata: int = 0) -> Raster:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
         raise ParseError(f"{path}: non-numeric PGM header") from None
+    if width <= 0 or height <= 0:
+        raise ParseError(f"{path}: PGM size {width} x {height} is empty")
     if maxval <= 0 or maxval > 65535:
         raise ParseError(f"{path}: unsupported PGM maxval {maxval}")
-    dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
+    dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
     count = width * height
-    data = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
-    if data.size != count:
+    if len(blob) - pos < count * dtype.itemsize:
         raise ParseError(f"{path}: PGM pixel data truncated")
+    data = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
     pixels = data.reshape(height, width)
     if maxval >= 256:
         pixels = pixels.astype(np.uint16)

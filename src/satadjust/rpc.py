@@ -14,6 +14,9 @@ reduction call it on constants packed once per model (:class:`RpcArrays`).
 :meth:`RpcModel.validate` and the RPC fit in :mod:`.rectify` use the
 monomials only as a design matrix.
 
+Triangulation and the adjustment's passes share one per-track
+linearization, :func:`linearize_tracks`, and point solve, :func:`point_steps`.
+
 Image-to-ground and triangulation are batched: :func:`inverse_project_many`
 and :func:`triangulate_many` iterate many points or tracks in lock-step,
 one kernel call per step, and report a per-point outcome code, so one
@@ -347,23 +350,52 @@ def _segment_rows(starts: np.ndarray, which: np.ndarray):
     return rows, sub
 
 
-def equilibrated_point_blocks(b: np.ndarray, starts: np.ndarray,
-                              cond_max: float):
-    """Normal matrices of many ground points' stacked Jacobians, each
-    with its columns scaled to unit norm.
+class TrackLinearization(NamedTuple):
+    """Many tracks linearized at their grounds (:func:`linearize_tracks`).
 
-    ``b`` holds (k, 2, 3) per-observation blocks packed point by point:
-    point j owns rows ``starts[j]:starts[j + 1]``.  Equilibration makes
-    the condition check reflect ray geometry rather than the disparity
-    between planimetric and height sensitivities; the equilibrated
-    blocks are ``b`` divided by their point's column norms.
-
-    Returns:
-        ``(normal, col_norms, ok)``: the (T, 3, 3) equilibrated normal
-        matrices, the (T, 3) column norms (1 where ``ok`` is False) and a
-        (T,) mask that is False where a column vanishes or is not
-        finite, or the equilibrated condition exceeds ``cond_max``.
+    Track j owns rows ``starts[j]:starts[j + 1]`` of the per-observation
+    arrays; ``owner`` is each row's track.  ``v`` (k, 2) are the
+    residuals, target minus raw projection; ``usable`` is False for a
+    track where a denominator vanished.  With derivatives (else None):
+    ``b`` (k, 2, 3) are the residual Jacobians in each track's first
+    model's normalized ground units, ``normal`` (T, 3, 3) their normal
+    matrices with columns scaled to unit norm, ``col_norms`` (T, 3) the
+    scales (1 where not ``ok``), and ``ok`` False where a column
+    vanishes or is not finite, or the condition exceeds ``cond_max``.
     """
+
+    starts: np.ndarray
+    owner: np.ndarray
+    v: np.ndarray
+    usable: np.ndarray
+    b: np.ndarray | None = None
+    normal: np.ndarray | None = None
+    col_norms: np.ndarray | None = None
+    ok: np.ndarray | None = None
+
+
+def linearize_tracks(models: RpcArrays, targets, grounds, starts,
+                     cond_max: float | None = None) -> TrackLinearization:
+    """Residuals of many tracks at their (T, 3) ``grounds`` and, with
+    ``cond_max``, their equilibrated point blocks.
+
+    Track j's observations are rows ``starts[j]:starts[j + 1]`` of the
+    per-observation model stack ``models`` and of the (k, 2) ``targets``,
+    the raw projections its ground should reproduce.  Equilibration
+    makes the condition check reflect ray geometry rather than the
+    disparity between planimetric and height sensitivities, and leaves
+    the Schur contribution b (b'b)^-1 b' unchanged.
+    """
+    owner = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    g = grounds[owner]
+    raw, d_raw, usable = evaluate_masked(models, g[:, 0], g[:, 1], g[:, 2],
+                                         cond_max is not None)
+    v = targets - raw
+    usable = np.logical_and.reduceat(usable, starts[:-1])
+    if d_raw is None:
+        return TrackLinearization(starts, owner, v, usable)
+    # residual = observed - project: minus the projection slope
+    b = -d_raw * models.scale[starts[:-1], :3][owner][:, None, :]
     rows = b.reshape(-1, 3)
     gram = np.add.reduceat(rows[:, :, None] * rows[:, None, :],
                            2 * starts[:-1])
@@ -372,7 +404,19 @@ def equilibrated_point_blocks(b: np.ndarray, starts: np.ndarray,
     col_norms = np.sqrt(np.where(ok[:, None], squares, 1.0))
     normal = gram / (col_norms[:, :, None] * col_norms[:, None, :])
     ok[ok] = np.linalg.cond(normal[ok]) <= cond_max
-    return normal, col_norms, ok
+    return TrackLinearization(starts, owner, v, usable, b, normal, col_norms,
+                              ok)
+
+
+def point_steps(lin: TrackLinearization, v, which) -> np.ndarray:
+    """Gauss-Newton ground steps, in normalized units, of the tracks
+    selected by the mask ``which``: the least-squares decrements of the
+    residuals ``v`` (``lin.v`` or a shifted copy) through the equilibrated
+    normal blocks of ``lin``."""
+    rhs = (-np.add.reduceat(np.einsum("kri,kr->ki", lin.b, v),
+                            lin.starts[:-1]) / lin.col_norms)
+    return (np.linalg.solve(lin.normal[which], rhs[which][:, :, None])[:, :, 0]
+            / lin.col_norms[which])
 
 
 def project_arrays(rpc: RpcModel, bias: BiasCorrection, lats, lons, heis):
@@ -537,7 +581,7 @@ def triangulate_many(models: RpcArrays, targets, starts):
     ground must reproduce); every track needs at least two.  Each track
     is parameterized in its first model's normalized ground units with
     the Jacobian columns equilibrated to unit norm
-    (:func:`equilibrated_point_blocks`), and started by casting its first
+    (:func:`linearize_tracks`), and started by casting its first
     observation onto that model's height offset
     (:func:`inverse_project_many`).  A track leaves the iteration once
     every normalized coordinate moves by less than 1e-9, or fails: its
@@ -568,24 +612,14 @@ def triangulate_many(models: RpcArrays, targets, starts):
         else:
             rows, sub = _segment_rows(starts, live)
             m = models.take(rows)
-        owner = np.repeat(np.arange(live.size), np.diff(sub))
-        g = grounds[live][owner]
-        raw, d_raw, usable = evaluate_masked(m, g[:, 0], g[:, 1], g[:, 2],
-                                             derivatives=True)
-        # residual = observed - project: minus the projection slope
-        b = -d_raw * scales[live][owner][:, None, :]
-        normal, col_norms, ok = equilibrated_point_blocks(
-            b, sub, TRIANGULATION_COND_MAX)
-        degenerate = ~np.logical_and.reduceat(usable, sub[:-1])
+        lin = linearize_tracks(m, targets[rows], grounds[live], sub,
+                               TRIANGULATION_COND_MAX)
+        degenerate = ~lin.usable
         status[live[degenerate]] = DEGENERATE
-        status[live[~ok & ~degenerate]] = ILL_CONDITIONED
-        ok &= ~degenerate
+        status[live[~lin.ok & ~degenerate]] = ILL_CONDITIONED
+        ok = lin.ok & ~degenerate
         # residual linearizes as v + B*step, so solve for the decrement
-        v = targets[rows] - raw
-        rhs = (-np.add.reduceat(np.einsum("kri,kr->ki", b, v), sub[:-1])
-               / col_norms)
-        step = (np.linalg.solve(normal[ok], rhs[ok][:, :, None])[:, :, 0]
-                / col_norms[ok])
+        step = point_steps(lin, lin.v, ok)
         moved = live[ok]
         grounds[moved] += step * scales[moved]
         done = np.abs(step).max(axis=1) < GROUND_TOL_NORM

@@ -596,7 +596,7 @@ def dense_solve(graph, gauge_image: int | None = None):
             (e.g. free network without a gauge).
     """
     n_images = len(graph.images)
-    free_tracks = [j for j, t in enumerate(graph.tracks) if not t.is_gcp]
+    free_tracks = np.flatnonzero(~graph.gcp).tolist()
     ground_col = {j: 2 * n_images + 3 * slot
                   for slot, j in enumerate(free_tracks)}
     n_params = 2 * n_images + 3 * len(free_tracks)
@@ -604,15 +604,16 @@ def dense_solve(graph, gauge_image: int | None = None):
     rows_j = []
     rows_r = []
     for j, track in enumerate(graph.tracks):
-        scales = adjust_mod.track_scales(graph, track)
+        scales = graph.models.scale[graph.obs_image[graph.track_start[j]], :3]
+        ground = rpc_mod.GroundPoint(*graph.ground[j].tolist())
         for image_id, obs in sorted(track.observations.items()):
             i = graph.index[image_id]
             state = graph.images[i]
-            v = rpc_mod.residual(state.rpc, state.bias, track.ground, obs)
-            jac = rpc_mod.jacobian(state.rpc, state.bias, track.ground)
+            v = rpc_mod.residual(state.rpc, state.bias, ground, obs)
+            jac = rpc_mod.jacobian(state.rpc, state.bias, ground)
             block = np.zeros((2, n_params))
             block[:, 2 * i:2 * i + 2] = jac.a_block
-            if not track.is_gcp:
+            if not graph.gcp[j]:
                 col = ground_col[j]
                 block[:, col:col + 3] = jac.b_block * scales
             rows_j.append(block)

@@ -21,23 +21,23 @@ from .rpc import GroundPoint, ImagePoint
 class Track:
     """Observations of one object-space point, at most one per image.
 
-    ``ground`` is filled by triangulation during adjustment assembly.
-    GCP tracks additionally carry their fixed surveyed coordinates.
-    ``id`` is the number GCP files refer to the track by: its id in the
-    track file it was loaded from, or its position in the list that
-    :func:`build_tracks` returned.
+    ``ground`` is only where the track starts when an
+    :class:`~satadjust.adjust.ObservationGraph` packs it: the surveyed
+    point of a GCP track (``is_gcp``), else None or a prior guess; the
+    adjustment's grounds live in the graph.  ``id`` is the number GCP
+    files refer to the track by: its id in the track file it was loaded
+    from, or its position in the list that :func:`build_tracks` returned.
     """
 
     observations: dict[str, ImagePoint]
     ground: GroundPoint | None = None
     is_gcp: bool = False
-    gcp_ground: GroundPoint | None = None
     id: int | None = None
 
     def __post_init__(self):
         if len(self.observations) < 2:
             raise ValueError("a track needs observations in >= 2 images")
-        if self.is_gcp and self.gcp_ground is None:
+        if self.is_gcp and self.ground is None:
             raise ValueError("GCP track without ground coordinates")
 
     @property
@@ -179,7 +179,8 @@ def load_gcps(path) -> dict[int, GroundPoint]:
 
 
 def apply_gcps(tracks: list[Track], gcps: dict[int, GroundPoint]) -> None:
-    """Flag the tracks with the given ids as ground control points.
+    """Flag the tracks with the given ids as ground control points,
+    their surveyed points as their grounds.
 
     Raises:
         ConfigInvalid: no track has a GCP's track id.
@@ -189,4 +190,4 @@ def apply_gcps(tracks: list[Track], gcps: dict[int, GroundPoint]) -> None:
         if tid not in by_id:
             raise ConfigInvalid(f"GCP refers to unknown track {tid}")
         by_id[tid].is_gcp = True
-        by_id[tid].gcp_ground = g
+        by_id[tid].ground = g

@@ -62,7 +62,7 @@ def free_run(criterion_scene):
 def gcp_run(criterion_scene):
     gcps = {j: criterion_scene.true_points[j] for j in (0, 1, 2)}
     graph = scene_graph(criterion_scene, gcps=gcps)
-    pre = [graph.tracks[j].ground for j in (0, 1, 2)]
+    pre = graph.ground[[0, 1, 2]]
     result = adjust_loop(graph)
     return graph, result, pre
 
@@ -156,8 +156,8 @@ def test_gcp_mode_absolute_recovery(criterion_scene, gcp_run):
                     abs(result.biases[i].d_col - im.true_bias.d_col))
     assert worst <= 0.2
     for j, g in zip((0, 1, 2), pre_grounds):
-        post = graph.tracks[j].ground
-        assert (post.lat, post.lon, post.hei) == (g.lat, g.lon, g.hei)
+        assert graph.ground[j].tobytes() == g.tobytes()
+    assert graph.gcp[:3].all()
     print(f"PASS: GCP mode with 3 control tracks: worst absolute bias "
           f"error {worst:.3f} px (<= 0.2), GCP grounds bit-identical")
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import scene_graph, scene_tracks
 from satadjust import adjust, synth
@@ -32,7 +34,7 @@ from satadjust.errors import (
 )
 from satadjust.rpc import BiasCorrection, GroundPoint, ImagePoint, project
 from satadjust.synth import dense_solve, gen_scene, save_scene
-from satadjust.tracks import Track, save_tracks
+from satadjust.tracks import Track, load_tracks, save_tracks
 
 # ---------------------------------------------------------------------------
 # Graph assembly
@@ -42,18 +44,20 @@ from satadjust.tracks import Track, save_tracks
 def test_assemble_triangulates_all_tracks(small_scene):
     graph = scene_graph(small_scene)
     assert len(graph.tracks) == len(small_scene.true_points)
-    for track, true_g in zip(graph.tracks, small_scene.true_points):
-        assert track.ground is not None
+    assert graph.ground.shape == (len(graph.tracks), 3)
+    for ground, true_g in zip(graph.ground, small_scene.true_points):
+        assert np.isfinite(ground).all()
         # biased observations displace the zero-bias triangulation
-        assert abs(track.ground.lat - true_g.lat) < 0.01
+        assert abs(ground[0] - true_g.lat) < 0.01
 
 
 def test_assemble_keeps_gcp_grounds_verbatim(small_scene):
     gcps = {0: small_scene.true_points[0], 3: small_scene.true_points[3]}
     graph = scene_graph(small_scene, gcps=gcps)
     assert graph.has_gcp
-    assert graph.tracks[0].ground == small_scene.true_points[0]
-    assert graph.tracks[3].ground == small_scene.true_points[3]
+    assert graph.gcp.tolist() == [j in gcps for j in range(len(graph.tracks))]
+    assert GroundPoint(*graph.ground[0]) == small_scene.true_points[0]
+    assert GroundPoint(*graph.ground[3]) == small_scene.true_points[3]
 
 
 def test_graph_visibility_is_sorted_and_consistent(small_scene):
@@ -104,8 +108,9 @@ def test_ground_corrections_match_dense_oracle(rng):
     system = accumulate_reduced(graph)
     x = solve_bias(system, gauge_image=0)
     x_dense, y_dense = dense_solve(graph, gauge_image=0)
-    y = ground_corrections(graph, x)
-    for j, y_j in y.items():
+    tracks, y = ground_corrections(graph, x)
+    assert tracks.tolist() == sorted(y_dense)
+    for j, y_j in zip(tracks, y):
         np.testing.assert_allclose(y_j, y_dense[j], atol=1e-9)
 
 
@@ -215,7 +220,7 @@ def test_adjust_loop_gcp_mode_recovers_absolute_biases():
         assert res.biases[i].d_col == pytest.approx(im.true_bias.d_col,
                                                     abs=0.2)
     for j in (0, 1, 2):
-        assert graph.tracks[j].ground == scene.true_points[j]
+        assert GroundPoint(*graph.ground[j]) == scene.true_points[j]
 
 
 def test_adjust_loop_zero_bias_scene_is_a_fixed_point():
@@ -277,6 +282,19 @@ def twin_image_tracks(scene, count):
             for per_image in scene.true_observations[:count]]
 
 
+def with_twins(graph, twins, at=None):
+    """``graph`` with the ``twins`` inserted before its track ``at`` (at
+    the end by default), its own tracks keeping their rows of
+    ``graph.ground`` and the twins starting at their ``Track.ground``."""
+    at = len(graph.tracks) if at is None else at
+    joined = ObservationGraph(
+        images=graph.images,
+        tracks=graph.tracks[:at] + twins + graph.tracks[at:])
+    own = np.r_[0:at, at + len(twins):len(joined.tracks)]
+    joined.ground[own] = graph.ground
+    return joined
+
+
 def test_track_failures_log_one_warning_per_call(small_scene, caplog):
     images = [(im.image_id, im.rpc) for im in small_scene.images]
     images.append(("twin", small_scene.images[0].rpc))
@@ -293,12 +311,66 @@ def test_track_failures_log_one_warning_per_call(small_scene, caplog):
     twins = twin_image_tracks(small_scene, 7)
     for track, g in zip(twins, small_scene.true_points):
         track.ground = g
-    graph = ObservationGraph(images=graph.images, tracks=graph.tracks + twins)
+    graph = with_twins(graph, twins)
     with caplog.at_level(logging.WARNING, logger="satadjust.adjust"):
         system = accumulate_reduced(graph)
     assert system.excluded_tracks == list(range(n, n + 7))
     assert len(caplog.records) == 1
     assert "7 track(s)" in caplog.text and first in caplog.text
+
+
+def test_assemble_repacks_without_the_failed_tracks(small_scene):
+    """Twin-image tracks interleaved among good ones fail, and the
+    re-packed graph keeps the good tracks' grounds bit for bit: they
+    equal those of assembling without the twins."""
+    images = [(im.image_id, im.rpc) for im in small_scene.images]
+    images.append(("twin", small_scene.images[0].rpc))
+    tracks = scene_tracks(small_scene)
+    twins = twin_image_tracks(small_scene, 6)
+    mixed = [t for pair in zip(tracks, twins) for t in pair] + tracks[6:]
+    graph = assemble(images, mixed)
+    clean = assemble(images, scene_tracks(small_scene))
+    assert [t.id for t in graph.tracks] == [t.id for t in clean.tracks]
+    assert np.array_equal(graph.track_start, clean.track_start)
+    assert np.array_equal(graph.obs_pixel, clean.obs_pixel)
+    assert graph.ground.tobytes() == clean.ground.tobytes()
+
+
+@pytest.fixture(scope="module")
+def track_file(tmp_path_factory):
+    """A random-visibility scene saved as a track file, and the result
+    of adjusting it as saved, free and with three GCPs."""
+    scene = gen_scene(6, 120, 10.0, 0.2, seed=612, visibility="random")
+    path = tmp_path_factory.mktemp("shuffled") / "tracks.txt"
+    save_tracks(scene_tracks(scene), path)
+    images = [(im.image_id, im.rpc) for im in scene.images]
+    gcps = {j: scene.true_points[j] for j in (0, 1, 2)}
+    reference = {mode: adjusted_from_file(images, path, gcps if mode else None)
+                 for mode in (False, True)}
+    return path, images, gcps, reference
+
+
+def adjusted_from_file(images, path, gcps):
+    graph = assemble(images, load_tracks(path), gcps)
+    result = adjust_loop(graph)
+    return result.biases, result.history, graph.ground.tobytes()
+
+
+@pytest.mark.parametrize("with_gcps", [False, True])
+@settings(max_examples=4, deadline=None)
+@given(order=st.randoms(use_true_random=False))
+def test_track_file_line_order_changes_nothing(track_file, with_gcps, order):
+    """Shuffling the lines of a track file gives bit-identical biases,
+    history and grounds: tracks are put in id order and observations in
+    image order."""
+    path, images, gcps, reference = track_file
+    lines = path.read_text().splitlines(keepends=True)
+    body = [line for line in lines if not line.startswith("#")]
+    order.shuffle(body)
+    shuffled = path.with_name("shuffled.txt")
+    shuffled.write_text("".join(body))
+    got = adjusted_from_file(images, shuffled, gcps if with_gcps else None)
+    assert got == reference[with_gcps]
 
 
 def test_adjust_loop_counts_excluded_tracks_per_step(small_scene):
@@ -314,8 +386,7 @@ def test_adjust_loop_counts_excluded_tracks_per_step(small_scene):
     twins = twin_image_tracks(small_scene, 7)
     for track, g in zip(twins, small_scene.true_points):
         track.ground = g
-    res = adjust_loop(ObservationGraph(images=graph.images,
-                                       tracks=graph.tracks + twins))
+    res = adjust_loop(with_twins(graph, twins))
     assert res.converged
     assert res.excluded == [7] * res.iterations
     clean = adjust_loop(scene_graph(small_scene))
@@ -337,7 +408,7 @@ def test_triangulate_many_equals_per_track_calls():
     twins = twin_image_tracks(scene, 3)
     for track, g in zip(twins, scene.true_points):
         track.ground = g
-    graph = ObservationGraph(images=graph.images, tracks=graph.tracks + twins)
+    graph = with_twins(graph, twins)
     n = len(scene.true_points)
     assert len(graph.tracks) == n + 3
     true_biases = [im.true_bias for im in scene.images]
@@ -351,10 +422,9 @@ def test_triangulate_many_equals_per_track_calls():
         graph.obs_pixel + bias[graph.obs_image], graph.track_start)
     failed = np.flatnonzero(status != rpc_mod.SOLVED).tolist()
     assert update_points(graph) == failed == list(range(n, n + 3))
-    for j, track in enumerate(graph.tracks[:n]):
-        got = np.array([track.ground.lat, track.ground.lon,
-                        track.ground.hei])
-        diff = (got - grounds[j]) / adjust.track_scales(graph, track)
+    for j in range(n):
+        scales = graph.models.scale[graph.obs_image[graph.track_start[j]], :3]
+        diff = (graph.ground[j] - grounds[j]) / scales
         assert np.abs(diff).max() < 1e-9
         noise = moved = 0.0
         span = slice(graph.track_start[j], graph.track_start[j + 1])
@@ -362,7 +432,7 @@ def test_triangulate_many_equals_per_track_calls():
                                  graph.obs_pixel[span]):
             im = graph.images[i]
             at_truth = project(im.rpc, im.bias, scene.true_points[j])
-            at_fit = project(im.rpc, im.bias, track.ground)
+            at_fit = project(im.rpc, im.bias, GroundPoint(*graph.ground[j]))
             noise += (row - at_truth.row) ** 2 + (col - at_truth.col) ** 2
             moved += ((at_fit.row - at_truth.row) ** 2
                       + (at_fit.col - at_truth.col) ** 2)
@@ -381,8 +451,7 @@ def mixed_graph():
     twins = twin_image_tracks(scene, 4)
     for track, g in zip(twins, scene.true_points):
         track.ground = g
-    tracks = graph.tracks[:20] + twins[:2] + graph.tracks[20:] + twins[2:]
-    graph = ObservationGraph(images=graph.images, tracks=tracks)
+    graph = with_twins(with_twins(graph, twins[:2], at=20), twins[2:])
     for im, truth in zip(graph.images, scene.images):
         im.bias = truth.true_bias
     return graph
@@ -394,10 +463,10 @@ def test_update_points_equals_per_track_triangulation(chunk, monkeypatch,
     """Chunked triangulation gives exactly the grounds and failures of
     one :func:`rpc.triangulate` call per free track, whether a chunk
     holds one track or breaks between tracks; GCP grounds and failed
-    tracks keep their ground objects."""
+    tracks keep their grounds bit for bit."""
     monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", chunk)
     graph = mixed_graph()
-    before = [t.ground for t in graph.tracks]
+    before = graph.ground.copy()
     expected, failed = [], []
     for j, track in enumerate(graph.tracks):
         obs = [(graph.images[graph.index[i]].rpc,
@@ -413,11 +482,11 @@ def test_update_points_equals_per_track_triangulation(chunk, monkeypatch,
     with caplog.at_level(logging.WARNING, logger="satadjust.adjust"):
         assert update_points(graph) == failed
     assert len(caplog.records) == 1
-    for track, old, new in zip(graph.tracks, before, expected):
+    for ground, old, new in zip(graph.ground, before, expected):
         if new is None:
-            assert track.ground is old
+            assert ground.tobytes() == old.tobytes()
         else:
-            assert track.ground == new
+            assert GroundPoint(*ground) == new
 
 
 @pytest.mark.parametrize("chunk", [1, 24])
@@ -452,38 +521,44 @@ def test_update_points_calls_triangulate_many_once_per_chunk(chunk,
 
 
 def test_pass_memory_does_not_grow_with_track_count():
-    """Triangulation and the reduction work chunk by chunk: quadrupling the tracks leaves the peak of their temporaries
-    where it was.  A temporary is
-    what a call frees before it returns, so its size is the traced peak
-    above the memory held after the call (the new grounds and the
-    result are kept)."""
-    peaks = {}
+    """Triangulation and the reduction work chunk by chunk: quadrupling
+    the tracks leaves the peak of their temporaries where it was, and
+    they keep no per-track objects.  A temporary is what a call frees
+    before it returns, so its size is the traced peak above the memory
+    held after the call; what a call holds is the growth of the traced
+    memory across it (its result: the failed list, the reduced
+    system)."""
+    peaks, held = {}, {}
     for m in (400, 1600):
         graph = scene_graph(gen_scene(6, m, 10.0, 0.2, seed=5))
         tracemalloc.start()
         try:
             for name, fn in (("update_points", update_points),
                              ("accumulate_reduced", accumulate_reduced)):
+                start = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 fn(graph)
-                held, peak = tracemalloc.get_traced_memory()
-                peaks[name, m] = peak - held
+                now, peak = tracemalloc.get_traced_memory()
+                peaks[name, m] = peak - now
+                held[name, m] = now - start
         finally:
             tracemalloc.stop()
     # 1200 more tracks hold 7200 more observations; one float per
-    # observation would be 57,600 bytes
+    # observation would be 57,600 bytes, one new ground object per track
+    # about 160,000
     for name in ("update_points", "accumulate_reduced"):
         assert peaks[name, 1600] - peaks[name, 400] < 16_384, name
+        assert held[name, 1600] - held[name, 400] < 32_768, name
 
 
 def test_update_points_retriangulates_under_current_bias(small_scene):
     graph = scene_graph(small_scene)
-    before = [t.ground for t in graph.tracks]
+    before = graph.ground.copy()
     graph.images[0].bias = BiasCorrection(3.0, -2.0)
     failed = update_points(graph)
     assert failed == []
-    moved = sum(1 for t, g in zip(graph.tracks, before)
-                if t.ground is not None and t.ground != g)
+    moved = sum(1 for g, old in zip(graph.ground, before)
+                if np.isfinite(g).all() and (g != old).any())
     assert moved == len(graph.tracks)
 
 

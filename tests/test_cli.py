@@ -273,6 +273,22 @@ def test_exit_2_on_data_errors(dataset, pipeline_out, tmp_path):
                      "--out", str(tmp_path / f"o{7 + k}")]) == 2
 
 
+def test_malformed_pgm_exits_2_without_traceback(dataset, tmp_path, capsys):
+    """Pixel data shorter than width x height, at 8 and 16 bits, and an
+    empty raster are data errors."""
+    for k, blob in enumerate([b"P5\n4 4\n255\n" + bytes(10),
+                              b"P5\n4 4\n65535\n" + bytes(10),
+                              b"P5\n0 4\n255\n" + bytes(16)]):
+        raw = tmp_path / f"raw_{k}"
+        shutil.copytree(dataset, raw)
+        (raw / "img_000.pgm").write_bytes(blob)
+        capsys.readouterr()
+        assert main(["rectify", *stems(raw), "--out",
+                     str(tmp_path / f"o{k}")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+
+
 def test_exit_3_on_rank_deficient_network(tmp_path):
     # Exactly parallel cameras: the constant-bias free network loses the
     # translation datum entirely, so the solver must report deficiency.

@@ -1,5 +1,6 @@
-"""The shared text reader and the loaders built on it: writer -> reader
-round trips, and rejection of malformed and non-finite numbers."""
+"""The shared text reader and the loaders built on it, and PGM rasters:
+writer -> reader round trips, and rejection of malformed and non-finite
+numbers."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from satadjust import textfile
 from satadjust.adjust import ImageState, load_biases, save_biases
@@ -20,7 +22,7 @@ from satadjust.match import (
     load_correspondences,
     save_correspondences,
 )
-from satadjust.raster import Raster
+from satadjust.raster import Raster, read_pgm, write_pgm
 from satadjust.rectify import (
     GroundBBox,
     Level2Product,
@@ -312,6 +314,41 @@ def test_product_sidecar_round_trip(scratch, product):
     assert back.footprint == product.footprint
     np.testing.assert_array_equal(back.geo_transform, product.geo_transform)
     np.testing.assert_array_equal(back.raster.pixels, product.raster.pixels)
+
+
+def _pgm_pixels(dtype) -> st.SearchStrategy:
+    top = np.iinfo(dtype).max
+    return hnp.arrays(dtype, st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                      elements=st.integers(0, top)).map(
+        lambda a: _with_extremes(a, top))
+
+
+def _with_extremes(pixels: np.ndarray, top: int) -> np.ndarray:
+    pixels = pixels.copy()
+    pixels.flat[-1] = top
+    pixels.flat[0] = 0
+    return pixels
+
+
+@EXAMPLES
+@given(st.sampled_from([np.uint8, np.uint16]).flatmap(_pgm_pixels))
+def test_pgm_round_trip(scratch, pixels):
+    path = scratch / "r.pgm"
+    write_pgm(Raster(pixels), path)
+    back = read_pgm(path)
+    assert back.pixels.dtype == pixels.dtype
+    assert np.array_equal(back.pixels, pixels)
+    # comment lines in the header read the same
+    height, width = pixels.shape
+    maxval = np.iinfo(pixels.dtype).max
+    header = f"P5\n{width} {height}\n{maxval}\n".encode()
+    blob = path.read_bytes()
+    assert blob.startswith(header)
+    path.write_bytes(f"P5\n# a comment\n{width} {height}\n#another\n"
+                     f"{maxval}\n".encode() + blob[len(header):])
+    back = read_pgm(path)
+    assert back.pixels.dtype == pixels.dtype
+    assert np.array_equal(back.pixels, pixels)
 
 
 @EXAMPLES

@@ -169,7 +169,7 @@ def test_apply_gcps_flags_tracks():
     apply_gcps(tracks, {1: g})
     assert not tracks[0].is_gcp
     assert tracks[1].is_gcp
-    assert tracks[1].gcp_ground == g
+    assert tracks[1].ground == g
 
 
 def test_gcps_bind_to_track_file_ids(tmp_path):
@@ -184,7 +184,7 @@ def test_gcps_bind_to_track_file_ids(tmp_path):
         assert [t.id for t in tracks] == [5, 9]
         apply_gcps(tracks, {9: g})
         assert not tracks[0].is_gcp
-        assert tracks[1].is_gcp and tracks[1].gcp_ground == g
+        assert tracks[1].is_gcp and tracks[1].ground == g
         with pytest.raises(ConfigInvalid):
             apply_gcps(load_tracks(source), {1: g})
 
