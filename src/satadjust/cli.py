@@ -47,13 +47,15 @@ class PipelineConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("overlap_threshold", "epipolar_buffer_px",
-                     "ratio_threshold", "reproj_filter_px",
-                     "convergence_px", "fast_threshold", "nms_radius"):
+        for name in ("overlap_threshold", "convergence_px"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigInvalid(f"{name} must be positive and finite")
         if self.max_iter < 1 or self.threads < 1:
             raise ConfigInvalid("max_iter and threads must be >= 1")
+        try:
+            self.match_params()
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from None
 
     def match_params(self) -> MatchParams:
         return MatchParams(

@@ -38,8 +38,11 @@ FAST_ARC = 9
 FAST_TILE_PIXELS = 1 << 17
 
 # 5x5 binomial kernel, the integer Gaussian with variance 1 (sigma 1.0).
-BLUR_KERNEL = np.array([1, 4, 6, 4, 1], dtype=np.int64)
+BLUR_KERNEL = (1, 4, 6, 4, 1)
 BLUR_MARGIN = 2
+# Windows per block of census_bits: a block of 256 27-px windows peaks
+# at about 4 MB.
+CENSUS_BLOCK = 256
 
 MAX_CURVE_SAMPLES = 64
 
@@ -110,12 +113,11 @@ class MatchParams:
     blocks: int = 3
 
     def __post_init__(self):
-        if self.window % self.blocks != 0:
-            raise ValueError("window must divide evenly into blocks")
         for name in ("epipolar_buffer_px", "ratio_threshold",
                      "reproj_filter_px", "fast_threshold", "nms_radius"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        _check_census(self.window, self.blocks)
 
 
 def select_pairs(
@@ -240,57 +242,65 @@ def detect_corners(
     return kept
 
 
-def _blurred_window(raster: Raster, row: int, col: int,
-                    window: int) -> np.ndarray:
-    """Filtered window, integer arithmetic, values scaled by 256.
+def _check_census(window, blocks) -> None:
+    if not (blocks >= 1 and window >= blocks and window % blocks == 0):
+        raise ValueError(f"window ({window!r}) must be a positive multiple "
+                         f"of blocks ({blocks!r})")
 
-    The 5x5 binomial filter needs a 2-pixel apron around the window; the
-    apron is edge-replicated where it leaves the raster, the window itself
-    must fit.
+
+def census_bits(raster: Raster, rows, cols, window: int = 27,
+                blocks: int = 3) -> np.ndarray:
+    """Census bits of the windows centred at the integer pixels (rows,
+    cols): (n, blocks², side² - 1) booleans, side = window // blocks.
+
+    Windows and the 2-pixel apron of the 5x5 binomial filter are gathered
+    by clipped indices, which replicates the raster edge (the window
+    itself is not checked), CENSUS_BLOCK at a time, and filtered in exact
+    integer arithmetic: values scale by 256, so 16-bit pixels fit int32.
+    Each block of the blocks x blocks grid is census-transformed against
+    its own center, a bit set where a pixel is strictly less, in raster
+    order with the center dropped.
+
+    Raises:
+        ValueError: window is not a positive multiple of blocks.
     """
-    half = window // 2
+    _check_census(window, blocks)
+    side = window // blocks
+    center = (side // 2) * side + side // 2
     h, w = raster.pixels.shape
-    if row - half < 0 or col - half < 0 or row + half >= h or col + half >= w:
-        raise WindowOutOfBounds(
-            f"window of {window} px at ({row}, {col}) leaves the raster"
-        )
-    r_lo, r_hi = row - half - BLUR_MARGIN, row + half + BLUR_MARGIN + 1
-    c_lo, c_hi = col - half - BLUR_MARGIN, col + half + BLUR_MARGIN + 1
-    pad_r = (max(0, -r_lo), max(0, r_hi - h))
-    pad_c = (max(0, -c_lo), max(0, c_hi - w))
-    region = raster.pixels[max(r_lo, 0):min(r_hi, h),
-                           max(c_lo, 0):min(c_hi, w)].astype(np.int64)
-    if any(pad_r) or any(pad_c):
-        region = np.pad(region, (pad_r, pad_c), mode="edge")
-    tmp = sum(BLUR_KERNEL[k] * region[:, k:k + window] for k in range(5))
-    out = sum(BLUR_KERNEL[k] * tmp[k:k + window, :] for k in range(5))
-    return out
+    offsets = np.arange(window + 2 * BLUR_MARGIN) - window // 2 - BLUR_MARGIN
+    bits = np.empty((len(rows), blocks * blocks, side * side - 1), dtype=bool)
+    for lo in range(0, len(rows), CENSUS_BLOCK):
+        r = np.add.outer(rows[lo:lo + CENSUS_BLOCK], offsets).clip(0, h - 1)
+        c = np.add.outer(cols[lo:lo + CENSUS_BLOCK], offsets).clip(0, w - 1)
+        region = raster.pixels[r[:, :, None], c[:, None, :]].astype(np.int32)
+        tmp = sum(k * region[:, :, i:i + window]
+                  for i, k in enumerate(BLUR_KERNEL))
+        filtered = sum(k * tmp[:, i:i + window]
+                       for i, k in enumerate(BLUR_KERNEL))
+        grid = filtered.reshape(-1, blocks, side, blocks, side).transpose(
+            0, 1, 3, 2, 4).reshape(-1, blocks * blocks, side * side)
+        bits[lo:lo + CENSUS_BLOCK] = np.delete(
+            grid < grid[:, :, center, None], center, axis=2)
+    return bits
 
 
 def mbcensus_descriptor(
     raster: Raster, p: ImagePoint, window: int = 27, blocks: int = 3
 ) -> MBCensusDescriptor:
-    """Multi-block census descriptor at (rounded) position ``p``.
-
-    The window is filtered, split into a blocks x blocks grid, and each
-    block is census-transformed against its own center pixel (bit 1 where
-    a pixel is strictly less than the center), concatenated in raster
-    order with the center position dropped.
+    """Multi-block census descriptor at (rounded) position ``p``: the
+    one-window case of :func:`census_bits`.
 
     Raises:
         WindowOutOfBounds: the window does not fit inside the raster.
+        ValueError: window is not a positive multiple of blocks.
     """
-    if window % blocks != 0:
-        raise ValueError("window must divide evenly into blocks")
-    row = int(round(p.row))
-    col = int(round(p.col))
-    filtered = _blurred_window(raster, row, col, window)
-    side = window // blocks
-    grid = filtered.reshape(blocks, side, blocks, side).transpose(0, 2, 1, 3)
-    flat = grid.reshape(blocks * blocks, side * side)
-    centers = flat[:, (side // 2) * side + side // 2]
-    bits = (flat < centers[:, None]).astype(np.uint8)
-    bits = np.delete(bits, (side // 2) * side + side // 2, axis=1)
+    row, col, half = int(round(p.row)), int(round(p.col)), window // 2
+    if not (half <= row < raster.height - half
+            and half <= col < raster.width - half):
+        raise WindowOutOfBounds(f"window of {window} px at ({row}, {col}) "
+                                "leaves the raster")
+    bits = census_bits(raster, [row], [col], window, blocks)[0]
     return MBCensusDescriptor(bits=bits, window=window, blocks=blocks)
 
 
@@ -469,88 +479,75 @@ def match_pair(
 
     Detection is rerun unless precomputed features are supplied.
     """
-    if left_features is None:
-        left_features = detect_corners(left.raster, params.fast_threshold,
-                                       params.nms_radius)
-    if right_features is None:
-        right_features = detect_corners(right.raster, params.fast_threshold,
-                                        params.nms_radius)
     margin = params.window // 2 + BLUR_MARGIN
 
-    def usable(features: list[Feature], raster: Raster) -> list[Feature]:
-        out = []
-        for f in features:
-            r, c = int(round(f.position.row)), int(round(f.position.col))
-            if (margin <= r < raster.height - margin
-                    and margin <= c < raster.width - margin):
-                out.append(f)
-        return out
+    def usable(features: list[Feature] | None, raster: Raster):
+        """The features (detected unless given) whose window and filter
+        apron fit inside the raster, their positions and census bits."""
+        if features is None:
+            features = detect_corners(raster, params.fast_threshold,
+                                      params.nms_radius)
+        pos = np.array([(f.position.row, f.position.col) for f in features],
+                       dtype=np.float64).reshape(-1, 2)
+        pix = np.round(pos).astype(np.intp)
+        fits = ((margin <= pix)
+                & (pix < (raster.height - margin, raster.width - margin)))
+        keep = np.flatnonzero(fits.all(axis=1))
+        return ([features[k] for k in keep], pos[keep],
+                census_bits(raster, *pix[keep].T, params.window,
+                            params.blocks))
 
-    left_use = usable(left_features, left.raster)
-    right_use = usable(right_features, right.raster)
+    left_use, left_pos, left_bits = usable(left_features, left.raster)
+    right_use, right_pos, right_bits = usable(right_features, right.raster)
     if not left_use or not right_use:
         return []
 
-    left_desc = [mbcensus_descriptor(left.raster, f.position,
-                                     params.window, params.blocks)
-                 for f in left_use]
-    right_desc = [mbcensus_descriptor(right.raster, f.position,
-                                      params.window, params.blocks)
-                  for f in right_use]
-    right_pos = np.array([(f.position.row, f.position.col)
-                          for f in right_use])
-
     min_h = left.rpc.hei_off - left.rpc.hei_scale
     max_h = left.rpc.hei_off + left.rpc.hei_scale
-
-    points = np.array([(f.position.row, f.position.col) for f in left_use])
     curves = []
-    for lo in range(0, len(points), CURVE_BLOCK):
-        curves += epipolar_curves(points[lo:lo + CURVE_BLOCK], left, right,
+    for lo in range(0, len(left_pos), CURVE_BLOCK):
+        curves += epipolar_curves(left_pos[lo:lo + CURVE_BLOCK], left, right,
                                   min_h, max_h)[0]
 
-    tentative = []  # (left feature, right feature, score, displacement)
-    for fl, dl, vertices in zip(left_use, left_desc, curves):
+    matches = []  # (left index, right index, score) into the usable arrays
+    disps = []
+    for i, vertices in enumerate(curves):
         if not len(vertices):
             continue
         dist, nearest = _nearest_on_polyline(right_pos, vertices)
-        candidate_idx = np.nonzero(dist <= params.epipolar_buffer_px)[0]
-        if candidate_idx.size == 0:
+        candidates = np.flatnonzero(dist <= params.epipolar_buffer_px)
+        if candidates.size == 0:
             continue
-        scores = [match_score(dl, right_desc[k]) for k in candidate_idx]
-        order = sorted(range(len(scores)),
-                       key=lambda s: (scores[s], dist[candidate_idx[s]]))
-        best = candidate_idx[order[0]]
-        best_score = scores[order[0]]
-        if len(order) > 1:
-            second_score = scores[order[1]]
-            if not best_score < params.ratio_threshold * second_score:
-                continue
-        disp = right_pos[best] - nearest[best]
-        tentative.append((fl, right_use[best], best_score, disp))
+        scores = np.count_nonzero(right_bits[candidates] != left_bits[i],
+                                  axis=(1, 2))
+        # stable: ties in score and distance keep the feature order
+        order = np.lexsort((dist[candidates], scores))
+        best = candidates[order[0]]
+        if (len(order) > 1 and not scores[order[0]]
+                < params.ratio_threshold * scores[order[1]]):
+            continue
+        matches.append((i, best, scores[order[0]]))
+        disps.append(right_pos[best] - nearest[best])
 
-    if not tentative:
+    if not matches:
         return []
 
-    disps = np.array([t[3] for t in tentative])
-    median = np.median(disps, axis=0)
+    il, ir, scores = np.array(matches).T
+    median = np.median(np.array(disps), axis=0)
     # The curves assume zero right bias; observed rights sit at curve +
     # displacement, so the compensating right-image bias is minus the
     # median displacement.
     comp = BiasCorrection(-float(median[0]), -float(median[1]))
 
-    pl = np.array([(t[0].position.row, t[0].position.col)
-                   for t in tentative])
-    pr = np.array([(t[1].position.row, t[1].position.col)
-                   for t in tentative])
+    pl, pr = left_pos[il], right_pos[ir]
     errors = np.concatenate([
         _reprojection_errors(left, right, comp, pl[lo:lo + MATCH_BLOCK],
                              pr[lo:lo + MATCH_BLOCK])
         for lo in range(0, len(pl), MATCH_BLOCK)])
-    return [Correspondence(left=fl, right=fr, score=score,
-                           left_image=left.image_id,
-                           right_image=right.image_id)
-            for (fl, fr, score, _), error in zip(tentative, errors)
+    return [Correspondence(left_use[i], right_use[j], score, left.image_id,
+                           right.image_id)
+            for i, j, score, error in zip(il.tolist(), ir.tolist(),
+                                          scores.tolist(), errors)
             if error <= params.reproj_filter_px]
 
 

@@ -289,6 +289,30 @@ def test_malformed_pgm_exits_2_without_traceback(dataset, tmp_path, capsys):
         assert "data error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_bad_census_knobs_exit_2_before_rectifying(dataset, tmp_path, capsys,
+                                                   source):
+    """A window that blocks do not divide, no blocks or a negative window
+    are data errors found before any stage runs."""
+    for k, (key, value) in enumerate([("window", "28"), ("blocks", "0"),
+                                      ("window", "-27")]):
+        with pytest.raises(ConfigInvalid):
+            PipelineConfig(**{key: int(value)})
+        if source == "flags":
+            extra = [f"--{key}", value]
+        else:
+            cfg = tmp_path / f"bad_{k}.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            extra = ["--config", str(cfg)]
+        out = tmp_path / f"o{k}"
+        capsys.readouterr()
+        assert main(["pipeline", *stems(dataset), "--out", str(out),
+                     *extra]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert not (out / "products").exists()
+
+
 def test_exit_3_on_rank_deficient_network(tmp_path):
     # Exactly parallel cameras: the constant-bias free network loses the
     # translation datum entirely, so the solver must report deficiency.

@@ -18,6 +18,9 @@ from satadjust.errors import (
     WindowOutOfBounds,
 )
 from satadjust.match import (
+    BLUR_KERNEL,
+    BLUR_MARGIN,
+    CENSUS_BLOCK,
     FAST_ARC,
     FAST_CIRCLE,
     MAX_CURVE_SAMPLES,
@@ -26,6 +29,7 @@ from satadjust.match import (
     MatchParams,
     _nearest_on_polyline,
     _reprojection_errors,
+    census_bits,
     detect_corners,
     epipolar_curve,
     epipolar_curves,
@@ -257,6 +261,96 @@ def test_descriptor_window_must_fit():
         mbcensus_descriptor(raster, ImagePoint(5.0, 15.0))
 
 
+def blurred_window(raster: Raster, row: int, col: int,
+                   window: int) -> np.ndarray:
+    """Filtered window of one pixel, values scaled by 256: the apron is
+    cut at the raster and edge-replicated by ``np.pad``."""
+    half = window // 2
+    h, w = raster.pixels.shape
+    r_lo, r_hi = row - half - BLUR_MARGIN, row + half + BLUR_MARGIN + 1
+    c_lo, c_hi = col - half - BLUR_MARGIN, col + half + BLUR_MARGIN + 1
+    pad_r = (max(0, -r_lo), max(0, r_hi - h))
+    pad_c = (max(0, -c_lo), max(0, c_hi - w))
+    region = raster.pixels[max(r_lo, 0):min(r_hi, h),
+                           max(c_lo, 0):min(c_hi, w)].astype(np.int64)
+    if any(pad_r) or any(pad_c):
+        region = np.pad(region, (pad_r, pad_c), mode="edge")
+    tmp = sum(k * region[:, i:i + window] for i, k in enumerate(BLUR_KERNEL))
+    return sum(k * tmp[i:i + window, :] for i, k in enumerate(BLUR_KERNEL))
+
+
+def census_oracle(raster: Raster, row: int, col: int, window: int,
+                  blocks: int) -> np.ndarray:
+    """Census bits of one window, block by block."""
+    side = window // blocks
+    filtered = blurred_window(raster, row, col, window)
+    center = (side // 2) * side + side // 2
+    out = []
+    for br in range(blocks):
+        for bc in range(blocks):
+            block = filtered[br * side:(br + 1) * side,
+                             bc * side:(bc + 1) * side].reshape(-1)
+            out.append(np.delete(block < block[center], center))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("window, blocks", [(27, 3), (21, 3)])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_census_bits_equal_per_window_oracle(dtype, window, blocks):
+    gen = np.random.default_rng(11)
+    h, w = 61, 74
+    raster = Raster(gen.integers(0, np.iinfo(dtype).max + 1, (h, w))
+                    .astype(dtype))
+    half = window // 2
+    # the window fits; its apron leaves the raster on every side and at
+    # every corner, by one and by two pixels
+    edge_rows = [half, half + 1, h // 2, h - half - 2, h - half - 1]
+    edge_cols = [half, half + 1, w // 2, w - half - 2, w - half - 1]
+    rows, cols = (a.reshape(-1) for a in np.meshgrid(edge_rows, edge_cols))
+    # enough interior windows to fill more than one block
+    n = CENSUS_BLOCK + 50
+    rows = np.concatenate([rows, gen.integers(half, h - half, n)])
+    cols = np.concatenate([cols, gen.integers(half, w - half, n)])
+    bits = census_bits(raster, rows, cols, window, blocks)
+    side = window // blocks
+    assert bits.shape == (len(rows), blocks * blocks, side * side - 1)
+    for k, (r, c) in enumerate(zip(rows, cols)):
+        expected = census_oracle(raster, int(r), int(c), window, blocks)
+        np.testing.assert_array_equal(bits[k], expected)
+        one = mbcensus_descriptor(raster, ImagePoint(float(r), float(c)),
+                                  window, blocks)
+        np.testing.assert_array_equal(one.bits, expected)
+
+
+def test_census_bits_memory_is_bounded():
+    gen = np.random.default_rng(12)
+    raster = Raster(gen.integers(0, 256, (2000, 2000)).astype(np.uint8))
+    rows, cols = gen.integers(15, 1985, (2, 20_000))
+    tracemalloc.start()
+    try:
+        bits = census_bits(raster, rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 14.4 MB of bits; the temporaries of one block of windows take about
+    # 5 MB, whatever the number of windows
+    assert peak < bits.nbytes + 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("field, value", [
+    ("window", 28), ("window", -27), ("window", 0), ("blocks", 0),
+    ("blocks", -3), ("window", float("nan")), ("epipolar_buffer_px", 0.0),
+    ("ratio_threshold", float("inf")), ("nms_radius", float("nan")),
+])
+def test_match_params_reject_bad_values(field, value):
+    with pytest.raises(ValueError):
+        MatchParams(**{field: value})
+    if field in ("window", "blocks"):
+        with pytest.raises(ValueError):
+            census_bits(Raster(np.zeros((40, 40), dtype=np.uint8)), [20],
+                        [20], **{"window": 27, "blocks": 3, field: value})
+
+
 # ---------------------------------------------------------------------------
 # Epipolar curves
 # ---------------------------------------------------------------------------
@@ -445,6 +539,102 @@ def test_degenerate_triangulation_drops_only_that_match(stereo, monkeypatch):
 def test_select_pairs_by_overlap(stereo):
     _, products = stereo
     assert select_pairs(products) == [(0, 1)]
+
+
+def match_pair_oracle(left, right, params, left_features, right_features):
+    """match_pair one left feature at a time: one descriptor and one
+    match_score call per candidate, ranked by sorted() on (score,
+    distance to the curve)."""
+    margin = params.window // 2 + 2
+
+    def usable(features, raster):
+        return [f for f in features
+                if margin <= round(f.position.row) < raster.height - margin
+                and margin <= round(f.position.col) < raster.width - margin]
+
+    left_use = usable(left_features, left.raster)
+    right_use = usable(right_features, right.raster)
+    right_desc = [mbcensus_descriptor(right.raster, f.position,
+                                      params.window, params.blocks)
+                  for f in right_use]
+    right_pos = np.array([(f.position.row, f.position.col)
+                          for f in right_use])
+    min_h = left.rpc.hei_off - left.rpc.hei_scale
+    max_h = left.rpc.hei_off + left.rpc.hei_scale
+    curves, _ = epipolar_curves(
+        [(f.position.row, f.position.col) for f in left_use], left, right,
+        min_h, max_h)
+    tentative = []
+    for fl, vertices in zip(left_use, curves):
+        if not len(vertices):
+            continue
+        dl = mbcensus_descriptor(left.raster, fl.position, params.window,
+                                 params.blocks)
+        dist, nearest = _nearest_on_polyline(right_pos, vertices)
+        candidates = np.nonzero(dist <= params.epipolar_buffer_px)[0]
+        if candidates.size == 0:
+            continue
+        scores = [match_score(dl, right_desc[k]) for k in candidates]
+        order = sorted(range(len(scores)),
+                       key=lambda s: (scores[s], dist[candidates[s]]))
+        best = candidates[order[0]]
+        if (len(order) > 1 and not scores[order[0]]
+                < params.ratio_threshold * scores[order[1]]):
+            continue
+        tentative.append((fl, right_use[best], scores[order[0]],
+                          right_pos[best] - nearest[best]))
+    if not tentative:
+        return []
+    median = np.median(np.array([t[3] for t in tentative]), axis=0)
+    comp = BiasCorrection(-float(median[0]), -float(median[1]))
+    errors = _reprojection_errors(
+        left, right, comp,
+        np.array([(t[0].position.row, t[0].position.col)
+                  for t in tentative]),
+        np.array([(t[1].position.row, t[1].position.col)
+                  for t in tentative]))
+    return [Correspondence(fl, fr, score, left.image_id, right.image_id)
+            for (fl, fr, score, _), error in zip(tentative, errors)
+            if error <= params.reproj_filter_px]
+
+
+@pytest.mark.parametrize("ratio", [0.6, 1.5])
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_match_pair_equals_per_feature_oracle(stereo, duplicates, ratio):
+    _, products = stereo
+    left, right = products
+    params = MatchParams(ratio_threshold=ratio)
+    left_features = detect_corners(left.raster)
+    right_features = detect_corners(right.raster)
+    if duplicates:
+        # Copies on the same pixel tie in score: one moved off the pixel
+        # centre ties in score only, so the distance to the curve ranks
+        # it; one at the same position ties in distance too, so the
+        # order ranks it.  The corner scores tell the copies apart.
+        sign = np.resize([1.0, -1.0], len(right_features))
+        right_features = [Feature(f.position, f.score + 2.0)
+                          for f in right_features] + right_features + [
+            Feature(ImagePoint(f.position.row + 0.3 * s,
+                               f.position.col - 0.2 * s), f.score + 1.0)
+            for f, s in zip(right_features, sign)]
+    corrs = match_pair(left, right, params, left_features=left_features,
+                       right_features=right_features)
+    expected = match_pair_oracle(left, right, params, left_features,
+                                 right_features)
+    assert corrs == expected
+    if not duplicates:
+        assert len(corrs) > 50
+    elif ratio < 1:
+        # tied candidates fail the ratio test
+        assert corrs == []
+    else:
+        # the moved copy wins where it is closer to the curve, the copy
+        # placed first wherever the distances tie
+        n = len(right_features) // 3
+        first = set(right_features[:n])
+        moved = set(right_features[2 * n:])
+        assert {c.right in first for c in corrs} == {True, False}
+        assert all(c.right in first or c.right in moved for c in corrs)
 
 
 def test_match_pair_recall_and_zero_mismatches(stereo):
