@@ -52,6 +52,8 @@ class PipelineConfig:
                 raise ConfigInvalid(f"{name} must be positive and finite")
         if self.max_iter < 1 or self.threads < 1:
             raise ConfigInvalid("max_iter and threads must be >= 1")
+        if self.nodata < 0:
+            raise ConfigInvalid("nodata must be >= 0")
         try:
             self.match_params()
         except ValueError as exc:

@@ -158,12 +158,16 @@ def _segment_test(px: np.ndarray, r0: int, r1: int, threshold: float):
     """Corners and their scores among the pixels of rows r0..r1, the
     3-pixel border excluded.
 
-    The 16 brighter and the 16 darker comparisons of each pixel are
-    packed into two 16-bit codes, both looked up in a table of the codes
-    that hold a 9-long circular run; only the pixels that pass are
-    scored, by the minimum over each circular 9-window of their ring.
-    Differences of 8-bit pixels fit in int16, and an integer difference
-    exceeds the threshold exactly when it exceeds its floor.
+    Any 9 contiguous ring pixels hold two compass pixels (ring positions
+    0, 4, 8 and 12) four apart, so a pixel can pass only if some adjacent
+    compass pair is both brighter, or both darker, than its threshold.
+    That pre-test is the only work done on every pixel.  The survivors'
+    16 brighter and 16 darker ring comparisons are packed into two 16-bit
+    codes, both looked up in a table of the codes that hold a 9-long
+    circular run; the pixels that pass are scored by the minimum over
+    each circular 9-window of their ring.  Differences of 8-bit pixels
+    fit in int16, and an integer difference exceeds the threshold exactly
+    when it exceeds its floor.
 
     Returns:
         ``(rows, cols, scores)`` arrays, in raster order.
@@ -174,24 +178,30 @@ def _segment_test(px: np.ndarray, r0: int, r1: int, threshold: float):
     w = px.shape[1]
     center = px[r0:r1, 3:w - 3]
     diff = np.empty(center.shape, dtype=diff_type)
-    test = np.empty(center.shape, dtype=bool)
-    bright = np.zeros(center.shape, dtype=np.uint16)
-    dark = np.zeros(center.shape, dtype=np.uint16)
-    for k, (dr, dc) in enumerate(FAST_CIRCLE):
+    bright, dark = [], []
+    for dr, dc in FAST_CIRCLE[::4]:
         np.subtract(px[r0 + dr:r1 + dr, 3 + dc:w - 3 + dc], center, out=diff,
                     dtype=diff_type)
-        bit = np.uint16(1 << k)
-        np.greater(diff, t, out=test)
-        np.bitwise_or(bright, bit, out=bright, where=test)
-        np.less(diff, -t, out=test)
-        np.bitwise_or(dark, bit, out=dark, where=test)
-    rows, cols = np.nonzero(_ARC_TABLE[bright] | _ARC_TABLE[dark])
+        bright.append(diff > t)
+        dark.append(diff < -t)
+    # both pixels of a compass pair (0, 4), (4, 8), (8, 12) or (12, 0)
+    rows, cols = np.nonzero(
+        ((bright[0] | bright[2]) & (bright[1] | bright[3]))
+        | ((dark[0] | dark[2]) & (dark[1] | dark[3])))
     rows += r0
     cols += 3
 
-    ring = np.subtract(px[rows[:, None] + FAST_CIRCLE[:, 0],
-                          cols[:, None] + FAST_CIRCLE[:, 1]],
-                       px[rows, cols][:, None], dtype=diff_type)
+    flat = px.ravel()
+    at = rows * w + cols
+    ring = np.empty((len(at), len(FAST_CIRCLE)), dtype=diff_type)
+    for k, (dr, dc) in enumerate(FAST_CIRCLE):
+        ring[:, k] = flat.take(at + (dr * w + dc))
+    ring -= flat.take(at)[:, None]
+    codes = [np.packbits(test, axis=1, bitorder="little").view("<u2")[:, 0]
+             for test in (ring > t, ring < -t)]
+    arc = _ARC_TABLE[codes[0]] | _ARC_TABLE[codes[1]]
+    rows, cols, ring = rows[arc], cols[arc], ring[arc]
+
     signed = np.stack([ring, -ring], axis=1)
     arcs = signed
     for k in range(1, FAST_ARC):
@@ -210,7 +220,9 @@ def detect_corners(
     circle are all brighter or all darker than the center by more than
     ``threshold``; the score is the largest threshold at which the test
     still passes.  Suppression keeps the strongest feature within
-    ``nms_radius`` (ties broken by position for determinism).
+    ``nms_radius`` (ties broken by position for determinism), testing
+    each candidate only against the kept features of the nearby grid
+    cells.
 
     The test runs in row tiles of about FAST_TILE_PIXELS pixels
     (:func:`_segment_test`), so its memory does not grow with the
@@ -225,20 +237,22 @@ def detect_corners(
         _segment_test(px, r0, min(r0 + tile, h - 3), threshold)
         for r0 in range(3, h - 3, tile))))
     order = np.lexsort((cols, rows, -scores))
-    scored = zip(scores[order].tolist(), rows[order].tolist(),
-                 cols[order].tolist())
-
+    # Kept features are bucketed in square cells no narrower than the
+    # radius, so any within it of a candidate lie in the 3x3 cells around
+    # the candidate's own.
+    side = max(abs(nms_radius), 1.0)
+    stride = w + 3
+    cell = (rows // side) * stride + cols // side
+    near = [dr * stride + dc for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
     kept: list[Feature] = []
-    kept_rc = np.empty((len(order), 2))
+    cells: dict[float, list[tuple[int, int]]] = {}
     r2 = nms_radius * nms_radius
-    for score, r, c in scored:
-        n = len(kept)
-        if n:
-            d2 = (kept_rc[:n, 0] - r) ** 2 + (kept_rc[:n, 1] - c) ** 2
-            if float(d2.min()) <= r2:
-                continue
-        kept_rc[n] = r, c
-        kept.append(Feature(ImagePoint(float(r), float(c)), score))
+    for score, r, c, key in zip(scores[order].tolist(), rows[order].tolist(),
+                                cols[order].tolist(), cell[order].tolist()):
+        if not any((kr - r) ** 2 + (kc - c) ** 2 <= r2 for d in near
+                   for kr, kc in cells.get(key + d, ())):
+            cells.setdefault(key, []).append((r, c))
+            kept.append(Feature(ImagePoint(float(r), float(c)), score))
     return kept
 
 

@@ -14,7 +14,8 @@ class Raster:
     """Row-major 8- or 16-bit intensity grid with a reserved nodata value.
 
     Resampling never produces ``nodata`` from valid data; the value is the
-    fill for pixels that fall outside the source footprint.
+    fill for pixels that fall outside the source footprint, so it must be
+    a sample value of the data type (``ValueError`` otherwise).
     """
 
     pixels: np.ndarray
@@ -26,6 +27,9 @@ class Raster:
             raise ValueError("raster pixels must be a 2-D array")
         if self.pixels.dtype not in (np.uint8, np.uint16):
             raise ValueError("raster dtype must be uint8 or uint16")
+        if not 0 <= self.nodata <= self.max_value:
+            raise ValueError(f"nodata {self.nodata} is outside the sample "
+                             f"range [0, {self.max_value}]")
 
     @property
     def height(self) -> int:
@@ -49,39 +53,43 @@ def bilinear_sample(raster: Raster, rows, cols):
     Returns:
         (values, valid): float64 samples and a boolean mask.  A sample is
         valid only if its four neighbors are inside the raster and none of
-        them carries the nodata value.
+        them carries the nodata value.  Invalid samples hold arbitrary
+        values.
+
+    Each neighbour is gathered into one reused buffer, tested against
+    nodata and weighted into the sum in place, in the operation order of
+    ``q00*gr*gc + q01*gr*fc + q10*fr*gc + q11*fr*fc``.
     """
     rows = np.asarray(rows, dtype=np.float64)
     cols = np.asarray(cols, dtype=np.float64)
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
-    inside = (
-        (r0 >= 0) & (r0 + 1 <= raster.height - 1)
-        & (c0 >= 0) & (c0 + 1 <= raster.width - 1)
-    )
-    r0c = np.clip(r0, 0, raster.height - 2)
-    c0c = np.clip(c0, 0, raster.width - 2)
-    fr = rows - r0
-    fc = cols - c0
-
-    # each neighbour is gathered once, from the flat pixel array, and
-    # serves both the interpolation and the nodata test
-    flat = raster.pixels.ravel()
-    i00 = r0c * raster.width + c0c
-    q00 = flat.take(i00)
-    q01 = flat.take(i00 + 1)
-    q10 = flat.take(i00 + raster.width)
-    q11 = flat.take(i00 + raster.width + 1)
-
+    h, w = raster.height, raster.width
+    fr = np.floor(rows)
+    fc = np.floor(cols)
+    valid = (fr >= 0) & (fr <= h - 2) & (fc >= 0) & (fc <= w - 2)
+    # flat index of the top-left neighbour, clipped so that every gather
+    # stays inside the raster
+    i00 = fr.astype(np.int64)
+    np.clip(i00, 0, h - 2, out=i00)
+    i00 *= w
+    i00 += np.clip(fc.astype(np.int64), 0, w - 2)
+    np.subtract(rows, fr, out=fr)
+    np.subtract(cols, fc, out=fc)
     gr, gc = 1 - fr, 1 - fc
-    values = q00 * gr * gc + q01 * gr * fc + q10 * fr * gc + q11 * fr * fc
-    no_data_touch = (
-        (q00 == raster.nodata)
-        | (q01 == raster.nodata)
-        | (q10 == raster.nodata)
-        | (q11 == raster.nodata)
-    )
-    valid = inside & ~no_data_touch
+
+    flat = raster.pixels.ravel()
+    q = np.empty(i00.shape, dtype=flat.dtype)
+    touch = np.empty(i00.shape, dtype=bool)
+    term = np.empty(i00.shape)
+    # starting from zero adds nothing: every term of a valid sample is >= +0
+    values = np.zeros(i00.shape)
+    for offset, wr, wc in ((0, gr, gc), (1, gr, fc), (w, fr, gc),
+                           (w + 1, fr, fc)):
+        flat[offset:].take(i00, out=q, mode="clip")
+        np.not_equal(q, raster.nodata, out=touch)
+        valid &= touch
+        np.multiply(q, wr, out=term)
+        term *= wc
+        values += term
     return values, valid
 
 
@@ -97,7 +105,12 @@ def write_pgm(raster: Raster, path) -> None:
 
 
 def read_pgm(path, nodata: int = 0) -> Raster:
-    """Read a binary PGM (P5) written by :func:`write_pgm` or compatible."""
+    """Read a binary PGM (P5) written by :func:`write_pgm` or compatible.
+
+    Raises:
+        ParseError: a malformed or truncated file, or a ``nodata`` value
+            outside the sample range of the file's data type.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(b"P5"):
@@ -137,4 +150,7 @@ def read_pgm(path, nodata: int = 0) -> Raster:
         pixels = pixels.astype(np.uint16)
     else:
         pixels = pixels.copy()
-    return Raster(pixels=pixels, nodata=nodata)
+    try:
+        return Raster(pixels=pixels, nodata=nodata)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None

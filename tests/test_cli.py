@@ -83,6 +83,8 @@ def test_pipeline_config_rejects_bad_values():
         PipelineConfig(threads=0)
     with pytest.raises(ConfigInvalid):
         PipelineConfig(ratio_threshold=-1.0)
+    with pytest.raises(ConfigInvalid):
+        PipelineConfig(nodata=-1)
     for value in (float("nan"), float("inf")):
         with pytest.raises(ConfigInvalid):
             PipelineConfig(epipolar_buffer_px=value)
@@ -262,7 +264,8 @@ def test_exit_2_on_data_errors(dataset, pipeline_out, tmp_path):
     # malformed numbers in a product sidecar; the third puts the minimum
     # latitude of the footprint above its maximum
     for k, line in enumerate(["SAMP_SCALE: -1.0", "NODATA: nan",
-                              "FOOTPRINT_MIN_LAT: 90.0", "LAT_OFF: nan"]):
+                              "FOOTPRINT_MIN_LAT: 90.0", "LAT_OFF: nan",
+                              "NODATA: 300"]):
         bad = tmp_path / f"bad_meta_{k}"
         shutil.copytree(pipeline_out / "products", bad)
         meta = bad / "img_000.meta"
@@ -311,6 +314,23 @@ def test_bad_census_knobs_exit_2_before_rectifying(dataset, tmp_path, capsys,
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
         assert not (out / "products").exists()
+
+
+@pytest.mark.parametrize("nodata", ["300", "-1"])
+def test_out_of_range_nodata_exits_2_before_rectifying(dataset, tmp_path,
+                                                       capsys, nodata):
+    """A nodata value that 8-bit samples cannot hold used to be written as
+    data-looking fill (300 as 44, -1 as 255); it is a data error found
+    before any product is written."""
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["pipeline", *stems(dataset), "--out", str(out),
+                 "--nodata", nodata]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+    assert not (out / "products").exists()
+    if nodata == "300":
+        assert "img_000.pgm" in err and "[0, 255]" in err
 
 
 def test_exit_3_on_rank_deficient_network(tmp_path):

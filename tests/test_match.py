@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import satadjust.match as match_mod
 import satadjust.rpc as rpc_mod
 from satadjust.errors import (
     ConfigMismatch,
@@ -189,6 +190,29 @@ def test_detect_corners_equals_per_pixel_oracle(dtype, threshold):
     features = detect_corners(raster, threshold, 5.0)
     assert len(features) > 5
     assert features == detect_corners_oracle(raster, threshold, 5.0)
+
+
+@pytest.mark.parametrize("nms_radius", [1.5, 5.0])
+def test_detect_corners_dense_equals_per_pixel_oracle(nms_radius):
+    """Full-range noise: 2,734 candidates, of which NMS suppresses about
+    half at radius 1.5 and nine tenths at radius 5, many on equal
+    scores."""
+    gen = np.random.default_rng(10)
+    raster = Raster(gen.integers(0, 256, (110, 110)).astype(np.uint8))
+    features = detect_corners(raster, 20.0, nms_radius)
+    assert len(features) > 200
+    assert features == detect_corners_oracle(raster, 20.0, nms_radius)
+
+
+def test_detect_corners_is_tile_independent(stereo, monkeypatch):
+    """The compass pre-test and the ring gathers near tile borders: one
+    row per tile and the whole raster in one tile find the same corners."""
+    raster = stereo[1][0].raster
+    default = detect_corners(raster)
+    assert default
+    for tile in (1, raster.pixels.size):
+        monkeypatch.setattr(match_mod, "FAST_TILE_PIXELS", tile)
+        assert detect_corners(raster) == default
 
 
 def test_detect_corners_memory_is_bounded(stereo):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -272,12 +273,68 @@ def _rectify_exact(image, rpc, plane, product):
     return out.astype(image.pixels.dtype)
 
 
+def _bilinear_oracle(raster, r, c):
+    """One sample in scalar arithmetic, None where it is not valid."""
+    r0, c0 = math.floor(r), math.floor(c)
+    if not (0 <= r0 <= raster.height - 2 and 0 <= c0 <= raster.width - 2):
+        return None
+    q00, q01, q10, q11 = (int(raster.pixels[r0 + dr, c0 + dc])
+                          for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    if raster.nodata in (q00, q01, q10, q11):
+        return None
+    fr, fc = r - r0, c - c0
+    gr, gc = 1 - fr, 1 - fc
+    return q00 * gr * gc + q01 * gr * fc + q10 * fr * gc + q11 * fr * fc
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_bilinear_sample_equals_scalar_oracle(dtype):
+    gen = np.random.default_rng(4)
+    top = int(np.iinfo(dtype).max)
+    px = gen.integers(0, top + 1, (9, 12))
+    nodata = 7
+    px[px == nodata] = nodata + 1
+    px[4, 5] = nodata
+    raster = Raster(px.astype(dtype), nodata=nodata)
+    # the nodata pixel (4, 5) as the top-left, top-right, bottom-left and
+    # bottom-right neighbour; the last valid row and column; integer
+    # knots; negative positions and positions beyond the edge
+    edges = [(4.3, 5.6), (4.3, 4.6), (3.3, 5.6), (3.3, 4.6),
+             (7.999, 10.5), (7.5, 10.999), (7.0, 10.0), (8.0, 3.0),
+             (3.0, 11.0), (2.0, 3.0), (0.0, 0.0), (4.0, 5.0), (-0.001, 2.0),
+             (2.0, -0.5), (-3.0, -3.0), (20.0, 3.0), (3.0, 1e6), (-1e6, 0.0)]
+    rows = np.concatenate([[r for r, _ in edges], gen.uniform(-1.5, 9.5, 400)])
+    cols = np.concatenate([[c for _, c in edges], gen.uniform(-1.5, 12.5, 400)])
+    values, valid = bilinear_sample(raster, rows.reshape(-1, 2),
+                                    cols.reshape(-1, 2))
+    expect = [_bilinear_oracle(raster, r, c) for r, c in zip(rows, cols)]
+    np.testing.assert_array_equal(valid.ravel(),
+                                  [e is not None for e in expect])
+    assert values[valid].tolist() == [e for e in expect if e is not None]
+    assert not valid.ravel()[:4].any() and valid.ravel()[4:7].all()
+
+
 def test_rectify_equals_exact_per_pixel_oracle(rectified_pair):
     scene, products = rectified_pair
     for im, product in zip(scene.images, products):
         np.testing.assert_array_equal(
             product.raster.pixels,
             _rectify_exact(im.raster, im.rpc, scene.plane_height, product))
+
+
+def test_rectify_is_tile_independent(rendered_scene, monkeypatch):
+    """One output row per tile and the whole image in one tile give the
+    pixels of the default tiling."""
+    im = rendered_scene.images[0]
+
+    def pixels():
+        return rectify_image(im.raster, im.rpc, rendered_scene.plane_height,
+                             1.0).raster.pixels
+
+    default = pixels()
+    for tile in (1, default.size):
+        monkeypatch.setattr(rectify, "TILE_PIXELS", tile)
+        np.testing.assert_array_equal(pixels(), default)
 
 
 def test_rectify_memory_is_bounded(rendered_scene):
