@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,34 +105,29 @@ def write_pgm(raster: Raster, path) -> None:
         fh.write(data.tobytes())
 
 
-def read_pgm(path, nodata: int = 0) -> Raster:
-    """Read a binary PGM (P5) written by :func:`write_pgm` or compatible.
-
-    Raises:
-        ParseError: a malformed or truncated file, or a ``nodata`` value
-            outside the sample range of the file's data type.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(b"P5"):
+def _pgm_header(fh, path) -> tuple[int, int, int]:
+    """(width, height, maxval) of a binary PGM, read byte by byte so that
+    ``fh`` is left at the first byte of the pixel data."""
+    if fh.read(2) != b"P5":
         raise ParseError(f"{path}: not a binary PGM (P5) file")
     # Header: magic, width, height, maxval; '#' comments allowed.
-    tokens: list[bytes] = []
-    pos = 2
+    tokens: list[bytearray] = []
+    byte = fh.read(1)
     while len(tokens) < 3:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":
-            while pos < len(blob) and blob[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        if byte == b"#":
+            while byte not in (b"\n", b""):
+                byte = fh.read(1)
+        elif byte.isspace():
+            byte = fh.read(1)
+        elif not byte:
             raise ParseError(f"{path}: truncated PGM header")
-        tokens.append(blob[start:pos])
-    pos += 1  # single whitespace byte after maxval
+        else:
+            token = bytearray()
+            while byte and not byte.isspace():
+                token += byte
+                byte = fh.read(1)
+            tokens.append(token)
+    # the single whitespace byte after maxval has been read with it
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
@@ -140,16 +136,31 @@ def read_pgm(path, nodata: int = 0) -> Raster:
         raise ParseError(f"{path}: PGM size {width} x {height} is empty")
     if maxval <= 0 or maxval > 65535:
         raise ParseError(f"{path}: unsupported PGM maxval {maxval}")
-    dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
-    count = width * height
-    if len(blob) - pos < count * dtype.itemsize:
-        raise ParseError(f"{path}: PGM pixel data truncated")
-    data = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
-    pixels = data.reshape(height, width)
-    if maxval >= 256:
-        pixels = pixels.astype(np.uint16)
-    else:
-        pixels = pixels.copy()
+    return width, height, maxval
+
+
+def read_pgm(path, nodata: int = 0) -> Raster:
+    """Read a binary PGM (P5) written by :func:`write_pgm` or compatible.
+
+    The pixel data is read straight into the returned array, so reading
+    holds one copy of the image.
+
+    Raises:
+        ParseError: a malformed or truncated file, or a ``nodata`` value
+            outside the sample range of the file's data type.
+    """
+    with open(path, "rb") as fh:
+        width, height, maxval = _pgm_header(fh, path)
+        dtype = np.dtype(np.uint8 if maxval < 256 else np.uint16)
+        size = width * height * dtype.itemsize
+        # checked before allocating, so a corrupt size allocates nothing
+        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+            raise ParseError(f"{path}: PGM pixel data truncated")
+        pixels = np.empty((height, width), dtype=dtype)
+        if fh.readinto(memoryview(pixels).cast("B")) != size:
+            raise ParseError(f"{path}: PGM pixel data truncated")
+    if pixels.dtype == np.uint16 and not np.dtype(">u2").isnative:
+        pixels.byteswap(inplace=True)  # netpbm samples are big-endian
     try:
         return Raster(pixels=pixels, nodata=nodata)
     except ValueError as exc:

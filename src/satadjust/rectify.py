@@ -324,13 +324,60 @@ def _source_coords(grid, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     at_knot_cols = ((1.0 - r_frac) * src[:, r_cell]
                     + r_frac * src[:, r_cell + 1])
     c_cell, c_frac = _cell_weights(knot_cols, cols)
-    # in place: these two gathers are the largest arrays of a row tile
-    out = at_knot_cols[..., c_cell]
+    # in place: these two gathers are the largest arrays of a row tile.
+    # take() keeps them in C order; [..., c_cell] would put the
+    # coordinate axis innermost, and bilinear_sample runs 1.6x slower on
+    # such strided source rows and columns.
+    out = at_knot_cols.take(c_cell, axis=-1)
     out *= 1.0 - c_frac
-    right = at_knot_cols[..., c_cell + 1]
+    right = at_knot_cols.take(c_cell + 1, axis=-1)
     right *= c_frac
     out += right
     return out
+
+
+def _footprint_columns(grid, n_rows: int, n_cols: int, height: int,
+                       width: int):
+    """Per output row: the span ``[first, stop)`` of its columns whose
+    source position can fall inside a ``height`` x ``width`` image, as
+    two int arrays of length ``n_rows`` (``first >= stop`` when empty).
+
+    Along an output row the source position is linear between the knot
+    columns (see :func:`_source_coords`), so each piece is solved for
+    where 0 <= row <= height - 1 and 0 <= col <= width - 1.  Each limit
+    is widened by one source pixel and the result by one output pixel at
+    each end, so that rounding can only widen the span.  Rows are solved
+    in blocks of at most TILE_PIXELS / 8 knots, so that the temporaries,
+    about ten float64 arrays of two coordinates per knot, take no more
+    memory than a row tile's.
+    """
+    knot_cols = grid[1]
+    left, cell = knot_cols[:-1], np.diff(knot_cols)
+    low = -1.0
+    high = np.array([height, width], dtype=np.float64)[:, None, None]
+    first, stop = np.empty(n_rows), np.empty(n_rows)
+    block = max(1, TILE_PIXELS // (8 * len(knot_cols)))
+    for lo in range(0, n_rows, block):
+        rows = np.arange(lo, min(lo + block, n_rows))
+        at_knots = _source_coords(grid, rows, knot_cols)
+        start, rise = at_knots[..., :-1], np.diff(at_knots)
+        # A constant coordinate divides to -inf and +inf within its
+        # limits, to two equal infinities beyond them and to NaN exactly
+        # on one, a source pixel away from any valid position.  Pieces
+        # with a NaN end are empty, as is every position interpolated on
+        # them.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_low, t_high = (low - start) / rise, (high - start) / rise
+        enter = np.maximum(np.minimum(t_low, t_high).max(axis=0), 0.0)
+        leave = np.minimum(np.maximum(t_low, t_high).min(axis=0), 1.0)
+        hit = enter <= leave
+        first[lo:lo + block] = np.where(hit, left + enter * cell,
+                                        np.inf).min(axis=1)
+        stop[lo:lo + block] = np.where(hit, left + leave * cell,
+                                       -np.inf).max(axis=1)
+    first = np.clip(np.floor(first) - 1, 0, n_cols).astype(np.int64)
+    stop = np.clip(np.ceil(stop) + 2, 0, n_cols).astype(np.int64)
+    return first, stop
 
 
 def rectify_image(
@@ -350,12 +397,14 @@ def rectify_image(
     interpolation misses the exact source position by at most
     GRID_TOLERANCE_PX (0.01 px) at every cell centre and edge midpoint.
     Resampling runs in row tiles of at most TILE_PIXELS (2^15) output
-    pixels, each sampled by one in-place :func:`bilinear_sample` pass,
-    rounded and clipped in place and copied into the output rows where
-    valid, over a nodata fill; valid data that rounds to the nodata value
-    is written as nodata + 1.  Beyond the input and output rasters
-    a call needs about 3 MB (tracemalloc peak) at any image size, as long
-    as one output row holds at most TILE_PIXELS pixels.
+    pixels.  Each tile samples only the span of its rows whose source
+    position can fall inside the image (:func:`_footprint_columns`); the
+    rest of the output keeps its nodata fill.  The span is sampled by one
+    in-place :func:`bilinear_sample` pass, rounded and clipped in place
+    and copied into the output where valid; valid data that rounds to the
+    nodata value is written as nodata + 1.  Beyond the input and output
+    rasters a call needs about 3 MB (tracemalloc peak) at any image size,
+    as long as one output row holds at most TILE_PIXELS pixels.
 
     Raises:
         EmptyFootprint: the footprint on the plane is degenerate.
@@ -382,13 +431,18 @@ def rectify_image(
     ])
 
     grid = _source_grid(rpc, geo_transform, plane, n_rows, n_cols)
-    pixels = np.empty((n_rows, n_cols), dtype=image.pixels.dtype)
     nodata = image.nodata
-    cols = np.arange(n_cols)
+    pixels = np.full((n_rows, n_cols), nodata, dtype=image.pixels.dtype)
+    firsts, stops = _footprint_columns(grid, n_rows, n_cols, image.height,
+                                       image.width)
     tile_rows = max(1, TILE_PIXELS // n_cols)
     for lo in range(0, n_rows, tile_rows):
-        rows = np.arange(lo, min(lo + tile_rows, n_rows))
-        src_rows, src_cols = _source_coords(grid, rows, cols)
+        hi = min(lo + tile_rows, n_rows)
+        first, stop = firsts[lo:hi].min(), stops[lo:hi].max()
+        if first >= stop:
+            continue
+        src_rows, src_cols = _source_coords(grid, np.arange(lo, hi),
+                                            np.arange(first, stop))
         values, valid = bilinear_sample(image, src_rows, src_cols)
         np.rint(values, out=values)
         np.clip(values, 0, image.max_value, out=values)
@@ -396,9 +450,8 @@ def rectify_image(
         # Valid samples blend neighbours other than nodata, so they round
         # onto it only inside the range, where nodata + 1 fits the dtype.
         values[values == nodata] = nodata + 1
-        out = pixels[lo:lo + len(rows)]
-        out.fill(nodata)
-        np.copyto(out, values, casting="unsafe", where=valid)
+        np.copyto(pixels[lo:hi, first:stop], values, casting="unsafe",
+                  where=valid)
     warped = Raster(pixels, nodata=nodata)
 
     fitted = _refit_level2_rpc(rpc, bbox, plane, geo_transform)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satadjust.cli import PipelineConfig, load_config, main
 from satadjust.errors import ConfigInvalid, ParseError
@@ -378,3 +382,60 @@ def test_exit_3_on_rank_deficient_network(tmp_path):
     assert main(["adjust", "--tracks", str(track_path),
                  "--products", str(products_dir),
                  "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.fixture(scope="module")
+def adjust_inputs(tmp_path_factory):
+    """Stub products, a track file and a GCP file that adjust cleanly."""
+    d = tmp_path_factory.mktemp("fuzz")
+    scene = gen_scene(3, 12, 10.0, 0.1, seed=8)
+    metadata_products(scene, d / "products")
+    save_tracks(scene_tracks(scene), d / "tracks.txt")
+    save_gcps({j: scene.true_points[j] for j in (0, 1, 2)}, d / "gcps.txt")
+    return d
+
+
+def _mutate(text: str, kind: str, data) -> str:
+    """``text`` with one line or field changed as ``kind`` says."""
+    if kind == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    lines = text.splitlines(keepends=True)
+    n = data.draw(st.sampled_from([n for n, line in enumerate(lines)
+                                   if line.strip()
+                                   and not line.startswith("#")]))
+    if kind == "duplicate":
+        return "".join(lines[:n + 1] + lines[n:])
+    fields = lines[n].split()
+    k = data.draw(st.integers(0, len(fields) - 1))
+    fields[k] = kind
+    return "".join(lines[:n]) + " ".join(fields) + "\n" + "".join(lines[n + 1:])
+
+
+@settings(max_examples=30, deadline=None)
+@given(which=st.sampled_from(["tracks.txt", "gcps.txt"]),
+       kind=st.sampled_from(["", "nan", "inf", "1e400", "img_999", "999999",
+                             "truncate", "duplicate"]),
+       data=st.data())
+def test_mutated_inputs_exit_0_2_or_3_without_traceback(adjust_inputs, which,
+                                                        kind, data):
+    """One field or line of a valid track or GCP file emptied, made
+    non-finite or out of range, pointed at an unknown image or track,
+    cut short or repeated: adjust succeeds or reports a data (2) or
+    numerical (3) error, and never crashes."""
+    work = adjust_inputs / "work"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    for name in ("tracks.txt", "gcps.txt"):
+        text = (adjust_inputs / name).read_text()
+        if name == which:
+            text = _mutate(text, kind, data)
+        (work / name).write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["adjust", "--tracks", str(work / "tracks.txt"),
+                     "--products", str(adjust_inputs / "products"),
+                     "--gcps", str(work / "gcps.txt"),
+                     "--out", str(work / "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -11,6 +11,7 @@ import pytest
 from satadjust import rectify
 from satadjust import rpc as rpc_mod
 from satadjust.errors import EmptyFootprint, EmptyInput, InsufficientSamples, ParseError
+from satadjust.geodesy import meters_per_degree
 from satadjust.raster import Raster, bilinear_sample
 from satadjust.rectify import (
     GroundBBox,
@@ -254,15 +255,20 @@ def test_source_grid_is_exact_on_knots_and_at_step_one(rendered_scene,
         _exact_source(im.rpc, gt, plane, np.arange(40), np.arange(30)))
 
 
-def _rectify_exact(image, rpc, plane, product):
+def _rectify_exact(image, rpc, plane, product, grid=None):
     """Oracle: every output pixel mapped through the RPC directly and
-    resampled, in blocks of rows to bound the memory."""
+    resampled, in blocks of rows to bound the memory.  Given a source
+    ``grid``, every pixel is instead interpolated on it: the arithmetic
+    of rectify_image, over the whole bounding box."""
     h, w = product.raster.height, product.raster.width
     out = np.empty((h, w), dtype=np.int64)
     for lo in range(0, h, 128):
         rows = np.arange(lo, min(lo + 128, h))
-        src = _exact_source(rpc, product.geo_transform, plane, rows,
-                            np.arange(w))
+        if grid is None:
+            src = _exact_source(rpc, product.geo_transform, plane, rows,
+                                np.arange(w))
+        else:
+            src = rectify._source_coords(grid, rows, np.arange(w))
         values, valid = bilinear_sample(image, src[0], src[1])
         block = np.full(values.shape, image.nodata, dtype=np.int64)
         v = np.clip(np.rint(values[valid]).astype(np.int64), 0,
@@ -322,19 +328,160 @@ def test_rectify_equals_exact_per_pixel_oracle(rectified_pair):
             _rectify_exact(im.raster, im.rpc, scene.plane_height, product))
 
 
+def _padded_corners(monkeypatch, rows_below):
+    """Cast the corners of an image ``rows_below`` rows taller than the
+    one rectified, so that the output grid extends past its footprint."""
+    corner_ground = rectify._corner_ground
+
+    def padded(raster, rpc, plane):
+        taller = np.zeros((raster.height + rows_below, raster.width),
+                          dtype=raster.pixels.dtype)
+        return corner_ground(Raster(taller), rpc, plane)
+
+    monkeypatch.setattr(rectify, "_corner_ground", padded)
+
+
+def _record_spans(monkeypatch):
+    """The per-row (first, stop) column arrays that rectify_image samples
+    within, one pair per call, appended as it goes."""
+    spans = []
+    footprint_columns = rectify._footprint_columns
+
+    def recording(*args):
+        spans.append(footprint_columns(*args))
+        return spans[-1]
+
+    monkeypatch.setattr(rectify, "_footprint_columns", recording)
+    return spans
+
+
 def test_rectify_is_tile_independent(rendered_scene, monkeypatch):
     """One output row per tile and the whole image in one tile give the
-    pixels of the default tiling."""
+    pixels of the default tiling, also where the grid reaches past the
+    footprint, so that whole rows have an empty span."""
     im = rendered_scene.images[0]
+    plane = rendered_scene.plane_height
+    spans = _record_spans(monkeypatch)
 
     def pixels():
-        return rectify_image(im.raster, im.rpc, rendered_scene.plane_height,
-                             1.0).raster.pixels
+        return rectify_image(im.raster, im.rpc, plane, 1.0).raster.pixels
 
-    default = pixels()
-    for tile in (1, default.size):
-        monkeypatch.setattr(rectify, "TILE_PIXELS", tile)
+    for rows_below in (0, im.raster.height):
+        if rows_below:
+            _padded_corners(monkeypatch, rows_below)
+        monkeypatch.setattr(rectify, "TILE_PIXELS", 2 ** 15)
+        product = rectify_image(im.raster, im.rpc, plane, 1.0)
+        default = product.raster.pixels
+        monkeypatch.setattr(rectify, "TILE_PIXELS", default.size)
         np.testing.assert_array_equal(pixels(), default)
+        monkeypatch.setattr(rectify, "TILE_PIXELS", 1)
+        np.testing.assert_array_equal(pixels(), default)
+        first, stop = spans[-1]
+        empty = first >= stop
+        assert len(empty) == default.shape[0]
+        assert empty.any() == (rows_below > 0)
+    # rows of the padded grid with an empty span hold nodata only
+    assert (default[empty] == im.raster.nodata).all()
+    grid = rectify._source_grid(im.rpc, product.geo_transform, plane,
+                                *default.shape)
+    np.testing.assert_array_equal(
+        default, _rectify_exact(im.raster, im.rpc, plane, product, grid))
+
+
+def _source_with_nodata(rng, height, width, nodata):
+    """Random 8-bit source pixels with about 2% nodata among them."""
+    pixels = rng.integers(0, 256, (height, width))
+    pixels[rng.random((height, width)) < 0.02] = nodata
+    return Raster(pixels.astype(np.uint8), nodata=nodata)
+
+
+@pytest.mark.parametrize("step", [rectify.GRID_STEP, 1])
+def test_rectify_equals_exact_oracle_on_random_rpcs(step, monkeypatch):
+    """Random distorted models over a small source raster that holds
+    nodata pixels, at the default grid step and with every output pixel
+    a knot: the sampled spans lose no pixel of the per-pixel oracle."""
+    monkeypatch.setattr(rectify, "GRID_STEP", step)
+    rng = np.random.default_rng(406)
+    for _ in range(6):
+        model = random_rpc(rng)
+        image = _source_with_nodata(rng, int(rng.integers(40, 90)),
+                                    int(rng.integers(40, 90)), nodata=3)
+        plane = model.hei_off
+        product = rectify_image(image, model, plane,
+                                common_gsd([(image, model)], plane))
+        pixels = product.raster.pixels
+        assert (pixels != image.nodata).any()
+        # Off the knots a source position may miss the exact one by up to
+        # GRID_TOLERANCE_PX and round to a neighbouring value, so above
+        # step 1 the oracle interpolates on the same grid.
+        grid = None if step == 1 else rectify._source_grid(
+            model, product.geo_transform, plane, *pixels.shape)
+        np.testing.assert_array_equal(
+            pixels, _rectify_exact(image, model, plane, product, grid))
+
+
+def test_rectify_footprint_on_every_edge_equals_oracle(monkeypatch):
+    """A heading within a degree of north fills the bounding box, so the
+    footprint touches all four edges of the output and the spans run to
+    its first and last columns."""
+    monkeypatch.setattr(rectify, "GRID_STEP", 1)
+    spans = _record_spans(monkeypatch)
+    scene = gen_scene(2, 10, 6.0, 0.0, seed=13, render=True,
+                      half_extent_m=80.0)
+    im = scene.images[0]
+    product = rectify_image(im.raster, im.rpc, scene.plane_height, 0.5)
+    data = product.raster.pixels != im.raster.nodata
+    # the grid overshoots the footprint by less than a pixel, and the
+    # outermost pixel centres of the source lie half a pixel inside it
+    for edge in (data[:3], data[-3:], data[:, :3], data[:, -3:]):
+        assert edge.any()
+    (first, stop), = spans
+    assert first.min() == 0 and stop.max() == data.shape[1]
+    np.testing.assert_array_equal(
+        product.raster.pixels,
+        _rectify_exact(im.raster, im.rpc, scene.plane_height, product))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_rectify_one_row_and_one_column_outputs(axis, monkeypatch):
+    """A sampling distance equal to the footprint's extent along one axis
+    leaves a single output row (axis 0) or column (axis 1)."""
+    monkeypatch.setattr(rectify, "GRID_STEP", 1)
+    rng = np.random.default_rng(407)
+    model = random_rpc(rng)
+    shape = (12, 120) if axis == 0 else (120, 12)
+    image = _source_with_nodata(rng, *shape, nodata=0)
+    plane = model.hei_off
+    lats, lons = rectify._corner_ground(image, model, plane)
+    m_lat, m_lon = meters_per_degree((lats.min() + lats.max()) / 2)
+    extent = (float(lats.max() - lats.min()) * m_lat if axis == 0
+              else float(lons.max() - lons.min()) * m_lon)
+    product = rectify_image(image, model, plane, extent)
+    pixels = product.raster.pixels
+    assert pixels.shape[axis] == 1 and pixels.shape[1 - axis] > 1
+    assert (pixels != image.nodata).any()
+    np.testing.assert_array_equal(
+        pixels, _rectify_exact(image, model, plane, product))
+
+
+def test_rectify_samples_little_beyond_the_footprint(monkeypatch):
+    """On a diagonal heading half the bounding box is nodata; the pixels
+    handed to bilinear_sample stay within 15% of the valid ones."""
+    scene = gen_scene(2, 10, 6.0, 0.0, seed=8, render=True,
+                      half_extent_m=80.0)
+    sampled = []
+
+    def counting(raster, rows, cols):
+        sampled.append(np.asarray(rows).size)
+        return bilinear_sample(raster, rows, cols)
+
+    monkeypatch.setattr(rectify, "bilinear_sample", counting)
+    im = scene.images[0]
+    pixels = rectify_image(im.raster, im.rpc, scene.plane_height,
+                           0.5).raster.pixels
+    valid = int((pixels != im.raster.nodata).sum())
+    assert valid < 0.6 * pixels.size
+    assert sum(sampled) <= 1.15 * valid
 
 
 def test_rectify_memory_is_bounded(rendered_scene):

@@ -5,6 +5,7 @@ numbers."""
 from __future__ import annotations
 
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -349,6 +350,24 @@ def test_pgm_round_trip(scratch, pixels):
     back = read_pgm(path)
     assert back.pixels.dtype == pixels.dtype
     assert np.array_equal(back.pixels, pixels)
+
+
+def test_pgm_read_holds_one_copy(tmp_path):
+    """Reading fills the returned array from the file: the traced peak is
+    the pixels plus a small constant, not a file buffer and a copy."""
+    pixels = np.arange(2000 * 2000, dtype=np.uint32).reshape(2000, 2000)
+    pixels = (pixels % 251).astype(np.uint8)
+    path = tmp_path / "big.pgm"
+    write_pgm(Raster(pixels), path)
+    del pixels
+    tracemalloc.start()
+    try:
+        back = read_pgm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.pixels[1999, 1999] == (2000 * 2000 - 1) % 251
+    assert peak < 1.2 * back.pixels.nbytes
 
 
 @EXAMPLES
