@@ -60,42 +60,42 @@ CHUNK_OBSERVATIONS = 1024
 
 
 @dataclass
-class ImageState:
-    image_id: str
-    rpc: RpcModel
-    bias: BiasCorrection
-
-
-@dataclass
 class ObservationGraph:
     """Images, tracks and the visibility linking them, and the state of
     the adjustment.
 
-    The observations are packed once on construction, track by track
-    and within a track in image order: ``obs_image`` and ``obs_pixel``
-    hold each one's image index and observed (row, col) pixel, and track
-    j owns rows ``track_start[j]:track_start[j + 1]``.  ``models``
-    holds the image models packed in image order.  ``ground`` (M, 3)
-    holds each track's (lat, lon, hei), packed from ``Track.ground``
-    (NaN where that is None), and ``gcp`` flags the GCP tracks; these
-    arrays, not the tracks, are what the passes read and update.
+    ``images`` holds the ``(image_id, rpc)`` pairs as given, and
+    ``index`` maps an image id to its position.  The observations are
+    packed once on construction, track by track and within a track in
+    image order: ``obs_image`` and ``obs_pixel`` hold each one's image
+    index and observed (row, col) pixel, and track j owns rows
+    ``track_start[j]:track_start[j + 1]``.  ``models`` holds the image
+    models packed in image order.  ``bias`` (N, 2), zero on
+    construction, holds image i's (d_row, d_col) in row i; ``ground``
+    (M, 3) holds each track's (lat, lon, hei), packed from
+    ``Track.ground`` (NaN where that is None), and ``gcp`` flags the GCP
+    tracks.  These arrays, not the images or tracks, are what the
+    passes read and update.
     """
 
-    images: list[ImageState]
+    images: list[tuple[str, RpcModel]]
     tracks: list[Track]
     index: dict[str, int] = field(init=False)
     obs_image: np.ndarray = field(init=False)
     obs_pixel: np.ndarray = field(init=False)
     track_start: np.ndarray = field(init=False)
     models: rpc_mod.RpcArrays = field(init=False)
+    bias: np.ndarray = field(init=False)
     ground: np.ndarray = field(init=False)
     gcp: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.index = {im.image_id: i for i, im in enumerate(self.images)}
+        self.index = {image_id: i
+                      for i, (image_id, _) in enumerate(self.images)}
         if len(self.index) != len(self.images):
             raise ConfigInvalid("duplicate image ids")
-        self.models = rpc_mod.stack_models([im.rpc for im in self.images])
+        self.models = rpc_mod.stack_models([rpc for _, rpc in self.images])
+        self.bias = np.zeros((len(self.images), 2))
         image, rows, cols = [], [], []
         degrees = np.empty(len(self.tracks), dtype=np.intp)
         for j, track in enumerate(self.tracks):
@@ -179,12 +179,7 @@ class ReprojectionReport:
     count: int
 
 
-def _bias_array(graph: ObservationGraph) -> np.ndarray:
-    """Current (d_row, d_col) of every image as an (N, 2) array."""
-    return np.array([(im.bias.d_row, im.bias.d_col) for im in graph.images])
-
-
-def _linearize(graph: ObservationGraph, a: int, b: int, bias: np.ndarray,
+def _linearize(graph: ObservationGraph, a: int, b: int,
                cond_max: float | None = None):
     """Tracks a..b-1 at their current grounds and biases: the image of
     each of their observations, and :func:`rpc.linearize_tracks` of
@@ -193,8 +188,9 @@ def _linearize(graph: ObservationGraph, a: int, b: int, bias: np.ndarray,
     starts = graph.track_start[a:b + 1] - graph.track_start[a]
     image = graph.obs_image[span]
     return image, rpc_mod.linearize_tracks(
-        graph.models.take(image), graph.obs_pixel[span] + bias[image],
-        graph.ground[a:b], starts, cond_max)
+        graph.models.take(image),
+        graph.obs_pixel[span] + graph.bias[image], graph.ground[a:b],
+        starts, cond_max)
 
 
 def _warn_tracks(tracks: list[int], what: str) -> None:
@@ -221,14 +217,12 @@ def assemble(
     """
     if gcps:
         apply_gcps(tracks, gcps)
-    states = [ImageState(image_id, rpc, BiasCorrection())
-              for image_id, rpc in images]
-    graph = ObservationGraph(images=states, tracks=list(tracks))
+    graph = ObservationGraph(images=images, tracks=list(tracks))
     failed = update_points(graph)
     if not failed:
         return graph
     kept = np.delete(np.arange(len(tracks)), failed)
-    kept_graph = ObservationGraph(images=states,
+    kept_graph = ObservationGraph(images=images,
                                   tracks=[tracks[j] for j in kept])
     kept_graph.ground[:] = graph.ground[kept]
     return kept_graph
@@ -271,11 +265,10 @@ def accumulate_reduced(
     w_panel = alloc(2 * n, 3 * per_panel)
     b_panel = alloc(2 * n, 3 * per_panel)
     diag = np.arange(2 * n)
-    bias = _bias_array(graph)
     excluded = []
 
     for a, b in graph.chunks():
-        image, lin = _linearize(graph, a, b, bias, POINT_BLOCK_COND_MAX)
+        image, lin = _linearize(graph, a, b, POINT_BLOCK_COND_MAX)
         gcp = graph.gcp[a:b]
         used = lin.usable & (gcp | lin.ok)
         excluded.extend((a + np.flatnonzero(~used)).tolist())
@@ -376,11 +369,10 @@ def ground_corrections(
         order, and their (k, 3) corrections in their first image's
         normalized ground units.
     """
-    bias = _bias_array(graph)
     shift = np.asarray(x, dtype=np.float64).reshape(-1, 2)
     tracks, steps = [np.empty(0, dtype=np.intp)], [np.empty((0, 3))]
     for a, b in graph.chunks():
-        image, lin = _linearize(graph, a, b, bias, POINT_BLOCK_COND_MAX)
+        image, lin = _linearize(graph, a, b, POINT_BLOCK_COND_MAX)
         free = lin.usable & lin.ok & ~graph.gcp[a:b]
         tracks.append(a + np.flatnonzero(free))
         # the residual once the biases move by x
@@ -398,7 +390,6 @@ def update_points(graph: ObservationGraph) -> list[int]:
     named in one log warning.
     """
     failed = []
-    bias = _bias_array(graph)
     for a, b in graph.chunks():
         free = a + np.flatnonzero(~graph.gcp[a:b])
         if not free.size:
@@ -408,8 +399,8 @@ def update_points(graph: ObservationGraph) -> list[int]:
         # residual = observed - (raw - bias), so fold the bias into the
         # target, as rpc.triangulate does
         grounds, status = rpc_mod.triangulate_many(
-            graph.models.take(image), graph.obs_pixel[rows] + bias[image],
-            starts)
+            graph.models.take(image),
+            graph.obs_pixel[rows] + graph.bias[image], starts)
         solved = status == rpc_mod.SOLVED
         graph.ground[free[solved]] = grounds[solved]
         failed.extend(free[~solved].tolist())
@@ -433,13 +424,12 @@ def report(graph: ObservationGraph) -> ReprojectionReport:
     count = int(graph.track_start[-1])
     if not count:
         return ReprojectionReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, {}, 0)
-    bias = _bias_array(graph)
     # columns: |row residual| (y), |column residual| (x), Euclidean
     sums = np.zeros(3)
     maxima = np.zeros(3)
     image_sums = np.zeros(n)
     for a, b in graph.chunks():
-        image, lin = _linearize(graph, a, b, bias)
+        image, lin = _linearize(graph, a, b)
         if not lin.usable.all():
             raise DegenerateDenominator(
                 f"denominator vanished at an observation of track "
@@ -451,8 +441,8 @@ def report(graph: ObservationGraph) -> ReprojectionReport:
                                   minlength=n)
     image_counts = np.bincount(graph.obs_image, minlength=n)
     per_image = {
-        im.image_id: float(image_sums[i] / image_counts[i])
-        for i, im in enumerate(graph.images) if image_counts[i]
+        image_id: float(image_sums[i] / image_counts[i])
+        for image_id, i in graph.index.items() if image_counts[i]
     }
     avg_y, avg_x, avg_xy = (sums / count).tolist()
     max_y, max_x, max_xy = maxima.tolist()
@@ -486,9 +476,7 @@ def adjust_loop(
         system = accumulate_reduced(graph)
         x = solve_bias(system, gauge)
         idx, dg = ground_corrections(graph, x)
-        for im, (d_row, d_col) in zip(graph.images, x.tolist()):
-            im.bias = BiasCorrection(im.bias.d_row + d_row,
-                                     im.bias.d_col + d_col)
+        graph.bias += x
         graph.ground[idx] += dg * scales[idx]
         history.append(report(graph).avg_xy)
         steps.append(float(np.abs(x).max()))
@@ -496,9 +484,9 @@ def adjust_loop(
         if steps[-1] <= tol:
             break
     return AdjustmentResult(
-        biases=[im.bias for im in graph.images], iterations=len(steps),
-        history=history, steps=steps, excluded=excluded,
-        converged=bool(steps) and steps[-1] <= tol,
+        biases=[BiasCorrection(*b) for b in graph.bias.tolist()],
+        iterations=len(steps), history=history, steps=steps,
+        excluded=excluded, converged=bool(steps) and steps[-1] <= tol,
     )
 
 
@@ -514,8 +502,9 @@ def save_biases(graph: ObservationGraph, path,
         if header:
             fh.write(f"# {header}\n")
         fh.write("# image_id d_row d_col\n")
-        for im in graph.images:
-            fh.write(f"{im.image_id} {im.bias.d_row!r} {im.bias.d_col!r}\n")
+        for (image_id, _), (d_row, d_col) in zip(graph.images,
+                                                 graph.bias.tolist()):
+            fh.write(f"{image_id} {d_row!r} {d_col!r}\n")
 
 
 def load_biases(path) -> dict[str, BiasCorrection]:

@@ -237,19 +237,25 @@ def _report_dict(rep: adjust_mod.ReprojectionReport) -> dict:
     }
 
 
-def cmd_adjust(track_path: str, products_dir: str, out_dir: str,
-               config: PipelineConfig, gcp_path: str | None = None) -> str:
-    """Run the bundle adjustment; writes biases and the metric report."""
+def _assemble(track_path: str, products_dir: str,
+              gcp_path: str | None) -> adjust_mod.ObservationGraph:
+    """The observation graph of the stored tracks over the products."""
     products = _load_products(products_dir)
     track_list = tracks_mod.load_tracks(track_path)
     gcps = tracks_mod.load_gcps(gcp_path) if gcp_path else None
-    graph = adjust_mod.assemble(
-        [(p.image_id, p.rpc) for p in products], track_list, gcps)
+    return adjust_mod.assemble([(p.image_id, p.rpc) for p in products],
+                               track_list, gcps)
+
+
+def cmd_adjust(track_path: str, products_dir: str, out_dir: str,
+               config: PipelineConfig, gcp_path: str | None = None) -> str:
+    """Run the bundle adjustment; writes biases and the metric report."""
+    graph = _assemble(track_path, products_dir, gcp_path)
     if not graph.tracks:
         raise ConfigInvalid("no usable tracks; nothing to adjust")
     if not graph.has_gcp:
         print(f"free network: no GCPs given, biases are relative to the "
-              f"gauge image {graph.images[0].image_id}")
+              f"gauge image {graph.images[0][0]}")
     before = adjust_mod.report(graph)
     result = adjust_mod.adjust_loop(graph, tol=config.convergence_px,
                                     max_iter=config.max_iter)
@@ -269,9 +275,9 @@ def cmd_adjust(track_path: str, products_dir: str, out_dir: str,
         "iterations": result.iterations,
         "converged": result.converged,
         "history": [round(h, 6) for h in result.history],
-        "biases": {im.image_id: [im.bias.d_row, im.bias.d_col]
-                   for im in graph.images},
-        "gauge_image": None if graph.has_gcp else graph.images[0].image_id,
+        "biases": {image_id: bias for (image_id, _), bias
+                   in zip(graph.images, graph.bias.tolist())},
+        "gauge_image": None if graph.has_gcp else graph.images[0][0],
         "config": {f.name: getattr(config, f.name)
                    for f in dataclasses.fields(config)},
     }
@@ -310,18 +316,25 @@ def cmd_pipeline(inputs: list[str], out_dir: str, config: PipelineConfig,
 def cmd_report(track_path: str, products_dir: str, bias_path: str | None,
                gcp_path: str | None = None) -> None:
     """Recompute the metric table for stored tracks and biases; GCP
-    tracks keep their surveyed grounds, as in :func:`cmd_adjust`."""
-    products = _load_products(products_dir)
-    track_list = tracks_mod.load_tracks(track_path)
-    gcps = tracks_mod.load_gcps(gcp_path) if gcp_path else None
-    images = [(p.image_id, p.rpc) for p in products]
-    graph = adjust_mod.assemble(images, track_list, gcps)
+    tracks keep their surveyed grounds, as in :func:`cmd_adjust`.
+
+    Raises:
+        ConfigInvalid: the bias file names an image that is not among
+            the products, or lacks one that is.
+    """
+    graph = _assemble(track_path, products_dir, gcp_path)
     before = adjust_mod.report(graph)
     if bias_path:
         biases = adjust_mod.load_biases(bias_path)
-        for im in graph.images:
-            if im.image_id in biases:
-                im.bias = biases[im.image_id]
+        for image_id in biases:
+            if image_id not in graph.index:
+                raise ConfigInvalid(f"{bias_path}: image {image_id} is not "
+                                    f"among the products")
+        for image_id, i in graph.index.items():
+            if image_id not in biases:
+                raise ConfigInvalid(f"{bias_path}: no bias for image "
+                                    f"{image_id}")
+            graph.bias[i] = biases[image_id].d_row, biases[image_id].d_col
         adjust_mod.update_points(graph)
     after = adjust_mod.report(graph)
     print(_format_table(before, after))

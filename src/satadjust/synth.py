@@ -388,15 +388,24 @@ def gen_scene(
             [-bias_range_px, bias_range_px] when omitted.
 
     Raises:
-        ConfigInvalid: non-positive counts, negative ranges, unknown
+        ConfigInvalid: non-positive counts, negative or non-finite
+            ranges, a non-positive or non-finite extent or GSD, unknown
             visibility mode, or a bias list of the wrong length.
     """
     if n_images < 2:
         raise ConfigInvalid("need at least 2 images")
     if n_points < 1:
         raise ConfigInvalid("need at least 1 point")
-    if bias_range_px < 0 or noise_sigma_px < 0:
-        raise ConfigInvalid("bias range and noise sigma must be >= 0")
+    for name, value in (("bias range", bias_range_px),
+                        ("noise sigma", noise_sigma_px),
+                        ("height half range", height_half_range_m)):
+        if not 0 <= value < math.inf:
+            raise ConfigInvalid(f"{name} must be finite and >= 0, "
+                                f"not {value!r}")
+    for name, value in (("half extent", half_extent_m), ("gsd", gsd)):
+        if not 0 < value < math.inf:
+            raise ConfigInvalid(f"{name} must be finite and > 0, "
+                                f"not {value!r}")
     if visibility not in ("full", "random"):
         raise ConfigInvalid(f"unknown visibility mode {visibility!r}")
     if biases is not None and len(biases) != n_images:
@@ -608,9 +617,9 @@ def dense_solve(graph, gauge_image: int | None = None):
         ground = rpc_mod.GroundPoint(*graph.ground[j].tolist())
         for image_id, obs in sorted(track.observations.items()):
             i = graph.index[image_id]
-            state = graph.images[i]
-            v = rpc_mod.residual(state.rpc, state.bias, ground, obs)
-            jac = rpc_mod.jacobian(state.rpc, state.bias, ground)
+            rpc, bias = graph.images[i][1], BiasCorrection(*graph.bias[i])
+            v = rpc_mod.residual(rpc, bias, ground, obs)
+            jac = rpc_mod.jacobian(rpc, bias, ground)
             block = np.zeros((2, n_params))
             block[:, 2 * i:2 * i + 2] = jac.a_block
             if not graph.gcp[j]:

@@ -87,9 +87,7 @@ def test_schur_reduction_equals_dense_solver():
             x_dense, _ = dense_solve(graph, gauge_image=0)
             x_schur = solve_bias(accumulate_reduced(graph), gauge_image=0)
             worst = max(worst, float(np.abs(x_schur - x_dense).max()))
-            for i, im in enumerate(graph.images):
-                im.bias = BiasCorrection(im.bias.d_row + x_schur[i, 0],
-                                         im.bias.d_col + x_schur[i, 1])
+            graph.bias += x_schur
             update_points(graph)
     elapsed = time.perf_counter() - t0
     assert worst < 1e-9

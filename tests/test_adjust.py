@@ -74,8 +74,7 @@ def test_duplicate_image_ids_rejected(small_scene):
     tracks = scene_tracks(small_scene)
     with pytest.raises(ConfigInvalid):
         ObservationGraph(
-            images=[adjust.ImageState("a", im.rpc, BiasCorrection()),
-                    adjust.ImageState("a", im.rpc, BiasCorrection())],
+            images=[("a", im.rpc), ("a", im.rpc)],
             tracks=tracks[:1],
         )
 
@@ -292,6 +291,7 @@ def with_twins(graph, twins, at=None):
         tracks=graph.tracks[:at] + twins + graph.tracks[at:])
     own = np.r_[0:at, at + len(twins):len(joined.tracks)]
     joined.ground[own] = graph.ground
+    joined.bias[:] = graph.bias
     return joined
 
 
@@ -413,13 +413,11 @@ def test_triangulate_many_equals_per_track_calls():
     assert len(graph.tracks) == n + 3
     true_biases = [im.true_bias for im in scene.images]
     true_biases.append(scene.images[0].true_bias)
-    for im, bias in zip(graph.images, true_biases):
-        im.bias = bias
+    graph.bias[:] = [(b.d_row, b.d_col) for b in true_biases]
 
-    bias = np.array([(b.d_row, b.d_col) for b in true_biases])
     grounds, status = rpc_mod.triangulate_many(
         graph.models.take(graph.obs_image),
-        graph.obs_pixel + bias[graph.obs_image], graph.track_start)
+        graph.obs_pixel + graph.bias[graph.obs_image], graph.track_start)
     failed = np.flatnonzero(status != rpc_mod.SOLVED).tolist()
     assert update_points(graph) == failed == list(range(n, n + 3))
     for j in range(n):
@@ -430,9 +428,9 @@ def test_triangulate_many_equals_per_track_calls():
         span = slice(graph.track_start[j], graph.track_start[j + 1])
         for i, (row, col) in zip(graph.obs_image[span],
                                  graph.obs_pixel[span]):
-            im = graph.images[i]
-            at_truth = project(im.rpc, im.bias, scene.true_points[j])
-            at_fit = project(im.rpc, im.bias, GroundPoint(*graph.ground[j]))
+            rpc, bias = graph.images[i][1], true_biases[i]
+            at_truth = project(rpc, bias, scene.true_points[j])
+            at_fit = project(rpc, bias, GroundPoint(*graph.ground[j]))
             noise += (row - at_truth.row) ** 2 + (col - at_truth.col) ** 2
             moved += ((at_fit.row - at_truth.row) ** 2
                       + (at_fit.col - at_truth.col) ** 2)
@@ -452,8 +450,8 @@ def mixed_graph():
     for track, g in zip(twins, scene.true_points):
         track.ground = g
     graph = with_twins(with_twins(graph, twins[:2], at=20), twins[2:])
-    for im, truth in zip(graph.images, scene.images):
-        im.bias = truth.true_bias
+    for i, truth in enumerate(scene.images):
+        graph.bias[i] = truth.true_bias.d_row, truth.true_bias.d_col
     return graph
 
 
@@ -469,8 +467,8 @@ def test_update_points_equals_per_track_triangulation(chunk, monkeypatch,
     before = graph.ground.copy()
     expected, failed = [], []
     for j, track in enumerate(graph.tracks):
-        obs = [(graph.images[graph.index[i]].rpc,
-                graph.images[graph.index[i]].bias, p)
+        obs = [(graph.images[graph.index[i]][1],
+                BiasCorrection(*graph.bias[graph.index[i]].tolist()), p)
                for i, p in track.observations.items()]
         try:
             expected.append(None if track.is_gcp
@@ -554,7 +552,7 @@ def test_pass_memory_does_not_grow_with_track_count():
 def test_update_points_retriangulates_under_current_bias(small_scene):
     graph = scene_graph(small_scene)
     before = graph.ground.copy()
-    graph.images[0].bias = BiasCorrection(3.0, -2.0)
+    graph.bias[0] = 3.0, -2.0
     failed = update_points(graph)
     assert failed == []
     moved = sum(1 for g, old in zip(graph.ground, before)
@@ -567,7 +565,7 @@ def test_report_statistics_shape(small_scene):
     rep = report(graph)
     assert rep.count == sum(t.degree for t in graph.tracks)
     assert rep.max_xy >= rep.avg_xy > 0
-    assert set(rep.per_image_avg_xy) == {im.image_id for im in graph.images}
+    assert set(rep.per_image_avg_xy) == set(graph.index)
     # Euclidean mean dominates each per-axis mean and never their sum
     assert max(rep.avg_x, rep.avg_y) <= rep.avg_xy <= rep.avg_x + rep.avg_y
 
@@ -593,12 +591,12 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
 
 def test_bias_save_load_round_trip(tmp_path, small_scene):
     graph = scene_graph(small_scene)
-    graph.images[0].bias = BiasCorrection(1.25, -0.5)
+    graph.bias[0] = 1.25, -0.5
     path = tmp_path / "bias.txt"
     save_biases(graph, path)
     loaded = load_biases(path)
     assert loaded["img_000"] == BiasCorrection(1.25, -0.5)
-    assert set(loaded) == {im.image_id for im in graph.images}
+    assert set(loaded) == set(graph.index)
 
 
 def test_load_biases_rejects_a_repeated_image(tmp_path):

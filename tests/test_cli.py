@@ -138,6 +138,25 @@ def test_report_command(pipeline_out, capsys):
     assert "Before" in out and "After" in out
 
 
+@pytest.mark.parametrize("lines, named", [
+    ("img_000 0.0 0.0\nimg_001 1.0 2.0\nimg_999 1.0 2.0\n", "img_999"),
+    ("img_000 0.0 0.0\n", "img_001"),
+])
+def test_report_rejects_a_bias_file_off_the_products(pipeline_out, tmp_path,
+                                                     capsys, lines, named):
+    """A bias file naming an image that is not among the products, or
+    lacking one that is, is a data error naming the file and image."""
+    path = tmp_path / "biases.txt"
+    path.write_text(lines)
+    capsys.readouterr()
+    assert main(["report", "--tracks", str(pipeline_out / "tracks.txt"),
+                 "--products", str(pipeline_out / "products"),
+                 "--biases", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+    assert str(path) in err and named in err
+
+
 def metadata_products(scene, directory):
     """Save each scene image as a product whose raster is a 4x4 stub:
     the adjustment reads only the RPCs."""
@@ -278,6 +297,12 @@ def test_exit_2_on_data_errors(dataset, pipeline_out, tmp_path):
                                flags=re.M))
         assert main(["match", "--products", str(bad),
                      "--out", str(tmp_path / f"o{7 + k}")]) == 2
+    # synth ranges that are not finite, or an extent that is not positive
+    for k, flags in enumerate([["--bias-range", "nan"], ["--noise", "inf"],
+                               ["--half-extent", "0"]]):
+        assert main(["synth", "--out", str(tmp_path / f"s{k}"),
+                     *flags]) == 2
+        assert not (tmp_path / f"s{k}").exists()
 
 
 def test_malformed_pgm_exits_2_without_traceback(dataset, tmp_path, capsys):

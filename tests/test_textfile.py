@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from satadjust import textfile
-from satadjust.adjust import ImageState, load_biases, save_biases
+from satadjust.adjust import load_biases, save_biases
 from satadjust.errors import ParseError
 from satadjust.match import (
     Correspondence,
@@ -186,8 +186,9 @@ def test_gcps_round_trip(scratch, gcps):
 @given(st.dictionaries(names, st.builds(BiasCorrection, finite, finite),
                        max_size=6))
 def test_biases_round_trip(scratch, biases):
-    graph = SimpleNamespace(images=[ImageState(image_id, None, bias)
-                                    for image_id, bias in biases.items()])
+    graph = SimpleNamespace(
+        images=[(image_id, None) for image_id in biases],
+        bias=np.array([(b.d_row, b.d_col) for b in biases.values()]))
     path = str(scratch / "biases.txt")
     save_biases(graph, path, header="round trip")
     assert load_biases(path) == biases
@@ -221,10 +222,9 @@ TABLES = {
     "gcps": (lambda p: save_gcps({1: GroundPoint(25.5, 48.25, 410.0),
                                   2: GroundPoint(25.6, 48.5, 395.5)}, p),
              load_gcps, (0, 1, 2, 3)),
-    "biases": (lambda p: save_biases(SimpleNamespace(images=[
-        ImageState("a", None, BiasCorrection(1.25, -0.5)),
-        ImageState("b", None, BiasCorrection(0.0, 2.0)),
-    ]), p), load_biases, (1, 2)),
+    "biases": (lambda p: save_biases(SimpleNamespace(
+        images=[("a", None), ("b", None)],
+        bias=np.array([(1.25, -0.5), (0.0, 2.0)])), p), load_biases, (1, 2)),
     "correspondences": (lambda p: save_correspondences([
         Correspondence(_feature(1.0, 2.0), _feature(3.0, 4.0), 5, "a", "b"),
         Correspondence(_feature(6.0, 7.0), _feature(8.0, 9.0), 0, "a", "c"),
