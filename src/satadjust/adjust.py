@@ -188,9 +188,8 @@ def _linearize(graph: ObservationGraph, a: int, b: int,
     starts = graph.track_start[a:b + 1] - graph.track_start[a]
     image = graph.obs_image[span]
     return image, rpc_mod.linearize_tracks(
-        graph.models.take(image),
-        graph.obs_pixel[span] + graph.bias[image], graph.ground[a:b],
-        starts, cond_max)
+        graph.models, image, graph.obs_pixel[span] + graph.bias[image],
+        graph.ground[a:b], starts, cond_max)
 
 
 def _warn_tracks(tracks: list[int], what: str) -> None:
@@ -399,8 +398,8 @@ def update_points(graph: ObservationGraph) -> list[int]:
         # residual = observed - (raw - bias), so fold the bias into the
         # target, as rpc.triangulate does
         grounds, status = rpc_mod.triangulate_many(
-            graph.models.take(image),
-            graph.obs_pixel[rows] + graph.bias[image], starts)
+            graph.models, image, graph.obs_pixel[rows] + graph.bias[image],
+            starts)
         solved = status == rpc_mod.SOLVED
         graph.ground[free[solved]] = grounds[solved]
         failed.extend(free[~solved].tolist())
@@ -417,8 +416,8 @@ def report(graph: ObservationGraph) -> ReprojectionReport:
     per-image averages use the Euclidean distance.
 
     Raises:
-        DegenerateDenominator: a rational denominator vanished at some
-            observation.
+        DegenerateDenominator: a rational denominator vanished, or the
+            projection was not finite, at some observation.
     """
     n = len(graph.images)
     count = int(graph.track_start[-1])
@@ -432,7 +431,8 @@ def report(graph: ObservationGraph) -> ReprojectionReport:
         image, lin = _linearize(graph, a, b)
         if not lin.usable.all():
             raise DegenerateDenominator(
-                f"denominator vanished at an observation of track "
+                f"denominator vanished or projection not finite at an "
+                f"observation of track "
                 f"{a + int(np.argmin(lin.usable))}")
         dist = np.column_stack([np.abs(lin.v), np.hypot(*lin.v.T)])
         sums += dist.sum(axis=0)

@@ -58,5 +58,10 @@ class EmptyFootprint(DataError):
     """An image footprint is degenerate (zero area)."""
 
 
+class EmptyHeightRange(DataError):
+    """A product's height range, HEIGHT_OFF +- HEIGHT_SCALE, holds no
+    height strictly inside it in double precision."""
+
+
 class WindowOutOfBounds(DataError):
     """A descriptor window does not fit inside the raster."""

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import rpc as rpc_mod
 from . import textfile
-from .errors import ConfigMismatch, ParseError, WindowOutOfBounds
+from .errors import (ConfigMismatch, EmptyHeightRange, ParseError,
+                     WindowOutOfBounds)
 from .raster import Raster
 from .rectify import Level2Product
 from .rpc import BiasCorrection, ImagePoint
@@ -336,9 +337,10 @@ def _project(rpc: rpc_mod.RpcModel, bias: BiasCorrection,
              grounds: np.ndarray, status: np.ndarray) -> np.ndarray:
     """(K, 2) pixels of the (K, 3) ground rows whose ``status`` is
     ``SOLVED``, bias applied, NaN elsewhere; a row whose denominator
-    vanishes becomes ``DEGENERATE`` in ``status``."""
+    vanishes or whose projection is not finite becomes ``DEGENERATE``
+    in ``status``."""
     ok = np.flatnonzero(status == rpc_mod.SOLVED)
-    raw, _, usable = rpc_mod.evaluate_masked(rpc.arrays, *grounds[ok].T)
+    raw, _, usable = rpc_mod.evaluate_masked(rpc.arrays, None, *grounds[ok].T)
     pix = np.full((len(grounds), 2), np.nan)
     pix[ok] = raw - (bias.d_row, bias.d_col)
     pix[ok[~usable]] = np.nan
@@ -358,7 +360,7 @@ def _cast(left: Level2Product, right: Level2Product, targets: np.ndarray,
     if not len(targets):
         return np.empty((0, 2)), np.empty(0, dtype=int)
     lats, lons, status = rpc_mod.inverse_project_many(
-        rpc_mod.repeat_model(left.rpc, len(targets)), targets, heights)
+        left.rpc.arrays, None, targets, heights)
     grounds = np.stack([lats, lons, heights], axis=1)
     return _project(right.rpc, _ZERO_BIAS, grounds, status), status
 
@@ -492,7 +494,16 @@ def match_pair(
     triangulated pair reprojects within the filter tolerance.
 
     Detection is rerun unless precomputed features are supplied.
+
+    Raises:
+        EmptyHeightRange: the left product's height range is empty.
     """
+    min_h = left.rpc.hei_off - left.rpc.hei_scale
+    max_h = left.rpc.hei_off + left.rpc.hei_scale
+    if not min_h < max_h:
+        raise EmptyHeightRange(
+            f"{left.image_id}: HEIGHT_OFF {left.rpc.hei_off!r} +- "
+            f"HEIGHT_SCALE {left.rpc.hei_scale!r} is an empty height range")
     margin = params.window // 2 + BLUR_MARGIN
 
     def usable(features: list[Feature] | None, raster: Raster):
@@ -516,8 +527,6 @@ def match_pair(
     if not left_use or not right_use:
         return []
 
-    min_h = left.rpc.hei_off - left.rpc.hei_scale
-    max_h = left.rpc.hei_off + left.rpc.hei_scale
     curves = []
     for lo in range(0, len(left_pos), CURVE_BLOCK):
         curves += epipolar_curves(left_pos[lo:lo + CURVE_BLOCK], left, right,
@@ -586,14 +595,13 @@ def _reprojection_errors(
     targets[0::2] = pl
     targets[1::2] = pr + (right_bias.d_row, right_bias.d_col)
     grounds, status = rpc_mod.triangulate_many(
-        rpc_mod.stack_models([left.rpc, right.rpc] * n), targets,
-        np.arange(0, 2 * n + 1, 2))
+        rpc_mod.stack_models([left.rpc, right.rpc]), np.tile([0, 1], n),
+        targets, np.arange(0, 2 * n + 1, 2))
     flat = np.flatnonzero((status == rpc_mod.SINGULAR)
                           | (status == rpc_mod.ILL_CONDITIONED))
     if flat.size:
         lats, lons, status[flat] = rpc_mod.inverse_project_many(
-            rpc_mod.repeat_model(left.rpc, flat.size), pl[flat],
-            left.plane_height)
+            left.rpc.arrays, None, pl[flat], left.plane_height)
         grounds[flat] = np.stack(
             [lats, lons, np.full(flat.size, left.plane_height)], axis=1)
     errors = np.zeros(n)

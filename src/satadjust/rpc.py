@@ -7,10 +7,14 @@ monomial ordering follows the de-facto RPC00B convention so that real RPC
 text files load correctly.
 
 :func:`evaluate` (and :func:`evaluate_masked`, the same kernel reporting
-vanished denominators per point instead of raising) is the only place the
-polynomials are evaluated: every projection, residual, Jacobian,
-image-to-ground iteration, triangulation and the adjustment's per-track
-reduction call it on constants packed once per model (:class:`RpcArrays`).
+vanished denominators and non-finite projections per point instead of
+raising) is the only place the polynomials are evaluated: every
+projection, residual, Jacobian, image-to-ground iteration, triangulation
+and the adjustment's per-track reduction call it on constants packed once
+per model (:class:`RpcArrays`).  A single model is passed as itself
+(``rpc.arrays``); a batch that mixes models is passed as a stack of them
+(:func:`stack_models`) plus a per-point row index, and
+:func:`evaluate_masked` alone gathers each point's model from it.
 :meth:`RpcModel.validate` and the RPC fit in :mod:`.rectify` use the
 monomials only as a design matrix.
 
@@ -119,7 +123,8 @@ class Jacobians:
 
 class RpcArrays(NamedTuple):
     """Constants of one RPC model, or of a stack of models along leading
-    axes, packed for :func:`evaluate`.
+    axes, packed for :func:`evaluate`.  One model is passed as itself,
+    a batch over several as their stack plus a row index per point.
 
     ``offset`` and ``scale`` are (..., 5): latitude, longitude, height,
     line, sample.  ``coeffs`` is (..., 4, 20): the line and sample
@@ -134,26 +139,11 @@ class RpcArrays(NamedTuple):
     coeffs: np.ndarray
     slopes: np.ndarray
 
-    def take(self, idxs) -> "RpcArrays":
-        """The models at ``idxs`` of a stack, in that order.  A stack of
-        one repeated model (:func:`repeat_model`) stays views, so the
-        shrinking live sets of a batched cast copy no constants."""
-        return RpcArrays(*(
-            np.broadcast_to(a[:1], (len(idxs), *a.shape[1:]))
-            if a.strides[0] == 0 else a[idxs] for a in self))
-
 
 def stack_models(models) -> RpcArrays:
     """Stack the packed constants of several models along a new first
     axis."""
     return RpcArrays(*(np.stack(a) for a in zip(*(m.arrays for m in models))))
-
-
-def repeat_model(rpc: RpcModel, k: int) -> RpcArrays:
-    """A stack of ``k`` copies of one model's constants, as read-only
-    views: a batched cast under one model copies no constants up front."""
-    return RpcArrays(*(np.broadcast_to(a, (k, *a.shape))
-                       for a in rpc.arrays))
 
 
 @dataclass(frozen=True)
@@ -276,22 +266,21 @@ def _slope_table() -> np.ndarray:
 _SLOPES = _slope_table()
 
 
-def poly_partials(P, L, H) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partial derivatives of :func:`poly_terms` w.r.t. P, L and H: the
-    slope table applied to the monomials of degree two or less."""
-    lower = poly_terms(P, L, H)[..., :10]
-    return tuple(lower @ table.T for table in _SLOPES)
-
-
-def evaluate_masked(models: RpcArrays, lats, lons, heis,
+def evaluate_masked(models: RpcArrays, index, lats, lons, heis,
                     derivatives: bool = False):
-    """:func:`evaluate` without the denominator check.
+    """:func:`evaluate` without the denominator check.  Point k is
+    evaluated under model ``index[k]`` of the stack ``models`` (the only
+    gather of per-point model constants), or, with ``index`` None, under
+    ``models`` broadcast against the ground arrays.
 
     Returns:
         ``(raw, d_raw, usable)``: ``usable`` is False at the evaluation
-        points where a rational denominator vanished; the values there
-        are finite but meaningless.
+        points where a rational denominator vanished or the projection is
+        not finite; the values there are meaningless.
     """
+    if index is not None:
+        # np.take copies rows about twice as fast as a[index]
+        models = RpcArrays(*(np.take(a, index, axis=0) for a in models))
     off, scale = models.offset, models.scale
     P = (np.asarray(lats, dtype=np.float64) - off[..., 0]) / scale[..., 0]
     L = (np.asarray(lons, dtype=np.float64) - off[..., 1]) / scale[..., 1]
@@ -299,10 +288,11 @@ def evaluate_masked(models: RpcArrays, lats, lons, heis,
     terms = poly_terms(P, L, H)
     vals = np.einsum("...t,...ct->...c", terms, models.coeffs)
     num, den = vals[..., :2], vals[..., 2:]
-    usable = ~(np.abs(den) <= DENOMINATOR_EPS).any(axis=-1)
+    usable = (np.abs(den) > DENOMINATOR_EPS).all(axis=-1)  # NaN too
     if not usable.all():
         den = np.where(usable[..., None], den, 1.0)
     raw = num / den * scale[..., 3:] + off[..., 3:]
+    usable &= np.isfinite(raw).all(axis=-1)
     if not derivatives:
         return raw, None, usable
     d_vals = np.einsum("...s,...cks->...ck", terms[..., :10], models.slopes)
@@ -326,15 +316,16 @@ def evaluate(models: RpcArrays, lats, lons, heis, derivatives: bool = False):
         (lat, lon, hei) in pixels per degree and per meter (else None).
 
     Raises:
-        DegenerateDenominator: a rational denominator vanished at some
-            evaluation point.
+        DegenerateDenominator: a rational denominator vanished or the
+            projection was not finite at some evaluation point.
     """
-    raw, d_raw, usable = evaluate_masked(models, lats, lons, heis,
+    raw, d_raw, usable = evaluate_masked(models, None, lats, lons, heis,
                                          derivatives)
     if not usable.all():
         raise DegenerateDenominator(
-            f"denominator magnitude at or below {DENOMINATOR_EPS:.0e} at "
-            f"{int(usable.size - usable.sum())} evaluation point(s)"
+            f"denominator magnitude at or below {DENOMINATOR_EPS:.0e}, or "
+            f"projection not finite, at {int(usable.size - usable.sum())} "
+            f"evaluation point(s)"
         )
     return raw, d_raw
 
@@ -374,28 +365,28 @@ class TrackLinearization(NamedTuple):
     ok: np.ndarray | None = None
 
 
-def linearize_tracks(models: RpcArrays, targets, grounds, starts,
+def linearize_tracks(models: RpcArrays, index, targets, grounds, starts,
                      cond_max: float | None = None) -> TrackLinearization:
     """Residuals of many tracks at their (T, 3) ``grounds`` and, with
     ``cond_max``, their equilibrated point blocks.
 
     Track j's observations are rows ``starts[j]:starts[j + 1]`` of the
-    per-observation model stack ``models`` and of the (k, 2) ``targets``,
-    the raw projections its ground should reproduce.  Equilibration
-    makes the condition check reflect ray geometry rather than the
-    disparity between planimetric and height sensitivities, and leaves
-    the Schur contribution b (b'b)^-1 b' unchanged.
+    (k, 2) ``targets``, the raw projections its ground should reproduce,
+    and of ``index``, their models in the stack ``models``.
+    Equilibration makes the condition check reflect ray geometry rather
+    than the disparity between planimetric and height sensitivities, and
+    leaves the Schur contribution b (b'b)^-1 b' unchanged.
     """
     owner = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
     g = grounds[owner]
-    raw, d_raw, usable = evaluate_masked(models, g[:, 0], g[:, 1], g[:, 2],
-                                         cond_max is not None)
+    raw, d_raw, usable = evaluate_masked(models, index, g[:, 0], g[:, 1],
+                                         g[:, 2], cond_max is not None)
     v = targets - raw
     usable = np.logical_and.reduceat(usable, starts[:-1])
     if d_raw is None:
         return TrackLinearization(starts, owner, v, usable)
     # residual = observed - project: minus the projection slope
-    b = -d_raw * models.scale[starts[:-1], :3][owner][:, None, :]
+    b = -d_raw * models.scale[index[starts[:-1]], :3][owner][:, None, :]
     rows = b.reshape(-1, 3)
     gram = np.add.reduceat(rows[:, :, None] * rows[:, None, :],
                            2 * starts[:-1])
@@ -463,7 +454,8 @@ SOLVED, DEGENERATE, SINGULAR, ILL_CONDITIONED, DIVERGED, NOT_CONVERGED = \
 
 _FAILURES = {
     DEGENERATE: (DegenerateDenominator,
-                 "a rational denominator vanished at an iterate"),
+                 "a rational denominator vanished, or the projection was "
+                 "not finite, at an iterate"),
     SINGULAR: (IllConditioned, "planimetric Jacobian is singular"),
     ILL_CONDITIONED: (IllConditioned, "triangulation normal matrix "
                       f"condition exceeds {TRIANGULATION_COND_MAX:.0e}"),
@@ -480,16 +472,19 @@ def _raise_failure(status) -> None:
         raise error(message)
 
 
-def inverse_project_many(models: RpcArrays, targets, heis):
+def inverse_project_many(models: RpcArrays, index, targets, heis):
     """Ground points at heights ``heis`` whose raw projections are the
-    (K, 2) ``targets``, one per row of the model stack ``models``.
+    (K, 2) ``targets``: point k under model ``index[k]`` of the stack
+    ``models``, or all under the one model ``models`` if ``index`` is
+    None.
 
     Newton iteration on (lat, lon) in lock-step over the points, each
     using the 2x2 planimetric sub-block of its projection derivative and
     started at its model's ground offsets.  A point leaves the iteration
-    once its residual is below 1e-6 px, or fails: a vanished denominator,
-    a singular planimetric block, an iterate beyond 10 ground scales of
-    the model offsets, or no fix in 20 iterations.
+    once its residual is below 1e-6 px, or fails: a vanished denominator
+    or a projection that is not finite, a singular planimetric block, an
+    iterate beyond 10 ground scales of the model offsets, or no fix in 20
+    iterations.
 
     Returns:
         ``(lats, lons, status)``: per-point outcome codes (``SOLVED`` or
@@ -498,18 +493,19 @@ def inverse_project_many(models: RpcArrays, targets, heis):
     targets = np.asarray(targets, dtype=np.float64)
     heis = np.broadcast_to(np.asarray(heis, dtype=np.float64),
                            len(targets))
-    lats = models.offset[:, 0].copy()
-    lons = models.offset[:, 1].copy()
+    offset, scale = (np.broadcast_to(a if index is None else a[index],
+                                     (len(targets), 5))
+                     for a in (models.offset, models.scale))
+    lats = offset[:, 0].copy()
+    lons = offset[:, 1].copy()
     status = np.full(len(targets), NOT_CONVERGED)
     live = np.arange(len(targets))
     for _ in range(MAX_ITERATIONS):
         if not live.size:
             break
-        # gathering only once some point has left saves ~10% per
-        # one-point call (the wrappers' case)
-        m = models if live.size == len(targets) else models.take(live)
-        raw, d_raw, usable = evaluate_masked(m, lats[live], lons[live],
-                                             heis[live], derivatives=True)
+        raw, d_raw, usable = evaluate_masked(
+            models, None if index is None else index[live], lats[live],
+            lons[live], heis[live], derivatives=True)
         v = targets[live] - raw
         done = usable & (np.abs(v).max(axis=1) < IMAGE_TOL_PX)
         a, b = d_raw[:, 0, 0], d_raw[:, 0, 1]
@@ -522,10 +518,9 @@ def inverse_project_many(models: RpcArrays, targets, heis):
         moving = live[s]
         lats[moving] += (d[s] * v[s, 0] - b[s] * v[s, 1]) / det[s]
         lons[moving] += (a[s] * v[s, 1] - c[s] * v[s, 0]) / det[s]
-        off, scale = m.offset[s], m.scale[s]
-        far = ((np.abs(lats[moving] - off[:, 0]) / scale[:, 0]
+        far = ((np.abs(lats[moving] - offset[moving, 0]) / scale[moving, 0]
                 > DIVERGENCE_BOUND)
-               | (np.abs(lons[moving] - off[:, 1]) / scale[:, 1]
+               | (np.abs(lons[moving] - offset[moving, 1]) / scale[moving, 1]
                   > DIVERGENCE_BOUND))
         status[moving[far]] = DIVERGED
         live = moving[~far]
@@ -536,8 +531,7 @@ def inverse_project_arrays(rpc: RpcModel, bias: BiasCorrection, rows, cols,
                            heis):
     """Vectorized image-to-ground: (lats, lons) arrays at heights ``heis``
     whose projections, bias applied, are the pixel arrays ``rows`` and
-    ``cols``.  One :func:`inverse_project_many` call over the model
-    repeated for each point (:func:`repeat_model`).
+    ``cols``.  One :func:`inverse_project_many` call under the model.
 
     Raises:
         NoConvergence, IllConditioned, DegenerateDenominator: the error of
@@ -547,8 +541,8 @@ def inverse_project_arrays(rpc: RpcModel, bias: BiasCorrection, rows, cols,
     # residual = observed - (raw - bias), so fold the bias into the target
     targets = np.stack([np.ravel(rows) + bias.d_row,
                         np.ravel(cols) + bias.d_col], axis=1)
-    lats, lons, status = inverse_project_many(
-        repeat_model(rpc, len(targets)), targets, np.ravel(heis))
+    lats, lons, status = inverse_project_many(rpc.arrays, None, targets,
+                                              np.ravel(heis))
     failed = np.flatnonzero(status != SOLVED)
     if failed.size:
         _raise_failure(status[failed[0]])
@@ -571,22 +565,23 @@ def inverse_project(
     return GroundPoint(float(lats), float(lons), float(hei))
 
 
-def triangulate_many(models: RpcArrays, targets, starts):
+def triangulate_many(models: RpcArrays, index, targets, starts):
     """Least-squares ground points of many tracks by Gauss-Newton in
     lock-step.
 
     Track j's observations are rows ``starts[j]:starts[j + 1]`` of the
-    per-observation model stack ``models`` and of the (K, 2) ``targets``,
-    the observed pixels plus their image's bias (the raw projection the
-    ground must reproduce); every track needs at least two.  Each track
-    is parameterized in its first model's normalized ground units with
-    the Jacobian columns equilibrated to unit norm
+    (K, 2) ``targets``, the observed pixels plus their image's bias (the
+    raw projection the ground must reproduce), and of ``index``, their
+    models in the stack ``models``; every track needs at least two.
+    Each track is parameterized in its first model's normalized ground
+    units with the Jacobian columns equilibrated to unit norm
     (:func:`linearize_tracks`), and started by casting its first
     observation onto that model's height offset
     (:func:`inverse_project_many`).  A track leaves the iteration once
     every normalized coordinate moves by less than 1e-9, or fails: its
-    start fails, a denominator vanishes, its equilibrated normal matrix
-    condition exceeds 1e8, or 20 iterations pass.  The tracks share
+    start fails, a denominator vanishes or a projection is not finite,
+    its equilibrated normal matrix condition exceeds 1e8, or 20
+    iterations pass.  The tracks share
     nothing but the loop, so one failure leaves the others untouched.
 
     Returns:
@@ -595,25 +590,20 @@ def triangulate_many(models: RpcArrays, targets, starts):
     """
     targets = np.asarray(targets, dtype=np.float64)
     starts = np.asarray(starts, dtype=np.intp)
-    heads = models.take(starts[:-1])
-    scales = heads.scale[:, :3]
-    hei = heads.offset[:, 2]
-    lats, lons, status = inverse_project_many(heads, targets[starts[:-1]],
-                                              hei)
+    heads = index[starts[:-1]]
+    scales = models.scale[heads, :3]
+    hei = models.offset[heads, 2]
+    lats, lons, status = inverse_project_many(models, heads,
+                                              targets[starts[:-1]], hei)
     grounds = np.stack([lats, lons, hei], axis=1)
     live = np.flatnonzero(status == SOLVED)
     status[live] = NOT_CONVERGED
     for _ in range(MAX_ITERATIONS):
         if not live.size:
             break
-        # as in inverse_project_many, gather once some track has left
-        if live.size == len(grounds):
-            rows, sub, m = slice(None), starts, models
-        else:
-            rows, sub = _segment_rows(starts, live)
-            m = models.take(rows)
-        lin = linearize_tracks(m, targets[rows], grounds[live], sub,
-                               TRIANGULATION_COND_MAX)
+        rows, sub = _segment_rows(starts, live)
+        lin = linearize_tracks(models, index[rows], targets[rows],
+                               grounds[live], sub, TRIANGULATION_COND_MAX)
         degenerate = ~lin.usable
         status[live[degenerate]] = DEGENERATE
         status[live[~lin.ok & ~degenerate]] = ILL_CONDITIONED
@@ -647,8 +637,8 @@ def triangulate(
     # residual = observed - (raw - bias), so fold the bias into the target
     targets = [(p.row + b.d_row, p.col + b.d_col) for _, b, p in observations]
     grounds, status = triangulate_many(
-        stack_models([m for m, _, _ in observations]), targets,
-        [0, len(observations)])
+        stack_models([m for m, _, _ in observations]),
+        np.arange(len(observations)), targets, [0, len(observations)])
     _raise_failure(status[0])
     return GroundPoint(*(float(x) for x in grounds[0]))
 

@@ -264,7 +264,7 @@ def test_adjust_loop_never_triangulates(small_scene, monkeypatch):
     def refuse(observations):
         raise AssertionError("adjust_loop triangulated a track")
 
-    def refuse_many(models, targets, starts):
+    def refuse_many(models, index, targets, starts):
         raise AssertionError("adjust_loop triangulated a batch of tracks")
 
     monkeypatch.setattr(rpc_mod, "triangulate", refuse)
@@ -416,7 +416,7 @@ def test_triangulate_many_equals_per_track_calls():
     graph.bias[:] = [(b.d_row, b.d_col) for b in true_biases]
 
     grounds, status = rpc_mod.triangulate_many(
-        graph.models.take(graph.obs_image),
+        graph.models, graph.obs_image,
         graph.obs_pixel + graph.bias[graph.obs_image], graph.track_start)
     failed = np.flatnonzero(status != rpc_mod.SOLVED).tolist()
     assert update_points(graph) == failed == list(range(n, n + 3))
@@ -502,9 +502,9 @@ def test_update_points_calls_triangulate_many_once_per_chunk(chunk,
     calls = []
     batched = rpc_mod.triangulate_many
 
-    def count(models, targets, starts):
+    def count(models, index, targets, starts):
         calls.append(len(starts) - 1)
-        return batched(models, targets, starts)
+        return batched(models, index, targets, starts)
 
     monkeypatch.setattr(rpc_mod, "triangulate", refuse)
     monkeypatch.setattr(rpc_mod, "triangulate_many", count)

@@ -436,10 +436,14 @@ def _mutate(text: str, kind: str, data) -> str:
     return "".join(lines[:n]) + " ".join(fields) + "\n" + "".join(lines[n + 1:])
 
 
-@settings(max_examples=30, deadline=None)
+# finite values at the ends of the float64 range, which the parsers accept
+EXTREMES = ["1e200", "-1e200", "1e-300"]
+
+
+@settings(max_examples=80, deadline=None)
 @given(which=st.sampled_from(["tracks.txt", "gcps.txt"]),
-       kind=st.sampled_from(["", "nan", "inf", "1e400", "img_999", "999999",
-                             "truncate", "duplicate"]),
+       kind=st.sampled_from(["", "nan", "inf", "1e400", *EXTREMES, "img_999",
+                             "999999", "truncate", "duplicate"]),
        data=st.data())
 def test_mutated_inputs_exit_0_2_or_3_without_traceback(adjust_inputs, which,
                                                         kind, data):
@@ -461,6 +465,35 @@ def test_mutated_inputs_exit_0_2_or_3_without_traceback(adjust_inputs, which,
         code = main(["adjust", "--tracks", str(work / "tracks.txt"),
                      "--products", str(adjust_inputs / "products"),
                      "--gcps", str(work / "gcps.txt"),
+                     "--out", str(work / "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_extreme_sidecar_value_exits_0_2_or_3_without_traceback(
+        pipeline_out, tmp_path_factory, data):
+    """One ``KEY: value`` line of a product sidecar set to a huge or tiny
+    finite value: match succeeds or reports a data (2) or numerical (3)
+    error, and never crashes."""
+    work = tmp_path_factory.mktemp("sidecar")
+    products = work / "products"
+    shutil.copytree(pipeline_out / "products", products)
+    meta = products / data.draw(st.sampled_from(["img_000.meta",
+                                                 "img_001.meta"]))
+    lines = meta.read_text().splitlines()
+    scalars = [n for n, line in enumerate(lines) if "_COEFF_" not in line]
+    # half the draws go to the 23 scalar keys, not the 80 coefficients
+    n = data.draw(st.one_of(st.sampled_from(scalars),
+                            st.integers(0, len(lines) - 1)))
+    key = lines[n].split(":")[0]
+    lines[n] = f"{key}: {data.draw(st.sampled_from(EXTREMES))}"
+    meta.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["match", "--products", str(products),
                      "--out", str(work / "out")])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()

@@ -513,8 +513,8 @@ def test_degenerate_curve_cast_drops_only_that_feature(stereo, monkeypatch,
     before, _ = epipolar_curves(points, left, right, min_h, max_h)
     real = rpc_mod.inverse_project_many
 
-    def failing(models, targets, heis):
-        lats, lons, status = real(models, targets, heis)
+    def failing(models, index, targets, heis):
+        lats, lons, status = real(models, index, targets, heis)
         hit = (np.asarray(targets) == (victim.row, victim.col)).all(axis=1)
         if inner:
             # spare the cast at the ends of the height range
@@ -542,8 +542,8 @@ def test_degenerate_triangulation_drops_only_that_match(stereo, monkeypatch):
     victim = baseline[len(baseline) // 2].left.position
     real = rpc_mod.triangulate_many
 
-    def failing(models, targets, starts):
-        grounds, status = real(models, targets, starts)
+    def failing(models, index, targets, starts):
+        grounds, status = real(models, index, targets, starts)
         heads = np.asarray(targets)[np.asarray(starts)[:-1]]
         status[(heads == (victim.row, victim.col)).all(axis=1)] = \
             rpc_mod.DEGENERATE

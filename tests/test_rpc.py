@@ -24,7 +24,6 @@ from satadjust.rpc import (
     inverse_project,
     jacobian,
     parse_rpc_text,
-    poly_partials,
     poly_terms,
     project,
     project_arrays,
@@ -55,22 +54,6 @@ def test_poly_terms_matches_direct_expansion(rng):
         p, l, h = rng.uniform(-1, 1, 3)
         np.testing.assert_allclose(poly_terms(p, l, h),
                                    direct_terms(p, l, h), rtol=0, atol=1e-15)
-
-
-def test_poly_partials_match_finite_differences(rng):
-    step = 1e-7
-    for _ in range(20):
-        p, l, h = rng.uniform(-0.9, 0.9, 3)
-        dp, dl, dh = poly_partials(p, l, h)
-        fd_p = (direct_terms(p + step, l, h)
-                - direct_terms(p - step, l, h)) / (2 * step)
-        fd_l = (direct_terms(p, l + step, h)
-                - direct_terms(p, l - step, h)) / (2 * step)
-        fd_h = (direct_terms(p, l, h + step)
-                - direct_terms(p, l, h - step)) / (2 * step)
-        np.testing.assert_allclose(dp, fd_p, atol=1e-6)
-        np.testing.assert_allclose(dl, fd_l, atol=1e-6)
-        np.testing.assert_allclose(dh, fd_h, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +217,44 @@ def test_evaluate_rejects_degenerate_denominator_in_a_stack(rng):
         evaluate(stack, g.lat, g.lon, g.hei)
 
 
+def test_evaluate_masked_row_index_equals_each_model_alone(rng):
+    """Row k under model ``index[k]`` of a stack gives the bits of that
+    model passed as itself."""
+    models = [random_rpc(rng) for _ in range(3)]
+    index = rng.integers(0, 3, 200)
+    u = rng.uniform(-1.1, 1.1, (3, len(index)))
+    m = stack_models(models)
+    lats = m.offset[index, 0] + u[0] * m.scale[index, 0]
+    lons = m.offset[index, 1] + u[1] * m.scale[index, 1]
+    heis = m.offset[index, 2] + u[2] * m.scale[index, 2]
+    mixed = rpc_mod.evaluate_masked(m, index, lats, lons, heis, True)
+    for k, model in enumerate(models):
+        rows = index == k
+        alone = rpc_mod.evaluate_masked(model.arrays, None, lats[rows],
+                                        lons[rows], heis[rows], True)
+        for got, want in zip(mixed, alone):
+            np.testing.assert_array_equal(got[rows], want)
+
+
+def test_non_finite_evaluations_are_not_usable(rng):
+    """A point whose denominator is NaN, and one whose projection
+    overflows past a denominator that does not vanish, are not usable,
+    and :func:`evaluate` raises for either."""
+    from dataclasses import replace
+
+    good = random_rpc(rng)
+    huge = replace(good, line_num=np.r_[1e308, good.line_num[1:]])
+    g = inside(good, rng)
+    raw, _, usable = rpc_mod.evaluate_masked(
+        stack_models([good, huge]), np.array([0, 0, 1]),
+        [g.lat, np.nan, g.lat], [g.lon] * 3, [g.hei] * 3, True)
+    assert usable.tolist() == [True, False, False]
+    assert np.isfinite(raw[0]).all() and not np.isfinite(raw[2]).all()
+    for model, lat in ((good, np.nan), (huge, g.lat)):
+        with pytest.raises(DegenerateDenominator):
+            evaluate(model.arrays, lat, g.lon, g.hei)
+
+
 # ---------------------------------------------------------------------------
 # Inverse projection and triangulation
 # ---------------------------------------------------------------------------
@@ -285,12 +306,13 @@ def test_triangulate_rejects_rays_from_one_image(small_scene):
 
 
 def packed_tracks(tracks):
-    """Per-observation model stack, targets and track offsets of tracks
-    given as lists of (model, (row, col)) observations."""
+    """Model stack, per-observation model index, targets and track
+    offsets of tracks given as lists of (model, (row, col))
+    observations."""
     starts = np.cumsum([0] + [len(t) for t in tracks])
     models = stack_models([m for t in tracks for m, _ in t])
     targets = np.array([p for t in tracks for _, p in t])
-    return models, targets, starts
+    return models, np.arange(len(targets)), targets, starts
 
 
 def test_batched_triangulation_fails_only_the_bad_tracks(small_scene):
@@ -335,7 +357,7 @@ def test_batched_inverse_project_matches_one_point_calls(rng):
     targets = [project(rpc, BiasCorrection(), g) for g in grounds]
     targets[4] = ImagePoint(1e7, -1e7)
     lats, lons, status = rpc_mod.inverse_project_many(
-        stack_models([rpc] * len(grounds)),
+        stack_models([rpc] * len(grounds)), np.arange(len(grounds)),
         [(p.row, p.col) for p in targets], [g.hei for g in grounds])
     assert status[4] == rpc_mod.DIVERGED
     for k, (g, p) in enumerate(zip(grounds, targets)):
@@ -362,10 +384,10 @@ def test_batched_inverse_project_matches_one_point_calls(rng):
 
 
 def test_array_cast_shares_one_copy_of_the_model(small_scene, rng):
-    """The array cast repeats its model as views, also for the points
-    still iterating once others have converged: it equals a cast over a
-    stack of copies bit for bit, and 100k points stay far below the
-    1.6 kB of constants a copy per point would take."""
+    """The array cast passes its one model as itself, also for the
+    points still iterating once others have converged: it equals a cast
+    over a stack of copies bit for bit, and 100k points stay far below
+    the 1.6 kB of constants a copy per point would take."""
     # a fitted pushbroom model: its points need different numbers of
     # Newton steps, so the live set shrinks during the cast
     rpc = small_scene.images[0].rpc
@@ -380,7 +402,7 @@ def test_array_cast_shares_one_copy_of_the_model(small_scene, rng):
     rows, cols, heis = targets(2000)
     lats, lons = rpc_mod.inverse_project_arrays(rpc, bias, rows, cols, heis)
     copy_lats, copy_lons, status = rpc_mod.inverse_project_many(
-        stack_models([rpc] * len(rows)),
+        stack_models([rpc] * len(rows)), np.arange(len(rows)),
         np.column_stack([rows + bias.d_row, cols + bias.d_col]), heis)
     assert (status == rpc_mod.SOLVED).all()
     assert np.array_equal(lats, copy_lats) and np.array_equal(lons, copy_lons)
