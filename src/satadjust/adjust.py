@@ -233,19 +233,19 @@ def accumulate_reduced(
     """One pass over the tracks, chunk by chunk, building the reduced
     2N x 2N system.
 
-    A chunk's 3x3 point blocks are inverted as one stack and its Schur
-    terms subtracted as dense panel products ``W @ B.T``: B (2u x 3c)
-    holds the equilibrated point blocks of c tracks side by side, on the
-    bias rows of the u images those tracks see, and W the same blocks
-    times their inverse normal matrices.  With c <= 2N/3, neither panel
+    A chunk's Schur terms are subtracted as dense panel products
+    ``W @ B.T``: B (2u x 3c) holds the equilibrated point blocks of c
+    tracks side by side, on the bias rows of the u images those tracks
+    see, and W the same blocks times the inverse normal matrices of
+    :func:`rpc.linearize_tracks`.  With c <= 2N/3, neither panel
     nor their product is larger than the 2N x 2N reduced matrix; the
     other per-chunk arrays are bounded by ``CHUNK_OBSERVATIONS``.  So
     the working memory is a few (2N)^2 arrays (the matrix, the two
     panels and the product) and each panel costs O(u^2 c) flops; both
     were measured only up to N = 50.
-    Tracks whose point block condition exceeds 1e10, or whose residual
-    meets a vanished denominator, are excluded and named in one log
-    warning.
+    Tracks whose point block is not positive definite with an
+    eigenvalue ratio of at most 1e10, or whose residual meets a vanished
+    denominator, are excluded and named in one log warning.
 
     Args:
         alloc_hook: optional callable receiving the shape of every array
@@ -281,14 +281,9 @@ def accumulate_reduced(
         if not free.any():
             continue
         # the other tracks get zero blocks and so add nothing below
-        owner = lin.owner
-        b_eq = np.where(free[owner][:, None, None],
-                        lin.b / lin.col_norms[owner][:, None, :], 0.0)
-        inverse = np.linalg.inv(np.where(free[:, None, None], lin.normal,
-                                         np.eye(3)))
-        l_b = -np.add.reduceat(np.einsum("kri,kr->ki", b_eq, lin.v),
-                               lin.starts[:-1])
-        w_obs = np.einsum("kri,kij->krj", b_eq, inverse[owner])
+        b_eq = np.where(free[lin.owner][:, None, None], lin.b, 0.0)
+        l_b = np.where(free[:, None], rpc_mod._gradient(lin, lin.v), 0.0)
+        w_obs = np.einsum("kri,kij->krj", b_eq, lin.inverse[lin.owner])
         for p0 in range(0, b - a, per_panel):
             p1 = min(p0 + per_panel, b - a)
             span = slice(lin.starts[p0], lin.starts[p1])
@@ -302,12 +297,12 @@ def accumulate_reduced(
             # (panel row, panel column) of each observation row and
             # ground column
             r = (2 * local[:, None] + np.arange(2))[:, :, None]
-            c = 3 * (owner[span] - p0)[:, None, None] + np.arange(3)
+            c = 3 * (lin.owner[span] - p0)[:, None, None] + np.arange(3)
             w[r, c] = w_obs[span]
             bt[r, c] = b_eq[span]
             matrix[np.ix_(bias_rows, bias_rows)] -= w @ bt.T
             rhs[bias_rows] -= w @ l_b[p0:p1].ravel()
-    _warn_tracks(excluded, f"excluded: point block condition above "
+    _warn_tracks(excluded, f"excluded: point block eigenvalue ratio above "
                  f"{POINT_BLOCK_COND_MAX:.0e} or a vanished denominator")
     return ReducedNormalSystem(matrix=matrix, rhs=rhs,
                                excluded_tracks=excluded)
@@ -359,8 +354,8 @@ def ground_corrections(
     graph: ObservationGraph, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Schur back-substitution: the ground corrections implied by bias
-    corrections ``x`` at the current linearization, chunk by chunk with
-    stacked 3x3 solves.
+    corrections ``x`` at the current linearization, chunk by chunk
+    through :func:`rpc.point_steps`.
 
     Returns:
         ``(tracks, steps)``: the indices of the tracks corrected (not

@@ -18,8 +18,8 @@ per model (:class:`RpcArrays`).  A single model is passed as itself
 :meth:`RpcModel.validate` and the RPC fit in :mod:`.rectify` use the
 monomials only as a design matrix.
 
-Triangulation and the adjustment's passes share one per-track
-linearization, :func:`linearize_tracks`, and point solve, :func:`point_steps`.
+Triangulation and the adjustment's passes share one per-track linearization
+and elimination, :func:`linearize_tracks`, and step, :func:`point_steps`.
 
 Image-to-ground and triangulation are batched: :func:`inverse_project_many`
 and :func:`triangulate_many` iterate many points or tracks in lock-step,
@@ -266,6 +266,7 @@ def _slope_table() -> np.ndarray:
 _SLOPES = _slope_table()
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def evaluate_masked(models: RpcArrays, index, lats, lons, heis,
                     derivatives: bool = False):
     """:func:`evaluate` without the denominator check.  Point k is
@@ -349,10 +350,10 @@ class TrackLinearization(NamedTuple):
     residuals, target minus raw projection; ``usable`` is False for a
     track where a denominator vanished.  With derivatives (else None):
     ``b`` (k, 2, 3) are the residual Jacobians in each track's first
-    model's normalized ground units, ``normal`` (T, 3, 3) their normal
-    matrices with columns scaled to unit norm, ``col_norms`` (T, 3) the
-    scales (1 where not ``ok``), and ``ok`` False where a column
-    vanishes or is not finite, or the condition exceeds ``cond_max``.
+    model's normalized ground units over its column norms ``col_norms``
+    (T, 3), ``inverse`` (T, 3, 3) the inverse normal matrices of those
+    columns (the identity where not ``ok``), and ``ok`` False where a
+    column vanishes or is not finite, or the eigenvalue test fails.
     """
 
     starts: np.ndarray
@@ -360,22 +361,25 @@ class TrackLinearization(NamedTuple):
     v: np.ndarray
     usable: np.ndarray
     b: np.ndarray | None = None
-    normal: np.ndarray | None = None
+    inverse: np.ndarray | None = None
     col_norms: np.ndarray | None = None
     ok: np.ndarray | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def linearize_tracks(models: RpcArrays, index, targets, grounds, starts,
                      cond_max: float | None = None) -> TrackLinearization:
     """Residuals of many tracks at their (T, 3) ``grounds`` and, with
-    ``cond_max``, their equilibrated point blocks.
+    ``cond_max``, their equilibrated point blocks, judged and inverted.
 
     Track j's observations are rows ``starts[j]:starts[j + 1]`` of the
     (k, 2) ``targets``, the raw projections its ground should reproduce,
     and of ``index``, their models in the stack ``models``.
     Equilibration makes the condition check reflect ray geometry rather
     than the disparity between planimetric and height sensitivities, and
-    leaves the Schur contribution b (b'b)^-1 b' unchanged.
+    leaves the Schur contribution b (b'b)^-1 b' unchanged.  A block is
+    ``ok`` when its ``eigvalsh`` eigenvalues are positive and the
+    greatest is at most ``cond_max`` times the least.
     """
     owner = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
     g = grounds[owner]
@@ -385,29 +389,35 @@ def linearize_tracks(models: RpcArrays, index, targets, grounds, starts,
     usable = np.logical_and.reduceat(usable, starts[:-1])
     if d_raw is None:
         return TrackLinearization(starts, owner, v, usable)
-    # residual = observed - project: minus the projection slope
-    b = -d_raw * models.scale[index[starts[:-1]], :3][owner][:, None, :]
-    rows = b.reshape(-1, 3)
+    # residual = observed - project: minus the slope per normalized unit
+    unit = models.scale[index[starts[:-1]], :3]
+    rows = d_raw.reshape(-1, 3)
     gram = np.add.reduceat(rows[:, :, None] * rows[:, None, :],
                            2 * starts[:-1])
+    gram *= unit[:, :, None] * unit[:, None]
     squares = np.einsum("tii->ti", gram)
     ok = (squares > 0.0).all(axis=1) & np.isfinite(gram).all(axis=(1, 2))
     col_norms = np.sqrt(np.where(ok[:, None], squares, 1.0))
     normal = gram / (col_norms[:, :, None] * col_norms[:, None, :])
-    ok[ok] = np.linalg.cond(normal[ok]) <= cond_max
-    return TrackLinearization(starts, owner, v, usable, b, normal, col_norms,
-                              ok)
+    eig = np.linalg.eigvalsh(normal[ok])
+    ok[ok] = (eig[:, 0] > 0.0) & (eig[:, -1] <= cond_max * eig[:, 0])
+    inverse = np.linalg.inv(np.where(ok[:, None, None], normal, np.eye(3)))
+    b = -d_raw * np.take(unit / col_norms, owner, axis=0)[:, None, :]
+    return TrackLinearization(starts, owner, v, usable, b, inverse,
+                              col_norms, ok)
+
+
+def _gradient(lin: TrackLinearization, v) -> np.ndarray:
+    """Each track's -sum b'v over its rows of the residuals ``v``."""
+    return -np.add.reduceat(np.einsum("kri,kr->ki", lin.b, v), lin.starts[:-1])
 
 
 def point_steps(lin: TrackLinearization, v, which) -> np.ndarray:
     """Gauss-Newton ground steps, in normalized units, of the tracks
-    selected by the mask ``which``: the least-squares decrements of the
-    residuals ``v`` (``lin.v`` or a shifted copy) through the equilibrated
-    normal blocks of ``lin``."""
-    rhs = (-np.add.reduceat(np.einsum("kri,kr->ki", lin.b, v),
-                            lin.starts[:-1]) / lin.col_norms)
-    return (np.linalg.solve(lin.normal[which], rhs[which][:, :, None])[:, :, 0]
-            / lin.col_norms[which])
+    selected by the mask ``which``: their inverse normal blocks times
+    their gradients of the residuals ``v`` (``lin.v`` or a shifted copy)."""
+    return (np.einsum("tij,tj->ti", lin.inverse[which],
+                      _gradient(lin, v)[which]) / lin.col_norms[which])
 
 
 def project_arrays(rpc: RpcModel, bias: BiasCorrection, lats, lons, heis):
@@ -472,6 +482,7 @@ def _raise_failure(status) -> None:
         raise error(message)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def inverse_project_many(models: RpcArrays, index, targets, heis):
     """Ground points at heights ``heis`` whose raw projections are the
     (K, 2) ``targets``: point k under model ``index[k]`` of the stack
@@ -580,8 +591,8 @@ def triangulate_many(models: RpcArrays, index, targets, starts):
     (:func:`inverse_project_many`).  A track leaves the iteration once
     every normalized coordinate moves by less than 1e-9, or fails: its
     start fails, a denominator vanishes or a projection is not finite,
-    its equilibrated normal matrix condition exceeds 1e8, or 20
-    iterations pass.  The tracks share
+    its equilibrated normal matrix fails the eigenvalue test at 1e8, or
+    20 iterations pass.  The tracks share
     nothing but the loop, so one failure leaves the others untouched.
 
     Returns:
@@ -604,11 +615,9 @@ def triangulate_many(models: RpcArrays, index, targets, starts):
         rows, sub = _segment_rows(starts, live)
         lin = linearize_tracks(models, index[rows], targets[rows],
                                grounds[live], sub, TRIANGULATION_COND_MAX)
-        degenerate = ~lin.usable
-        status[live[degenerate]] = DEGENERATE
-        status[live[~lin.ok & ~degenerate]] = ILL_CONDITIONED
-        ok = lin.ok & ~degenerate
-        # residual linearizes as v + B*step, so solve for the decrement
+        ok = lin.ok & lin.usable
+        status[live[~lin.usable]] = DEGENERATE
+        status[live[lin.usable & ~lin.ok]] = ILL_CONDITIONED
         step = point_steps(lin, lin.v, ok)
         moved = live[ok]
         grounds[moved] += step * scales[moved]

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -497,3 +499,59 @@ def test_extreme_sidecar_value_exits_0_2_or_3_without_traceback(
                      "--out", str(work / "out")])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def test_overflowing_model_exits_2_with_one_line(dataset, tmp_path, capsys):
+    """A raw model whose height scale makes every projection overflow
+    leaves no usable track: exit 2, and stderr holds the one data-error
+    line, with no NumPy warning before it."""
+    raw = tmp_path / "raw"
+    shutil.copytree(dataset, raw)
+    rpc_file = raw / "img_000.rpc"
+    rpc_file.write_text(re.sub(r"^HEIGHT_SCALE: .*$", "HEIGHT_SCALE: 1e200",
+                               rpc_file.read_text(), flags=re.M))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["pipeline", *stems(raw), "--out", str(tmp_path / "o"),
+                     "--threads", "1"])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("satadjust: data error:")
+
+
+# every knob but threads, which would ask for worker threads
+FUZZED_KEYS = [f.name for f in dataclasses.fields(PipelineConfig)
+               if f.name != "threads"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(line=st.one_of(
+    st.tuples(st.sampled_from(FUZZED_KEYS),
+              st.sampled_from(["nan", "inf", "-1", "0", "1e400", "abc",
+                               ""])).map(" = ".join),
+    st.just("warp_speed = 9"),
+    st.sampled_from(FUZZED_KEYS).map("{} 5".format)))
+def test_config_line_through_adjust_exits_0_or_2_without_traceback(
+        adjust_inputs, line):
+    """A config file of one line, a knob set to a malformed token, an
+    unknown knob or a line without ``=``: adjust exits 2 with one
+    data-error line, except for ``nodata = 0``, which is valid."""
+    work = adjust_inputs / "cfg_work"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    (work / "run.cfg").write_text(line + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["adjust", "--tracks", str(adjust_inputs / "tracks.txt"),
+                     "--products", str(adjust_inputs / "products"),
+                     "--gcps", str(adjust_inputs / "gcps.txt"),
+                     "--config", str(work / "run.cfg"),
+                     "--out", str(work / "out")])
+    assert code == (0 if line == "nodata = 0" else 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("satadjust: data error:")

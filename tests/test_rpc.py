@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from satadjust import rpc as rpc_mod
+from satadjust.adjust import POINT_BLOCK_COND_MAX
 from satadjust.errors import (
     DegenerateDenominator,
     IllConditioned,
@@ -349,6 +350,78 @@ def test_batched_triangulation_fails_only_the_bad_tracks(small_scene):
     with pytest.raises(DegenerateDenominator):
         triangulate([(m, BiasCorrection(), ImagePoint(*p))
                      for m, p in vanishing])
+
+
+def row_models(rows):
+    """Linear unit-scale models at the origin, two per (3, 3) block of
+    ``rows``: a track of the two sees residual Jacobian rows -rows[0],
+    -rows[1], -rows[2] and 0, whatever its ground."""
+    models = []
+    den = np.eye(20)[0]
+    for block in rows:
+        for line, samp in ((block[0], block[1]), (block[2], np.zeros(3))):
+            # (P, L, H) slopes are the coefficients of monomials 2, 1, 3
+            num_line, num_samp = np.zeros(20), np.zeros(20)
+            num_line[[2, 1, 3]], num_samp[[2, 1, 3]] = line, samp
+            models.append(RpcModel(
+                line_off=0.0, line_scale=1.0, samp_off=0.0, samp_scale=1.0,
+                lat_off=0.0, lat_scale=1.0, lon_off=0.0, lon_scale=1.0,
+                hei_off=0.0, hei_scale=1.0, line_num=num_line,
+                line_den=den, samp_num=num_samp, samp_den=den))
+    return stack_models(models)
+
+
+def unit_diagonal_blocks(rng, count, cond):
+    """Rows whose equilibrated normal matrices have condition ``cond``
+    (an array), up to rounding: a random unit-diagonal block of
+    condition 1e13, blended with the identity."""
+    q, _ = np.linalg.qr(rng.normal(size=(count, 3, 3)))
+    a = np.einsum("nij,j,nkj->nik", q, [1.0, 1e-6, 1e-13], q)
+    d = np.sqrt(np.einsum("nii->ni", a))
+    a /= d[:, :, None] * d[:, None, :]
+    lo, hi = np.linalg.eigvalsh(a)[:, [0, 2]].T
+    # (1 - t) a + t I keeps the unit diagonal; pick t for the condition
+    t = (cond * lo - hi) / ((1.0 - hi) - cond * (1.0 - lo))
+    blend = (1.0 - t)[:, None, None] * a + t[:, None, None] * np.eye(3)
+    return np.swapaxes(np.linalg.cholesky(blend), 1, 2)
+
+
+@pytest.mark.parametrize("cond_max", [rpc_mod.TRIANGULATION_COND_MAX,
+                                      POINT_BLOCK_COND_MAX])
+def test_point_block_verdict_is_the_condition_rule(rng, cond_max):
+    """``linearize_tracks`` accepts a point block by its ``eigvalsh``
+    eigenvalues, and agrees with ``np.linalg.cond(block) <= cond_max``
+    on random blocks, on blocks near the bound, and on exactly singular
+    blocks, which it never accepts.  Near the bound the two estimates
+    differ by rounding, which for any condition estimate is about
+    eps * cond relative (measured up to 4e-8 at 1e8 and 4e-6 at 1e10),
+    so blocks within 64 eps * cond_max of the bound are not compared."""
+    near = cond_max * (1.0 + rng.choice([-1.0, 1.0], 400)
+                       * 10.0 ** rng.uniform(-9.0, -1.0, 400))
+    u, w = rng.normal(size=(2, 100, 1, 3))
+    rank_one = rng.normal(size=(100, 3, 1)) * u
+    rank_two = np.concatenate([u, w, u - 2.0 * w], axis=1)
+    rows = np.concatenate([rng.normal(size=(300, 3, 3)),
+                           10.0 ** rng.uniform(-3, 3, (300, 1, 3))
+                           * rng.normal(size=(300, 3, 3)),
+                           unit_diagonal_blocks(rng, 400, near),
+                           rank_one, rank_two])
+    singular = np.arange(len(rows)) >= len(rows) - 200
+    lin = rpc_mod.linearize_tracks(
+        row_models(rows), np.arange(2 * len(rows)),
+        np.zeros((2 * len(rows), 2)), np.zeros((len(rows), 3)),
+        np.arange(0, 2 * len(rows) + 1, 2), cond_max)
+    gram = np.einsum("tri,trj->tij", rows, rows)
+    norms = np.sqrt(np.einsum("tii->ti", gram))
+    cond = np.linalg.cond(gram / (norms[:, :, None] * norms[:, None, :]))
+    apart = np.abs(cond / cond_max - 1.0) > 64 * np.finfo(float).eps * cond_max
+    assert (lin.ok == (cond <= cond_max))[apart].all()
+    assert not lin.ok[singular].any()
+    assert (lin.inverse[~lin.ok] == np.eye(3)).all()
+    # the test is not empty: a good share of the blocks near the bound
+    # are compared, and the verdict goes both ways
+    assert apart[600:1000].mean() > 0.25
+    assert 0 < lin.ok[apart].mean() < 1
 
 
 def test_batched_inverse_project_matches_one_point_calls(rng):
