@@ -34,15 +34,15 @@ class PipelineConfig:
     """All pipeline knobs; defaults are the method's stated values."""
 
     overlap_threshold: float = 0.6
-    epipolar_buffer_px: float = 30.0
-    ratio_threshold: float = 0.6
-    reproj_filter_px: float = 2.0
-    convergence_px: float = 0.001
-    max_iter: int = 50
-    window: int = 27
-    blocks: int = 3
-    fast_threshold: float = 20.0
-    nms_radius: float = 5.0
+    epipolar_buffer_px: float = MatchParams.epipolar_buffer_px
+    ratio_threshold: float = MatchParams.ratio_threshold
+    reproj_filter_px: float = MatchParams.reproj_filter_px
+    convergence_px: float = adjust_mod.CONVERGENCE_PX
+    max_iter: int = adjust_mod.MAX_ITER
+    window: int = MatchParams.window
+    blocks: int = MatchParams.blocks
+    fast_threshold: float = MatchParams.fast_threshold
+    nms_radius: float = MatchParams.nms_radius
     nodata: int = 0
     threads: int = 1
 
@@ -60,15 +60,8 @@ class PipelineConfig:
             raise ConfigInvalid(str(exc)) from None
 
     def match_params(self) -> MatchParams:
-        return MatchParams(
-            epipolar_buffer_px=self.epipolar_buffer_px,
-            ratio_threshold=self.ratio_threshold,
-            reproj_filter_px=self.reproj_filter_px,
-            fast_threshold=self.fast_threshold,
-            nms_radius=self.nms_radius,
-            window=self.window,
-            blocks=self.blocks,
-        )
+        return MatchParams(**{f.name: getattr(self, f.name)
+                              for f in dataclasses.fields(MatchParams)})
 
     def describe(self) -> str:
         return " ".join(f"{f.name}={getattr(self, f.name)!r}"
@@ -148,43 +141,46 @@ def cmd_rectify(inputs: list[str], out_dir: str,
     stems = _input_stems(inputs)
     if not stems:
         raise ConfigInvalid("no input images given")
-    images = []
-    for stem in stems:
-        rpc = load_rpc_file(stem + ".rpc")
-        raster = read_pgm(stem + ".pgm", nodata=config.nodata)
-        images.append((raster, rpc))
-    plane = rectify_mod.common_plane_height([rpc for _, rpc in images])
-    gsd = rectify_mod.common_gsd(images, plane)
+    rpcs = [load_rpc_file(stem + ".rpc") for stem in stems]
+    plane = rectify_mod.common_plane_height(rpcs)
+    # one raster at a time: each is read to find its sampling distance
+    # (and any fault in it before products/ exists), then read again in
+    # its rectification task
+    gsd = max(rectify_mod.common_gsd(
+        [(read_pgm(stem + ".pgm", nodata=config.nodata), rpc)], plane)
+        for stem, rpc in zip(stems, rpcs))
     os.makedirs(out_dir, exist_ok=True)
 
     def run(item):
-        stem, (raster, rpc) = item
-        product = rectify_mod.rectify_image(raster, rpc, plane, gsd)
+        stem, rpc = item
+        product = rectify_mod.rectify_image(
+            read_pgm(stem + ".pgm", nodata=config.nodata), rpc, plane, gsd)
         out_stem = os.path.join(out_dir, os.path.basename(stem))
         rectify_mod.save_product(product, out_stem)
         return out_stem
 
-    out_stems = _map(run, zip(stems, images), config.threads)
+    out_stems = _map(run, zip(stems, rpcs), config.threads)
     print(f"rectified {len(out_stems)} image(s) onto plane "
           f"{plane:.3f} m at {gsd:.3f} m/px")
     return out_stems
 
 
-def _load_products(products_dir: str) -> list:
+def _product_stems(products_dir: str) -> list[str]:
+    """The products' stems, in sorted ``.meta`` order."""
     metas = sorted(
         name for name in os.listdir(products_dir) if name.endswith(".meta")
     )
     if not metas:
         raise ConfigInvalid(f"no level-2 products (*.meta) in "
                             f"{products_dir}")
-    return [rectify_mod.load_product(os.path.join(products_dir, m[:-5]))
-            for m in metas]
+    return [os.path.join(products_dir, m[:-5]) for m in metas]
 
 
 def cmd_match(products_dir: str, out_dir: str,
               config: PipelineConfig) -> tuple[str, str]:
     """Match all overlapping pairs and build tracks; returns file paths."""
-    products = _load_products(products_dir)
+    products = [rectify_mod.load_product(stem)
+                for stem in _product_stems(products_dir)]
     params = config.match_params()
     pairs = match_mod.select_pairs(products, config.overlap_threshold)
 
@@ -239,12 +235,13 @@ def _report_dict(rep: adjust_mod.ReprojectionReport) -> dict:
 
 def _assemble(track_path: str, products_dir: str,
               gcp_path: str | None) -> adjust_mod.ObservationGraph:
-    """The observation graph of the stored tracks over the products."""
-    products = _load_products(products_dir)
+    """The observation graph of the stored tracks over the products,
+    whose models are read from their sidecars; no raster is read."""
+    images = [(os.path.basename(stem), load_rpc_file(stem + ".meta"))
+              for stem in _product_stems(products_dir)]
     track_list = tracks_mod.load_tracks(track_path)
     gcps = tracks_mod.load_gcps(gcp_path) if gcp_path else None
-    return adjust_mod.assemble([(p.image_id, p.rpc) for p in products],
-                               track_list, gcps)
+    return adjust_mod.assemble(images, track_list, gcps)
 
 
 def cmd_adjust(track_path: str, products_dir: str, out_dir: str,

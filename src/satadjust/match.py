@@ -213,7 +213,8 @@ def _segment_test(px: np.ndarray, r0: int, r1: int, threshold: float):
 
 
 def detect_corners(
-    raster: Raster, threshold: float = 20.0, nms_radius: float = 5.0
+    raster: Raster, threshold: float = MatchParams.fast_threshold,
+    nms_radius: float = MatchParams.nms_radius,
 ) -> list[Feature]:
     """Segment-test corners with non-maximum suppression.
 
@@ -263,8 +264,8 @@ def _check_census(window, blocks) -> None:
                          f"of blocks ({blocks!r})")
 
 
-def census_bits(raster: Raster, rows, cols, window: int = 27,
-                blocks: int = 3) -> np.ndarray:
+def census_bits(raster: Raster, rows, cols, window: int = MatchParams.window,
+                blocks: int = MatchParams.blocks) -> np.ndarray:
     """Census bits of the windows centred at the integer pixels (rows,
     cols): (n, blocks², side² - 1) booleans, side = window // blocks.
 
@@ -301,7 +302,8 @@ def census_bits(raster: Raster, rows, cols, window: int = 27,
 
 
 def mbcensus_descriptor(
-    raster: Raster, p: ImagePoint, window: int = 27, blocks: int = 3
+    raster: Raster, p: ImagePoint, window: int = MatchParams.window,
+    blocks: int = MatchParams.blocks,
 ) -> MBCensusDescriptor:
     """Multi-block census descriptor at (rounded) position ``p``: the
     one-window case of :func:`census_bits`.
@@ -480,20 +482,20 @@ def match_pair(
     left: Level2Product,
     right: Level2Product,
     params: MatchParams = MatchParams(),
-    left_features: list[Feature] | None = None,
-    right_features: list[Feature] | None = None,
+    *,
+    left_features: list[Feature],
+    right_features: list[Feature],
 ) -> list[Correspondence]:
-    """Match corner features of two products along epipolar buffers.
+    """Match given corner features of two products along epipolar buffers.
 
     For every left feature, right candidates are the features within the
     epipolar buffer of its height-swept curve; the best census score wins
-    if it beats 0.6 of the second best (a lone candidate is accepted, the
-    geometric filter below still guards it; ties prefer the candidate
-    closest to the curve).  Tentative matches are then offset-compensated
-    by their median displacement from the curve and kept only if the
-    triangulated pair reprojects within the filter tolerance.
-
-    Detection is rerun unless precomputed features are supplied.
+    if it beats ``ratio_threshold`` times the second best (a lone
+    candidate is accepted, the geometric filter below still guards it;
+    ties prefer the candidate closest to the curve).  Tentative matches
+    are then offset-compensated by their median displacement from the
+    curve and kept only if the triangulated pair reprojects within the
+    filter tolerance.
 
     Raises:
         EmptyHeightRange: the left product's height range is empty.
@@ -506,12 +508,9 @@ def match_pair(
             f"HEIGHT_SCALE {left.rpc.hei_scale!r} is an empty height range")
     margin = params.window // 2 + BLUR_MARGIN
 
-    def usable(features: list[Feature] | None, raster: Raster):
-        """The features (detected unless given) whose window and filter
-        apron fit inside the raster, their positions and census bits."""
-        if features is None:
-            features = detect_corners(raster, params.fast_threshold,
-                                      params.nms_radius)
+    def usable(features: list[Feature], raster: Raster):
+        """The features whose window and filter apron fit inside the
+        raster, their positions and census bits."""
         pos = np.array([(f.position.row, f.position.col) for f in features],
                        dtype=np.float64).reshape(-1, 2)
         pix = np.round(pos).astype(np.intp)

@@ -23,7 +23,7 @@ from satadjust.adjust import (
 )
 from satadjust.cli import main
 from satadjust.geodesy import meters_per_degree
-from satadjust.match import match_pair, mbcensus_descriptor
+from satadjust.match import detect_corners, match_pair, mbcensus_descriptor
 from satadjust.raster import Raster
 from satadjust.rectify import fit_rpc
 from satadjust.rpc import BiasCorrection, ImagePoint, inverse_project, project
@@ -186,7 +186,9 @@ def test_matching_end_to_end_with_bias_and_transform():
         image_id=plain.image_id,
     )
 
-    corrs = match_pair(products[0], transformed)
+    corrs = match_pair(products[0], transformed,
+                       left_features=detect_corners(products[0].raster),
+                       right_features=detect_corners(transformed.raster))
 
     def planted(index):
         img = scene.images[index]

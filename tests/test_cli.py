@@ -9,6 +9,7 @@ import json
 import os
 import re
 import shutil
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satadjust.cli import PipelineConfig, load_config, main
+from satadjust import raster as raster_mod
+from satadjust import rectify as rectify_mod
+from satadjust import cli
+from satadjust.cli import PipelineConfig, cmd_rectify, load_config, main
 from satadjust.errors import ConfigInvalid, ParseError
 from satadjust.geodesy import meters_per_degree
 from satadjust.raster import Raster
@@ -96,6 +100,20 @@ def test_pipeline_config_rejects_bad_values():
             PipelineConfig(epipolar_buffer_px=value)
 
 
+def test_readme_configuration_table_matches_pipeline_config():
+    """Each ``| key | default | meaning |`` row of README's Configuration
+    table names a knob and states its default, and every knob has one."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("\n## Configuration\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, flags=re.M)
+    names = [f.name for f in dataclasses.fields(PipelineConfig)]
+    assert sorted(key for key, _ in rows) == sorted(names)
+    defaults = PipelineConfig()
+    for key, value in rows:
+        assert float(value) == getattr(defaults, key), key
+
+
 # ---------------------------------------------------------------------------
 # Happy path
 # ---------------------------------------------------------------------------
@@ -138,6 +156,27 @@ def test_report_command(pipeline_out, capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "Before" in out and "After" in out
+
+
+def test_adjust_and_report_read_no_pixels(pipeline_out, tmp_path,
+                                          monkeypatch):
+    """adjust and report take each product's model from its sidecar and
+    never read a raster: with every PGM reader failing, adjust still
+    writes the pipeline's biases and report."""
+    def no_pixels(*args, **kwargs):
+        raise AssertionError("a raster was read")
+
+    for module in (raster_mod, rectify_mod, cli):
+        monkeypatch.setattr(module, "read_pgm", no_pixels)
+    common = ["--tracks", str(pipeline_out / "tracks.txt"),
+              "--products", str(pipeline_out / "products")]
+    out = tmp_path / "adj"
+    assert main(["adjust", *common, "--out", str(out)]) == 0
+    for name in ("biases.txt", "report.json"):
+        assert (out / name).read_bytes() == \
+            (pipeline_out / name).read_bytes()
+    assert main(["report", *common, "--biases",
+                 str(out / "biases.txt")]) == 0
 
 
 @pytest.mark.parametrize("lines, named", [
@@ -553,5 +592,129 @@ def test_config_line_through_adjust_exits_0_or_2_without_traceback(
     assert code == (0 if line == "nodata = 0" else 2)
     if code == 2:
         lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("satadjust: data error:")
+
+
+# ---------------------------------------------------------------------------
+# Raw inputs: memory and malformed files
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_raw(tmp_path_factory):
+    """Four rendered 472 x 472 raw images; the tests rectify two or all."""
+    d = tmp_path_factory.mktemp("small_raw")
+    assert main(["synth", "--out", str(d), "--images", "4", "--points",
+                 "20", "--bias-range", "6", "--noise", "0", "--seed", "77",
+                 "--render", "--half-extent", "60"]) == 0
+    return d
+
+
+def test_rectify_holds_one_raw_raster_at_a_time(small_raw, tmp_path):
+    """Four raw images peak no more than one raster above two: each is
+    read when its sampling distance or its rectification needs it."""
+    stems = [str(small_raw / f"img_{i:03d}") for i in range(4)]
+    raster_bytes = min(raster_mod.read_pgm(s + ".pgm").pixels.nbytes
+                       for s in stems)
+    peaks = []
+    for n in (2, 4):
+        tracemalloc.start()
+        try:
+            cmd_rectify(stems[:n], str(tmp_path / f"p{n}"), PipelineConfig())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < raster_bytes
+
+
+def _mutate_pgm(blob: bytes, data) -> bytes:
+    """``blob``, a PGM written by ``write_pgm``, with one header token
+    replaced, its body cut short or extended, or its magic changed."""
+    kind = data.draw(st.sampled_from(["token", "truncate", "extend",
+                                      "magic"]))
+    if kind == "truncate":
+        return blob[:data.draw(st.integers(0, len(blob) - 1))]
+    if kind == "extend":
+        return blob + bytes(data.draw(st.integers(1, 64)))
+    if kind == "magic":
+        return data.draw(st.sampled_from([b"P2", b"P6", b"p5", b"  "])) \
+            + blob[2:]
+    magic, size, maxval, body = blob.split(b"\n", 3)
+    tokens = size.split() + [maxval]
+    tokens[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from(
+        [b"0", b"-1", b"65536", b"1e9", b"x"]))
+    return b"%s\n%s %s\n%s\n" % (magic, *tokens) + body
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of ``main(argv)``, its stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_pgm_through_rectify_exits_0_or_2_with_one_line(
+        small_raw, data):
+    """A raw PGM with a header token set to 0, -1, 65536, 1e9 or x, its
+    body cut short or extended, or another magic: rectify succeeds or
+    exits 2 with one data-error line before products/ exists."""
+    work = small_raw / "pgm_work"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    for stem in ("img_000", "img_001"):
+        for ext in (".pgm", ".rpc"):
+            shutil.copy(small_raw / (stem + ext), work)
+    victim = work / data.draw(st.sampled_from(["img_000.pgm",
+                                               "img_001.pgm"]))
+    victim.write_bytes(_mutate_pgm(victim.read_bytes(), data))
+    code, err = _run_quietly(["rectify", str(work / "img_000"),
+                              str(work / "img_001"),
+                              "--out", str(work / "products")])
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("satadjust: data error:")
+        assert not (work / "products").exists()
+
+
+@pytest.fixture(scope="module")
+def small_products(small_raw):
+    """Products of two of the small raw images."""
+    out = small_raw / "products"
+    assert main(["rectify", str(small_raw / "img_000"),
+                 str(small_raw / "img_001"), "--out", str(out)]) == 0
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(line=st.one_of(
+    st.tuples(st.sampled_from(FUZZED_KEYS),
+              st.sampled_from(["nan", "inf", "-1", "0", "1e400", "abc",
+                               ""])).map(" = ".join),
+    st.just("warp_speed = 9"),
+    st.sampled_from(FUZZED_KEYS).map("{} 5".format)))
+def test_config_line_through_match_exits_0_or_2_without_traceback(
+        small_products, line):
+    """The config lines of the adjust test above, through match: exit 2
+    with one data-error line, except for ``nodata = 0``, which is
+    valid."""
+    work = small_products.parent / "match_cfg_work"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    (work / "run.cfg").write_text(line + "\n")
+    code, err = _run_quietly(["match", "--products", str(small_products),
+                              "--config", str(work / "run.cfg"),
+                              "--out", str(work / "out")])
+    assert code == (0 if line == "nodata = 0" else 2)
+    assert "Traceback" not in err
+    if code == 2:
+        lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("satadjust: data error:")

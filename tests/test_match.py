@@ -506,7 +506,9 @@ def test_degenerate_curve_cast_drops_only_that_feature(stereo, monkeypatch,
     left, right = products
     min_h = left.rpc.hei_off - left.rpc.hei_scale
     max_h = left.rpc.hei_off + left.rpc.hei_scale
-    baseline = match_pair(*products)
+    baseline = match_pair(*products,
+                          left_features=detect_corners(left.raster),
+                          right_features=detect_corners(right.raster))
     points = [(c.left.position.row, c.left.position.col) for c in baseline]
     k = len(points) // 2
     victim = baseline[k].left.position
@@ -532,13 +534,16 @@ def test_degenerate_curve_cast_drops_only_that_feature(stereo, monkeypatch,
             np.testing.assert_array_equal(curve, before[j])
     with pytest.raises(DegenerateDenominator):
         epipolar_curve(victim, left, right, min_h, max_h)
-    corrs = match_pair(*products)
+    corrs = match_pair(*products, left_features=detect_corners(left.raster),
+                       right_features=detect_corners(right.raster))
     assert corrs == [c for c in baseline if c.left.position != victim]
 
 
 def test_degenerate_triangulation_drops_only_that_match(stereo, monkeypatch):
     _, products = stereo
-    baseline = match_pair(*products)
+    baseline = match_pair(*products,
+                          left_features=detect_corners(products[0].raster),
+                          right_features=detect_corners(products[1].raster))
     victim = baseline[len(baseline) // 2].left.position
     real = rpc_mod.triangulate_many
 
@@ -550,7 +555,9 @@ def test_degenerate_triangulation_drops_only_that_match(stereo, monkeypatch):
         return grounds, status
 
     monkeypatch.setattr(rpc_mod, "triangulate_many", failing)
-    corrs = match_pair(*products)
+    corrs = match_pair(*products,
+                       left_features=detect_corners(products[0].raster),
+                       right_features=detect_corners(products[1].raster))
     assert corrs == [c for c in baseline if c.left.position != victim]
     assert len(corrs) == len(baseline) - 1
 
@@ -669,7 +676,9 @@ def test_match_pair_recall_and_zero_mismatches(stereo):
         geo_transform=products[1].geo_transform,
         footprint=products[1].footprint, image_id=products[1].image_id,
     )
-    corrs = match_pair(products[0], transformed)
+    corrs = match_pair(products[0], transformed,
+                       left_features=detect_corners(products[0].raster),
+                       right_features=detect_corners(transformed.raster))
     left_pos = planted_positions(scene, 0)
     right_pos = planted_positions(scene, 1)
 
@@ -693,7 +702,9 @@ def test_match_pair_recall_and_zero_mismatches(stereo):
 
 def test_product_matched_against_itself(stereo):
     _, products = stereo
-    corrs = match_pair(products[0], products[0])
+    features = detect_corners(products[0].raster)
+    corrs = match_pair(products[0], products[0], left_features=features,
+                       right_features=features)
     assert len(corrs) > 50
     for corr in corrs:
         assert corr.left.position == corr.right.position
@@ -707,7 +718,9 @@ def test_emitted_matches_reproject_within_filter(stereo):
     from satadjust.rpc import residual, triangulate
 
     _, products = stereo
-    corrs = match_pair(products[0], products[1])
+    corrs = match_pair(products[0], products[1],
+                       left_features=detect_corners(products[0].raster),
+                       right_features=detect_corners(products[1].raster))
     dr, dc = pair_offset(corrs, products[0], products[1])
     comp = BiasCorrection(-dr, -dc)
     zero = BiasCorrection()
