@@ -11,10 +11,11 @@ The passes of each adjustment step (accumulation, back-substitution
 and the report) run on the observations that :class:`ObservationGraph`
 packs once, in chunks of whole tracks holding at most
 ``CHUNK_OBSERVATIONS`` observations: one RPC evaluation per chunk and
-stacked 3x3 point blocks.  A chunk's Schur terms are subtracted as dense
-panel products of at most 2N/3 tracks each, so no matrix larger than the
-2N x 2N reduced bias system for N images is formed; the other per-chunk
-arrays are bounded by the chunk size.  Triangulation
+stacked 3x3 point blocks.  A chunk's Schur terms are subtracted as one
+dense panel product, whose panels have a row pair per image the chunk
+sees and three columns per track, so every per-chunk array is bounded
+by the chunk size and by N, not by the number of tracks; the one
+2N x 2N array is the reduced bias system for N images.  Triangulation
 (:func:`update_points`) solves the free tracks of a chunk in one
 lock-step :func:`rpc.triangulate_many` call.  No temporary grows with
 the number of tracks.
@@ -233,16 +234,16 @@ def accumulate_reduced(
     """One pass over the tracks, chunk by chunk, building the reduced
     2N x 2N system.
 
-    A chunk's Schur terms are subtracted as dense panel products
-    ``W @ B.T``: B (2u x 3c) holds the equilibrated point blocks of c
-    tracks side by side, on the bias rows of the u images those tracks
-    see, and W the same blocks times the inverse normal matrices of
-    :func:`rpc.linearize_tracks`.  With c <= 2N/3, neither panel
-    nor their product is larger than the 2N x 2N reduced matrix; the
-    other per-chunk arrays are bounded by ``CHUNK_OBSERVATIONS``.  So
-    the working memory is a few (2N)^2 arrays (the matrix, the two
-    panels and the product) and each panel costs O(u^2 c) flops; both
-    were measured only up to N = 50.
+    A chunk's Schur terms are subtracted as one dense panel product
+    ``W @ B.T``: B (2u x 3c) holds the equilibrated point blocks of the
+    chunk's c tracks side by side, on the bias rows of the u images
+    those tracks see, and W the same blocks times the inverse normal
+    matrices of :func:`rpc.linearize_tracks`.  A chunk of
+    k <= ``CHUNK_OBSERVATIONS`` observations has u <= min(N, k) and,
+    as a track has at least two observations, c <= k/2; so the panels
+    and the 2u x 2u product are bounded by the chunk and by N, never by
+    the number of tracks, and the reduced matrix is the only (2N)^2
+    array.  Each chunk costs O(u^2 c) flops.
     Tracks whose point block is not positive definite with an
     eigenvalue ratio of at most 1e10, or whose residual meets a vanished
     denominator, are excluded and named in one log warning.
@@ -260,9 +261,6 @@ def accumulate_reduced(
 
     matrix = alloc(2 * n, 2 * n)
     rhs = alloc(2 * n)
-    per_panel = max(1, 2 * n // 3)
-    w_panel = alloc(2 * n, 3 * per_panel)
-    b_panel = alloc(2 * n, 3 * per_panel)
     diag = np.arange(2 * n)
     excluded = []
 
@@ -283,25 +281,19 @@ def accumulate_reduced(
         # the other tracks get zero blocks and so add nothing below
         b_eq = np.where(free[lin.owner][:, None, None], lin.b, 0.0)
         l_b = np.where(free[:, None], rpc_mod._gradient(lin, lin.v), 0.0)
-        w_obs = np.einsum("kri,kij->krj", b_eq, lin.inverse[lin.owner])
-        for p0 in range(0, b - a, per_panel):
-            p1 = min(p0 + per_panel, b - a)
-            span = slice(lin.starts[p0], lin.starts[p1])
-            # panel rows: the bias rows of the images these tracks see
-            seen, local = np.unique(image[span], return_inverse=True)
-            bias_rows = (2 * seen[:, None] + np.arange(2)).ravel()
-            w = w_panel[:bias_rows.size, :3 * (p1 - p0)]
-            bt = b_panel[:bias_rows.size, :3 * (p1 - p0)]
-            w.fill(0.0)
-            bt.fill(0.0)
-            # (panel row, panel column) of each observation row and
-            # ground column
-            r = (2 * local[:, None] + np.arange(2))[:, :, None]
-            c = 3 * (lin.owner[span] - p0)[:, None, None] + np.arange(3)
-            w[r, c] = w_obs[span]
-            bt[r, c] = b_eq[span]
-            matrix[np.ix_(bias_rows, bias_rows)] -= w @ bt.T
-            rhs[bias_rows] -= w @ l_b[p0:p1].ravel()
+        # panel rows: the bias rows of the images the chunk sees
+        seen, local = np.unique(image, return_inverse=True)
+        bias_rows = (2 * seen[:, None] + np.arange(2)).ravel()
+        w = alloc(bias_rows.size, 3 * (b - a))
+        bt = alloc(bias_rows.size, 3 * (b - a))
+        # (panel row, panel column) of each observation row and ground
+        # column
+        r = (2 * local[:, None] + np.arange(2))[:, :, None]
+        c = 3 * lin.owner[:, None, None] + np.arange(3)
+        w[r, c] = np.einsum("kri,kij->krj", b_eq, lin.inverse[lin.owner])
+        bt[r, c] = b_eq
+        matrix[np.ix_(bias_rows, bias_rows)] -= w @ bt.T
+        rhs[bias_rows] -= w @ l_b.ravel()
     _warn_tracks(excluded, f"excluded: point block eigenvalue ratio above "
                  f"{POINT_BLOCK_COND_MAX:.0e} or a vanished denominator")
     return ReducedNormalSystem(matrix=matrix, rhs=rhs,

@@ -33,7 +33,7 @@ from .rpc import load_rpc_file
 class PipelineConfig:
     """All pipeline knobs; defaults are the method's stated values."""
 
-    overlap_threshold: float = 0.6
+    overlap_threshold: float = match_mod.OVERLAP_THRESHOLD
     epipolar_buffer_px: float = MatchParams.epipolar_buffer_px
     ratio_threshold: float = MatchParams.ratio_threshold
     reproj_filter_px: float = MatchParams.reproj_filter_px

@@ -29,6 +29,9 @@ from .rpc import BiasCorrection, ImagePoint
 
 _ZERO_BIAS = BiasCorrection(0.0, 0.0)
 
+# Smallest footprint overlap, over the smaller footprint, of a matched pair.
+OVERLAP_THRESHOLD = 0.6
+
 # Bresenham circle of radius 3, 16 pixels in ring order (row, col offsets).
 FAST_CIRCLE = np.array([
     (-3, 0), (-3, 1), (-2, 2), (-1, 3), (0, 3), (1, 3), (2, 2), (3, 1),
@@ -122,7 +125,7 @@ class MatchParams:
 
 
 def select_pairs(
-    products: list[Level2Product], threshold: float = 0.6
+    products: list[Level2Product], threshold: float = OVERLAP_THRESHOLD
 ) -> list[tuple[int, int]]:
     """Image pairs whose footprint overlap is large enough.
 

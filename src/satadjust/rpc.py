@@ -72,6 +72,9 @@ DENOMINATOR_EPS = 1e-10
 # extrapolate poorly, 20% margin beyond the nominal [-1, 1].
 VALIDITY_MARGIN = 1.2
 
+# Grid points per axis at which RpcModel.validate samples the cube.
+VALIDATION_SAMPLES = 7
+
 # Newton / Gauss-Newton iteration controls (double-precision comfort).
 IMAGE_TOL_PX = 1e-6
 GROUND_TOL_NORM = 1e-9
@@ -194,14 +197,17 @@ class RpcModel:
             slopes=np.einsum("ct,kts->cks", coeffs, _SLOPES),
         ))
 
-    def validate(self, samples_per_axis: int = 7) -> None:
-        """Check the denominator magnitude over the validity cube.
+    def validate(self) -> None:
+        """Check the denominators over the validity cube.
 
         Samples a regular grid on [-1.2, 1.2]^3 in normalized ground
         coordinates and raises DegenerateDenominator if either denominator
-        polynomial comes within 1e-10 of zero or is NaN somewhere.
+        polynomial comes within 1e-10 of zero, is NaN somewhere, or
+        changes sign between samples (a continuous polynomial that does
+        has a root in the cube, even between the grid points).
         """
-        axis = np.linspace(-VALIDITY_MARGIN, VALIDITY_MARGIN, samples_per_axis)
+        axis = np.linspace(-VALIDITY_MARGIN, VALIDITY_MARGIN,
+                           VALIDATION_SAMPLES)
         pp, ll, hh = np.meshgrid(axis, axis, axis, indexing="ij")
         t = poly_terms(pp.ravel(), ll.ravel(), hh.ravel())
         for name, den in (("line", self.line_den), ("samp", self.samp_den)):
@@ -211,6 +217,11 @@ class RpcModel:
                 raise DegenerateDenominator(
                     f"{name} denominator reaches |{worst:.3e}| inside the "
                     f"validity cube"
+                )
+            if vals.min() < 0 < vals.max():
+                raise DegenerateDenominator(
+                    f"{name} denominator changes sign inside the validity "
+                    f"cube"
                 )
 
 

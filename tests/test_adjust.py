@@ -93,7 +93,9 @@ def random_graph(rng, n_images=3, n_tracks=12, noise=0.3):
     return scene_graph(scene)
 
 
-def test_solve_matches_dense_oracle(rng):
+@pytest.mark.parametrize("chunk", [1, 5, 24, adjust.CHUNK_OBSERVATIONS])
+def test_solve_matches_dense_oracle(chunk, rng, monkeypatch):
+    monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", chunk)
     for _ in range(10):
         graph = random_graph(rng)
         system = accumulate_reduced(graph)
@@ -102,7 +104,9 @@ def test_solve_matches_dense_oracle(rng):
         np.testing.assert_allclose(x, x_dense, atol=1e-9)
 
 
-def test_ground_corrections_match_dense_oracle(rng):
+@pytest.mark.parametrize("chunk", [1, 5, 24, adjust.CHUNK_OBSERVATIONS])
+def test_ground_corrections_match_dense_oracle(chunk, rng, monkeypatch):
+    monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", chunk)
     graph = random_graph(rng, n_images=4, n_tracks=15)
     system = accumulate_reduced(graph)
     x = solve_bias(system, gauge_image=0)
@@ -113,7 +117,9 @@ def test_ground_corrections_match_dense_oracle(rng):
         np.testing.assert_allclose(y_j, y_dense[j], atol=1e-9)
 
 
-def test_gcp_graph_matches_dense_oracle(rng):
+@pytest.mark.parametrize("chunk", [1, 5, 24, adjust.CHUNK_OBSERVATIONS])
+def test_gcp_graph_matches_dense_oracle(chunk, rng, monkeypatch):
+    monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", chunk)
     scene = gen_scene(3, 12, 10.0, 0.3, seed=97)
     gcps = {1: scene.true_points[1], 5: scene.true_points[5]}
     graph = scene_graph(scene, gcps=gcps)
@@ -227,12 +233,27 @@ def test_assembled_grounds_take_no_back_substitution_step(small_scene):
 # ---------------------------------------------------------------------------
 
 
-def test_accumulate_allocates_nothing_above_2n_square(small_scene):
-    graph = scene_graph(small_scene)
+@pytest.mark.parametrize("chunk", [5, adjust.CHUNK_OBSERVATIONS])
+def test_accumulate_allocates_one_panel_pair_per_chunk(chunk, small_scene,
+                                                       monkeypatch):
+    """The reduced system, then per chunk with a free track one pair of
+    panels: a row pair per image the chunk sees, three columns per
+    track.  No array grows with the number of tracks."""
+    monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", chunk)
+    gcps = {0: small_scene.true_points[0], 3: small_scene.true_points[3]}
+    graph = scene_graph(small_scene, gcps=gcps)
     shapes = []
-    accumulate_reduced(graph, alloc_hook=shapes.append)
+    system = accumulate_reduced(graph, alloc_hook=shapes.append)
+    assert not system.excluded_tracks
     n2 = 2 * len(graph.images)
-    assert max(int(np.prod(s)) for s in shapes) == n2 * n2
+    expected = [(n2, n2), (n2,)]
+    for a, b in graph.chunks():
+        if graph.gcp[a:b].all():
+            continue
+        span = slice(graph.track_start[a], graph.track_start[b])
+        panel = (2 * len(set(graph.obs_image[span].tolist())), 3 * (b - a))
+        expected += [panel, panel]
+    assert shapes == expected
 
 
 # ---------------------------------------------------------------------------

@@ -560,6 +560,26 @@ def test_overflowing_model_exits_2_with_one_line(dataset, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("satadjust: data error:")
 
 
+def test_denominator_pole_between_samples_exits_3_with_one_line(
+        pipeline_out, tmp_path, capsys):
+    """A product sidecar whose line denominator 1 + 5 L + ... vanishes
+    at L = -0.2, between two samples of the validation grid: adjust
+    reports a numerical failure (3) on one line instead of adjusting
+    through the pole."""
+    products = tmp_path / "products"
+    shutil.copytree(pipeline_out / "products", products)
+    meta = products / "img_000.meta"
+    meta.write_text(re.sub(r"^LINE_DEN_COEFF_2: .*$", "LINE_DEN_COEFF_2: 5.0",
+                           meta.read_text(), flags=re.M))
+    capsys.readouterr()
+    code = main(["adjust", "--tracks", str(pipeline_out / "tracks.txt"),
+                 "--products", str(products), "--out", str(tmp_path / "o")])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("satadjust: numerical failure:")
+
+
 # every knob but threads, which would ask for worker threads
 FUZZED_KEYS = [f.name for f in dataclasses.fields(PipelineConfig)
                if f.name != "threads"]

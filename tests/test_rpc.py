@@ -119,12 +119,14 @@ def test_validate_rejects_nan_denominator():
 
     rpc = linear_rpc()
     rpc.validate()
-    den = rpc.line_den.copy()
-    den[1] = np.nan
-    with pytest.raises(DegenerateDenominator):
-        replace(rpc, line_den=den).validate()
-    with pytest.raises(DegenerateDenominator):
-        replace(rpc, samp_den=den).validate()
+    # NaN, then 1 + 5 L: a pole at L = -0.2, between the grid samples
+    for value in (np.nan, 5.0):
+        den = rpc.line_den.copy()
+        den[1] = value
+        with pytest.raises(DegenerateDenominator):
+            replace(rpc, line_den=den).validate()
+        with pytest.raises(DegenerateDenominator):
+            replace(rpc, samp_den=den).validate()
 
 
 # ---------------------------------------------------------------------------
