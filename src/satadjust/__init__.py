@@ -50,8 +50,6 @@ from .rectify import (
 )
 from .match import (
     Correspondence,
-    Feature,
-    MBCensusDescriptor,
     detect_corners,
     epipolar_curve,
     match_pair,

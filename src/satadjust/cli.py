@@ -181,6 +181,8 @@ def cmd_match(products_dir: str, out_dir: str,
     """Match all overlapping pairs and build tracks; returns file paths."""
     products = [rectify_mod.load_product(stem)
                 for stem in _product_stems(products_dir)]
+    for product in products:
+        product.rpc.validate()
     params = config.match_params()
     pairs = match_mod.select_pairs(products, config.overlap_threshold)
 

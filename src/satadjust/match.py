@@ -58,43 +58,11 @@ MATCH_BLOCK = 2048
 
 
 @dataclass(frozen=True)
-class Feature:
-    """Detected corner: integer pixel position and segment-test score."""
-
-    position: ImagePoint
-    score: float
-
-
-@dataclass(frozen=True)
-class MBCensusDescriptor:
-    """Census bit strings of the 3x3 blocks of a matching window.
-
-    ``bits[b, k]`` is 1 where block b's k-th pixel (raster order, center
-    excluded) is strictly darker than the block center after filtering.
-    """
-
-    bits: np.ndarray
-    window: int
-    blocks: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits",
-                           np.asarray(self.bits, dtype=np.uint8))
-        per_block = (self.window // self.blocks) ** 2 - 1
-        if self.bits.shape != (self.blocks * self.blocks, per_block):
-            raise ValueError("descriptor bit matrix has the wrong shape")
-
-    @property
-    def total_bits(self) -> int:
-        return int(self.bits.size)
-
-
-@dataclass(frozen=True)
 class Correspondence:
     """An accepted left/right match; score is the hamming distance."""
 
-    left: Feature
-    right: Feature
+    left: ImagePoint
+    right: ImagePoint
     score: int
     left_image: str
     right_image: str
@@ -218,15 +186,16 @@ def _segment_test(px: np.ndarray, r0: int, r1: int, threshold: float):
 def detect_corners(
     raster: Raster, threshold: float = MatchParams.fast_threshold,
     nms_radius: float = MatchParams.nms_radius,
-) -> list[Feature]:
-    """Segment-test corners with non-maximum suppression.
+) -> np.ndarray:
+    """Segment-test corners with non-maximum suppression: an (n, 2)
+    float64 array of (row, col), strongest first.
 
     A pixel is a corner when at least 9 contiguous pixels on its radius-3
     circle are all brighter or all darker than the center by more than
-    ``threshold``; the score is the largest threshold at which the test
-    still passes.  Suppression keeps the strongest feature within
+    ``threshold``; its score is the largest threshold at which the test
+    still passes.  Suppression keeps the strongest corner within
     ``nms_radius`` (ties broken by position for determinism), testing
-    each candidate only against the kept features of the nearby grid
+    each candidate only against the kept corners of the nearby grid
     cells.
 
     The test runs in row tiles of about FAST_TILE_PIXELS pixels
@@ -236,29 +205,29 @@ def detect_corners(
     px = raster.pixels
     h, w = px.shape
     if h < 7 or w < 7:
-        return []
+        return np.empty((0, 2))
     tile = max(1, FAST_TILE_PIXELS // w)
     rows, cols, scores = (np.concatenate(parts) for parts in zip(*(
         _segment_test(px, r0, min(r0 + tile, h - 3), threshold)
         for r0 in range(3, h - 3, tile))))
     order = np.lexsort((cols, rows, -scores))
-    # Kept features are bucketed in square cells no narrower than the
+    # Kept corners are bucketed in square cells no narrower than the
     # radius, so any within it of a candidate lie in the 3x3 cells around
     # the candidate's own.
     side = max(abs(nms_radius), 1.0)
     stride = w + 3
     cell = (rows // side) * stride + cols // side
     near = [dr * stride + dc for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
-    kept: list[Feature] = []
+    kept: list[tuple[int, int]] = []
     cells: dict[float, list[tuple[int, int]]] = {}
     r2 = nms_radius * nms_radius
-    for score, r, c, key in zip(scores[order].tolist(), rows[order].tolist(),
-                                cols[order].tolist(), cell[order].tolist()):
+    for r, c, key in zip(rows[order].tolist(), cols[order].tolist(),
+                         cell[order].tolist()):
         if not any((kr - r) ** 2 + (kc - c) ** 2 <= r2 for d in near
                    for kr, kc in cells.get(key + d, ())):
             cells.setdefault(key, []).append((r, c))
-            kept.append(Feature(ImagePoint(float(r), float(c)), score))
-    return kept
+            kept.append((r, c))
+    return np.array(kept, dtype=np.float64).reshape(-1, 2)
 
 
 def _check_census(window, blocks) -> None:
@@ -307,9 +276,9 @@ def census_bits(raster: Raster, rows, cols, window: int = MatchParams.window,
 def mbcensus_descriptor(
     raster: Raster, p: ImagePoint, window: int = MatchParams.window,
     blocks: int = MatchParams.blocks,
-) -> MBCensusDescriptor:
-    """Multi-block census descriptor at (rounded) position ``p``: the
-    one-window case of :func:`census_bits`.
+) -> np.ndarray:
+    """Multi-block census bits at (rounded) position ``p``, shaped
+    (blocks², side² - 1): the one-window case of :func:`census_bits`.
 
     Raises:
         WindowOutOfBounds: the window does not fit inside the raster.
@@ -320,22 +289,19 @@ def mbcensus_descriptor(
             and half <= col < raster.width - half):
         raise WindowOutOfBounds(f"window of {window} px at ({row}, {col}) "
                                 "leaves the raster")
-    bits = census_bits(raster, [row], [col], window, blocks)[0]
-    return MBCensusDescriptor(bits=bits, window=window, blocks=blocks)
+    return census_bits(raster, [row], [col], window, blocks)[0]
 
 
-def match_score(d1: MBCensusDescriptor, d2: MBCensusDescriptor) -> int:
+def match_score(d1: np.ndarray, d2: np.ndarray) -> int:
     """Summed per-block hamming distance; lower means more similar.
 
     Raises:
-        ConfigMismatch: descriptors from different configurations.
+        ConfigMismatch: descriptors of different shapes (configurations).
     """
-    if (d1.window, d1.blocks) != (d2.window, d2.blocks):
+    if d1.shape != d2.shape:
         raise ConfigMismatch(
-            f"descriptor configs differ: window/blocks "
-            f"{(d1.window, d1.blocks)} vs {(d2.window, d2.blocks)}"
-        )
-    return int(np.count_nonzero(d1.bits != d2.bits))
+            f"descriptor shapes differ: {d1.shape} vs {d2.shape}")
+    return int(np.count_nonzero(d1 != d2))
 
 
 def _project(rpc: rpc_mod.RpcModel, bias: BiasCorrection,
@@ -486,10 +452,11 @@ def match_pair(
     right: Level2Product,
     params: MatchParams = MatchParams(),
     *,
-    left_features: list[Feature],
-    right_features: list[Feature],
+    left_features: np.ndarray,
+    right_features: np.ndarray,
 ) -> list[Correspondence]:
-    """Match given corner features of two products along epipolar buffers.
+    """Match the corners of two products, (n, 2) arrays of (row, col)
+    from :func:`detect_corners`, along epipolar buffers.
 
     For every left feature, right candidates are the features within the
     epipolar buffer of its height-swept curve; the best census score wins
@@ -511,22 +478,20 @@ def match_pair(
             f"HEIGHT_SCALE {left.rpc.hei_scale!r} is an empty height range")
     margin = params.window // 2 + BLUR_MARGIN
 
-    def usable(features: list[Feature], raster: Raster):
-        """The features whose window and filter apron fit inside the
-        raster, their positions and census bits."""
-        pos = np.array([(f.position.row, f.position.col) for f in features],
-                       dtype=np.float64).reshape(-1, 2)
+    def usable(features: np.ndarray, raster: Raster):
+        """The positions of the features whose window and filter apron
+        fit inside the raster, and their census bits."""
+        pos = np.asarray(features, dtype=np.float64).reshape(-1, 2)
         pix = np.round(pos).astype(np.intp)
         fits = ((margin <= pix)
                 & (pix < (raster.height - margin, raster.width - margin)))
         keep = np.flatnonzero(fits.all(axis=1))
-        return ([features[k] for k in keep], pos[keep],
-                census_bits(raster, *pix[keep].T, params.window,
-                            params.blocks))
+        return pos[keep], census_bits(raster, *pix[keep].T, params.window,
+                                      params.blocks)
 
-    left_use, left_pos, left_bits = usable(left_features, left.raster)
-    right_use, right_pos, right_bits = usable(right_features, right.raster)
-    if not left_use or not right_use:
+    left_pos, left_bits = usable(left_features, left.raster)
+    right_pos, right_bits = usable(right_features, right.raster)
+    if not len(left_pos) or not len(right_pos):
         return []
 
     curves = []
@@ -569,9 +534,10 @@ def match_pair(
         _reprojection_errors(left, right, comp, pl[lo:lo + MATCH_BLOCK],
                              pr[lo:lo + MATCH_BLOCK])
         for lo in range(0, len(pl), MATCH_BLOCK)])
-    return [Correspondence(left_use[i], right_use[j], score, left.image_id,
-                           right.image_id)
-            for i, j, score, error in zip(il.tolist(), ir.tolist(),
+    # .tolist(): Python floats, whose reprs the correspondence file holds
+    return [Correspondence(ImagePoint(*a), ImagePoint(*b), score,
+                           left.image_id, right.image_id)
+            for a, b, score, error in zip(pl.tolist(), pr.tolist(),
                                           scores.tolist(), errors)
             if error <= params.reproj_filter_px]
 
@@ -638,16 +604,14 @@ def save_correspondences(
         fh.write("# pair_id left_row left_col right_row right_col score\n")
         for c in corrs:
             fh.write(
-                f"{c.pair_id} {c.left.position.row!r} {c.left.position.col!r}"
-                f" {c.right.position.row!r} {c.right.position.col!r}"
+                f"{c.pair_id} {c.left.row!r} {c.left.col!r}"
+                f" {c.right.row!r} {c.right.col!r}"
                 f" {c.score}\n"
             )
 
 
 def load_correspondences(path) -> list[Correspondence]:
     """Read a correspondence file written by :func:`save_correspondences`.
-
-    Loaded features carry score 0 (corner responses are not persisted).
 
     Raises:
         ParseError: malformed record or pair identifier.
@@ -659,8 +623,7 @@ def load_correspondences(path) -> list[Correspondence]:
         if len(pair) != 2:
             raise ParseError(f"{path}:{line_no}: bad pair id {pair_id!r}")
         corrs.append(Correspondence(
-            left=Feature(ImagePoint(lr, lc), 0.0),
-            right=Feature(ImagePoint(rr, rc), 0.0),
+            left=ImagePoint(lr, lc), right=ImagePoint(rr, rc),
             score=score, left_image=pair[0], right_image=pair[1],
         ))
     return corrs

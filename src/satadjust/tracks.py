@@ -70,31 +70,28 @@ def build_tracks(correspondences: list[Correspondence]) -> list[Track]:
         return key
 
     for corr in correspondences:
-        a = node(corr.left_image, corr.left.position)
-        b = node(corr.right_image, corr.right.position)
+        a = node(corr.left_image, corr.left)
+        b = node(corr.right_image, corr.right)
         ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
+    # A root is its component's least key (parent[max] = min), so in key
+    # order each component's members, and the components by their least
+    # member, come out in canonical order.
     components: dict = {}
-    for key in parent:
+    for key in sorted(parent):
         components.setdefault(_find(parent, key), []).append(key)
 
     tracks = []
     for members in components.values():
-        members.sort()
         images = [m[0] for m in members]
         if len(set(images)) != len(images):
             continue  # two features of one image: contradictory, drop
         tracks.append(Track(observations={
             image_id: ImagePoint(row, col)
             for image_id, row, col in members
-        }))
-    tracks.sort(key=lambda t: sorted(
-        (image_id, p.row, p.col) for image_id, p in t.observations.items()
-    ))
-    for tid, track in enumerate(tracks):
-        track.id = tid
+        }, id=len(tracks)))
     return tracks
 
 

@@ -208,8 +208,8 @@ def test_matching_end_to_end_with_bias_and_transform():
 
     hits, mismatches = set(), 0
     for corr in corrs:
-        jl = nearest(left_pos, corr.left.position)
-        jr = nearest(right_pos, corr.right.position)
+        jl = nearest(left_pos, corr.left)
+        jr = nearest(right_pos, corr.right)
         if jl is None or jr is None or jl != jr:
             mismatches += 1
         else:
@@ -220,10 +220,10 @@ def test_matching_end_to_end_with_bias_and_transform():
 
     compared = 0
     for corr in corrs[:40]:
-        d_plain = mbcensus_descriptor(plain.raster, corr.right.position)
+        d_plain = mbcensus_descriptor(plain.raster, corr.right)
         d_trans = mbcensus_descriptor(transformed.raster,
-                                      corr.right.position)
-        np.testing.assert_array_equal(d_plain.bits, d_trans.bits)
+                                      corr.right)
+        np.testing.assert_array_equal(d_plain, d_trans)
         compared += 1
     assert compared >= 30
     print(f"PASS: stereo pair, 200 planted corners, (10, 10) px bias, "

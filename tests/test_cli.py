@@ -560,11 +560,12 @@ def test_overflowing_model_exits_2_with_one_line(dataset, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("satadjust: data error:")
 
 
+@pytest.mark.parametrize("command", ["adjust", "match"])
 def test_denominator_pole_between_samples_exits_3_with_one_line(
-        pipeline_out, tmp_path, capsys):
+        pipeline_out, tmp_path, capsys, command):
     """A product sidecar whose line denominator 1 + 5 L + ... vanishes
-    at L = -0.2, between two samples of the validation grid: adjust
-    reports a numerical failure (3) on one line instead of adjusting
+    at L = -0.2, between two samples of the validation grid: adjust and
+    match report a numerical failure (3) on one line instead of working
     through the pole."""
     products = tmp_path / "products"
     shutil.copytree(pipeline_out / "products", products)
@@ -572,12 +573,15 @@ def test_denominator_pole_between_samples_exits_3_with_one_line(
     meta.write_text(re.sub(r"^LINE_DEN_COEFF_2: .*$", "LINE_DEN_COEFF_2: 5.0",
                            meta.read_text(), flags=re.M))
     capsys.readouterr()
-    code = main(["adjust", "--tracks", str(pipeline_out / "tracks.txt"),
-                 "--products", str(products), "--out", str(tmp_path / "o")])
+    args = ["--products", str(products), "--out", str(tmp_path / "o")]
+    if command == "adjust":
+        args += ["--tracks", str(pipeline_out / "tracks.txt")]
+    code = main([command, *args])
     assert code == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("satadjust: numerical failure:")
+    assert not (tmp_path / "o" / "correspondences.txt").exists()
 
 
 # every knob but threads, which would ask for worker threads

@@ -26,10 +26,10 @@ from satadjust.match import (
     FAST_CIRCLE,
     MAX_CURVE_SAMPLES,
     Correspondence,
-    Feature,
     MatchParams,
     _nearest_on_polyline,
     _reprojection_errors,
+    _segment_test,
     census_bits,
     detect_corners,
     epipolar_curve,
@@ -83,11 +83,11 @@ def pair_offset(corrs, left, right) -> tuple[float, float]:
     max_h = left.rpc.hei_off + left.rpc.hei_scale
     disps = []
     for corr in corrs:
-        curve = epipolar_curve(corr.left.position, left, right, min_h, max_h)
+        curve = epipolar_curve(corr.left, left, right, min_h, max_h)
         if not curve:
             continue
         vertices = np.array([(v.row, v.col) for v in curve])
-        point = np.array([[corr.right.position.row, corr.right.position.col]])
+        point = np.array([[corr.right.row, corr.right.col]])
         _, nearest = _nearest_on_polyline(point, vertices)
         disps.append(point[0] - nearest[0])
     if not disps:
@@ -110,8 +110,7 @@ def monotone(raster: Raster) -> Raster:
 def test_detect_corners_finds_planted_dots(stereo):
     scene, products = stereo
     planted = planted_positions(scene, 0)
-    features = detect_corners(products[0].raster)
-    pos = np.array([(f.position.row, f.position.col) for f in features])
+    pos = detect_corners(products[0].raster)
     found = 0
     for r, c in planted:
         d = np.hypot(pos[:, 0] - r, pos[:, 1] - c)
@@ -124,12 +123,19 @@ def test_detect_corners_is_deterministic(stereo):
     _, products = stereo
     a = detect_corners(products[0].raster)
     b = detect_corners(products[0].raster)
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 def test_detect_corners_flat_image_is_empty():
     flat = Raster(np.full((64, 64), 80, dtype=np.uint8))
-    assert detect_corners(flat) == []
+    assert detect_corners(flat).shape == (0, 2)
+
+
+def test_detect_corners_below_seven_pixels_is_empty():
+    tiny = Raster(np.random.default_rng(5).integers(0, 256, (6, 6))
+                  .astype(np.uint8))
+    corners = detect_corners(tiny)
+    assert corners.shape == (0, 2) and corners.dtype == np.float64
 
 
 def test_nms_keeps_single_feature_for_twin_dots():
@@ -140,7 +146,7 @@ def test_nms_keeps_single_feature_for_twin_dots():
     raster = Raster(px.astype(np.uint8))
     features = detect_corners(raster, threshold=15.0, nms_radius=5.0)
     assert len(features) == 1
-    assert features[0].position.col == pytest.approx(22.0, abs=1.5)
+    assert features[0, 1] == pytest.approx(22.0, abs=1.5)
 
 
 def segment_score(diffs: np.ndarray, threshold: float) -> float:
@@ -155,9 +161,10 @@ def segment_score(diffs: np.ndarray, threshold: float) -> float:
     return best
 
 
-def detect_corners_oracle(raster: Raster, threshold: float,
-                          nms_radius: float) -> list[Feature]:
-    """The segment test pixel by pixel, then the same suppression."""
+def segment_test_oracle(raster: Raster,
+                        threshold: float) -> list[tuple[float, int, int]]:
+    """The segment test pixel by pixel: (score, row, col) of every
+    candidate, in raster order."""
     px = raster.pixels.astype(np.int64)
     h, w = px.shape
     scored = []
@@ -168,13 +175,32 @@ def detect_corners_oracle(raster: Raster, threshold: float,
             score = segment_score(diffs, threshold)
             if score > threshold:
                 scored.append((score, r, c))
-    scored.sort(key=lambda s: (-s[0], s[1], s[2]))
+    return scored
+
+
+def suppression_oracle(scored, nms_radius: float) -> np.ndarray:
+    """Non-maximum suppression of the candidates against every kept
+    corner: their (row, col), strongest first."""
     kept = []
-    for score, r, c in scored:
-        if all((r - f.position.row) ** 2 + (c - f.position.col) ** 2
-               > nms_radius ** 2 for f in kept):
-            kept.append(Feature(ImagePoint(float(r), float(c)), score))
-    return kept
+    for _, r, c in sorted(scored, key=lambda s: (-s[0], s[1], s[2])):
+        if all((r - kr) ** 2 + (c - kc) ** 2 > nms_radius ** 2
+               for kr, kc in kept):
+            kept.append((float(r), float(c)))
+    return np.array(kept).reshape(-1, 2)
+
+
+def check_against_oracle(raster: Raster, threshold: float,
+                         nms_radius: float) -> np.ndarray:
+    """The scores of all candidates, then the kept corners, against the
+    oracles; returns the corners."""
+    scored = segment_test_oracle(raster, threshold)
+    rows, cols, scores = _segment_test(raster.pixels, 3, raster.height - 3,
+                                       threshold)
+    assert list(zip(scores.tolist(), rows.tolist(), cols.tolist())) == scored
+    corners = detect_corners(raster, threshold, nms_radius)
+    np.testing.assert_array_equal(corners,
+                                  suppression_oracle(scored, nms_radius))
+    return corners
 
 
 @pytest.mark.parametrize("threshold", [15.5, 20.0])
@@ -187,9 +213,7 @@ def test_detect_corners_equals_per_pixel_oracle(dtype, threshold):
     px = np.concatenate([gen.integers(0, top, (40, 26)),
                          top // 2 + gen.integers(-24, 25, (40, 26))], axis=1)
     raster = Raster(px.astype(dtype))
-    features = detect_corners(raster, threshold, 5.0)
-    assert len(features) > 5
-    assert features == detect_corners_oracle(raster, threshold, 5.0)
+    assert len(check_against_oracle(raster, threshold, 5.0)) > 5
 
 
 @pytest.mark.parametrize("nms_radius", [1.5, 5.0])
@@ -199,9 +223,7 @@ def test_detect_corners_dense_equals_per_pixel_oracle(nms_radius):
     scores."""
     gen = np.random.default_rng(10)
     raster = Raster(gen.integers(0, 256, (110, 110)).astype(np.uint8))
-    features = detect_corners(raster, 20.0, nms_radius)
-    assert len(features) > 200
-    assert features == detect_corners_oracle(raster, 20.0, nms_radius)
+    assert len(check_against_oracle(raster, 20.0, nms_radius)) > 200
 
 
 def test_detect_corners_is_tile_independent(stereo, monkeypatch):
@@ -209,10 +231,10 @@ def test_detect_corners_is_tile_independent(stereo, monkeypatch):
     row per tile and the whole raster in one tile find the same corners."""
     raster = stereo[1][0].raster
     default = detect_corners(raster)
-    assert default
+    assert len(default)
     for tile in (1, raster.pixels.size):
         monkeypatch.setattr(match_mod, "FAST_TILE_PIXELS", tile)
-        assert detect_corners(raster) == default
+        assert np.array_equal(detect_corners(raster), default)
 
 
 def test_detect_corners_memory_is_bounded(stereo):
@@ -228,7 +250,7 @@ def test_detect_corners_memory_is_bounded(stereo):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert features
+    assert len(features)
     # a 2000^2 uint8 raster is 4 MB; the test runs in row tiles
     assert peak < 16 * 2 ** 20
 
@@ -242,21 +264,21 @@ def test_descriptor_invariant_under_monotone_transform(stereo):
     _, products = stereo
     raster = products[0].raster
     transformed = monotone(raster)
-    for f in detect_corners(raster)[:25]:
+    for r, c in detect_corners(raster)[:25].tolist():
         try:
-            d1 = mbcensus_descriptor(raster, f.position)
-            d2 = mbcensus_descriptor(transformed, f.position)
+            d1 = mbcensus_descriptor(raster, ImagePoint(r, c))
+            d2 = mbcensus_descriptor(transformed, ImagePoint(r, c))
         except WindowOutOfBounds:
             continue
-        np.testing.assert_array_equal(d1.bits, d2.bits)
+        np.testing.assert_array_equal(d1, d2)
 
 
 def test_descriptor_shape_and_score():
     gen = np.random.default_rng(6)
     raster = Raster(gen.integers(0, 200, (64, 64)).astype(np.uint8))
     d = mbcensus_descriptor(raster, ImagePoint(32.0, 32.0))
-    assert d.bits.shape == (9, 80)
-    assert d.total_bits == 720
+    assert d.shape == (9, 80)
+    assert d.size == 720
     assert match_score(d, d) == 0
 
 
@@ -264,9 +286,8 @@ def test_match_score_counts_flipped_bits():
     gen = np.random.default_rng(7)
     raster = Raster(gen.integers(0, 200, (64, 64)).astype(np.uint8))
     d1 = mbcensus_descriptor(raster, ImagePoint(30.0, 30.0))
-    bits = d1.bits.copy()
-    bits[0, :5] ^= 1
-    d2 = type(d1)(bits=bits, window=d1.window, blocks=d1.blocks)
+    d2 = d1.copy()
+    d2[0, :5] ^= True
     assert match_score(d1, d2) == 5
 
 
@@ -343,7 +364,7 @@ def test_census_bits_equal_per_window_oracle(dtype, window, blocks):
         np.testing.assert_array_equal(bits[k], expected)
         one = mbcensus_descriptor(raster, ImagePoint(float(r), float(c)),
                                   window, blocks)
-        np.testing.assert_array_equal(one.bits, expected)
+        np.testing.assert_array_equal(one, expected)
 
 
 def test_census_bits_memory_is_bounded():
@@ -438,8 +459,7 @@ def test_epipolar_curves_equal_per_feature_oracle(stereo):
     _, products = stereo
     left, right = products
     hei, span = left.rpc.hei_off, left.rpc.hei_scale
-    points = [(f.position.row, f.position.col)
-              for f in detect_corners(left.raster)]
+    points = detect_corners(left.raster).tolist()
     # curves that leave the right raster in part or entirely
     points += [(0.0, 0.0), (-300.0, 5.0), (left.raster.height + 400.0, 0.0)]
     for min_h, max_h in ((hei - span, hei + span), (hei - 3 * span, hei)):
@@ -509,9 +529,9 @@ def test_degenerate_curve_cast_drops_only_that_feature(stereo, monkeypatch,
     baseline = match_pair(*products,
                           left_features=detect_corners(left.raster),
                           right_features=detect_corners(right.raster))
-    points = [(c.left.position.row, c.left.position.col) for c in baseline]
+    points = [(c.left.row, c.left.col) for c in baseline]
     k = len(points) // 2
-    victim = baseline[k].left.position
+    victim = baseline[k].left
     before, _ = epipolar_curves(points, left, right, min_h, max_h)
     real = rpc_mod.inverse_project_many
 
@@ -536,7 +556,7 @@ def test_degenerate_curve_cast_drops_only_that_feature(stereo, monkeypatch,
         epipolar_curve(victim, left, right, min_h, max_h)
     corrs = match_pair(*products, left_features=detect_corners(left.raster),
                        right_features=detect_corners(right.raster))
-    assert corrs == [c for c in baseline if c.left.position != victim]
+    assert corrs == [c for c in baseline if c.left != victim]
 
 
 def test_degenerate_triangulation_drops_only_that_match(stereo, monkeypatch):
@@ -544,7 +564,7 @@ def test_degenerate_triangulation_drops_only_that_match(stereo, monkeypatch):
     baseline = match_pair(*products,
                           left_features=detect_corners(products[0].raster),
                           right_features=detect_corners(products[1].raster))
-    victim = baseline[len(baseline) // 2].left.position
+    victim = baseline[len(baseline) // 2].left
     real = rpc_mod.triangulate_many
 
     def failing(models, index, targets, starts):
@@ -558,7 +578,7 @@ def test_degenerate_triangulation_drops_only_that_match(stereo, monkeypatch):
     corrs = match_pair(*products,
                        left_features=detect_corners(products[0].raster),
                        right_features=detect_corners(products[1].raster))
-    assert corrs == [c for c in baseline if c.left.position != victim]
+    assert corrs == [c for c in baseline if c.left != victim]
     assert len(corrs) == len(baseline) - 1
 
 
@@ -579,27 +599,25 @@ def match_pair_oracle(left, right, params, left_features, right_features):
     margin = params.window // 2 + 2
 
     def usable(features, raster):
-        return [f for f in features
-                if margin <= round(f.position.row) < raster.height - margin
-                and margin <= round(f.position.col) < raster.width - margin]
+        return [ImagePoint(r, c) for r, c in features.tolist()
+                if margin <= round(r) < raster.height - margin
+                and margin <= round(c) < raster.width - margin]
 
     left_use = usable(left_features, left.raster)
     right_use = usable(right_features, right.raster)
-    right_desc = [mbcensus_descriptor(right.raster, f.position,
-                                      params.window, params.blocks)
-                  for f in right_use]
-    right_pos = np.array([(f.position.row, f.position.col)
-                          for f in right_use])
+    right_desc = [mbcensus_descriptor(right.raster, p, params.window,
+                                      params.blocks)
+                  for p in right_use]
+    right_pos = np.array([(p.row, p.col) for p in right_use])
     min_h = left.rpc.hei_off - left.rpc.hei_scale
     max_h = left.rpc.hei_off + left.rpc.hei_scale
-    curves, _ = epipolar_curves(
-        [(f.position.row, f.position.col) for f in left_use], left, right,
-        min_h, max_h)
+    curves, _ = epipolar_curves([(p.row, p.col) for p in left_use], left,
+                                right, min_h, max_h)
     tentative = []
-    for fl, vertices in zip(left_use, curves):
+    for pl, vertices in zip(left_use, curves):
         if not len(vertices):
             continue
-        dl = mbcensus_descriptor(left.raster, fl.position, params.window,
+        dl = mbcensus_descriptor(left.raster, pl, params.window,
                                  params.blocks)
         dist, nearest = _nearest_on_polyline(right_pos, vertices)
         candidates = np.nonzero(dist <= params.epipolar_buffer_px)[0]
@@ -612,7 +630,7 @@ def match_pair_oracle(left, right, params, left_features, right_features):
         if (len(order) > 1 and not scores[order[0]]
                 < params.ratio_threshold * scores[order[1]]):
             continue
-        tentative.append((fl, right_use[best], scores[order[0]],
+        tentative.append((pl, right_use[best], scores[order[0]],
                           right_pos[best] - nearest[best]))
     if not tentative:
         return []
@@ -620,12 +638,10 @@ def match_pair_oracle(left, right, params, left_features, right_features):
     comp = BiasCorrection(-float(median[0]), -float(median[1]))
     errors = _reprojection_errors(
         left, right, comp,
-        np.array([(t[0].position.row, t[0].position.col)
-                  for t in tentative]),
-        np.array([(t[1].position.row, t[1].position.col)
-                  for t in tentative]))
-    return [Correspondence(fl, fr, score, left.image_id, right.image_id)
-            for (fl, fr, score, _), error in zip(tentative, errors)
+        np.array([(t[0].row, t[0].col) for t in tentative]),
+        np.array([(t[1].row, t[1].col) for t in tentative]))
+    return [Correspondence(pl, pr, score, left.image_id, right.image_id)
+            for (pl, pr, score, _), error in zip(tentative, errors)
             if error <= params.reproj_filter_px]
 
 
@@ -641,13 +657,11 @@ def test_match_pair_equals_per_feature_oracle(stereo, duplicates, ratio):
         # Copies on the same pixel tie in score: one moved off the pixel
         # centre ties in score only, so the distance to the curve ranks
         # it; one at the same position ties in distance too, so the
-        # order ranks it.  The corner scores tell the copies apart.
-        sign = np.resize([1.0, -1.0], len(right_features))
-        right_features = [Feature(f.position, f.score + 2.0)
-                          for f in right_features] + right_features + [
-            Feature(ImagePoint(f.position.row + 0.3 * s,
-                               f.position.col - 0.2 * s), f.score + 1.0)
-            for f, s in zip(right_features, sign)]
+        # order ranks it.
+        sign = np.resize([1.0, -1.0], len(right_features))[:, None]
+        right_features = np.concatenate([
+            right_features, right_features,
+            right_features + sign * (0.3, -0.2)])
     corrs = match_pair(left, right, params, left_features=left_features,
                        right_features=right_features)
     expected = match_pair_oracle(left, right, params, left_features,
@@ -659,13 +673,32 @@ def test_match_pair_equals_per_feature_oracle(stereo, duplicates, ratio):
         # tied candidates fail the ratio test
         assert corrs == []
     else:
-        # the moved copy wins where it is closer to the curve, the copy
-        # placed first wherever the distances tie
+        # the moved copy wins where it is closer to the curve, a copy on
+        # the pixel wherever the distances tie
         n = len(right_features) // 3
-        first = set(right_features[:n])
-        moved = set(right_features[2 * n:])
+        first = {ImagePoint(*p) for p in right_features[:n].tolist()}
+        moved = {ImagePoint(*p) for p in right_features[2 * n:].tolist()}
         assert {c.right in first for c in corrs} == {True, False}
         assert all(c.right in first or c.right in moved for c in corrs)
+
+
+def test_match_pair_without_features_is_empty(stereo):
+    _, products = stereo
+    assert match_pair(*products, left_features=np.empty((0, 2)),
+                      right_features=detect_corners(products[1].raster)) == []
+
+
+def test_matched_correspondences_round_trip(stereo, tmp_path):
+    """Matches keep Python floats: a NumPy scalar would be written as
+    its repr, np.float64(...), which no loader reads."""
+    _, products = stereo
+    corrs = match_pair(*products,
+                       left_features=detect_corners(products[0].raster),
+                       right_features=detect_corners(products[1].raster))
+    assert len(corrs) > 50
+    path = tmp_path / "corr.txt"
+    save_correspondences(corrs, path)
+    assert load_correspondences(path) == corrs
 
 
 def test_match_pair_recall_and_zero_mismatches(stereo):
@@ -690,8 +723,8 @@ def test_match_pair_recall_and_zero_mismatches(stereo):
     hits = set()
     mismatches = 0
     for corr in corrs:
-        jl = nearest(left_pos, corr.left.position)
-        jr = nearest(right_pos, corr.right.position)
+        jl = nearest(left_pos, corr.left)
+        jr = nearest(right_pos, corr.right)
         if jl is None or jr is None or jl != jr:
             mismatches += 1
         else:
@@ -707,7 +740,7 @@ def test_product_matched_against_itself(stereo):
                        right_features=features)
     assert len(corrs) > 50
     for corr in corrs:
-        assert corr.left.position == corr.right.position
+        assert corr.left == corr.right
         assert corr.score == 0
     dr, dc = pair_offset(corrs, products[0], products[0])
     assert math.hypot(dr, dc) < 1e-6
@@ -726,8 +759,8 @@ def test_emitted_matches_reproject_within_filter(stereo):
     zero = BiasCorrection()
     checked = 0
     for corr in corrs:
-        obs = [(products[0].rpc, zero, corr.left.position),
-               (products[1].rpc, comp, corr.right.position)]
+        obs = [(products[0].rpc, zero, corr.left),
+               (products[1].rpc, comp, corr.right)]
         try:
             ground = triangulate(obs)
         except IllConditioned:
@@ -746,8 +779,7 @@ def test_emitted_matches_reproject_within_filter(stereo):
 
 def test_correspondence_round_trip(tmp_path):
     corrs = [Correspondence(
-        left=Feature(ImagePoint(10.0, 20.5), 30.0),
-        right=Feature(ImagePoint(11.25, 19.0), 25.0),
+        left=ImagePoint(10.0, 20.5), right=ImagePoint(11.25, 19.0),
         score=42, left_image="a", right_image="b",
     )]
     path = tmp_path / "corr.txt"
@@ -755,8 +787,8 @@ def test_correspondence_round_trip(tmp_path):
     back = load_correspondences(path)
     assert len(back) == 1
     assert back[0].pair_id == "a:b"
-    assert back[0].left.position == ImagePoint(10.0, 20.5)
-    assert back[0].right.position == ImagePoint(11.25, 19.0)
+    assert back[0].left == ImagePoint(10.0, 20.5)
+    assert back[0].right == ImagePoint(11.25, 19.0)
     assert back[0].score == 42
 
 

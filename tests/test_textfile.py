@@ -19,7 +19,6 @@ from satadjust.adjust import load_biases, save_biases
 from satadjust.errors import ParseError
 from satadjust.match import (
     Correspondence,
-    Feature,
     load_correspondences,
     save_correspondences,
 )
@@ -194,13 +193,9 @@ def test_biases_round_trip(scratch, biases):
     assert load_biases(path) == biases
 
 
-def _feature(row: float, col: float) -> Feature:
-    return Feature(ImagePoint(row, col), 0.0)
-
-
 correspondences = st.lists(st.builds(
-    Correspondence, left=st.builds(_feature, finite, finite),
-    right=st.builds(_feature, finite, finite),
+    Correspondence, left=st.builds(ImagePoint, finite, finite),
+    right=st.builds(ImagePoint, finite, finite),
     score=st.integers(0, 10**6), left_image=names, right_image=names,
 ), max_size=6)
 
@@ -226,8 +221,10 @@ TABLES = {
         images=[("a", None), ("b", None)],
         bias=np.array([(1.25, -0.5), (0.0, 2.0)])), p), load_biases, (1, 2)),
     "correspondences": (lambda p: save_correspondences([
-        Correspondence(_feature(1.0, 2.0), _feature(3.0, 4.0), 5, "a", "b"),
-        Correspondence(_feature(6.0, 7.0), _feature(8.0, 9.0), 0, "a", "c"),
+        Correspondence(ImagePoint(1.0, 2.0), ImagePoint(3.0, 4.0), 5, "a",
+                       "b"),
+        Correspondence(ImagePoint(6.0, 7.0), ImagePoint(8.0, 9.0), 0, "a",
+                       "c"),
     ], p), load_correspondences, (1, 2, 3, 4, 5)),
 }
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from satadjust.errors import ConfigInvalid, ParseError
-from satadjust.match import Correspondence, Feature
+from satadjust.match import Correspondence
 from satadjust.rpc import GroundPoint, ImagePoint
 from satadjust.synth import gen_scene
 from satadjust.tracks import (
@@ -23,8 +23,8 @@ from satadjust.tracks import (
 
 def corr(left_image, lr, lc, right_image, rr, rc):
     return Correspondence(
-        left=Feature(ImagePoint(float(lr), float(lc)), 30.0),
-        right=Feature(ImagePoint(float(rr), float(rc)), 30.0),
+        left=ImagePoint(float(lr), float(lc)),
+        right=ImagePoint(float(rr), float(rc)),
         score=10, left_image=left_image, right_image=right_image,
     )
 
