@@ -153,12 +153,15 @@ class ReducedNormalSystem:
 
 @dataclass
 class AdjustmentResult:
-    """``history[k]`` is the average reprojection error after k steps
-    (``history[0]`` before the first); ``steps[k]`` is the largest
-    |bias correction| of step k + 1, in pixels, and ``excluded[k]`` the
-    number of tracks that step left out of the reduced system."""
+    """``before`` and ``after`` report the residuals before the first
+    step and after the last; ``history[k]`` is the average reprojection
+    error after k steps (``history[0]`` before the first); ``steps[k]``
+    is the largest |bias correction| of step k + 1, in pixels, and
+    ``excluded[k]`` the number of tracks that step left out of the
+    reduced system.  The adjusted biases are ``graph.bias``."""
 
-    biases: list[BiasCorrection]
+    before: ReprojectionReport
+    after: ReprojectionReport
     iterations: int
     history: list[float]
     steps: list[float]
@@ -456,7 +459,8 @@ def adjust_loop(
     gauge = None if graph.has_gcp else 0
     # each track's corrections are in its first image's ground units
     scales = graph.models.scale[graph.obs_image[graph.track_start[:-1]], :3]
-    history = [report(graph).avg_xy]
+    before = after = report(graph)
+    history = [before.avg_xy]
     steps = []
     excluded = []
     for _ in range(max_iter):
@@ -465,15 +469,16 @@ def adjust_loop(
         idx, dg = ground_corrections(graph, x)
         graph.bias += x
         graph.ground[idx] += dg * scales[idx]
-        history.append(report(graph).avg_xy)
+        after = report(graph)
+        history.append(after.avg_xy)
         steps.append(float(np.abs(x).max()))
         excluded.append(len(system.excluded_tracks))
         if steps[-1] <= tol:
             break
     return AdjustmentResult(
-        biases=[BiasCorrection(*b) for b in graph.bias.tolist()],
-        iterations=len(steps), history=history, steps=steps,
-        excluded=excluded, converged=bool(steps) and steps[-1] <= tol,
+        before=before, after=after, iterations=len(steps), history=history,
+        steps=steps, excluded=excluded,
+        converged=bool(steps) and steps[-1] <= tol,
     )
 
 
@@ -482,16 +487,11 @@ def adjust_loop(
 # ---------------------------------------------------------------------------
 
 
-def save_biases(graph: ObservationGraph, path,
-                header: str | None = None) -> None:
+def save_biases(graph: ObservationGraph, path, header: str = "") -> None:
     """One line per image: ``image_id d_row d_col``."""
-    with open(path, "w") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("# image_id d_row d_col\n")
-        for (image_id, _), (d_row, d_col) in zip(graph.images,
-                                                 graph.bias.tolist()):
-            fh.write(f"{image_id} {d_row!r} {d_col!r}\n")
+    textfile.write(path, (header, "image_id d_row d_col"), (
+        f"{image_id} {float(d_row)!r} {float(d_col)!r}\n"
+        for (image_id, _), (d_row, d_col) in zip(graph.images, graph.bias)))
 
 
 def load_biases(path) -> dict[str, BiasCorrection]:

@@ -255,22 +255,20 @@ def cmd_adjust(track_path: str, products_dir: str, out_dir: str,
     if not graph.has_gcp:
         print(f"free network: no GCPs given, biases are relative to the "
               f"gauge image {graph.images[0][0]}")
-    before = adjust_mod.report(graph)
     result = adjust_mod.adjust_loop(graph, tol=config.convergence_px,
                                     max_iter=config.max_iter)
-    after = adjust_mod.report(graph)
 
     os.makedirs(out_dir, exist_ok=True)
     bias_path = os.path.join(out_dir, "biases.txt")
     adjust_mod.save_biases(graph, bias_path, header=config.describe())
-    table = _format_table(before, after)
+    table = _format_table(result.before, result.after)
     summary = (f"iterations: {result.iterations}  "
                f"converged: {result.converged}")
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write(table + "\n" + summary + "\n")
     payload = {
-        "before": _report_dict(before),
-        "after": _report_dict(after),
+        "before": _report_dict(result.before),
+        "after": _report_dict(result.after),
         "iterations": result.iterations,
         "converged": result.converged,
         "history": [round(h, 6) for h in result.history],

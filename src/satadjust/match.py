@@ -591,23 +591,18 @@ def save_correspondences(
     corrs: list[Correspondence], path, params: MatchParams = MatchParams()
 ) -> None:
     """Write matches as text with a configuration header line."""
-    with open(path, "w") as fh:
-        fh.write(
-            "# correspondences"
-            f" window={params.window} blocks={params.blocks}"
-            f" epipolar_buffer_px={params.epipolar_buffer_px!r}"
-            f" ratio_threshold={params.ratio_threshold!r}"
-            f" reproj_filter_px={params.reproj_filter_px!r}"
-            f" fast_threshold={params.fast_threshold!r}"
-            f" nms_radius={params.nms_radius!r}\n"
-        )
-        fh.write("# pair_id left_row left_col right_row right_col score\n")
-        for c in corrs:
-            fh.write(
-                f"{c.pair_id} {c.left.row!r} {c.left.col!r}"
-                f" {c.right.row!r} {c.right.col!r}"
-                f" {c.score}\n"
-            )
+    textfile.write(path, (
+        "correspondences"
+        f" window={params.window} blocks={params.blocks}"
+        f" epipolar_buffer_px={params.epipolar_buffer_px!r}"
+        f" ratio_threshold={params.ratio_threshold!r}"
+        f" reproj_filter_px={params.reproj_filter_px!r}"
+        f" fast_threshold={params.fast_threshold!r}"
+        f" nms_radius={params.nms_radius!r}",
+        "pair_id left_row left_col right_row right_col score"), (
+        f"{c.pair_id} {float(c.left.row)!r} {float(c.left.col)!r}"
+        f" {float(c.right.row)!r} {float(c.right.col)!r} {int(c.score)}\n"
+        for c in corrs))
 
 
 def load_correspondences(path) -> list[Correspondence]:

@@ -479,22 +479,13 @@ def save_product(product: Level2Product, stem) -> None:
     """Write ``<stem>.pgm`` and ``<stem>.meta`` for a level-2 product."""
     stem = str(stem)
     write_pgm(product.raster, stem + ".pgm")
-    lines = [
-        f"PLANE_HEIGHT: {float(product.plane_height)!r}",
-        f"GSD: {float(product.gsd)!r}",
-        f"NODATA: {int(product.raster.nodata)}",
-        f"FOOTPRINT_MIN_LAT: {float(product.footprint.min_lat)!r}",
-        f"FOOTPRINT_MAX_LAT: {float(product.footprint.max_lat)!r}",
-        f"FOOTPRINT_MIN_LON: {float(product.footprint.min_lon)!r}",
-        f"FOOTPRINT_MAX_LON: {float(product.footprint.max_lon)!r}",
-    ]
-    lines.extend(
-        f"GEO_TRANSFORM_{i}: {float(product.geo_transform[i])!r}"
-        for i in range(6)
-    )
-    with open(stem + ".meta", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.write(rpc_mod.format_rpc_text(product.rpc))
+    fp = product.footprint
+    values = (product.plane_height, product.gsd, product.raster.nodata,
+              fp.min_lat, fp.max_lat, fp.min_lon, fp.max_lon,
+              *product.geo_transform.tolist())
+    textfile.write(stem + ".meta", (), [
+        textfile.format_keys(zip(_SIDE_KEYS, values)),
+        rpc_mod.format_rpc_text(product.rpc)])
 
 
 def load_product(stem) -> Level2Product:

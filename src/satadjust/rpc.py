@@ -750,15 +750,11 @@ def load_rpc_file(path) -> RpcModel:
 
 def format_rpc_text(rpc: RpcModel) -> str:
     """Serialize a model to the text format, full double precision."""
-    lines = [f"{key}: {getattr(rpc, attr)!r}"
-             for key, attr in _SCALAR_KEYS.items()]
-    for group, attr in _COEFF_GROUPS.items():
-        values = getattr(rpc, attr)
-        lines.extend(f"{group}_{i + 1}: {float(values[i])!r}"
-                     for i in range(20))
-    return "\n".join(lines) + "\n"
+    return textfile.format_keys([
+        *((key, getattr(rpc, attr)) for key, attr in _SCALAR_KEYS.items()),
+        *(pair for attr, keys in _COEFF_KEYS.items()
+          for pair in zip(keys, getattr(rpc, attr).tolist()))])
 
 
 def save_rpc_file(rpc: RpcModel, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_rpc_text(rpc))
+    textfile.write(path, (), [format_rpc_text(rpc)])

@@ -17,6 +17,7 @@ import scipy.linalg
 
 from . import adjust as adjust_mod
 from . import rpc as rpc_mod
+from . import textfile
 from .errors import ConfigInvalid, DegenerateDenominator, RankDeficient
 from .geodesy import meters_per_degree
 from .raster import Raster
@@ -571,15 +572,14 @@ def save_scene(scene: SyntheticScene, directory) -> None:
 
             write_pgm(img.raster,
                       os.path.join(directory, img.image_id + ".pgm"))
-    with open(os.path.join(directory, "truth_bias.txt"), "w") as fh:
-        fh.write("# image_id d_row d_col\n")
-        for img in scene.images:
-            fh.write(f"{img.image_id} {img.true_bias.d_row!r} "
-                     f"{img.true_bias.d_col!r}\n")
-    with open(os.path.join(directory, "truth_points.txt"), "w") as fh:
-        fh.write("# point_id lat lon hei\n")
-        for j, g in enumerate(scene.true_points):
-            fh.write(f"{j} {g.lat!r} {g.lon!r} {g.hei!r}\n")
+    textfile.write(
+        os.path.join(directory, "truth_bias.txt"), ("image_id d_row d_col",),
+        (f"{img.image_id} {float(img.true_bias.d_row)!r}"
+         f" {float(img.true_bias.d_col)!r}\n" for img in scene.images))
+    textfile.write(
+        os.path.join(directory, "truth_points.txt"), ("point_id lat lon hei",),
+        (f"{j} {float(g.lat)!r} {float(g.lon)!r} {float(g.hei)!r}\n"
+         for j, g in enumerate(scene.true_points)))
 
 
 # ---------------------------------------------------------------------------

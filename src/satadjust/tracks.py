@@ -108,22 +108,18 @@ def track_stats(tracks: list[Track]) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def save_tracks(tracks: list[Track], path, header: str | None = None) -> None:
+def save_tracks(tracks: list[Track], path, header: str = "") -> None:
     """One line per observation: ``track_id image_id row col``, the
     track id being ``Track.id``, or the track's position in ``tracks``
     when that is None.  Raises ValueError if two ids would be equal."""
-    ids = [pos if track.id is None else track.id
+    ids = [pos if track.id is None else int(track.id)
            for pos, track in enumerate(tracks)]
     if len(set(ids)) != len(ids):
         raise ValueError("two tracks would be saved with the same id")
-    with open(path, "w") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("# track_id image_id row col\n")
-        for tid, track in zip(ids, tracks):
-            for image_id, p in sorted(track.observations.items()):
-                fh.write(f"{tid} {image_id} {float(p.row)!r} "
-                         f"{float(p.col)!r}\n")
+    textfile.write(path, (header, "track_id image_id row col"), (
+        f"{tid} {image_id} {float(p.row)!r} {float(p.col)!r}\n"
+        for tid, track in zip(ids, tracks)
+        for image_id, p in sorted(track.observations.items())))
 
 
 def load_tracks(path) -> list[Track]:
@@ -155,12 +151,9 @@ def load_tracks(path) -> list[Track]:
 
 def save_gcps(gcps: dict[int, GroundPoint], path) -> None:
     """Companion GCP file: ``track_id lat lon hei`` per line."""
-    with open(path, "w") as fh:
-        fh.write("# track_id lat lon hei\n")
-        for tid in sorted(gcps):
-            g = gcps[tid]
-            fh.write(f"{tid} {float(g.lat)!r} {float(g.lon)!r} "
-                     f"{float(g.hei)!r}\n")
+    textfile.write(path, ("track_id lat lon hei",), (
+        f"{int(tid)} {float(g.lat)!r} {float(g.lon)!r} {float(g.hei)!r}\n"
+        for tid, g in sorted(gcps.items())))
 
 
 def load_gcps(path) -> dict[int, GroundPoint]:

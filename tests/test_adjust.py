@@ -267,11 +267,11 @@ def test_adjust_loop_free_network_recovers_relative_biases():
     res = adjust_loop(graph)
     assert res.converged
     b0 = scene.images[0].true_bias
-    for i, im in enumerate(scene.images):
-        assert res.biases[i].d_row == pytest.approx(
-            im.true_bias.d_row - b0.d_row, abs=0.2)
-        assert res.biases[i].d_col == pytest.approx(
-            im.true_bias.d_col - b0.d_col, abs=0.2)
+    for (d_row, d_col), im in zip(graph.bias.tolist(), scene.images):
+        assert d_row == pytest.approx(im.true_bias.d_row - b0.d_row,
+                                      abs=0.2)
+        assert d_col == pytest.approx(im.true_bias.d_col - b0.d_col,
+                                      abs=0.2)
 
 
 def test_adjust_loop_gcp_mode_recovers_absolute_biases():
@@ -280,11 +280,9 @@ def test_adjust_loop_gcp_mode_recovers_absolute_biases():
     graph = scene_graph(scene, gcps=gcps)
     res = adjust_loop(graph)
     assert res.converged
-    for i, im in enumerate(scene.images):
-        assert res.biases[i].d_row == pytest.approx(im.true_bias.d_row,
-                                                    abs=0.2)
-        assert res.biases[i].d_col == pytest.approx(im.true_bias.d_col,
-                                                    abs=0.2)
+    for (d_row, d_col), im in zip(graph.bias.tolist(), scene.images):
+        assert d_row == pytest.approx(im.true_bias.d_row, abs=0.2)
+        assert d_col == pytest.approx(im.true_bias.d_col, abs=0.2)
     for j in (0, 1, 2):
         assert GroundPoint(*graph.ground[j]) == scene.true_points[j]
 
@@ -295,14 +293,18 @@ def test_adjust_loop_zero_bias_scene_is_a_fixed_point():
     graph = scene_graph(scene)
     res = adjust_loop(graph)
     assert res.history[0] == pytest.approx(0.0, abs=1e-6)
-    for b in res.biases:
-        assert abs(b.d_row) < 1e-6 and abs(b.d_col) < 1e-6
+    assert np.abs(graph.bias).max() < 1e-6
 
 
 def test_adjust_loop_history_and_convergence_flag():
     scene = gen_scene(4, 80, 15.0, 0.2, seed=55)
     graph = scene_graph(scene)
+    before = report(graph)
     res = adjust_loop(graph)
+    # the reports of the first and the last state
+    assert res.before == before and res.after == report(graph)
+    assert (res.before.avg_xy, res.after.avg_xy) == (res.history[0],
+                                                     res.history[-1])
     assert res.converged
     assert res.iterations <= 50
     assert abs(res.history[-1] - res.history[-2]) < 0.001
@@ -420,7 +422,7 @@ def track_file(tmp_path_factory):
 def adjusted_from_file(images, path, gcps):
     graph = assemble(images, load_tracks(path), gcps)
     result = adjust_loop(graph)
-    return result.biases, result.history, graph.ground.tobytes()
+    return graph.bias.tobytes(), result.history, graph.ground.tobytes()
 
 
 @pytest.mark.parametrize("with_gcps", [False, True])

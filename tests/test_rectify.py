@@ -320,12 +320,26 @@ def test_bilinear_sample_equals_scalar_oracle(dtype):
     assert not valid.ravel()[:4].any() and valid.ravel()[4:7].all()
 
 
-def test_rectify_equals_exact_per_pixel_oracle(rectified_pair):
+@pytest.mark.parametrize("step", [rectify.GRID_STEP, 1])
+def test_rectify_equals_exact_per_pixel_oracle(rectified_pair, step,
+                                               monkeypatch):
+    """Off the knots a source position may miss the exact one by up to
+    GRID_TOLERANCE_PX and round to a neighbouring value, so above step 1
+    the oracle interpolates on the same grid.  With every output pixel a
+    knot it maps each pixel through the RPC, on one image for time."""
     scene, products = rectified_pair
-    for im, product in zip(scene.images, products):
+    plane = scene.plane_height
+    pairs = list(zip(scene.images, products))
+    if step == 1:
+        monkeypatch.setattr(rectify, "GRID_STEP", 1)
+        im = scene.images[0]
+        pairs = [(im, rectify_image(im.raster, im.rpc, plane, 0.5))]
+    for im, product in pairs:
+        pixels = product.raster.pixels
+        grid = None if step == 1 else rectify._source_grid(
+            im.rpc, product.geo_transform, plane, *pixels.shape)
         np.testing.assert_array_equal(
-            product.raster.pixels,
-            _rectify_exact(im.raster, im.rpc, scene.plane_height, product))
+            pixels, _rectify_exact(im.raster, im.rpc, plane, product, grid))
 
 
 def _padded_corners(monkeypatch, rows_below):

@@ -38,6 +38,7 @@ from satadjust.rpc import (
     load_rpc_file,
     parse_rpc_text,
 )
+from satadjust.synth import save_scene
 from satadjust.tracks import (
     Track,
     load_gcps,
@@ -48,10 +49,18 @@ from satadjust.tracks import (
 
 EXAMPLES = settings(max_examples=40, deadline=None)
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
-moderate = st.floats(-1e9, 1e9, allow_nan=False)
-positive = st.floats(1e-9, 1e9)
-ids = st.integers(-10**12, 10**12)
+
+def _or_numpy(numbers: st.SearchStrategy, scalar) -> st.SearchStrategy:
+    """``numbers`` as Python numbers and as NumPy ``scalar``s, which the
+    writers must not write as their repr (``np.float64(1.5)``)."""
+    return numbers | numbers.map(scalar)
+
+
+finite = _or_numpy(st.floats(allow_nan=False, allow_infinity=False),
+                   np.float64)
+moderate = _or_numpy(st.floats(-1e9, 1e9, allow_nan=False), np.float64)
+positive = _or_numpy(st.floats(1e-9, 1e9), np.float64)
+ids = _or_numpy(st.integers(-10**12, 10**12), np.int64)
 names = st.from_regex(r"[A-Za-z0-9_.-]{1,8}", fullmatch=True)
 BAD_NUMBERS = ["nan", "NaN", "inf", "-inf", "+Infinity", "x", "1.0.0", "0x10"]
 
@@ -196,7 +205,8 @@ def test_biases_round_trip(scratch, biases):
 correspondences = st.lists(st.builds(
     Correspondence, left=st.builds(ImagePoint, finite, finite),
     right=st.builds(ImagePoint, finite, finite),
-    score=st.integers(0, 10**6), left_image=names, right_image=names,
+    score=_or_numpy(st.integers(0, 10**6), np.int64), left_image=names,
+    right_image=names,
 ), max_size=6)
 
 
@@ -281,6 +291,30 @@ def test_rpc_text_round_trip(rpc):
     _assert_same_rpc(parse_rpc_text(format_rpc_text(rpc)), rpc)
 
 
+@EXAMPLES
+@given(st.lists(names, min_size=1, max_size=3, unique=True), st.data())
+def test_scene_truth_tables_read_back(scratch, image_ids, data):
+    images = [SimpleNamespace(
+        image_id=image_id, raster=None, rpc=data.draw(rpc_models),
+        true_bias=data.draw(st.builds(BiasCorrection, finite, finite)))
+        for image_id in image_ids]
+    points = data.draw(st.lists(st.builds(GroundPoint, finite, finite,
+                                          finite), max_size=6))
+    directory = scratch / "scene"
+    save_scene(SimpleNamespace(images=images, true_points=points),
+               directory)
+    assert [record[1:] for record in textfile.records(
+        directory / "truth_bias.txt", "sff")] == [
+        (im.image_id, im.true_bias.d_row, im.true_bias.d_col)
+        for im in images]
+    assert [record[1:] for record in textfile.records(
+        directory / "truth_points.txt", "ifff")] == [
+        (j, g.lat, g.lon, g.hei) for j, g in enumerate(points)]
+    for im in images:
+        with open(directory / f"{im.image_id}.rpc") as fh:
+            _assert_same_rpc(parse_rpc_text(fh.read()), im.rpc)
+
+
 def _product(rpc: RpcModel, plane: float, gsd: float, nodata: int,
              lats: list[float], lons: list[float],
              geo: list[float]) -> Level2Product:
@@ -293,7 +327,8 @@ def _product(rpc: RpcModel, plane: float, gsd: float, nodata: int,
 
 
 products = st.builds(
-    _product, rpc_models, moderate, positive, st.integers(0, 255),
+    _product, rpc_models, moderate, positive,
+    _or_numpy(st.integers(0, 255), np.int64),
     st.lists(moderate, min_size=2, max_size=2),
     st.lists(moderate, min_size=2, max_size=2),
     st.lists(moderate, min_size=6, max_size=6))
