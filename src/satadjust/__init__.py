@@ -28,15 +28,9 @@ from .rpc import (
     BiasCorrection,
     GroundPoint,
     ImagePoint,
-    Jacobians,
     RpcModel,
-    inverse_project,
-    jacobian,
     load_rpc_file,
-    project,
-    residual,
     save_rpc_file,
-    triangulate,
 )
 from .rectify import (
     GroundBBox,
@@ -49,12 +43,9 @@ from .rectify import (
     save_product,
 )
 from .match import (
-    Correspondence,
+    describe_features,
     detect_corners,
-    epipolar_curve,
     match_pair,
-    match_score,
-    mbcensus_descriptor,
     select_pairs,
 )
 from .tracks import Track, build_tracks, track_stats

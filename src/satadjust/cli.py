@@ -25,7 +25,7 @@ from . import synth as synth_mod
 from . import tracks as tracks_mod
 from .errors import ConfigInvalid, DataError, NumericalError, ParseError
 from .match import MatchParams
-from .raster import read_pgm
+from .raster import pgm_shape, read_pgm
 from .rpc import load_rpc_file
 
 
@@ -143,12 +143,11 @@ def cmd_rectify(inputs: list[str], out_dir: str,
         raise ConfigInvalid("no input images given")
     rpcs = [load_rpc_file(stem + ".rpc") for stem in stems]
     plane = rectify_mod.common_plane_height(rpcs)
-    # one raster at a time: each is read to find its sampling distance
-    # (and any fault in it before products/ exists), then read again in
-    # its rectification task
-    gsd = max(rectify_mod.common_gsd(
-        [(read_pgm(stem + ".pgm", nodata=config.nodata), rpc)], plane)
-        for stem, rpc in zip(stems, rpcs))
+    # the sampling distance needs only each raster's checked header, so
+    # faults show before products/ exists; pixels are read once, to rectify
+    gsd = rectify_mod.common_gsd(
+        [(pgm_shape(stem + ".pgm", nodata=config.nodata), rpc)
+         for stem, rpc in zip(stems, rpcs)], plane)
     os.makedirs(out_dir, exist_ok=True)
 
     def run(item):
@@ -186,30 +185,35 @@ def cmd_match(products_dir: str, out_dir: str,
     params = config.match_params()
     pairs = match_mod.select_pairs(products, config.overlap_threshold)
 
-    def detect(i):
-        return match_mod.detect_corners(
-            products[i].raster, params.fast_threshold, params.nms_radius)
+    def describe(i):
+        raster = products[i].raster
+        return match_mod.describe_features(
+            raster, match_mod.detect_corners(raster, params.fast_threshold,
+                                             params.nms_radius),
+            params.window, params.blocks)
 
     needed = sorted({i for pair in pairs for i in pair})
-    features = dict(zip(needed, _map(detect, needed, config.threads)))
+    described = dict(zip(needed, _map(describe, needed, config.threads)))
 
     def run(pair):
         i, j = pair
-        return match_mod.match_pair(products[i], products[j], params,
-                                    left_features=features[i],
-                                    right_features=features[j])
+        (lf, lb), (rf, rb) = described[i], described[j]
+        matches = match_mod.match_pair(
+            products[i], products[j], params, left_features=lf, left_bits=lb,
+            right_features=rf, right_bits=rb)
+        return products[i].image_id, products[j].image_id, matches
 
     per_pair = _map(run, pairs, config.threads)
-    corrs = [c for batch in per_pair for c in batch]
     os.makedirs(out_dir, exist_ok=True)
     corr_path = os.path.join(out_dir, "correspondences.txt")
-    match_mod.save_correspondences(corrs, corr_path, params)
-    track_list = tracks_mod.build_tracks(corrs)
+    match_mod.save_correspondences(per_pair, corr_path, params)
+    track_list = tracks_mod.build_tracks(per_pair)
     track_path = os.path.join(out_dir, "tracks.txt")
     tracks_mod.save_tracks(track_list, track_path,
                            header=config.describe())
     stats = tracks_mod.track_stats(track_list)
-    print(f"matched {len(pairs)} pair(s): {len(corrs)} correspondences, "
+    n_matches = sum(len(matches) for *_, matches in per_pair)
+    print(f"matched {len(pairs)} pair(s): {n_matches} correspondences, "
           f"{len(track_list)} tracks {stats}")
     return corr_path, track_path
 

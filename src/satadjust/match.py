@@ -58,21 +58,6 @@ MATCH_BLOCK = 2048
 
 
 @dataclass(frozen=True)
-class Correspondence:
-    """An accepted left/right match; score is the hamming distance."""
-
-    left: ImagePoint
-    right: ImagePoint
-    score: int
-    left_image: str
-    right_image: str
-
-    @property
-    def pair_id(self) -> str:
-        return f"{self.left_image}:{self.right_image}"
-
-
-@dataclass(frozen=True)
 class MatchParams:
     """Knobs of the matching stage (defaults follow the method's values)."""
 
@@ -273,6 +258,21 @@ def census_bits(raster: Raster, rows, cols, window: int = MatchParams.window,
     return bits
 
 
+def describe_features(raster: Raster, features,
+                      window: int = MatchParams.window,
+                      blocks: int = MatchParams.blocks):
+    """``(positions, bits)``: the (k, 2) float64 positions, in input
+    order, of the (n, 2) (row, col) features whose census window and
+    filter apron fit inside the raster, and their :func:`census_bits`."""
+    margin = window // 2 + BLUR_MARGIN
+    pos = np.asarray(features, dtype=np.float64).reshape(-1, 2)
+    pix = np.round(pos).astype(np.intp)
+    fits = ((margin <= pix)
+            & (pix < (raster.height - margin, raster.width - margin)))
+    keep = np.flatnonzero(fits.all(axis=1))
+    return pos[keep], census_bits(raster, *pix[keep].T, window, blocks)
+
+
 def mbcensus_descriptor(
     raster: Raster, p: ImagePoint, window: int = MatchParams.window,
     blocks: int = MatchParams.blocks,
@@ -453,10 +453,15 @@ def match_pair(
     params: MatchParams = MatchParams(),
     *,
     left_features: np.ndarray,
+    left_bits: np.ndarray,
     right_features: np.ndarray,
-) -> list[Correspondence]:
-    """Match the corners of two products, (n, 2) arrays of (row, col)
-    from :func:`detect_corners`, along epipolar buffers.
+    right_bits: np.ndarray,
+) -> np.ndarray:
+    """Match the described features of two products, positions and
+    census bits as :func:`describe_features` gives them, along epipolar
+    buffers: an (n, 5) float64 array with one row per accepted match,
+    left row, left col, right row, right col and hamming distance, in
+    left feature order.
 
     For every left feature, right candidates are the features within the
     epipolar buffer of its height-swept curve; the best census score wins
@@ -476,35 +481,20 @@ def match_pair(
         raise EmptyHeightRange(
             f"{left.image_id}: HEIGHT_OFF {left.rpc.hei_off!r} +- "
             f"HEIGHT_SCALE {left.rpc.hei_scale!r} is an empty height range")
-    margin = params.window // 2 + BLUR_MARGIN
-
-    def usable(features: np.ndarray, raster: Raster):
-        """The positions of the features whose window and filter apron
-        fit inside the raster, and their census bits."""
-        pos = np.asarray(features, dtype=np.float64).reshape(-1, 2)
-        pix = np.round(pos).astype(np.intp)
-        fits = ((margin <= pix)
-                & (pix < (raster.height - margin, raster.width - margin)))
-        keep = np.flatnonzero(fits.all(axis=1))
-        return pos[keep], census_bits(raster, *pix[keep].T, params.window,
-                                      params.blocks)
-
-    left_pos, left_bits = usable(left_features, left.raster)
-    right_pos, right_bits = usable(right_features, right.raster)
-    if not len(left_pos) or not len(right_pos):
-        return []
+    if not len(left_features) or not len(right_features):
+        return np.empty((0, 5))
 
     curves = []
-    for lo in range(0, len(left_pos), CURVE_BLOCK):
-        curves += epipolar_curves(left_pos[lo:lo + CURVE_BLOCK], left, right,
-                                  min_h, max_h)[0]
+    for lo in range(0, len(left_features), CURVE_BLOCK):
+        curves += epipolar_curves(left_features[lo:lo + CURVE_BLOCK], left,
+                                  right, min_h, max_h)[0]
 
-    matches = []  # (left index, right index, score) into the usable arrays
+    matches = []  # (left index, right index, score)
     disps = []
     for i, vertices in enumerate(curves):
         if not len(vertices):
             continue
-        dist, nearest = _nearest_on_polyline(right_pos, vertices)
+        dist, nearest = _nearest_on_polyline(right_features, vertices)
         candidates = np.flatnonzero(dist <= params.epipolar_buffer_px)
         if candidates.size == 0:
             continue
@@ -517,10 +507,10 @@ def match_pair(
                 < params.ratio_threshold * scores[order[1]]):
             continue
         matches.append((i, best, scores[order[0]]))
-        disps.append(right_pos[best] - nearest[best])
+        disps.append(right_features[best] - nearest[best])
 
     if not matches:
-        return []
+        return np.empty((0, 5))
 
     il, ir, scores = np.array(matches).T
     median = np.median(np.array(disps), axis=0)
@@ -529,17 +519,14 @@ def match_pair(
     # median displacement.
     comp = BiasCorrection(-float(median[0]), -float(median[1]))
 
-    pl, pr = left_pos[il], right_pos[ir]
+    pl, pr = left_features[il], right_features[ir]
     errors = np.concatenate([
         _reprojection_errors(left, right, comp, pl[lo:lo + MATCH_BLOCK],
                              pr[lo:lo + MATCH_BLOCK])
         for lo in range(0, len(pl), MATCH_BLOCK)])
-    # .tolist(): Python floats, whose reprs the correspondence file holds
-    return [Correspondence(ImagePoint(*a), ImagePoint(*b), score,
-                           left.image_id, right.image_id)
-            for a, b, score, error in zip(pl.tolist(), pr.tolist(),
-                                          scores.tolist(), errors)
-            if error <= params.reproj_filter_px]
+    # NaN errors (failed triangulations) compare false: rejected
+    keep = errors <= params.reproj_filter_px
+    return np.column_stack([pl[keep], pr[keep], scores[keep]])
 
 
 def _reprojection_errors(
@@ -583,14 +570,17 @@ def _reprojection_errors(
 
 
 # ---------------------------------------------------------------------------
-# Correspondence files
+# Match files (correspondences.txt)
 # ---------------------------------------------------------------------------
 
 
 def save_correspondences(
-    corrs: list[Correspondence], path, params: MatchParams = MatchParams()
+    pairs: list[tuple[str, str, np.ndarray]], path,
+    params: MatchParams = MatchParams(),
 ) -> None:
-    """Write matches as text with a configuration header line."""
+    """Write each pair's (left_id, right_id, matches) as text, one line
+    per row of its (n, 5) :func:`match_pair` array, after a
+    configuration header line."""
     textfile.write(path, (
         "correspondences"
         f" window={params.window} blocks={params.blocks}"
@@ -600,25 +590,26 @@ def save_correspondences(
         f" fast_threshold={params.fast_threshold!r}"
         f" nms_radius={params.nms_radius!r}",
         "pair_id left_row left_col right_row right_col score"), (
-        f"{c.pair_id} {float(c.left.row)!r} {float(c.left.col)!r}"
-        f" {float(c.right.row)!r} {float(c.right.col)!r} {int(c.score)}\n"
-        for c in corrs))
+        f"{left_id}:{right_id} {lr!r} {lc!r} {rr!r} {rc!r} {int(score)}\n"
+        for left_id, right_id, matches in pairs
+        for lr, lc, rr, rc, score in np.asarray(matches, dtype=np.float64)
+        .tolist()))
 
 
-def load_correspondences(path) -> list[Correspondence]:
-    """Read a correspondence file written by :func:`save_correspondences`.
+def load_correspondences(path) -> list[tuple[str, str, np.ndarray]]:
+    """Read a correspondence file written by :func:`save_correspondences`:
+    (left_id, right_id, matches) per pair, in the order of each pair's
+    first line, its matches in file order.
 
     Raises:
         ParseError: malformed record or pair identifier.
     """
-    corrs = []
-    for line_no, pair_id, lr, lc, rr, rc, score in textfile.records(
-            path, "sffffi"):
-        pair = pair_id.split(":")
-        if len(pair) != 2:
+    # one flat list of numbers per pair, not a list per record
+    per_pair: dict[str, list] = {}
+    for line_no, pair_id, *match in textfile.records(path, "sffffi"):
+        if len(pair_id.split(":")) != 2:
             raise ParseError(f"{path}:{line_no}: bad pair id {pair_id!r}")
-        corrs.append(Correspondence(
-            left=ImagePoint(lr, lc), right=ImagePoint(rr, rc),
-            score=score, left_image=pair[0], right_image=pair[1],
-        ))
-    return corrs
+        per_pair.setdefault(pair_id, []).extend(match)
+    return [(*pair_id.split(":"),
+             np.array(values, dtype=np.float64).reshape(-1, 5))
+            for pair_id, values in per_pair.items()]

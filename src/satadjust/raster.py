@@ -105,9 +105,11 @@ def write_pgm(raster: Raster, path) -> None:
         fh.write(data.tobytes())
 
 
-def _pgm_header(fh, path) -> tuple[int, int, int]:
-    """(width, height, maxval) of a binary PGM, read byte by byte so that
-    ``fh`` is left at the first byte of the pixel data."""
+def _pgm_header(fh, path, nodata: int) -> tuple[int, int, np.dtype]:
+    """(height, width, dtype) of a binary PGM, read byte by byte so that
+    ``fh`` is left at the first byte of the pixel data, once the file is
+    known to hold all of that data and ``nodata`` to lie in its sample
+    range."""
     if fh.read(2) != b"P5":
         raise ParseError(f"{path}: not a binary PGM (P5) file")
     # Header: magic, width, height, maxval; '#' comments allowed.
@@ -136,7 +138,23 @@ def _pgm_header(fh, path) -> tuple[int, int, int]:
         raise ParseError(f"{path}: PGM size {width} x {height} is empty")
     if maxval <= 0 or maxval > 65535:
         raise ParseError(f"{path}: unsupported PGM maxval {maxval}")
-    return width, height, maxval
+    dtype = np.dtype(np.uint8 if maxval < 256 else np.uint16)
+    size = width * height * dtype.itemsize
+    # checked before allocating, so a corrupt size allocates nothing
+    if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+        raise ParseError(f"{path}: PGM pixel data truncated")
+    top = np.iinfo(dtype).max
+    if not 0 <= nodata <= top:
+        raise ParseError(f"{path}: nodata {nodata} is outside the sample "
+                         f"range [0, {top}]")
+    return height, width, dtype
+
+
+def pgm_shape(path, nodata: int = 0) -> tuple[int, int]:
+    """(height, width) of a binary PGM from its header, which is checked
+    as :func:`read_pgm` checks it (ParseError) before reading pixels."""
+    with open(path, "rb") as fh:
+        return _pgm_header(fh, path, nodata)[:2]
 
 
 def read_pgm(path, nodata: int = 0) -> Raster:
@@ -150,18 +168,10 @@ def read_pgm(path, nodata: int = 0) -> Raster:
             outside the sample range of the file's data type.
     """
     with open(path, "rb") as fh:
-        width, height, maxval = _pgm_header(fh, path)
-        dtype = np.dtype(np.uint8 if maxval < 256 else np.uint16)
-        size = width * height * dtype.itemsize
-        # checked before allocating, so a corrupt size allocates nothing
-        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
-            raise ParseError(f"{path}: PGM pixel data truncated")
+        height, width, dtype = _pgm_header(fh, path, nodata)
         pixels = np.empty((height, width), dtype=dtype)
-        if fh.readinto(memoryview(pixels).cast("B")) != size:
+        if fh.readinto(memoryview(pixels).cast("B")) != pixels.nbytes:
             raise ParseError(f"{path}: PGM pixel data truncated")
     if pixels.dtype == np.uint16 and not np.dtype(">u2").isnative:
         pixels.byteswap(inplace=True)  # netpbm samples are big-endian
-    try:
-        return Raster(pixels=pixels, nodata=nodata)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return Raster(pixels=pixels, nodata=nodata)

@@ -119,11 +119,12 @@ def _ground_to_pixel(gt: np.ndarray, lats, lons):
     return rows, cols
 
 
-def _corner_ground(raster: Raster, rpc: RpcModel, plane: float):
+def _corner_ground(shape: tuple[int, int], rpc: RpcModel, plane: float):
     """(lats, lons) of the four pixel-area corners (half a pixel beyond
-    the centers) cast onto the plane, so that the footprint area over the
-    pixel count reproduces the sampling distance exactly."""
-    h, w = raster.height, raster.width
+    the centers) of an image of ``shape`` (height, width) cast onto the
+    plane, so that the footprint area over the pixel count reproduces
+    the sampling distance exactly."""
+    h, w = shape
     return rpc_mod.inverse_project_arrays(
         rpc, _ZERO_BIAS, [-0.5, -0.5, h - 0.5, h - 0.5],
         [-0.5, w - 0.5, w - 0.5, -0.5], plane)
@@ -136,20 +137,22 @@ def common_plane_height(rpcs: list[RpcModel]) -> float:
     return sum(r.hei_off for r in rpcs) / len(rpcs)
 
 
-def common_gsd(images: list[tuple[Raster, RpcModel]], plane: float) -> float:
+def common_gsd(images: list[tuple[Raster | tuple[int, int], RpcModel]],
+               plane: float) -> float:
     """Common level-2 sampling distance: the coarsest per-image GSD.
 
-    Each image's GSD is the square root of its footprint area on the plane
-    divided by its pixel count (the footprint is the quadrilateral of the
-    four image corners cast onto the plane).
+    Each image is given as its raster or as its (height, width) shape.
+    Its GSD is the square root of its footprint area on the plane divided
+    by its pixel count (the footprint is the quadrilateral of the four
+    image corners cast onto the plane).
     """
     if not images:
         raise EmptyInput("no images given")
     worst = 0.0
-    for raster, rpc in images:
-        area = polygon_area_m2(*_corner_ground(raster, rpc, plane))
-        gsd = math.sqrt(area / (raster.width * raster.height))
-        worst = max(worst, gsd)
+    for image, rpc in images:
+        shape = image.pixels.shape if isinstance(image, Raster) else image
+        area = polygon_area_m2(*_corner_ground(shape, rpc, plane))
+        worst = max(worst, math.sqrt(area / math.prod(shape)))
     return worst
 
 
@@ -411,7 +414,7 @@ def rectify_image(
     """
     if gsd <= 0:
         raise ValueError("gsd must be positive")
-    corner_lats, corner_lons = _corner_ground(image, rpc, plane)
+    corner_lats, corner_lons = _corner_ground(image.pixels.shape, rpc, plane)
     bbox = GroundBBox(float(corner_lats.min()), float(corner_lats.max()),
                       float(corner_lons.min()), float(corner_lons.max()))
     center_lat = (bbox.min_lat + bbox.max_lat) / 2.0

@@ -30,7 +30,11 @@ from .rpc import (
     RpcModel,
 )
 
-DEFAULT_GSD = 0.5
+# Ground sampling distance of every generated camera, m/px.
+GSD = 0.5
+# Generated points lie within this many meters of the block's base
+# height; the fitted models cover twice that.
+HEIGHT_HALF_RANGE_M = 50.0
 
 
 def fd_jacobian(
@@ -362,8 +366,6 @@ def gen_scene(
     render: bool = False,
     visibility: str = "full",
     half_extent_m: float = 45000.0,
-    height_half_range_m: float = 50.0,
-    gsd: float = DEFAULT_GSD,
     biases: list[BiasCorrection] | None = None,
 ) -> SyntheticScene:
     """Generate a reproducible multi-view scene with known truth.
@@ -390,7 +392,7 @@ def gen_scene(
 
     Raises:
         ConfigInvalid: non-positive counts, negative or non-finite
-            ranges, a non-positive or non-finite extent or GSD, unknown
+            ranges, a non-positive or non-finite extent, unknown
             visibility mode, or a bias list of the wrong length.
     """
     if n_images < 2:
@@ -398,15 +400,13 @@ def gen_scene(
     if n_points < 1:
         raise ConfigInvalid("need at least 1 point")
     for name, value in (("bias range", bias_range_px),
-                        ("noise sigma", noise_sigma_px),
-                        ("height half range", height_half_range_m)):
+                        ("noise sigma", noise_sigma_px)):
         if not 0 <= value < math.inf:
             raise ConfigInvalid(f"{name} must be finite and >= 0, "
                                 f"not {value!r}")
-    for name, value in (("half extent", half_extent_m), ("gsd", gsd)):
-        if not 0 < value < math.inf:
-            raise ConfigInvalid(f"{name} must be finite and > 0, "
-                                f"not {value!r}")
+    if not 0 < half_extent_m < math.inf:
+        raise ConfigInvalid(f"half extent must be finite and > 0, "
+                            f"not {half_extent_m!r}")
     if visibility not in ("full", "random"):
         raise ConfigInvalid(f"unknown visibility mode {visibility!r}")
     if biases is not None and len(biases) != n_images:
@@ -419,11 +419,11 @@ def gen_scene(
     m_lat, m_lon = meters_per_degree(lat0)
     lat_half = half_extent_m / m_lat
     lon_half = half_extent_m / m_lon
-    hei_half = max(height_half_range_m * 2.0, 40.0)
+    hei_half = 2.0 * HEIGHT_HALF_RANGE_M
 
     # Image size: footprint plus parallax, bias and matching-window margin.
-    margin_px = (0.35 * hei_half + bias_range_px * gsd) / gsd + 40.0
-    side = int(math.ceil(2 * half_extent_m / gsd + 2 * margin_px))
+    margin_px = (0.35 * hei_half + bias_range_px * GSD) / GSD + 40.0
+    side = int(math.ceil(2 * half_extent_m / GSD + 2 * margin_px))
     shape = (side, side)
     center = (side - 1) / 2.0
 
@@ -447,7 +447,7 @@ def gen_scene(
         azimuth = float(heading + rng.uniform(-2e-4, 2e-4))
         jit_along, jit_across = rng.uniform(-0.03, 0.03, 2)
         cam = PushbroomCamera(
-            lat0=lat0, lon0=lon0, h0=h0, gsd=gsd,
+            lat0=lat0, lon0=lon0, h0=h0, gsd=GSD,
             row0=center, col0=center, azimuth=azimuth,
             tan_along=float(base_along + jit_along),
             tan_across=float(base_across + jit_across),
@@ -462,7 +462,7 @@ def gen_scene(
 
     lats = lat0 + rng.uniform(-0.85, 0.85, n_points) * lat_half
     lons = lon0 + rng.uniform(-0.85, 0.85, n_points) * lon_half
-    heis = h0 + rng.uniform(-height_half_range_m, height_half_range_m,
+    heis = h0 + rng.uniform(-HEIGHT_HALF_RANGE_M, HEIGHT_HALF_RANGE_M,
                             n_points)
     points = [GroundPoint(float(a), float(b), float(c))
               for a, b, c in zip(lats, lons, heis)]
@@ -503,8 +503,8 @@ def gen_scene(
             radii_px = rng.uniform(3.5, 11.0, count)
             amps = rng.uniform(5.0, 8.0, count) * rng.choice(
                 (-1.0, 1.0), count)
-            offsets = np.stack([np.cos(angles) * radii_px * gsd,
-                                np.sin(angles) * radii_px * gsd,
+            offsets = np.stack([np.cos(angles) * radii_px * GSD,
+                                np.sin(angles) * radii_px * GSD,
                                 amps], axis=1)
             scene.constellations.append(offsets)
         for i in range(n_images):

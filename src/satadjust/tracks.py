@@ -1,19 +1,20 @@
 """Multi-view tie-point tracks.
 
-Pairwise correspondences sharing a feature (same image, exact same
-detected position) belong to the same object-space point; connected
-components under that relation become tracks.  Components that would put
-two different features of one image into a single track are contradictory
+Pairwise matches sharing a feature (same image, exact same detected
+position) belong to the same object-space point; connected components
+under that relation become tracks.  Components that would put two
+different features of one image into a single track are contradictory
 and dropped entirely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import textfile
 from .errors import ConfigInvalid, ParseError
-from .match import Correspondence
 from .rpc import GroundPoint, ImagePoint
 
 
@@ -54,8 +55,11 @@ def _find(parent: dict, key):
     return root
 
 
-def build_tracks(correspondences: list[Correspondence]) -> list[Track]:
-    """Union correspondences into tracks (connected components).
+def build_tracks(pairs: list[tuple[str, str, np.ndarray]]) -> list[Track]:
+    """Union the matches of each pair, ``(left_id, right_id, matches)``
+    with ``matches`` the (n, 5) array of
+    :func:`~satadjust.match.match_pair`, into tracks (connected
+    components).
 
     Feature identity is the exact pair (image_id, position); detection
     runs once per image, so equal positions mean the same feature.  The
@@ -63,18 +67,14 @@ def build_tracks(correspondences: list[Correspondence]) -> list[Track]:
     track's id is its position in it.
     """
     parent: dict = {}
-
-    def node(image_id: str, p: ImagePoint):
-        key = (image_id, p.row, p.col)
-        parent.setdefault(key, key)
-        return key
-
-    for corr in correspondences:
-        a = node(corr.left_image, corr.left)
-        b = node(corr.right_image, corr.right)
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    for left_id, right_id, matches in pairs:
+        for lr, lc, rr, rc, _ in matches.tolist():
+            a, b = (left_id, lr, lc), (right_id, rr, rc)
+            parent.setdefault(a, a)
+            parent.setdefault(b, b)
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
 
     # A root is its component's least key (parent[max] = min), so in key
     # order each component's members, and the components by their least

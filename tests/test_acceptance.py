@@ -23,7 +23,12 @@ from satadjust.adjust import (
 )
 from satadjust.cli import main
 from satadjust.geodesy import meters_per_degree
-from satadjust.match import detect_corners, match_pair, mbcensus_descriptor
+from satadjust.match import (
+    describe_features,
+    detect_corners,
+    match_pair,
+    mbcensus_descriptor,
+)
 from satadjust.raster import Raster
 from satadjust.rectify import fit_rpc
 from satadjust.rpc import BiasCorrection, ImagePoint, inverse_project, project
@@ -188,9 +193,11 @@ def test_matching_end_to_end_with_bias_and_transform():
         image_id=plain.image_id,
     )
 
-    corrs = match_pair(products[0], transformed,
-                       left_features=detect_corners(products[0].raster),
-                       right_features=detect_corners(transformed.raster))
+    (lf, lb), (rf, rb) = (describe_features(p.raster,
+                                            detect_corners(p.raster))
+                          for p in (products[0], transformed))
+    corrs = match_pair(products[0], transformed, left_features=lf,
+                       left_bits=lb, right_features=rf, right_bits=rb)
 
     def planted(index):
         img = scene.images[index]
@@ -203,15 +210,15 @@ def test_matching_end_to_end_with_bias_and_transform():
 
     left_pos, right_pos = planted(0), planted(1)
 
-    def nearest(pl, p):
-        d = np.hypot(pl[:, 0] - p.row, pl[:, 1] - p.col)
+    def nearest(pl, row, col):
+        d = np.hypot(pl[:, 0] - row, pl[:, 1] - col)
         j = int(np.argmin(d))
         return j if d[j] <= 2.0 else None
 
     hits, mismatches = set(), 0
-    for corr in corrs:
-        jl = nearest(left_pos, corr.left)
-        jr = nearest(right_pos, corr.right)
+    for lr, lc, rr, rc, _ in corrs.tolist():
+        jl = nearest(left_pos, lr, lc)
+        jr = nearest(right_pos, rr, rc)
         if jl is None or jr is None or jl != jr:
             mismatches += 1
         else:
@@ -221,10 +228,9 @@ def test_matching_end_to_end_with_bias_and_transform():
     assert mismatches == 0
 
     compared = 0
-    for corr in corrs[:40]:
-        d_plain = mbcensus_descriptor(plain.raster, corr.right)
-        d_trans = mbcensus_descriptor(transformed.raster,
-                                      corr.right)
+    for rr, rc in corrs[:40, 2:4].tolist():
+        d_plain = mbcensus_descriptor(plain.raster, ImagePoint(rr, rc))
+        d_trans = mbcensus_descriptor(transformed.raster, ImagePoint(rr, rc))
         np.testing.assert_array_equal(d_plain, d_trans)
         compared += 1
     assert compared >= 30

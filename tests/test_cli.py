@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satadjust import match as match_mod
 from satadjust import raster as raster_mod
 from satadjust import rectify as rectify_mod
 from satadjust import cli
@@ -637,7 +638,7 @@ def small_raw(tmp_path_factory):
 
 def test_rectify_holds_one_raw_raster_at_a_time(small_raw, tmp_path):
     """Four raw images peak no more than one raster above two: each is
-    read when its sampling distance or its rectification needs it."""
+    read when its rectification needs it."""
     stems = [str(small_raw / f"img_{i:03d}") for i in range(4)]
     raster_bytes = min(raster_mod.read_pgm(s + ".pgm").pixels.nbytes
                        for s in stems)
@@ -650,6 +651,45 @@ def test_rectify_holds_one_raw_raster_at_a_time(small_raw, tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < raster_bytes
+
+
+def test_rectify_reads_each_raw_raster_once(small_raw, tmp_path,
+                                           monkeypatch):
+    """The sampling distance takes each raw image's size from its PGM
+    header, so its pixels are read once, to rectify it."""
+    reads = []
+    real = raster_mod.read_pgm
+
+    def counted(path, *args, **kwargs):
+        reads.append(os.path.basename(path))
+        return real(path, *args, **kwargs)
+
+    for module in (raster_mod, rectify_mod, cli):
+        monkeypatch.setattr(module, "read_pgm", counted)
+    stems = [str(small_raw / f"img_{i:03d}") for i in range(4)]
+    cmd_rectify(stems, str(tmp_path / "products"), PipelineConfig())
+    assert sorted(reads) == [f"img_{i:03d}.pgm" for i in range(4)]
+
+
+def test_match_describes_each_product_once(small_raw, tmp_path, monkeypatch,
+                                           capsys):
+    """An image is described once however many pairs it is in: three
+    products in three pairs make three census_bits calls, one each."""
+    products = str(tmp_path / "products")
+    cmd_rectify([str(small_raw / f"img_{i:03d}") for i in range(3)],
+                products, PipelineConfig())
+    described = []
+    real = match_mod.census_bits
+
+    def counted(raster, *args, **kwargs):
+        described.append(id(raster))
+        return real(raster, *args, **kwargs)
+
+    monkeypatch.setattr(match_mod, "census_bits", counted)
+    capsys.readouterr()
+    cli.cmd_match(products, str(tmp_path / "out"), PipelineConfig())
+    assert "matched 3 pair(s)" in capsys.readouterr().out
+    assert len(described) == 3 and len(set(described)) == 3
 
 
 def _mutate_pgm(blob: bytes, data) -> bytes:

@@ -25,12 +25,12 @@ from satadjust.match import (
     FAST_ARC,
     FAST_CIRCLE,
     MAX_CURVE_SAMPLES,
-    Correspondence,
     MatchParams,
     _nearest_on_polyline,
     _reprojection_errors,
     _segment_test,
     census_bits,
+    describe_features,
     detect_corners,
     epipolar_curve,
     epipolar_curves,
@@ -62,6 +62,18 @@ def stereo():
     return scene, products
 
 
+def match(left, right, params=MatchParams(), left_features=None,
+          right_features=None):
+    """match_pair on the described features of two products: their
+    detected corners unless features are given."""
+    (lf, lb), (rf, rb) = (
+        describe_features(p.raster, detect_corners(p.raster) if f is None
+                          else f, params.window, params.blocks)
+        for p, f in ((left, left_features), (right, right_features)))
+    return match_pair(left, right, params, left_features=lf, left_bits=lb,
+                      right_features=rf, right_bits=rb)
+
+
 def planted_positions(scene, index):
     """Noiseless rendered dot centers of every point in one image."""
     out = []
@@ -73,21 +85,21 @@ def planted_positions(scene, index):
     return np.array(out)
 
 
-def pair_offset(corrs, left, right) -> tuple[float, float]:
+def pair_offset(matches, left, right) -> tuple[float, float]:
     """Median displacement of stored matches from their epipolar curves.
 
-    Recomputed from the persisted correspondences alone, so the
-    reprojection guarantee of match_pair can be re-checked after the fact.
+    Recomputed from the persisted matches alone, so the reprojection
+    guarantee of match_pair can be re-checked after the fact.
     """
     min_h = left.rpc.hei_off - left.rpc.hei_scale
     max_h = left.rpc.hei_off + left.rpc.hei_scale
     disps = []
-    for corr in corrs:
-        curve = epipolar_curve(corr.left, left, right, min_h, max_h)
+    for lr, lc, rr, rc, _ in matches.tolist():
+        curve = epipolar_curve(ImagePoint(lr, lc), left, right, min_h, max_h)
         if not curve:
             continue
         vertices = np.array([(v.row, v.col) for v in curve])
-        point = np.array([[corr.right.row, corr.right.col]])
+        point = np.array([[rr, rc]])
         _, nearest = _nearest_on_polyline(point, vertices)
         disps.append(point[0] - nearest[0])
     if not disps:
@@ -526,18 +538,16 @@ def test_degenerate_curve_cast_drops_only_that_feature(stereo, monkeypatch,
     left, right = products
     min_h = left.rpc.hei_off - left.rpc.hei_scale
     max_h = left.rpc.hei_off + left.rpc.hei_scale
-    baseline = match_pair(*products,
-                          left_features=detect_corners(left.raster),
-                          right_features=detect_corners(right.raster))
-    points = [(c.left.row, c.left.col) for c in baseline]
+    baseline = match(*products)
+    points = baseline[:, :2].tolist()
     k = len(points) // 2
-    victim = baseline[k].left
+    victim = points[k]
     before, _ = epipolar_curves(points, left, right, min_h, max_h)
     real = rpc_mod.inverse_project_many
 
     def failing(models, index, targets, heis):
         lats, lons, status = real(models, index, targets, heis)
-        hit = (np.asarray(targets) == (victim.row, victim.col)).all(axis=1)
+        hit = (np.asarray(targets) == victim).all(axis=1)
         if inner:
             # spare the cast at the ends of the height range
             heis = np.broadcast_to(heis, hit.shape)
@@ -553,32 +563,27 @@ def test_degenerate_curve_cast_drops_only_that_feature(stereo, monkeypatch,
             assert code == rpc_mod.SOLVED
             np.testing.assert_array_equal(curve, before[j])
     with pytest.raises(DegenerateDenominator):
-        epipolar_curve(victim, left, right, min_h, max_h)
-    corrs = match_pair(*products, left_features=detect_corners(left.raster),
-                       right_features=detect_corners(right.raster))
-    assert corrs == [c for c in baseline if c.left != victim]
+        epipolar_curve(ImagePoint(*victim), left, right, min_h, max_h)
+    np.testing.assert_array_equal(
+        match(*products), baseline[(baseline[:, :2] != victim).any(axis=1)])
 
 
 def test_degenerate_triangulation_drops_only_that_match(stereo, monkeypatch):
     _, products = stereo
-    baseline = match_pair(*products,
-                          left_features=detect_corners(products[0].raster),
-                          right_features=detect_corners(products[1].raster))
-    victim = baseline[len(baseline) // 2].left
+    baseline = match(*products)
+    victim = baseline[len(baseline) // 2, :2]
     real = rpc_mod.triangulate_many
 
     def failing(models, index, targets, starts):
         grounds, status = real(models, index, targets, starts)
         heads = np.asarray(targets)[np.asarray(starts)[:-1]]
-        status[(heads == (victim.row, victim.col)).all(axis=1)] = \
-            rpc_mod.DEGENERATE
+        status[(heads == victim).all(axis=1)] = rpc_mod.DEGENERATE
         return grounds, status
 
     monkeypatch.setattr(rpc_mod, "triangulate_many", failing)
-    corrs = match_pair(*products,
-                       left_features=detect_corners(products[0].raster),
-                       right_features=detect_corners(products[1].raster))
-    assert corrs == [c for c in baseline if c.left != victim]
+    corrs = match(*products)
+    np.testing.assert_array_equal(
+        corrs, baseline[(baseline[:, :2] != victim).any(axis=1)])
     assert len(corrs) == len(baseline) - 1
 
 
@@ -633,16 +638,16 @@ def match_pair_oracle(left, right, params, left_features, right_features):
         tentative.append((pl, right_use[best], scores[order[0]],
                           right_pos[best] - nearest[best]))
     if not tentative:
-        return []
+        return np.empty((0, 5))
     median = np.median(np.array([t[3] for t in tentative]), axis=0)
     comp = BiasCorrection(-float(median[0]), -float(median[1]))
     errors = _reprojection_errors(
         left, right, comp,
         np.array([(t[0].row, t[0].col) for t in tentative]),
         np.array([(t[1].row, t[1].col) for t in tentative]))
-    return [Correspondence(pl, pr, score, left.image_id, right.image_id)
-            for (pl, pr, score, _), error in zip(tentative, errors)
-            if error <= params.reproj_filter_px]
+    return np.array([(pl.row, pl.col, pr.row, pr.col, score)
+                     for (pl, pr, score, _), error in zip(tentative, errors)
+                     if error <= params.reproj_filter_px]).reshape(-1, 5)
 
 
 @pytest.mark.parametrize("ratio", [0.6, 1.5])
@@ -662,43 +667,43 @@ def test_match_pair_equals_per_feature_oracle(stereo, duplicates, ratio):
         right_features = np.concatenate([
             right_features, right_features,
             right_features + sign * (0.3, -0.2)])
-    corrs = match_pair(left, right, params, left_features=left_features,
-                       right_features=right_features)
+    corrs = match(left, right, params, left_features, right_features)
     expected = match_pair_oracle(left, right, params, left_features,
                                  right_features)
-    assert corrs == expected
+    assert corrs.shape == expected.shape
+    np.testing.assert_array_equal(corrs, expected)
     if not duplicates:
         assert len(corrs) > 50
     elif ratio < 1:
         # tied candidates fail the ratio test
-        assert corrs == []
+        assert not len(corrs)
     else:
         # the moved copy wins where it is closer to the curve, a copy on
         # the pixel wherever the distances tie
         n = len(right_features) // 3
-        first = {ImagePoint(*p) for p in right_features[:n].tolist()}
-        moved = {ImagePoint(*p) for p in right_features[2 * n:].tolist()}
-        assert {c.right in first for c in corrs} == {True, False}
-        assert all(c.right in first or c.right in moved for c in corrs)
+        first = {tuple(p) for p in right_features[:n].tolist()}
+        moved = {tuple(p) for p in right_features[2 * n:].tolist()}
+        rights = [tuple(p) for p in corrs[:, 2:4].tolist()]
+        assert {p in first for p in rights} == {True, False}
+        assert all(p in first or p in moved for p in rights)
 
 
 def test_match_pair_without_features_is_empty(stereo):
     _, products = stereo
-    assert match_pair(*products, left_features=np.empty((0, 2)),
-                      right_features=detect_corners(products[1].raster)) == []
+    assert match(*products, left_features=np.empty((0, 2))).shape == (0, 5)
 
 
 def test_matched_correspondences_round_trip(stereo, tmp_path):
-    """Matches keep Python floats: a NumPy scalar would be written as
-    its repr, np.float64(...), which no loader reads."""
+    """A pair's match array reads back bit for bit: its numbers are not
+    written as NumPy reprs, np.float64(...), which no loader reads."""
     _, products = stereo
-    corrs = match_pair(*products,
-                       left_features=detect_corners(products[0].raster),
-                       right_features=detect_corners(products[1].raster))
+    corrs = match(*products)
     assert len(corrs) > 50
     path = tmp_path / "corr.txt"
-    save_correspondences(corrs, path)
-    assert load_correspondences(path) == corrs
+    save_correspondences([("img_000", "img_001", corrs)], path)
+    [(left_id, right_id, back)] = load_correspondences(path)
+    assert (left_id, right_id) == ("img_000", "img_001")
+    np.testing.assert_array_equal(back, corrs)
 
 
 def test_match_pair_recall_and_zero_mismatches(stereo):
@@ -709,22 +714,20 @@ def test_match_pair_recall_and_zero_mismatches(stereo):
         geo_transform=products[1].geo_transform,
         footprint=products[1].footprint, image_id=products[1].image_id,
     )
-    corrs = match_pair(products[0], transformed,
-                       left_features=detect_corners(products[0].raster),
-                       right_features=detect_corners(transformed.raster))
+    corrs = match(products[0], transformed)
     left_pos = planted_positions(scene, 0)
     right_pos = planted_positions(scene, 1)
 
-    def nearest(planted, p):
-        d = np.hypot(planted[:, 0] - p.row, planted[:, 1] - p.col)
+    def nearest(planted, row, col):
+        d = np.hypot(planted[:, 0] - row, planted[:, 1] - col)
         j = int(np.argmin(d))
         return j if d[j] <= 2.0 else None
 
     hits = set()
     mismatches = 0
-    for corr in corrs:
-        jl = nearest(left_pos, corr.left)
-        jr = nearest(right_pos, corr.right)
+    for lr, lc, rr, rc, _ in corrs.tolist():
+        jl = nearest(left_pos, lr, lc)
+        jr = nearest(right_pos, rr, rc)
         if jl is None or jr is None or jl != jr:
             mismatches += 1
         else:
@@ -735,13 +738,10 @@ def test_match_pair_recall_and_zero_mismatches(stereo):
 
 def test_product_matched_against_itself(stereo):
     _, products = stereo
-    features = detect_corners(products[0].raster)
-    corrs = match_pair(products[0], products[0], left_features=features,
-                       right_features=features)
+    corrs = match(products[0], products[0])
     assert len(corrs) > 50
-    for corr in corrs:
-        assert corr.left == corr.right
-        assert corr.score == 0
+    np.testing.assert_array_equal(corrs[:, :2], corrs[:, 2:4])
+    assert not corrs[:, 4].any()
     dr, dc = pair_offset(corrs, products[0], products[0])
     assert math.hypot(dr, dc) < 1e-6
 
@@ -751,16 +751,14 @@ def test_emitted_matches_reproject_within_filter(stereo):
     from satadjust.rpc import residual, triangulate
 
     _, products = stereo
-    corrs = match_pair(products[0], products[1],
-                       left_features=detect_corners(products[0].raster),
-                       right_features=detect_corners(products[1].raster))
+    corrs = match(products[0], products[1])
     dr, dc = pair_offset(corrs, products[0], products[1])
     comp = BiasCorrection(-dr, -dc)
     zero = BiasCorrection()
     checked = 0
-    for corr in corrs:
-        obs = [(products[0].rpc, zero, corr.left),
-               (products[1].rpc, comp, corr.right)]
+    for lr, lc, rr, rc, _ in corrs.tolist():
+        obs = [(products[0].rpc, zero, ImagePoint(lr, lc)),
+               (products[1].rpc, comp, ImagePoint(rr, rc))]
         try:
             ground = triangulate(obs)
         except IllConditioned:
@@ -778,18 +776,32 @@ def test_emitted_matches_reproject_within_filter(stereo):
 
 
 def test_correspondence_round_trip(tmp_path):
-    corrs = [Correspondence(
-        left=ImagePoint(10.0, 20.5), right=ImagePoint(11.25, 19.0),
-        score=42, left_image="a", right_image="b",
-    )]
+    pairs = [("a", "b", np.array([[10.0, 20.5, 11.25, 19.0, 42]])),
+             ("a", "c", np.empty((0, 5))),
+             ("b", "c", np.array([[1.0, 2.0, 3.0, 4.0, 0],
+                                  [5.0, 6.0, 7.0, 8.0, 7]]))]
     path = tmp_path / "corr.txt"
-    save_correspondences(corrs, path)
+    save_correspondences(pairs, path)
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith("#")]
+    assert lines == ["a:b 10.0 20.5 11.25 19.0 42", "b:c 1.0 2.0 3.0 4.0 0",
+                     "b:c 5.0 6.0 7.0 8.0 7"]
     back = load_correspondences(path)
-    assert len(back) == 1
-    assert back[0].pair_id == "a:b"
-    assert back[0].left == ImagePoint(10.0, 20.5)
-    assert back[0].right == ImagePoint(11.25, 19.0)
-    assert back[0].score == 42
+    # a pair without matches writes no line
+    assert [(a, b) for a, b, _ in back] == [("a", "b"), ("b", "c")]
+    for (_, _, got), (_, _, want) in zip(back, pairs[::2]):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+
+def test_correspondence_load_groups_lines_by_pair(tmp_path):
+    path = tmp_path / "corr.txt"
+    path.write_text("b:c 1.0 2.0 3.0 4.0 5\na:b 6.0 7.0 8.0 9.0 0\n"
+                    "b:c 1.5 2.5 3.5 4.5 6\n")
+    back = load_correspondences(path)
+    assert [(a, b) for a, b, _ in back] == [("b", "c"), ("a", "b")]
+    np.testing.assert_array_equal(back[0][2], [[1.0, 2.0, 3.0, 4.0, 5],
+                                               [1.5, 2.5, 3.5, 4.5, 6]])
 
 
 def test_correspondence_load_rejects_bad_lines(tmp_path):

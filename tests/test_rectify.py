@@ -48,6 +48,8 @@ def test_common_gsd_recovers_camera_sampling(rendered_scene):
     # both cameras sample at the generator GSD; footprint area over pixel
     # count reproduces it on the plane
     assert gsd == pytest.approx(0.5, rel=1e-3)
+    # a raster's shape stands for it
+    assert common_gsd([(r.pixels.shape, m) for r, m in images], plane) == gsd
 
 
 def test_common_gsd_takes_the_coarsest(rendered_scene):
@@ -347,10 +349,8 @@ def _padded_corners(monkeypatch, rows_below):
     one rectified, so that the output grid extends past its footprint."""
     corner_ground = rectify._corner_ground
 
-    def padded(raster, rpc, plane):
-        taller = np.zeros((raster.height + rows_below, raster.width),
-                          dtype=raster.pixels.dtype)
-        return corner_ground(Raster(taller), rpc, plane)
+    def padded(shape, rpc, plane):
+        return corner_ground((shape[0] + rows_below, shape[1]), rpc, plane)
 
     monkeypatch.setattr(rectify, "_corner_ground", padded)
 
@@ -466,7 +466,7 @@ def test_rectify_one_row_and_one_column_outputs(axis, monkeypatch):
     shape = (12, 120) if axis == 0 else (120, 12)
     image = _source_with_nodata(rng, *shape, nodata=0)
     plane = model.hei_off
-    lats, lons = rectify._corner_ground(image, model, plane)
+    lats, lons = rectify._corner_ground(image.pixels.shape, model, plane)
     m_lat, m_lon = meters_per_degree((lats.min() + lats.max()) / 2)
     extent = (float(lats.max() - lats.min()) * m_lat if axis == 0
               else float(lons.max() - lons.min()) * m_lon)

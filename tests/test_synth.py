@@ -90,15 +90,9 @@ def test_gen_scene_validates_config():
             gen_scene(3, 10, bad, 0.1, seed=1)
         with pytest.raises(ConfigInvalid):
             gen_scene(3, 10, 5.0, bad, seed=1)
-        with pytest.raises(ConfigInvalid):
-            gen_scene(3, 10, 5.0, 0.1, seed=1, height_half_range_m=bad)
-    with pytest.raises(ConfigInvalid):
-        gen_scene(3, 10, 5.0, 0.1, seed=1, height_half_range_m=-1.0)
     for bad in (math.nan, math.inf, 0.0, -5.0):
         with pytest.raises(ConfigInvalid):
             gen_scene(3, 10, 5.0, 0.1, seed=1, half_extent_m=bad)
-        with pytest.raises(ConfigInvalid):
-            gen_scene(3, 10, 5.0, 0.1, seed=1, gsd=bad)
     with pytest.raises(ConfigInvalid):
         gen_scene(3, 10, 5.0, 0.1, seed=1, visibility="most")
     with pytest.raises(ConfigInvalid):

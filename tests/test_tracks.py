@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from satadjust.errors import ConfigInvalid, ParseError
-from satadjust.match import Correspondence
 from satadjust.rpc import GroundPoint, ImagePoint
 from satadjust.synth import gen_scene
 from satadjust.tracks import (
@@ -22,11 +21,8 @@ from satadjust.tracks import (
 
 
 def corr(left_image, lr, lc, right_image, rr, rc):
-    return Correspondence(
-        left=ImagePoint(float(lr), float(lc)),
-        right=ImagePoint(float(rr), float(rc)),
-        score=10, left_image=left_image, right_image=right_image,
-    )
+    """One pair holding one match, as build_tracks takes it."""
+    return left_image, right_image, np.array([[lr, lc, rr, rc, 10.0]])
 
 
 def test_chain_of_correspondences_becomes_one_track():
@@ -70,6 +66,18 @@ def test_build_tracks_is_input_order_independent():
     reference = build_tracks(corrs)
     assert build_tracks(corrs[::-1]) == reference
     assert build_tracks([corrs[2], corrs[0], corrs[3], corrs[1]]) == reference
+
+
+def test_a_pair_array_builds_what_its_rows_build():
+    rows = [(1, 2, 3, 4), (9, 9, 8, 8), (5, 5, 3, 4), (20, 21, 22, 23)]
+    matches = np.array([(*row, 10.0) for row in rows])
+    one_per_row = [corr("a", lr, lc, "b", rr, rc) for lr, lc, rr, rc in rows]
+    tracks = build_tracks([("a", "b", matches), ("a", "c", np.empty((0, 5)))])
+    assert tracks == build_tracks(one_per_row)
+    # (1, 2) and (5, 5) of image a both claim (3, 4) of b: dropped
+    assert [t.observations for t in tracks] == [
+        {"a": ImagePoint(9.0, 9.0), "b": ImagePoint(8.0, 8.0)},
+        {"a": ImagePoint(20.0, 21.0), "b": ImagePoint(22.0, 23.0)}]
 
 
 def test_track_requires_two_observations():
