@@ -131,7 +131,7 @@ class ObservationGraph:
         ``CHUNK_OBSERVATIONS`` observations each, or a single track."""
         starts = self.track_start
         a = 0
-        while a < len(self.tracks):
+        while a < len(starts) - 1:
             b = int(np.searchsorted(starts, starts[a] + CHUNK_OBSERVATIONS,
                                     side="right")) - 1
             b = max(b, a + 1)

@@ -254,7 +254,7 @@ def cmd_adjust(track_path: str, products_dir: str, out_dir: str,
                config: PipelineConfig, gcp_path: str | None = None) -> str:
     """Run the bundle adjustment; writes biases and the metric report."""
     graph = _assemble(track_path, products_dir, gcp_path)
-    if not graph.tracks:
+    if len(graph.track_start) == 1:
         raise ConfigInvalid("no usable tracks; nothing to adjust")
     if not graph.has_gcp:
         print(f"free network: no GCPs given, biases are relative to the "
@@ -346,7 +346,8 @@ def cmd_synth(args: argparse.Namespace) -> None:
     # metadata-only scenes to the generator's full-block extent.
     half_extent = args.half_extent
     if half_extent is None:
-        half_extent = 400.0 if args.render else 45000.0
+        half_extent = (synth_mod.RENDERED_HALF_EXTENT_M if args.render
+                       else synth_mod.HALF_EXTENT_M)
     scene = synth_mod.gen_scene(
         n_images=args.images, n_points=args.points,
         bias_range_px=args.bias_range, noise_sigma_px=args.noise,
@@ -426,8 +427,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--visibility", choices=("full", "random"),
                    default="full")
     p.add_argument("--half-extent", type=float, default=None,
-                   help="footprint half extent in meters "
-                        "(default 400 rendered, 45000 otherwise)")
+                   help=f"footprint half extent in meters (default "
+                        f"{synth_mod.RENDERED_HALF_EXTENT_M:g} rendered, "
+                        f"{synth_mod.HALF_EXTENT_M:g} otherwise)")
 
     p = sub.add_parser("report", help="recompute metrics for stored "
                        "tracks/biases")

@@ -10,7 +10,8 @@ equivalence testing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -20,7 +21,7 @@ from . import rpc as rpc_mod
 from . import textfile
 from .errors import ConfigInvalid, DegenerateDenominator, RankDeficient
 from .geodesy import meters_per_degree
-from .raster import Raster
+from .raster import Raster, write_pgm
 from .rectify import GroundBBox, Level2Product, fit_rpc
 from .rpc import (
     BiasCorrection,
@@ -35,6 +36,13 @@ GSD = 0.5
 # Generated points lie within this many meters of the block's base
 # height; the fitted models cover twice that.
 HEIGHT_HALF_RANGE_M = 50.0
+# Default footprint half extents, m: the full 90 km block, and a
+# raster-friendly footprint for rendered scenes.
+HALF_EXTENT_M = 45000.0
+RENDERED_HALF_EXTENT_M = 400.0
+# Largest rendered image, px (5,792 square); rendering holds a few
+# float64 images of this size at once.
+RENDER_MAX_PIXELS = 2 ** 25
 
 
 def fd_jacobian(
@@ -175,63 +183,6 @@ class PushbroomCamera:
             self.gsd * (1.0 - up / self.altitude))
         return rows, cols
 
-    def project(self, g: GroundPoint) -> ImagePoint:
-        rows, cols = self.project_arrays(g.lat, g.lon, g.hei)
-        return ImagePoint(float(rows), float(cols))
-
-
-def camera_rpc(
-    cam: PushbroomCamera,
-    lat_half: float,
-    lon_half: float,
-    hei_half: float,
-    image_shape: tuple[int, int],
-) -> RpcModel:
-    """Closed-form RPC of a pushbroom camera (no fitting involved).
-
-    Offsets/scales cover the given ground half-ranges around the camera
-    anchor and the image extent.  Rows are affine in the normalized
-    ground coordinates; columns divide an affine numerator by the
-    affine across-track depth ``1 - up/altitude``, so the coefficients
-    are exact and every higher-order term is zero.
-    """
-    m_lat, m_lon = meters_per_degree(cam.lat0)
-    h, w = image_shape
-    line_off, line_scale = (h - 1) / 2.0, max((h - 1) / 2.0, 1.0)
-    samp_off, samp_scale = (w - 1) / 2.0, max((w - 1) / 2.0, 1.0)
-    ca, sa = math.cos(cam.azimuth), math.sin(cam.azimuth)
-
-    line_num = np.zeros(20)
-    line_num[0] = (cam.row0 - line_off) / line_scale
-    line_num[1] = -ca * m_lon * lon_half / (cam.gsd * line_scale)
-    line_num[2] = -sa * m_lat * lat_half / (cam.gsd * line_scale)
-    line_num[3] = -cam.tan_along * hei_half / (cam.gsd * line_scale)
-    line_den = np.zeros(20)
-    line_den[0] = 1.0
-
-    # col = col0 + (across + tan*up) / (gsd * depth), depth = 1 - up/alt:
-    # normalized, numerator picks up (col0 - samp_off) * depth.
-    samp_num = np.zeros(20)
-    samp_num[0] = (cam.col0 - samp_off) / samp_scale
-    samp_num[1] = -sa * m_lon * lon_half / (cam.gsd * samp_scale)
-    samp_num[2] = ca * m_lat * lat_half / (cam.gsd * samp_scale)
-    samp_num[3] = (cam.tan_across * hei_half / cam.gsd
-                   - (cam.col0 - samp_off) * hei_half / cam.altitude
-                   ) / samp_scale
-    samp_den = np.zeros(20)
-    samp_den[0] = 1.0
-    samp_den[3] = -hei_half / cam.altitude
-
-    return RpcModel(
-        line_off=line_off, line_scale=line_scale,
-        samp_off=samp_off, samp_scale=samp_scale,
-        lat_off=cam.lat0, lat_scale=lat_half,
-        lon_off=cam.lon0, lon_scale=lon_half,
-        hei_off=cam.h0, hei_scale=hei_half,
-        line_num=line_num, line_den=line_den,
-        samp_num=samp_num, samp_den=samp_den,
-    )
-
 
 def camera_fit_samples(
     cam: PushbroomCamera,
@@ -280,15 +231,14 @@ class SyntheticScene:
     noise_sigma: float
     seed: int
     plane_height: float
-    # Per-point constellation rows (east_m, north_m, amplitude), used when
-    # rendering so each planted corner carries a unique census signature.
-    constellations: list[np.ndarray] = field(default_factory=list)
-    # Background texture phases, drawn once so every image renders the
-    # same ground-attached pattern.
-    texture_phases: tuple[float, float] = (0.0, 0.0)
 
 
-def _render_image(scene: SyntheticScene, index: int) -> Raster:
+def _render_image(
+    scene: SyntheticScene,
+    index: int,
+    texture_phases: tuple[float, float],
+    constellations: list[np.ndarray],
+) -> Raster:
     """Draw the image content a biased camera would record.
 
     Smooth background (no corners) plus one sharp dot per visible point
@@ -296,45 +246,33 @@ def _render_image(scene: SyntheticScene, index: int) -> Raster:
     satellite constellation that stays below the corner-detection
     threshold even under a doubling intensity transform, yet falls
     inside the census window so descriptors can tell points apart.
+    ``texture_phases`` places the ground-attached background pattern,
+    shared by every image; ``constellations[j]`` holds point j's
+    satellite rows (east_m, north_m, amplitude).
     """
     img = scene.images[index]
     h, w = img.shape
     cam = img.camera
     m_lat, m_lon = meters_per_degree(cam.lat0)
 
-    # A pixel records the ground location its biased ray hits the plane.
-    rr, cc = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    raw_r = rr + img.true_bias.d_row
-    raw_c = cc + img.true_bias.d_col
+    # A pixel records the ground location its biased ray hits the plane:
+    # a column of rows against a row of columns, full size from the
+    # ground coordinates on.
+    raw_r = np.arange(h, dtype=np.float64)[:, None] + img.true_bias.d_row
+    raw_c = np.arange(w, dtype=np.float64) + img.true_bias.d_col
     along = (cam.row0 - raw_r) * cam.gsd
     across = (raw_c - cam.col0) * cam.gsd
     ca, sa = math.cos(cam.azimuth), math.sin(cam.azimuth)
     east = ca * along - sa * across
     north = sa * along + ca * across
-    phase1, phase2 = scene.texture_phases
+    phase1, phase2 = texture_phases
     # Kilometre-scale swell: gentle enough that in-window comparisons
     # between background pixels tie instead of flipping with subpixel
     # sampling phase, so census bits come from the planted content.
-    background = 60.0 + 25.0 * (
+    canvas = 60.0 + 25.0 * (
         np.sin(2 * math.pi * east / 2500.0 + phase1)
         * np.sin(2 * math.pi * north / 2200.0 + phase2)
     )
-
-    canvas = background
-
-    def stamp(r0, c0, amp, sigma):
-        radius = 6
-        r_lo = max(int(math.floor(r0)) - radius, 0)
-        r_hi = min(int(math.ceil(r0)) + radius + 1, h)
-        c_lo = max(int(math.floor(c0)) - radius, 0)
-        c_hi = min(int(math.ceil(c0)) + radius + 1, w)
-        if r_lo >= r_hi or c_lo >= c_hi:
-            return
-        rows = np.arange(r_lo, r_hi, dtype=np.float64)[:, None]
-        cols = np.arange(c_lo, c_hi, dtype=np.float64)[None, :]
-        d2 = (rows - r0) ** 2 + (cols - c0) ** 2
-        canvas[r_lo:r_hi, c_lo:c_hi] += amp * np.exp(-d2 / (2 * sigma * sigma))
 
     # (lat, lon, hei, amplitude, sigma) of every dot, in drawing order:
     # each visible point, then its constellation.
@@ -345,13 +283,23 @@ def _render_image(scene: SyntheticScene, index: int) -> Raster:
         dots.append((g.lat, g.lon, g.hei, 45.0, 1.3))
         dots.extend((g.lat + d_north / m_lat, g.lon + d_east / m_lon, g.hei,
                      amp, 1.0)
-                    for d_east, d_north, amp in scene.constellations[j])
+                    for d_east, d_north, amp in constellations[j])
     if dots:
         lats, lons, heis, amps, sigmas = np.array(dots).T
         rows, cols = rpc_mod.project_arrays(img.rpc, img.true_bias,
                                             lats, lons, heis)
+        radius = 6  # px stamped around each dot's center
         for r0, c0, amp, sigma in zip(rows, cols, amps, sigmas):
-            stamp(r0, c0, amp, sigma)
+            r_lo = max(int(math.floor(r0)) - radius, 0)
+            r_hi = min(int(math.ceil(r0)) + radius + 1, h)
+            c_lo = max(int(math.floor(c0)) - radius, 0)
+            c_hi = min(int(math.ceil(c0)) + radius + 1, w)
+            if r_lo >= r_hi or c_lo >= c_hi:
+                continue
+            d2 = ((np.arange(r_lo, r_hi, dtype=np.float64)[:, None] - r0) ** 2
+                  + (np.arange(c_lo, c_hi, dtype=np.float64) - c0) ** 2)
+            canvas[r_lo:r_hi, c_lo:c_hi] += amp * np.exp(
+                -d2 / (2 * sigma * sigma))
 
     pixels = np.clip(np.rint(canvas), 1, 112).astype(np.uint8)
     return Raster(pixels, nodata=0)
@@ -365,7 +313,7 @@ def gen_scene(
     seed: int,
     render: bool = False,
     visibility: str = "full",
-    half_extent_m: float = 45000.0,
+    half_extent_m: float = HALF_EXTENT_M,
     biases: list[BiasCorrection] | None = None,
 ) -> SyntheticScene:
     """Generate a reproducible multi-view scene with known truth.
@@ -382,7 +330,9 @@ def gen_scene(
     observability rests on the across-track perspective, whose leverage
     grows with footprint / altitude, and the datum error enters biases
     scaled by the pointing spread.  Rendered scenes should pass a small
-    ``half_extent_m`` (rasters are only allocated when rendering).
+    ``half_extent_m`` such as ``RENDERED_HALF_EXTENT_M`` (rasters are
+    only allocated when rendering, and a rendered image may hold at most
+    ``RENDER_MAX_PIXELS`` pixels: a half extent up to about 1,390 m).
 
     Args:
         visibility: "full" (every image sees every point) or "random"
@@ -393,7 +343,8 @@ def gen_scene(
     Raises:
         ConfigInvalid: non-positive counts, negative or non-finite
             ranges, a non-positive or non-finite extent, unknown
-            visibility mode, or a bias list of the wrong length.
+            visibility mode, a bias list of the wrong length, or a
+            rendered image of more than ``RENDER_MAX_PIXELS`` pixels.
     """
     if n_images < 2:
         raise ConfigInvalid("need at least 2 images")
@@ -411,6 +362,16 @@ def gen_scene(
         raise ConfigInvalid(f"unknown visibility mode {visibility!r}")
     if biases is not None and len(biases) != n_images:
         raise ConfigInvalid("biases list must have one entry per image")
+    # Image size: footprint plus parallax, bias and matching-window margin.
+    hei_half = 2.0 * HEIGHT_HALF_RANGE_M
+    margin_px = (0.35 * hei_half + bias_range_px * GSD) / GSD + 40.0
+    side = int(math.ceil(2 * half_extent_m / GSD + 2 * margin_px))
+    if render and side * side > RENDER_MAX_PIXELS:
+        raise ConfigInvalid(f"a rendered image would be {side} px square, "
+                            f"over the {RENDER_MAX_PIXELS} px cap; pass a "
+                            f"smaller half extent")
+    shape = (side, side)
+    center = (side - 1) / 2.0
 
     rng = np.random.default_rng(seed)
     lat0 = rng.uniform(-45.0, 45.0)
@@ -419,13 +380,6 @@ def gen_scene(
     m_lat, m_lon = meters_per_degree(lat0)
     lat_half = half_extent_m / m_lat
     lon_half = half_extent_m / m_lon
-    hei_half = 2.0 * HEIGHT_HALF_RANGE_M
-
-    # Image size: footprint plus parallax, bias and matching-window margin.
-    margin_px = (0.35 * hei_half + bias_range_px * GSD) / GSD + 40.0
-    side = int(math.ceil(2 * half_extent_m / GSD + 2 * margin_px))
-    shape = (side, side)
-    center = (side - 1) / 2.0
 
     if biases is None:
         draws = rng.uniform(-bias_range_px, bias_range_px, (n_images, 2))
@@ -492,7 +446,11 @@ def gen_scene(
     )
 
     if render:
-        scene.texture_phases = tuple(rng.uniform(0.0, 2 * math.pi, 2))
+        # Background texture phases, drawn once so every image renders
+        # the same ground-attached pattern, then one constellation per
+        # point so each planted corner carries a unique census signature.
+        texture_phases = tuple(rng.uniform(0.0, 2 * math.pi, 2))
+        constellations = []
         for _ in range(n_points):
             count = int(rng.integers(5, 9))
             angles = rng.uniform(0.0, 2 * math.pi, count)
@@ -506,9 +464,10 @@ def gen_scene(
             offsets = np.stack([np.cos(angles) * radii_px * GSD,
                                 np.sin(angles) * radii_px * GSD,
                                 amps], axis=1)
-            scene.constellations.append(offsets)
-        for i in range(n_images):
-            scene.images[i].raster = _render_image(scene, i)
+            constellations.append(offsets)
+        for i, img in enumerate(images):
+            img.raster = _render_image(scene, i, texture_phases,
+                                       constellations)
     return scene
 
 
@@ -561,15 +520,11 @@ def scene_products(scene: SyntheticScene) -> list[Level2Product]:
 
 def save_scene(scene: SyntheticScene, directory) -> None:
     """Dump a scene as PGM rasters, RPC files and truth tables."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     for img in scene.images:
         rpc_mod.save_rpc_file(img.rpc,
                               os.path.join(directory, img.image_id + ".rpc"))
         if img.raster is not None:
-            from .raster import write_pgm
-
             write_pgm(img.raster,
                       os.path.join(directory, img.image_id + ".pgm"))
     textfile.write(
@@ -612,12 +567,14 @@ def dense_solve(graph, gauge_image: int | None = None):
 
     rows_j = []
     rows_r = []
-    for j, track in enumerate(graph.tracks):
-        scales = graph.models.scale[graph.obs_image[graph.track_start[j]], :3]
-        ground = rpc_mod.GroundPoint(*graph.ground[j].tolist())
-        for image_id, obs in sorted(track.observations.items()):
-            i = graph.index[image_id]
+    starts = graph.track_start
+    for j in range(len(starts) - 1):
+        scales = graph.models.scale[graph.obs_image[starts[j]], :3]
+        ground = GroundPoint(*graph.ground[j].tolist())
+        for k in range(starts[j], starts[j + 1]):
+            i = int(graph.obs_image[k])
             rpc, bias = graph.images[i][1], BiasCorrection(*graph.bias[i])
+            obs = ImagePoint(*graph.obs_pixel[k].tolist())
             v = rpc_mod.residual(rpc, bias, ground, obs)
             jac = rpc_mod.jacobian(rpc, bias, ground)
             block = np.zeros((2, n_params))

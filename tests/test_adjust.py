@@ -135,7 +135,8 @@ def affine_block_graph() -> ObservationGraph:
     image's ray is absorbed by constant biases, so the constant-bias
     free network is structurally rank deficient (gauge or not)."""
     from satadjust.geodesy import meters_per_degree
-    from satadjust.synth import PushbroomCamera, camera_rpc
+    from satadjust.rectify import fit_rpc
+    from satadjust.synth import PushbroomCamera, camera_fit_samples
 
     m_lat, m_lon = meters_per_degree(30.0)
     lat_half, lon_half = 2000.0 / m_lat, 2000.0 / m_lon
@@ -146,8 +147,8 @@ def affine_block_graph() -> ObservationGraph:
                         tan_along=ta, tan_across=tc, altitude=1e13)
         for ta, tc in tangents
     ]
-    pairs = [(f"aff_{i}", camera_rpc(cam, lat_half, lon_half, 100.0,
-                                     (8001, 8001)))
+    pairs = [(f"aff_{i}", fit_rpc(*camera_fit_samples(cam, lat_half,
+                                                      lon_half, 100.0)))
              for i, cam in enumerate(cams)]
     gen = np.random.default_rng(4)
     tracks = []

@@ -25,9 +25,9 @@ from satadjust.cli import PipelineConfig, cmd_rectify, load_config, main
 from satadjust.errors import ConfigInvalid, ParseError
 from satadjust.geodesy import meters_per_degree
 from satadjust.raster import Raster
-from satadjust.rectify import GroundBBox, Level2Product, save_product
+from satadjust.rectify import GroundBBox, Level2Product, fit_rpc, save_product
 from satadjust.rpc import BiasCorrection, GroundPoint, project
-from satadjust.synth import PushbroomCamera, camera_rpc, gen_scene
+from satadjust.synth import PushbroomCamera, camera_fit_samples, gen_scene
 from satadjust.tracks import Track, save_gcps, save_tracks
 
 from conftest import scene_tracks
@@ -339,9 +339,11 @@ def test_exit_2_on_data_errors(dataset, pipeline_out, tmp_path):
                                flags=re.M))
         assert main(["match", "--products", str(bad),
                      "--out", str(tmp_path / f"o{7 + k}")]) == 2
-    # synth ranges that are not finite, or an extent that is not positive
+    # synth ranges that are not finite, an extent that is not positive,
+    # or a render too large to allocate (about 180,000 px square)
     for k, flags in enumerate([["--bias-range", "nan"], ["--noise", "inf"],
-                               ["--half-extent", "0"]]):
+                               ["--half-extent", "0"],
+                               ["--render", "--half-extent", "45000"]]):
         assert main(["synth", "--out", str(tmp_path / f"s{k}"),
                      *flags]) == 2
         assert not (tmp_path / f"s{k}").exists()
@@ -422,7 +424,7 @@ def test_exit_3_on_rank_deficient_network(tmp_path):
                      50.0 - lon_half, 50.0 + lon_half)
     rpcs = []
     for i, cam in enumerate(cams):
-        rpc = camera_rpc(cam, lat_half, lon_half, 100.0, (8001, 8001))
+        rpc = fit_rpc(*camera_fit_samples(cam, lat_half, lon_half, 100.0))
         rpcs.append(rpc)
         product = Level2Product(
             raster=Raster(np.full((4, 4), 60, dtype=np.uint8)),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,8 @@ import pytest
 from conftest import scene_graph
 from satadjust import rpc as rpc_mod
 from satadjust.errors import ConfigInvalid
-from satadjust.rpc import BiasCorrection, GroundPoint
+from satadjust.rpc import BiasCorrection, GroundPoint, ImagePoint
 from satadjust.synth import (
-    PushbroomCamera,
-    camera_rpc,
     dense_solve,
     fd_jacobian,
     gen_scene,
@@ -70,6 +69,21 @@ def test_rendered_scene_is_deterministic():
                                       img_b.raster.pixels)
 
 
+def test_rendering_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        scene = gen_scene(2, 40, 8.0, 0.0, seed=77, render=True,
+                          half_extent_m=300.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    h, w = scene.images[0].shape
+    # a float64 image of this size is 16.5 MB; the background broadcasts
+    # a row of columns against a column of rows, so rendering holds about
+    # five such images at once, not a full-size grid per coordinate
+    assert peak < 6 * 8 * h * w
+
+
 def test_random_visibility_degrees_at_least_two():
     scene = gen_scene(5, 60, 10.0, 0.2, seed=13, visibility="random")
     degrees = [len(per) for per in scene.true_observations]
@@ -93,6 +107,9 @@ def test_gen_scene_validates_config():
     for bad in (math.nan, math.inf, 0.0, -5.0):
         with pytest.raises(ConfigInvalid):
             gen_scene(3, 10, 5.0, 0.1, seed=1, half_extent_m=bad)
+    # a rendered image of 5,830 px square, over the pixel cap
+    with pytest.raises(ConfigInvalid):
+        gen_scene(3, 10, 5.0, 0.1, seed=1, render=True, half_extent_m=1400.0)
     with pytest.raises(ConfigInvalid):
         gen_scene(3, 10, 5.0, 0.1, seed=1, visibility="most")
     with pytest.raises(ConfigInvalid):
@@ -110,26 +127,10 @@ def test_fitted_rpc_matches_forward_camera():
                 cam.lon0 + gen.uniform(-0.9, 0.9) * img.rpc.lon_scale,
                 cam.h0 + gen.uniform(-0.9, 0.9) * img.rpc.hei_scale,
             )
-            truth = cam.project(g)
+            truth = ImagePoint(*cam.project_arrays(g.lat, g.lon, g.hei))
             fitted = rpc_mod.project(img.rpc, BiasCorrection(), g)
             assert fitted.row == pytest.approx(truth.row, abs=1e-3)
             assert fitted.col == pytest.approx(truth.col, abs=1e-3)
-
-
-def test_closed_form_camera_rpc_is_exact():
-    cam = PushbroomCamera(lat0=12.0, lon0=-30.0, h0=350.0, gsd=0.5,
-                          row0=5000.0, col0=5000.0, azimuth=1.1,
-                          tan_along=0.18, tan_across=-0.12, altitude=5.5e5)
-    rpc = camera_rpc(cam, 0.02, 0.02, 120.0, (10001, 10001))
-    gen = np.random.default_rng(3)
-    for _ in range(50):
-        g = GroundPoint(12.0 + gen.uniform(-0.02, 0.02),
-                        -30.0 + gen.uniform(-0.02, 0.02),
-                        350.0 + gen.uniform(-120.0, 120.0))
-        truth = cam.project(g)
-        got = rpc_mod.project(rpc, BiasCorrection(), g)
-        assert got.row == pytest.approx(truth.row, abs=1e-8)
-        assert got.col == pytest.approx(truth.col, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +212,7 @@ def test_scene_products_geo_transform_maps_plane_points(rendered_scene):
         # the pixel under an unbiased plane-height point must geo-map back
         g = GroundPoint(cam.lat0 + 1e-4, cam.lon0 - 1e-4,
                         rendered_scene.plane_height)
-        p = cam.project(g)
+        p = ImagePoint(*cam.project_arrays(g.lat, g.lon, g.hei))
         lat = geo[0] + geo[1] * p.col + geo[2] * p.row
         lon = geo[3] + geo[4] * p.col + geo[5] * p.row
         assert lat == pytest.approx(g.lat, abs=1e-9)
