@@ -374,8 +374,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--threads", type=int, help="worker cap; 1 "
-                        "guarantees bitwise reproducibility")
+    parser.add_argument("--threads", type=int, help="worker cap; output "
+                        "differs only in the threads= it records")
     for f in dataclasses.fields(PipelineConfig):
         if f.name == "threads":
             continue

@@ -25,9 +25,7 @@ from .errors import (ConfigMismatch, EmptyHeightRange, ParseError,
                      WindowOutOfBounds)
 from .raster import Raster
 from .rectify import Level2Product
-from .rpc import BiasCorrection, ImagePoint
-
-_ZERO_BIAS = BiasCorrection(0.0, 0.0)
+from .rpc import ImagePoint
 
 # Smallest footprint overlap, over the smaller footprint, of a matched pair.
 OVERLAP_THRESHOLD = 0.6
@@ -304,16 +302,15 @@ def match_score(d1: np.ndarray, d2: np.ndarray) -> int:
     return int(np.count_nonzero(d1 != d2))
 
 
-def _project(rpc: rpc_mod.RpcModel, bias: BiasCorrection,
-             grounds: np.ndarray, status: np.ndarray) -> np.ndarray:
-    """(K, 2) pixels of the (K, 3) ground rows whose ``status`` is
-    ``SOLVED``, bias applied, NaN elsewhere; a row whose denominator
-    vanishes or whose projection is not finite becomes ``DEGENERATE``
-    in ``status``."""
+def _project(rpc: rpc_mod.RpcModel, grounds: np.ndarray,
+             status: np.ndarray) -> np.ndarray:
+    """(K, 2) raw pixels of the (K, 3) ground rows whose ``status`` is
+    ``SOLVED``, NaN elsewhere; a row whose denominator vanishes or whose
+    projection is not finite becomes ``DEGENERATE`` in ``status``."""
     ok = np.flatnonzero(status == rpc_mod.SOLVED)
     raw, _, usable = rpc_mod.evaluate_masked(rpc.arrays, None, *grounds[ok].T)
     pix = np.full((len(grounds), 2), np.nan)
-    pix[ok] = raw - (bias.d_row, bias.d_col)
+    pix[ok] = raw
     pix[ok[~usable]] = np.nan
     status[ok[~usable]] = rpc_mod.DEGENERATE
     return pix
@@ -321,9 +318,9 @@ def _project(rpc: rpc_mod.RpcModel, bias: BiasCorrection,
 
 def _cast(left: Level2Product, right: Level2Product, targets: np.ndarray,
           heights: np.ndarray):
-    """Right pixels of the (K, 2) left pixels ``targets`` cast onto
-    ``heights``, zero bias on both sides: one batched cast under the
-    left model, one projection under the right.
+    """Raw right pixels of the (K, 2) raw left pixels ``targets`` cast
+    onto ``heights``: one batched cast under the left model, one
+    projection under the right.
 
     Returns:
         ``(pix, status)``: (K, 2) pixels and the per-row outcome codes.
@@ -333,7 +330,7 @@ def _cast(left: Level2Product, right: Level2Product, targets: np.ndarray,
     lats, lons, status = rpc_mod.inverse_project_many(
         left.rpc.arrays, None, targets, heights)
     grounds = np.stack([lats, lons, heights], axis=1)
-    return _project(right.rpc, _ZERO_BIAS, grounds, status), status
+    return _project(right.rpc, grounds, status), status
 
 
 def epipolar_curves(
@@ -517,7 +514,7 @@ def match_pair(
     # The curves assume zero right bias; observed rights sit at curve +
     # displacement, so the compensating right-image bias is minus the
     # median displacement.
-    comp = BiasCorrection(-float(median[0]), -float(median[1]))
+    comp = -median
 
     pl, pr = left_features[il], right_features[ir]
     errors = np.concatenate([
@@ -532,23 +529,24 @@ def match_pair(
 def _reprojection_errors(
     left: Level2Product,
     right: Level2Product,
-    right_bias: BiasCorrection,
+    right_shift: np.ndarray,
     pl: np.ndarray,
     pr: np.ndarray,
 ) -> np.ndarray:
     """Worst reprojection error of each two-view match, NaN on failure.
 
-    ``pl`` and ``pr`` are the (n, 2) left and right pixels.  One
-    :func:`rpc.triangulate_many` call covers all matches; those whose
-    rays are too parallel to triangulate (e.g. a product matched against
-    itself) are cast onto the left plane height instead.  Any other
-    failure rejects the match.
+    ``pl`` and ``pr`` are the (n, 2) left and right pixels and
+    ``right_shift`` the (2,) bias of the right image; the left's is
+    zero.  One :func:`rpc.triangulate_many` call covers all matches;
+    those whose rays are too parallel to triangulate (e.g. a product
+    matched against itself) are cast onto the left plane height instead.
+    Any other failure rejects the match.
     """
     n = len(pl)
-    # residual = observed - (raw - bias), so fold the bias into the target
+    # residual = observed - (raw - shift), so fold the shift into the target
     targets = np.empty((2 * n, 2))
     targets[0::2] = pl
-    targets[1::2] = pr + (right_bias.d_row, right_bias.d_col)
+    targets[1::2] = pr + right_shift
     grounds, status = rpc_mod.triangulate_many(
         rpc_mod.stack_models([left.rpc, right.rpc]), np.tile([0, 1], n),
         targets, np.arange(0, 2 * n + 1, 2))
@@ -560,9 +558,9 @@ def _reprojection_errors(
         grounds[flat] = np.stack(
             [lats, lons, np.full(flat.size, left.plane_height)], axis=1)
     errors = np.zeros(n)
-    for rpc, bias, observed in ((left.rpc, _ZERO_BIAS, pl),
-                                (right.rpc, right_bias, pr)):
-        v = observed - _project(rpc, bias, grounds, status)
+    for rpc, shift, observed in ((left.rpc, 0.0, pl),
+                                 (right.rpc, right_shift, pr)):
+        v = observed - (_project(rpc, grounds, status) - shift)
         # math.hypot, not np.hypot, which rounds differently in the last
         # bit
         errors = np.maximum(errors, [math.hypot(*r) for r in v.tolist()])

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .geodesy import meters_per_degree, polygon_area_m2
 from .raster import Raster, bilinear_sample, read_pgm, write_pgm
-from .rpc import BiasCorrection, RpcModel
+from .rpc import RpcModel
 
 # Virtual GCP grid used to refit level-2 RPCs: 10x10 planimetric samples at
 # 5 height levels, about six times the 78 free coefficients.
@@ -34,8 +34,6 @@ FIT_GRID_Z = 5
 FIT_RIDGE = 1e-8
 FIT_COND_MAX = 1e12
 MIN_FIT_SAMPLES = 39
-
-_ZERO_BIAS = BiasCorrection(0.0, 0.0)
 
 # Rectification (see rectify_image): the starting knot spacing of the
 # exactly evaluated grid, the interpolation error it must meet (GDAL's
@@ -126,7 +124,7 @@ def _corner_ground(shape: tuple[int, int], rpc: RpcModel, plane: float):
     the sampling distance exactly."""
     h, w = shape
     return rpc_mod.inverse_project_arrays(
-        rpc, _ZERO_BIAS, [-0.5, -0.5, h - 0.5, h - 0.5],
+        rpc, [-0.5, -0.5, h - 0.5, h - 0.5],
         [-0.5, w - 0.5, w - 0.5, -0.5], plane)
 
 
@@ -246,10 +244,10 @@ def _refit_level2_rpc(
         np.linspace(bbox.min_lat, bbox.max_lat, FIT_GRID_XY),
         np.linspace(bbox.min_lon, bbox.max_lon, FIT_GRID_XY),
         indexing="ij"))
-    src_rows, src_cols = rpc_mod.project_arrays(source_rpc, _ZERO_BIAS,
-                                                lats, lons, heis)
+    src_rows, src_cols = rpc_mod.project_arrays(source_rpc, lats, lons,
+                                                heis)
     plane_lats, plane_lons = rpc_mod.inverse_project_arrays(
-        source_rpc, _ZERO_BIAS, src_rows, src_cols, plane)
+        source_rpc, src_rows, src_cols, plane)
     rows, cols = _ground_to_pixel(geo_transform, plane_lats, plane_lons)
     return fit_rpc(lats, lons, heis, rows, cols)
 
@@ -273,8 +271,8 @@ def _project_grid(rpc: RpcModel, geo_transform: np.ndarray, plane: float,
     for lo in range(0, len(rows), block):
         lats = geo_transform[0] + geo_transform[2] * rows[lo:lo + block]
         src_rows, src_cols = rpc_mod.project_arrays(
-            rpc, _ZERO_BIAS, np.repeat(lats, len(cols)),
-            np.tile(lons, len(lats)), np.full(len(lats) * len(cols), plane))
+            rpc, np.repeat(lats, len(cols)), np.tile(lons, len(lats)),
+            np.full(len(lats) * len(cols), plane))
         src[0, lo:lo + block] = src_rows.reshape(len(lats), len(cols))
         src[1, lo:lo + block] = src_cols.reshape(len(lats), len(cols))
     return src

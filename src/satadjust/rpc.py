@@ -6,17 +6,15 @@ polynomials with 20 coefficients each in numerator and denominator.  The
 monomial ordering follows the de-facto RPC00B convention so that real RPC
 text files load correctly.
 
-:func:`evaluate` (and :func:`evaluate_masked`, the same kernel reporting
-vanished denominators and non-finite projections per point instead of
-raising) is the only place the polynomials are evaluated: every
-projection, residual, Jacobian, image-to-ground iteration, triangulation
-and the adjustment's per-track reduction call it on constants packed once
-per model (:class:`RpcArrays`).  A single model is passed as itself
+:func:`evaluate_masked` is the only place the polynomials are evaluated:
+every projection, Jacobian, image-to-ground iteration, triangulation and
+the adjustment's per-track reduction call it on constants packed once
+per model (:class:`RpcArrays`), and it flags vanished denominators and
+non-finite projections per point.  A single model is passed as itself
 (``rpc.arrays``); a batch that mixes models is passed as a stack of them
-(:func:`stack_models`) plus a per-point row index, and
-:func:`evaluate_masked` alone gathers each point's model from it.
-:meth:`RpcModel.validate` and the RPC fit in :mod:`.rectify` use the
-monomials only as a design matrix.
+(:func:`stack_models`) plus a per-point row index, which it alone
+gathers.  :meth:`RpcModel.validate` and the RPC fit in :mod:`.rectify`
+use the monomials only as a design matrix.
 
 Triangulation and the adjustment's passes share one per-track linearization
 and elimination, :func:`linearize_tracks`, and step, :func:`point_steps`.
@@ -27,18 +25,20 @@ one kernel call per step, and report a per-point outcome code, so one
 failing point never fails the others.  Their temporaries are proportional
 to the points passed in, which the caller bounds.
 
+Every batched call works in raw pixels: a bias, one constant offset per
+image, is added to the observed pixels, never applied inside the model.
 Callers outside the adjustment work on arrays of points under one model:
 :func:`project_arrays` projects ground arrays to pixel arrays, and
 :func:`inverse_project_arrays`, its twin, casts pixel arrays onto given
-heights and raises the error of the first point that fails.
-:func:`project` and :func:`inverse_project` are their one-point cases,
-and :func:`triangulate` is the one-track case of
-:func:`triangulate_many`.
+heights; both raise the error of the first point that fails.  Only the
+one-point edge takes a :class:`BiasCorrection`: :func:`project` and
+:func:`inverse_project` are their one-point cases, :func:`triangulate`
+the one-track case of :func:`triangulate_many`, and :func:`residual`.
 
 Sign conventions used throughout the package:
 
-* ``project(rpc, bias, g)`` returns the denormalized RPC projection minus
-  the bias ``(d_row, d_col)``.  A correctly estimated bias therefore makes
+* ``project(rpc, bias, g)`` returns the raw RPC projection minus the bias
+  ``(d_row, d_col)``.  A correctly estimated bias therefore makes
   ``project`` land on the observed pixel of a misregistered image.
 * ``residual = observed - project``.  Its derivative with respect to the
   bias components is exactly the 2x2 identity, and its derivative with
@@ -126,8 +126,8 @@ class Jacobians:
 
 class RpcArrays(NamedTuple):
     """Constants of one RPC model, or of a stack of models along leading
-    axes, packed for :func:`evaluate`.  One model is passed as itself,
-    a batch over several as their stack plus a row index per point.
+    axes, packed for :func:`evaluate_masked`.  One model is passed as
+    itself, a batch as their stack plus a row index per point.
 
     ``offset`` and ``scale`` are (..., 5): latitude, longitude, height,
     line, sample.  ``coeffs`` is (..., 4, 20): the line and sample
@@ -156,7 +156,7 @@ class RpcModel:
     Coefficient vectors are length-20 float arrays ordered per RPC00B.
     Instances are immutable after construction; all operations on them are
     pure functions and safe to call concurrently.  ``arrays`` holds the
-    same constants packed for :func:`evaluate`, built once on
+    same constants packed for :func:`evaluate_masked`, built once on
     construction.
     """
 
@@ -280,15 +280,17 @@ _SLOPES = _slope_table()
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def evaluate_masked(models: RpcArrays, index, lats, lons, heis,
                     derivatives: bool = False):
-    """:func:`evaluate` without the denominator check.  Point k is
-    evaluated under model ``index[k]`` of the stack ``models`` (the only
-    gather of per-point model constants), or, with ``index`` None, under
-    ``models`` broadcast against the ground arrays.
+    """Raw (row, col) projection of ground points by packed RPC models.
+    Point k is evaluated under model ``index[k]`` of the stack ``models``
+    (the only gather of per-point model constants), or, with ``index``
+    None, under ``models`` broadcast against the ground arrays.
 
     Returns:
-        ``(raw, d_raw, usable)``: ``usable`` is False at the evaluation
-        points where a rational denominator vanished or the projection is
-        not finite; the values there are meaningless.
+        ``(raw, d_raw, usable)``: the (..., 2) projection; with
+        ``derivatives``, its (..., 2, 3) derivative with respect to (lat,
+        lon, hei) in pixels per degree and per meter (else None); and
+        ``usable``, False at points whose values are meaningless: a
+        denominator vanished or the projection is not finite.
     """
     if index is not None:
         # np.take copies rows about twice as fast as a[index]
@@ -313,33 +315,6 @@ def evaluate_masked(models: RpcArrays, index, lats, lons, heis,
     d_norm = ((d_num * den[..., None] - num[..., None] * d_den)
               / (den * den)[..., None])
     return raw, d_norm * scale[..., 3:, None] / scale[..., None, :3], usable
-
-
-def evaluate(models: RpcArrays, lats, lons, heis, derivatives: bool = False):
-    """Raw (row, col) projection of ground points by packed RPC models.
-
-    ``models`` is one model's :class:`RpcArrays` or a stack whose leading
-    axes broadcast against the ground arrays: one model covers a whole
-    grid, a per-observation stack pairs with its points row by row.
-
-    Returns:
-        ``(raw, d_raw)``: the (..., 2) projection without bias and, with
-        ``derivatives``, its (..., 2, 3) derivative with respect to
-        (lat, lon, hei) in pixels per degree and per meter (else None).
-
-    Raises:
-        DegenerateDenominator: a rational denominator vanished or the
-            projection was not finite at some evaluation point.
-    """
-    raw, d_raw, usable = evaluate_masked(models, None, lats, lons, heis,
-                                         derivatives)
-    if not usable.all():
-        raise DegenerateDenominator(
-            f"denominator magnitude at or below {DENOMINATOR_EPS:.0e}, or "
-            f"projection not finite, at {int(usable.size - usable.sum())} "
-            f"evaluation point(s)"
-        )
-    return raw, d_raw
 
 
 def _segment_rows(starts: np.ndarray, which: np.ndarray):
@@ -431,10 +406,25 @@ def point_steps(lin: TrackLinearization, v, which) -> np.ndarray:
                       _gradient(lin, v)[which]) / lin.col_norms[which])
 
 
-def project_arrays(rpc: RpcModel, bias: BiasCorrection, lats, lons, heis):
-    """Vectorized projection of ground arrays to (rows, cols) pixel arrays."""
-    raw, _ = evaluate(rpc.arrays, lats, lons, heis)
-    return raw[..., 0] - bias.d_row, raw[..., 1] - bias.d_col
+def _check_usable(usable) -> None:
+    """Raise DegenerateDenominator unless every point is usable."""
+    if not usable.all():
+        raise DegenerateDenominator(
+            f"denominator magnitude at or below {DENOMINATOR_EPS:.0e}, or "
+            f"projection not finite, at {int(usable.size - usable.sum())} "
+            f"evaluation point(s)")
+
+
+def project_arrays(rpc: RpcModel, lats, lons, heis):
+    """Raw (rows, cols) pixel arrays of ground arrays.
+
+    Raises:
+        DegenerateDenominator: a denominator vanished, or a projection
+            was not finite, at some point.
+    """
+    raw, _, usable = evaluate_masked(rpc.arrays, None, lats, lons, heis)
+    _check_usable(usable)
+    return raw[..., 0], raw[..., 1]
 
 
 def project(rpc: RpcModel, bias: BiasCorrection, g: GroundPoint) -> ImagePoint:
@@ -443,8 +433,8 @@ def project(rpc: RpcModel, bias: BiasCorrection, g: GroundPoint) -> ImagePoint:
     Raises:
         DegenerateDenominator: a rational denominator vanished at ``g``.
     """
-    rows, cols = project_arrays(rpc, bias, g.lat, g.lon, g.hei)
-    return ImagePoint(float(rows), float(cols))
+    rows, cols = project_arrays(rpc, g.lat, g.lon, g.hei)
+    return ImagePoint(float(rows - bias.d_row), float(cols - bias.d_col))
 
 
 def residual(
@@ -455,7 +445,7 @@ def residual(
     return observed.row - p.row, observed.col - p.col
 
 
-def jacobian(rpc: RpcModel, bias0: BiasCorrection, g0: GroundPoint) -> Jacobians:
+def jacobian(rpc: RpcModel, g0: GroundPoint) -> Jacobians:
     """Analytic residual derivatives at the linearization point ``g0``.
 
     The bias block is the identity because the bias enters the residual
@@ -464,7 +454,9 @@ def jacobian(rpc: RpcModel, bias0: BiasCorrection, g0: GroundPoint) -> Jacobians
     Raises:
         DegenerateDenominator: a rational denominator vanished at ``g0``.
     """
-    _, d_raw = evaluate(rpc.arrays, g0.lat, g0.lon, g0.hei, derivatives=True)
+    _, d_raw, usable = evaluate_masked(rpc.arrays, None, g0.lat, g0.lon,
+                                       g0.hei, derivatives=True)
+    _check_usable(usable)
     return Jacobians(a_block=np.eye(2), b_block=-d_raw)
 
 
@@ -549,20 +541,17 @@ def inverse_project_many(models: RpcArrays, index, targets, heis):
     return lats, lons, status
 
 
-def inverse_project_arrays(rpc: RpcModel, bias: BiasCorrection, rows, cols,
-                           heis):
+def inverse_project_arrays(rpc: RpcModel, rows, cols, heis):
     """Vectorized image-to-ground: (lats, lons) arrays at heights ``heis``
-    whose projections, bias applied, are the pixel arrays ``rows`` and
-    ``cols``.  One :func:`inverse_project_many` call under the model.
+    whose raw projections are the pixel arrays ``rows`` and ``cols``.
+    One :func:`inverse_project_many` call under the model.
 
     Raises:
         NoConvergence, IllConditioned, DegenerateDenominator: the error of
             the first point that fails, as for :func:`inverse_project`.
     """
     rows, cols, heis = np.broadcast_arrays(rows, cols, heis)
-    # residual = observed - (raw - bias), so fold the bias into the target
-    targets = np.stack([np.ravel(rows) + bias.d_row,
-                        np.ravel(cols) + bias.d_col], axis=1)
+    targets = np.stack([np.ravel(rows), np.ravel(cols)], axis=1)
     lats, lons, status = inverse_project_many(rpc.arrays, None, targets,
                                               np.ravel(heis))
     failed = np.flatnonzero(status != SOLVED)
@@ -574,8 +563,8 @@ def inverse_project_arrays(rpc: RpcModel, bias: BiasCorrection, rows, cols,
 def inverse_project(
     rpc: RpcModel, bias: BiasCorrection, p: ImagePoint, hei: float
 ) -> GroundPoint:
-    """Ground point at height ``hei`` whose projection is ``p``: the
-    one-point case of :func:`inverse_project_arrays`.
+    """Ground point at height ``hei`` whose projection, bias applied, is
+    ``p``: the one-point case of :func:`inverse_project_arrays`.
 
     Raises:
         NoConvergence: residual above 1e-6 px after 20 iterations, or the
@@ -583,7 +572,9 @@ def inverse_project(
         IllConditioned: the planimetric Jacobian is singular.
         DegenerateDenominator: a rational denominator vanished.
     """
-    lats, lons = inverse_project_arrays(rpc, bias, p.row, p.col, hei)
+    # residual = observed - (raw - bias), so fold the bias into the target
+    lats, lons = inverse_project_arrays(rpc, p.row + bias.d_row,
+                                        p.col + bias.d_col, hei)
     return GroundPoint(float(lats), float(lons), float(hei))
 
 

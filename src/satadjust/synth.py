@@ -40,6 +40,9 @@ HEIGHT_HALF_RANGE_M = 50.0
 # raster-friendly footprint for rendered scenes.
 HALF_EXTENT_M = 45000.0
 RENDERED_HALF_EXTENT_M = 400.0
+# Largest footprint half extent, m: a 1,000 km block is wider than any
+# one satellite scene and keeps every generated latitude within 50 deg.
+MAX_HALF_EXTENT_M = 500000.0
 # Largest rendered image, px (5,792 square); rendering holds a few
 # float64 images of this size at once.
 RENDER_MAX_PIXELS = 2 ** 25
@@ -286,8 +289,8 @@ def _render_image(
                     for d_east, d_north, amp in constellations[j])
     if dots:
         lats, lons, heis, amps, sigmas = np.array(dots).T
-        rows, cols = rpc_mod.project_arrays(img.rpc, img.true_bias,
-                                            lats, lons, heis)
+        rows, cols = rpc_mod.project_arrays(img.rpc, lats, lons, heis)
+        rows, cols = rows - img.true_bias.d_row, cols - img.true_bias.d_col
         radius = 6  # px stamped around each dot's center
         for r0, c0, amp, sigma in zip(rows, cols, amps, sigmas):
             r_lo = max(int(math.floor(r0)) - radius, 0)
@@ -342,9 +345,10 @@ def gen_scene(
 
     Raises:
         ConfigInvalid: non-positive counts, negative or non-finite
-            ranges, a non-positive or non-finite extent, unknown
-            visibility mode, a bias list of the wrong length, or a
-            rendered image of more than ``RENDER_MAX_PIXELS`` pixels.
+            ranges, an extent that is not positive or above
+            ``MAX_HALF_EXTENT_M``, an unknown visibility mode, a bias
+            list of the wrong length, or a rendered image of more than
+            ``RENDER_MAX_PIXELS`` pixels.
     """
     if n_images < 2:
         raise ConfigInvalid("need at least 2 images")
@@ -355,9 +359,9 @@ def gen_scene(
         if not 0 <= value < math.inf:
             raise ConfigInvalid(f"{name} must be finite and >= 0, "
                                 f"not {value!r}")
-    if not 0 < half_extent_m < math.inf:
-        raise ConfigInvalid(f"half extent must be finite and > 0, "
-                            f"not {half_extent_m!r}")
+    if not 0 < half_extent_m <= MAX_HALF_EXTENT_M:
+        raise ConfigInvalid(f"half extent must be > 0 and at most "
+                            f"{MAX_HALF_EXTENT_M:g} m, not {half_extent_m!r}")
     if visibility not in ("full", "random"):
         raise ConfigInvalid(f"unknown visibility mode {visibility!r}")
     if biases is not None and len(biases) != n_images:
@@ -420,8 +424,7 @@ def gen_scene(
                             n_points)
     points = [GroundPoint(float(a), float(b), float(c))
               for a, b, c in zip(lats, lons, heis)]
-    raw = [rpc_mod.project_arrays(im.rpc, BiasCorrection(), lats, lons, heis)
-           for im in images]
+    raw = [rpc_mod.project_arrays(im.rpc, lats, lons, heis) for im in images]
 
     observations: list[dict[int, ImagePoint]] = []
     for j in range(n_points):
@@ -576,7 +579,7 @@ def dense_solve(graph, gauge_image: int | None = None):
             rpc, bias = graph.images[i][1], BiasCorrection(*graph.bias[i])
             obs = ImagePoint(*graph.obs_pixel[k].tolist())
             v = rpc_mod.residual(rpc, bias, ground, obs)
-            jac = rpc_mod.jacobian(rpc, bias, ground)
+            jac = rpc_mod.jacobian(rpc, ground)
             block = np.zeros((2, n_params))
             block[:, 2 * i:2 * i + 2] = jac.a_block
             if not graph.gcp[j]:

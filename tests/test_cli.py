@@ -263,11 +263,28 @@ def test_repeat_run_is_bit_identical(dataset, pipeline_out, tmp_path):
             (pipeline_out / name).read_bytes()
 
 
-def test_multithreaded_run_completes(dataset, tmp_path):
+def test_multithreaded_run_completes(dataset, pipeline_out, tmp_path):
+    """Four workers write what one writes: the products, matches and text
+    report byte for byte, and the tables and ``report.json`` up to the
+    ``threads`` they record."""
     out = tmp_path / "mt"
     args = ["pipeline", *stems(dataset), "--out", str(out), "--threads", "4"]
     assert main(args) == 0
-    assert (out / "report.json").exists()
+    products = sorted(p.name for p in (pipeline_out / "products").iterdir())
+    assert sorted(p.name for p in (out / "products").iterdir()) == products
+    for name in [f"products/{p}" for p in products] + [
+            "correspondences.txt", "report.txt"]:
+        assert (out / name).read_bytes() == (pipeline_out / name).read_bytes()
+    for name in ("tracks.txt", "biases.txt"):
+        one, four = ((d / name).read_text().splitlines()
+                     for d in (pipeline_out, out))
+        assert one[0].endswith(" threads=1") and four[0] == one[0][:-1] + "4"
+        assert four[1:] == one[1:]
+    one, four = (json.loads((d / "report.json").read_text())
+                 for d in (pipeline_out, out))
+    assert (one["config"].pop("threads"), four["config"].pop("threads")) \
+        == (1, 4)
+    assert four == one
 
 
 def test_config_file_and_flag_precedence(pipeline_out, tmp_path):
@@ -339,10 +356,13 @@ def test_exit_2_on_data_errors(dataset, pipeline_out, tmp_path):
                                flags=re.M))
         assert main(["match", "--products", str(bad),
                      "--out", str(tmp_path / f"o{7 + k}")]) == 2
-    # synth ranges that are not finite, an extent that is not positive,
-    # or a render too large to allocate (about 180,000 px square)
+    # synth ranges that are not finite, an extent that is not positive or
+    # far wider than a satellite scene, or a render too large to allocate
+    # (about 180,000 px square)
     for k, flags in enumerate([["--bias-range", "nan"], ["--noise", "inf"],
                                ["--half-extent", "0"],
+                               ["--half-extent", "1e200"],
+                               ["--half-extent", "1e308"],
                                ["--render", "--half-extent", "45000"]]):
         assert main(["synth", "--out", str(tmp_path / f"s{k}"),
                      *flags]) == 2

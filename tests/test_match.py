@@ -444,12 +444,11 @@ def test_epipolar_curve_validates_heights(stereo):
 
 def curve_oracle(p, left, right, min_h, max_h) -> np.ndarray:
     """The curve of one left pixel by two casts of that pixel alone."""
-    zero = BiasCorrection()
 
     def cast(heights):
-        lats, lons = rpc_mod.inverse_project_arrays(left.rpc, zero, p[0],
-                                                    p[1], heights)
-        return rpc_mod.project_arrays(right.rpc, zero, lats, lons, heights)
+        lats, lons = rpc_mod.inverse_project_arrays(left.rpc, p[0], p[1],
+                                                    heights)
+        return rpc_mod.project_arrays(right.rpc, lats, lons, heights)
 
     rows, cols = cast([min_h, max_h])
     span = math.hypot(rows[1] - rows[0], cols[1] - cols[0])
@@ -521,7 +520,8 @@ def test_reprojection_errors_equal_per_pair_oracle(stereo, self_match):
         right, bias = products[1], RIGHT_BIAS
         noise = np.random.default_rng(10).uniform(-4.0, 4.0, pl.shape)
         pr = np.round(planted_positions(scene, 1)) + noise
-    errors = _reprojection_errors(left, right, bias, pl, pr)
+    errors = _reprojection_errors(left, right,
+                                  np.array([bias.d_row, bias.d_col]), pl, pr)
     expected = [reprojection_oracle(left, right, bias, a, b)
                 for a, b in zip(pl, pr)]
     np.testing.assert_array_equal(errors, expected)
@@ -640,9 +640,8 @@ def match_pair_oracle(left, right, params, left_features, right_features):
     if not tentative:
         return np.empty((0, 5))
     median = np.median(np.array([t[3] for t in tentative]), axis=0)
-    comp = BiasCorrection(-float(median[0]), -float(median[1]))
     errors = _reprojection_errors(
-        left, right, comp,
+        left, right, -median,
         np.array([(t[0].row, t[0].col) for t in tentative]),
         np.array([(t[1].row, t[1].col) for t in tentative]))
     return np.array([(pl.row, pl.col, pr.row, pr.col, score)

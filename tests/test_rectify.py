@@ -144,8 +144,7 @@ def test_rectify_resamples_source_content(rectified_pair):
         cols = np.array([w // 3, w // 2, 2 * w // 3])
         lats, lons = product.pixel_to_ground(rows, cols)
         src_r, src_c = rpc_mod.project_arrays(
-            img.rpc, BiasCorrection(), lats, lons,
-            np.full(lats.shape, scene.plane_height))
+            img.rpc, lats, lons, np.full(lats.shape, scene.plane_height))
         values, valid = bilinear_sample(img.raster, src_r, src_c)
         got = product.raster.pixels[rows, cols].astype(np.float64)
         assert valid.all()
@@ -181,8 +180,7 @@ def _exact_source(rpc, gt, plane, rows, cols):
     each evaluated directly through the RPC, shape (2, rows, cols)."""
     lats = gt[0] + gt[2] * np.repeat(rows, len(cols))
     lons = gt[3] + gt[4] * np.tile(cols, len(rows))
-    src = rpc_mod.project_arrays(rpc, BiasCorrection(), lats, lons,
-                                 np.full(lats.size, plane))
+    src = rpc_mod.project_arrays(rpc, lats, lons, np.full(lats.size, plane))
     return np.stack(src).reshape(2, len(rows), len(cols))
 
 

@@ -20,7 +20,6 @@ from satadjust.rpc import (
     GroundPoint,
     ImagePoint,
     RpcModel,
-    evaluate,
     format_rpc_text,
     inverse_project,
     jacobian,
@@ -137,7 +136,7 @@ def test_validate_rejects_nan_denominator():
 def test_jacobian_bias_block_is_identity(rng):
     rpc = random_rpc(rng)
     g = GroundPoint(rpc.lat_off, rpc.lon_off, rpc.hei_off)
-    jac = jacobian(rpc, BiasCorrection(1.0, -2.0), g)
+    jac = jacobian(rpc, g)
     np.testing.assert_allclose(jac.a_block, np.eye(2), atol=1e-15)
 
 
@@ -150,7 +149,7 @@ def test_jacobian_matches_finite_differences(rng):
             rpc.hei_off + rng.uniform(-0.8, 0.8) * rpc.hei_scale,
         )
         bias = BiasCorrection(*rng.uniform(-5, 5, 2))
-        ana = jacobian(rpc, bias, g)
+        ana = jacobian(rpc, g)
         num = fd_jacobian(rpc, bias, g, step=1e-7)
         np.testing.assert_allclose(ana.a_block, num.a_block, atol=1e-6)
         scale = np.abs(num.b_block).max()
@@ -176,9 +175,10 @@ def test_evaluate_mixed_stack_matches_each_model(rng):
     # several rows per model, interleaved in one call
     owner = [0, 1, 2, 2, 0, 1, 1, 0, 2, 0]
     rows = [(models[k], inside(models[k], rng)) for k in owner]
-    raw, d_raw = evaluate(stack_models([m for m, _ in rows]),
-                          [g.lat for _, g in rows], [g.lon for _, g in rows],
-                          [g.hei for _, g in rows], derivatives=True)
+    raw, d_raw, usable = rpc_mod.evaluate_masked(
+        stack_models([m for m, _ in rows]), None, [g.lat for _, g in rows],
+        [g.lon for _, g in rows], [g.hei for _, g in rows], derivatives=True)
+    assert usable.all()
     assert raw.shape == (len(rows), 2)
     assert d_raw.shape == (len(rows), 2, 3)
     for k, (rpc, g) in enumerate(rows):
@@ -197,16 +197,27 @@ def test_evaluate_one_model_over_a_grid(rng):
                              rpc.lon_off + axis * rpc.lon_scale,
                              indexing="ij")
     heis = np.full_like(lats, rpc.hei_off + 0.3 * rpc.hei_scale)
-    raw, d_raw = evaluate(rpc.arrays, lats, lons, heis)
-    assert raw.shape == (5, 7, 2) and d_raw is None
+    raw, d_raw, usable = rpc_mod.evaluate_masked(rpc.arrays, None, lats,
+                                                 lons, heis)
+    assert raw.shape == (5, 7, 2) and d_raw is None and usable.all()
+    rows, cols = project_arrays(rpc, lats, lons, heis)
+    np.testing.assert_array_equal(rows, raw[..., 0])
+    np.testing.assert_array_equal(cols, raw[..., 1])
+    # the one-point edge, bit for bit: project is the raw projection minus
+    # the bias, inverse_project casts the observed pixel plus the bias
     bias = BiasCorrection(1.5, -2.5)
-    rows, cols = project_arrays(rpc, bias, lats, lons, heis)
-    np.testing.assert_array_equal(rows, raw[..., 0] - bias.d_row)
-    np.testing.assert_array_equal(cols, raw[..., 1] - bias.d_col)
     for idx in np.ndindex(lats.shape):
-        p = project(rpc, bias, GroundPoint(lats[idx], lons[idx], heis[idx]))
-        np.testing.assert_allclose([rows[idx], cols[idx]], [p.row, p.col],
+        g = GroundPoint(lats[idx], lons[idx], heis[idx])
+        row, col = project_arrays(rpc, g.lat, g.lon, g.hei)
+        np.testing.assert_allclose([rows[idx], cols[idx]], [row, col],
                                    rtol=1e-13)
+        p = project(rpc, bias, g)
+        np.testing.assert_array_equal([p.row, p.col],
+                                      [row - bias.d_row, col - bias.d_col])
+        back = inverse_project(rpc, bias, p, g.hei)
+        lat, lon = rpc_mod.inverse_project_arrays(
+            rpc, p.row + bias.d_row, p.col + bias.d_col, g.hei)
+        np.testing.assert_array_equal([back.lat, back.lon], [lat, lon])
 
 
 def test_evaluate_rejects_degenerate_denominator_in_a_stack(rng):
@@ -216,8 +227,10 @@ def test_evaluate_rejects_degenerate_denominator_in_a_stack(rng):
     bad = replace(good, line_den=np.zeros(20))
     stack = stack_models([good, bad])
     g = inside(good, rng, spread=0.0)
+    _, _, usable = rpc_mod.evaluate_masked(stack, None, g.lat, g.lon, g.hei)
+    assert usable.tolist() == [True, False]
     with pytest.raises(DegenerateDenominator):
-        evaluate(stack, g.lat, g.lon, g.hei)
+        project_arrays(bad, g.lat, g.lon, g.hei)
 
 
 def test_evaluate_masked_row_index_equals_each_model_alone(rng):
@@ -242,7 +255,7 @@ def test_evaluate_masked_row_index_equals_each_model_alone(rng):
 def test_non_finite_evaluations_are_not_usable(rng):
     """A point whose denominator is NaN, and one whose projection
     overflows past a denominator that does not vanish, are not usable,
-    and :func:`evaluate` raises for either."""
+    and :func:`project_arrays` raises for either."""
     from dataclasses import replace
 
     good = random_rpc(rng)
@@ -255,7 +268,7 @@ def test_non_finite_evaluations_are_not_usable(rng):
     assert np.isfinite(raw[0]).all() and not np.isfinite(raw[2]).all()
     for model, lat in ((good, np.nan), (huge, g.lat)):
         with pytest.raises(DegenerateDenominator):
-            evaluate(model.arrays, lat, g.lon, g.hei)
+            project_arrays(model, lat, g.lon, g.hei)
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +455,20 @@ def test_batched_inverse_project_matches_one_point_calls(rng):
         one = inverse_project(rpc, BiasCorrection(), p, g.hei)
         assert abs(lats[k] - one.lat) < 1e-12
         assert abs(lons[k] - one.lon) < 1e-12
-    # the array form equals the one-point calls bit for bit, bias included
+    # the array form equals the one-point calls bit for bit, bias added
     bias = BiasCorrection(1.5, -2.25)
     rows = np.array([p.row for p in targets])
     cols = np.array([p.col for p in targets])
     heis = np.array([g.hei for g in grounds])
     good = np.arange(len(grounds)) != 4
     arr_lats, arr_lons = rpc_mod.inverse_project_arrays(
-        rpc, bias, rows[good], cols[good], heis[good])
+        rpc, rows[good] + bias.d_row, cols[good] + bias.d_col, heis[good])
     for k, i in enumerate(np.flatnonzero(good)):
         one = inverse_project(rpc, bias, targets[i], grounds[i].hei)
         assert (arr_lats[k], arr_lons[k]) == (one.lat, one.lon)
     # one diverging point fails the whole array call with its error
     with pytest.raises(NoConvergence):
-        rpc_mod.inverse_project_arrays(rpc, bias, rows, cols, heis)
+        rpc_mod.inverse_project_arrays(rpc, rows, cols, heis)
 
 
 def test_array_cast_shares_one_copy_of_the_model(small_scene, rng):
@@ -466,26 +479,25 @@ def test_array_cast_shares_one_copy_of_the_model(small_scene, rng):
     # a fitted pushbroom model: its points need different numbers of
     # Newton steps, so the live set shrinks during the cast
     rpc = small_scene.images[0].rpc
-    bias = BiasCorrection(1.5, -2.25)
 
     def targets(k):
         p = rpc.lat_off + rng.uniform(-0.7, 0.7, k) * rpc.lat_scale
         l = rpc.lon_off + rng.uniform(-0.7, 0.7, k) * rpc.lon_scale
         h = rpc.hei_off + rng.uniform(-0.7, 0.7, k) * rpc.hei_scale
-        return (*project_arrays(rpc, bias, p, l, h), h)
+        return (*project_arrays(rpc, p, l, h), h)
 
     rows, cols, heis = targets(2000)
-    lats, lons = rpc_mod.inverse_project_arrays(rpc, bias, rows, cols, heis)
+    lats, lons = rpc_mod.inverse_project_arrays(rpc, rows, cols, heis)
     copy_lats, copy_lons, status = rpc_mod.inverse_project_many(
         stack_models([rpc] * len(rows)), np.arange(len(rows)),
-        np.column_stack([rows + bias.d_row, cols + bias.d_col]), heis)
+        np.column_stack([rows, cols]), heis)
     assert (status == rpc_mod.SOLVED).all()
     assert np.array_equal(lats, copy_lats) and np.array_equal(lons, copy_lons)
 
     rows, cols, heis = targets(100_000)
     tracemalloc.start()
     try:
-        rpc_mod.inverse_project_arrays(rpc, bias, rows, cols, heis)
+        rpc_mod.inverse_project_arrays(rpc, rows, cols, heis)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
