@@ -7,18 +7,24 @@ back-substitution.  GCP tracks keep their surveyed grounds fixed and
 contribute only bias terms, the exact limit of an infinitely stiff
 ground constraint.
 
-The passes of each adjustment step (accumulation, back-substitution
-and the report) run on the observations that :class:`ObservationGraph`
+The passes run on the observations that :class:`ObservationGraph`
 packs once, in chunks of whole tracks holding at most
 ``CHUNK_OBSERVATIONS`` observations: one RPC evaluation per chunk and
 stacked 3x3 point blocks.  A chunk's Schur terms are subtracted as one
 dense panel product, whose panels have a row pair per image the chunk
 sees and three columns per track, so every per-chunk array is bounded
-by the chunk size and by N, not by the number of tracks; the one
-2N x 2N array is the reduced bias system for N images.  Triangulation
-(:func:`update_points`) solves the free tracks of a chunk in one
-lock-step :func:`rpc.triangulate_many` call.  No temporary grows with
-the number of tracks.
+by the chunk size and by N; the one 2N x 2N array is the reduced bias
+system for N images.  A step of :func:`adjust_loop` is one
+linearization pass plus a back-substitution: the pass reports the
+residuals, reduces each chunk and keeps the arrays that
+back-substitution reads, from which the ground corrections follow
+once the biases are solved.  Its working memory is the chunk, the
+2N x 2N matrix and one step's kept arrays (about 64 B per observation
+and 105 B per track).  :func:`accumulate_reduced`,
+:func:`ground_corrections` and :func:`report` each linearize on their
+own and keep nothing.  Triangulation (:func:`update_points`) solves
+the free tracks of a chunk in one lock-step
+:func:`rpc.triangulate_many` call.
 
 Free networks (no GCPs) have an unobservable common image-space
 translation; the datum is fixed by pinning image 0's bias correction to
@@ -255,52 +261,67 @@ def accumulate_reduced(
         alloc_hook: optional callable receiving the shape of every array
             this function allocates explicitly (test instrumentation).
     """
-    n = len(graph.images)
 
-    def alloc(*shape):
+    def alloc(shape):
         if alloc_hook is not None:
             alloc_hook(shape)
         return np.zeros(shape)
 
-    matrix = alloc(2 * n, 2 * n)
-    rhs = alloc(2 * n)
-    diag = np.arange(2 * n)
-    excluded = []
-
+    system = _empty_system(len(graph.images), alloc)
     for a, b in graph.chunks():
         image, lin = _linearize(graph, a, b, POINT_BLOCK_COND_MAX)
-        gcp = graph.gcp[a:b]
-        used = lin.usable & (gcp | lin.ok)
-        excluded.extend((a + np.flatnonzero(~used)).tolist())
-        rows = 2 * image[:, None] + np.arange(2)
-        obs_used = used[lin.owner]
-        matrix[diag, diag] += np.bincount(rows[obs_used].ravel(),
-                                          minlength=2 * n)
-        rhs -= np.bincount(rows[obs_used].ravel(),
-                           weights=lin.v[obs_used].ravel(), minlength=2 * n)
-        free = used & ~gcp
-        if not free.any():
-            continue
-        # the other tracks get zero blocks and so add nothing below
-        b_eq = np.where(free[lin.owner][:, None, None], lin.b, 0.0)
-        l_b = np.where(free[:, None], rpc_mod._gradient(lin, lin.v), 0.0)
-        # panel rows: the bias rows of the images the chunk sees
-        seen, local = np.unique(image, return_inverse=True)
-        bias_rows = (2 * seen[:, None] + np.arange(2)).ravel()
-        w = alloc(bias_rows.size, 3 * (b - a))
-        bt = alloc(bias_rows.size, 3 * (b - a))
-        # (panel row, panel column) of each observation row and ground
-        # column
-        r = (2 * local[:, None] + np.arange(2))[:, :, None]
-        c = 3 * lin.owner[:, None, None] + np.arange(3)
-        w[r, c] = np.einsum("kri,kij->krj", b_eq, lin.inverse[lin.owner])
-        bt[r, c] = b_eq
-        matrix[np.ix_(bias_rows, bias_rows)] -= w @ bt.T
-        rhs[bias_rows] -= w @ l_b.ravel()
-    _warn_tracks(excluded, f"excluded: point block eigenvalue ratio above "
+        _reduce_chunk(system, graph, a, b, image, lin, alloc)
+    _warn_excluded(system)
+    return system
+
+
+def _empty_system(n: int, alloc=np.zeros) -> ReducedNormalSystem:
+    return ReducedNormalSystem(matrix=alloc((2 * n, 2 * n)),
+                               rhs=alloc((2 * n,)), excluded_tracks=[])
+
+
+def _reduce_chunk(system: ReducedNormalSystem, graph: ObservationGraph,
+                  a: int, b: int, image, lin, alloc=np.zeros) -> np.ndarray:
+    """Add tracks a..b-1, linearized with derivatives as ``lin``, to
+    ``system``: the used tracks' bias terms and the free tracks' Schur
+    terms.  Records the excluded tracks and returns the free mask, the
+    tracks that back-substitution steps."""
+    n2 = system.rhs.size
+    gcp = graph.gcp[a:b]
+    used = lin.usable & (gcp | lin.ok)
+    system.excluded_tracks.extend((a + np.flatnonzero(~used)).tolist())
+    diag = np.arange(n2)
+    rows = 2 * image[:, None] + np.arange(2)
+    obs_used = used[lin.owner]
+    system.matrix[diag, diag] += np.bincount(rows[obs_used].ravel(),
+                                             minlength=n2)
+    system.rhs -= np.bincount(rows[obs_used].ravel(),
+                              weights=lin.v[obs_used].ravel(), minlength=n2)
+    free = used & ~gcp
+    if not free.any():
+        return free
+    # the other tracks get zero blocks and so add nothing below
+    b_eq = np.where(free[lin.owner][:, None, None], lin.b, 0.0)
+    l_b = np.where(free[:, None], rpc_mod._gradient(lin, lin.v), 0.0)
+    # panel rows: the bias rows of the images the chunk sees
+    seen, local = np.unique(image, return_inverse=True)
+    bias_rows = (2 * seen[:, None] + np.arange(2)).ravel()
+    w = alloc((bias_rows.size, 3 * (b - a)))
+    bt = alloc((bias_rows.size, 3 * (b - a)))
+    # (panel row, panel column) of each observation row and ground column
+    r = (2 * local[:, None] + np.arange(2))[:, :, None]
+    c = 3 * lin.owner[:, None, None] + np.arange(3)
+    w[r, c] = np.einsum("kri,kij->krj", b_eq, lin.inverse[lin.owner])
+    bt[r, c] = b_eq
+    system.matrix[np.ix_(bias_rows, bias_rows)] -= w @ bt.T
+    system.rhs[bias_rows] -= w @ l_b.ravel()
+    return free
+
+
+def _warn_excluded(system: ReducedNormalSystem) -> None:
+    _warn_tracks(system.excluded_tracks,
+                 f"excluded: point block eigenvalue ratio above "
                  f"{POINT_BLOCK_COND_MAX:.0e} or a vanished denominator")
-    return ReducedNormalSystem(matrix=matrix, rhs=rhs,
-                               excluded_tracks=excluded)
 
 
 def solve_bias(
@@ -409,16 +430,24 @@ def report(graph: ObservationGraph) -> ReprojectionReport:
         DegenerateDenominator: a rational denominator vanished, or the
             projection was not finite, at some observation.
     """
+    return _linearization_pass(graph, derive=False)[0]
+
+
+def _linearization_pass(graph: ObservationGraph, derive: bool):
+    """Linearize every chunk at the current state: the report and, with
+    ``derive`` (else None, None), the reduced system and per chunk what
+    back-substitution reads, ``(a, b, free, lin)``, ``lin`` keeping
+    ``starts``, ``v``, ``b``, ``inverse`` and ``col_norms``."""
     n = len(graph.images)
-    count = int(graph.track_start[-1])
-    if not count:
-        return ReprojectionReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, {}, 0)
     # columns: |row residual| (y), |column residual| (x), Euclidean
     sums = np.zeros(3)
     maxima = np.zeros(3)
     image_sums = np.zeros(n)
+    system = _empty_system(n) if derive else None
+    kept = [] if derive else None
     for a, b in graph.chunks():
-        image, lin = _linearize(graph, a, b)
+        image, lin = _linearize(graph, a, b,
+                                POINT_BLOCK_COND_MAX if derive else None)
         if not lin.usable.all():
             raise DegenerateDenominator(
                 f"denominator vanished or projection not finite at an "
@@ -427,8 +456,17 @@ def report(graph: ObservationGraph) -> ReprojectionReport:
         dist = np.column_stack([np.abs(lin.v), np.hypot(*lin.v.T)])
         sums += dist.sum(axis=0)
         maxima = np.maximum(maxima, dist.max(axis=0))
-        image_sums += np.bincount(image, weights=dist[:, 2],
-                                  minlength=n)
+        image_sums += np.bincount(image, weights=dist[:, 2], minlength=n)
+        if derive:
+            free = _reduce_chunk(system, graph, a, b, image, lin)
+            kept.append((a, b, free, lin._replace(owner=None, usable=None,
+                                                  ok=None)))
+    if derive:
+        _warn_excluded(system)
+    count = int(graph.track_start[-1])
+    if not count:
+        return (ReprojectionReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, {}, 0),
+                system, kept)
     image_counts = np.bincount(graph.obs_image, minlength=n)
     per_image = {
         image_id: float(image_sums[i] / image_counts[i])
@@ -440,7 +478,7 @@ def report(graph: ObservationGraph) -> ReprojectionReport:
         avg_x=avg_x, avg_y=avg_y, avg_xy=avg_xy,
         max_x=max_x, max_y=max_y, max_xy=max_xy,
         per_image_avg_xy=per_image, count=count,
-    )
+    ), system, kept
 
 
 def adjust_loop(
@@ -448,33 +486,46 @@ def adjust_loop(
     tol: float = CONVERGENCE_PX,
     max_iter: int = MAX_ITER,
 ) -> AdjustmentResult:
-    """Gauss-Newton on biases and grounds: each step runs accumulate ->
-    solve -> back-substitute -> report and applies the bias and ground
-    corrections together.  No track is re-triangulated.
+    """Gauss-Newton on biases and grounds.  A step is one linearization
+    pass and a back-substitution: the pass reports every chunk's
+    residuals, adds its Schur terms to the reduced system and keeps
+    what back-substitution reads; once :func:`solve_bias` has the bias
+    corrections, each chunk's ground corrections come from the kept
+    arrays as in :func:`ground_corrections`, and both are applied
+    together.  The pass at the new state reports the step and, only
+    when another step may follow, takes derivatives.  No track is
+    re-triangulated.  Working memory is a chunk, the 2N x 2N system
+    and one step's kept arrays (about 64 B per observation and 105 B
+    per track).
 
     Stops once no bias component moves by more than ``tol`` pixels in a
     step; ``converged`` is False when ``max_iter`` steps were taken
     instead.
     """
     gauge = None if graph.has_gcp else 0
-    # each track's corrections are in its first image's ground units
-    scales = graph.models.scale[graph.obs_image[graph.track_start[:-1]], :3]
-    before = after = report(graph)
+    before, system, kept = _linearization_pass(graph, max_iter > 0)
+    after = before
     history = [before.avg_xy]
     steps = []
     excluded = []
-    for _ in range(max_iter):
-        system = accumulate_reduced(graph)
+    while system is not None:
         x = solve_bias(system, gauge)
-        idx, dg = ground_corrections(graph, x)
-        graph.bias += x
-        graph.ground[idx] += dg * scales[idx]
-        after = report(graph)
-        history.append(after.avg_xy)
-        steps.append(float(np.abs(x).max()))
         excluded.append(len(system.excluded_tracks))
-        if steps[-1] <= tol:
-            break
+        # release this step's arrays before the next pass builds its own
+        system = None
+        for a, b, free, lin in kept:
+            image = graph.obs_image[graph.track_start[a]:graph.track_start[b]]
+            # the residual once the biases move by x; each track's step
+            # is in its first image's ground units
+            step = rpc_mod.point_steps(lin, lin.v + x[image], free)
+            first = graph.obs_image[graph.track_start[a:b][free]]
+            graph.ground[a:b][free] += step * graph.models.scale[first, :3]
+        kept = None
+        graph.bias += x
+        steps.append(float(np.abs(x).max()))
+        after, system, kept = _linearization_pass(
+            graph, steps[-1] > tol and len(steps) < max_iter)
+        history.append(after.avg_xy)
     return AdjustmentResult(
         before=before, after=after, iterations=len(steps), history=history,
         steps=steps, excluded=excluded,

@@ -206,12 +206,8 @@ class RpcModel:
         changes sign between samples (a continuous polynomial that does
         has a root in the cube, even between the grid points).
         """
-        axis = np.linspace(-VALIDITY_MARGIN, VALIDITY_MARGIN,
-                           VALIDATION_SAMPLES)
-        pp, ll, hh = np.meshgrid(axis, axis, axis, indexing="ij")
-        t = poly_terms(pp.ravel(), ll.ravel(), hh.ravel())
         for name, den in (("line", self.line_den), ("samp", self.samp_den)):
-            vals = t @ den
+            vals = _VALIDATION_TERMS @ den
             worst = float(np.min(np.abs(vals)))
             if not worst > DENOMINATOR_EPS:  # NaN too
                 raise DegenerateDenominator(
@@ -252,6 +248,17 @@ def poly_terms(P, L, H) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+def _validation_terms() -> np.ndarray:
+    """The monomials of the regular grid that :meth:`RpcModel.validate`
+    samples, (VALIDATION_SAMPLES**3, 20)."""
+    axis = np.linspace(-VALIDITY_MARGIN, VALIDITY_MARGIN, VALIDATION_SAMPLES)
+    pp, ll, hh = np.meshgrid(axis, axis, axis, indexing="ij")
+    return poly_terms(pp.ravel(), ll.ravel(), hh.ravel())
+
+
+_VALIDATION_TERMS = _validation_terms()
 
 
 # (P, L, H) exponents of the poly_terms monomials, in their order.

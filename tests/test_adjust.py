@@ -342,6 +342,77 @@ def test_adjust_loop_never_triangulates(small_scene, monkeypatch):
     assert adjust_loop(graph).converged
 
 
+def separate_pass_loop(graph, max_iter=adjust.MAX_ITER):
+    """Gauss-Newton from the public passes, each linearizing on its own:
+    accumulate -> solve -> back-substitute -> report."""
+    gauge = None if graph.has_gcp else 0
+    scales = graph.models.scale[graph.obs_image[graph.track_start[:-1]], :3]
+    before = after = report(graph)
+    history, steps, excluded = [before.avg_xy], [], []
+    for _ in range(max_iter):
+        system = accumulate_reduced(graph)
+        x = solve_bias(system, gauge)
+        idx, dg = ground_corrections(graph, x)
+        graph.bias += x
+        graph.ground[idx] += dg * scales[idx]
+        after = report(graph)
+        history.append(after.avg_xy)
+        steps.append(float(np.abs(x).max()))
+        excluded.append(len(system.excluded_tracks))
+        if steps[-1] <= adjust.CONVERGENCE_PX:
+            break
+    return before, after, history, steps, excluded
+
+
+@pytest.mark.parametrize("max_iter", [1, adjust.MAX_ITER])
+@pytest.mark.parametrize("with_gcps", [False, True])
+def test_adjust_loop_equals_the_separate_passes(with_gcps, max_iter,
+                                                monkeypatch):
+    """One linearization per step, back-substituting from the kept
+    arrays, gives the bytes of running the public passes one after
+    another."""
+    monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", 24)
+    scene = gen_scene(5, 90, 10.0, 0.2, seed=61, visibility="random")
+    gcps = ({j: scene.true_points[j] for j in (0, 1, 2)}
+            if with_gcps else None)
+    fused = scene_graph(scene, gcps=gcps)
+    separate = scene_graph(scene, gcps=gcps)
+    assert len(list(fused.chunks())) > 1
+    res = adjust_loop(fused, max_iter=max_iter)
+    before, after, history, steps, excluded = separate_pass_loop(
+        separate, max_iter)
+    assert res.iterations == len(steps)
+    # the cap stops the first loop, the convergence rule the second
+    assert res.converged == (max_iter > 1)
+    assert fused.bias.tobytes() == separate.bias.tobytes()
+    assert fused.ground.tobytes() == separate.ground.tobytes()
+    assert np.array(res.history).tobytes() == np.array(history).tobytes()
+    assert np.array(res.steps).tobytes() == np.array(steps).tobytes()
+    assert res.excluded == excluded
+    assert (res.before, res.after) == (before, after)
+
+
+def test_adjust_loop_linearizes_each_chunk_once_per_step(small_scene,
+                                                         monkeypatch):
+    """S steps over C chunks take S * C linearizations with derivatives
+    and C without: the last pass only reports."""
+    monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", 24)
+    graph = scene_graph(small_scene)
+    calls = []
+    linearize = rpc_mod.linearize_tracks
+
+    def count(models, index, targets, grounds, starts, cond_max=None):
+        calls.append(cond_max is not None)
+        return linearize(models, index, targets, grounds, starts, cond_max)
+
+    monkeypatch.setattr(rpc_mod, "linearize_tracks", count)
+    result = adjust_loop(graph)
+    chunks = len(list(graph.chunks()))
+    assert result.converged and result.iterations > 1 and chunks > 1
+    assert calls.count(True) == result.iterations * chunks
+    assert calls.count(False) == chunks
+
+
 def twin_image_tracks(scene, count):
     """Tracks seen only by image 0 and a "twin" image with the same RPC:
     their rays coincide, so they cannot be triangulated and their point
@@ -617,6 +688,37 @@ def test_pass_memory_does_not_grow_with_track_count():
     for name in ("update_points", "accumulate_reduced"):
         assert peaks[name, 1600] - peaks[name, 400] < 16_384, name
         assert held[name, 1600] - held[name, 400] < 32_768, name
+
+
+def test_adjust_loop_memory_grows_by_one_step_of_kept_arrays():
+    """Between passes the loop keeps, per observation, its point block
+    rows ``b`` and residual ``v`` and, per track, its inverse normal
+    block, column norms, start and free flag.  Quadrupling the tracks
+    may raise the peak of ``adjust_loop`` above its start by those
+    arrays' bytes for the added observations and tracks, and by no
+    more than a fixed margin beyond (the chunk temporaries do not grow,
+    and each added chunk keeps a few small Python objects)."""
+    f8, i8 = np.dtype(np.float64).itemsize, np.dtype(np.intp).itemsize
+    per_observation = f8 * (2 * 3 + 2)  # b (2, 3) and v (2,)
+    per_track = f8 * (3 * 3 + 3) + i8 + np.dtype(bool).itemsize
+    assert (per_observation, per_track) == (64, 105)
+    peaks, sizes = {}, {}
+    for m in (400, 1600):
+        graph = scene_graph(gen_scene(6, m, 10.0, 0.2, seed=5))
+        sizes[m] = int(graph.track_start[-1]), len(graph.tracks)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert adjust_loop(graph, max_iter=2).iterations == 2
+            peaks[m] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    observations = sizes[1600][0] - sizes[400][0]
+    tracks = sizes[1600][1] - sizes[400][1]
+    assert (observations, tracks) == (7200, 1200)
+    kept = per_observation * observations + per_track * tracks
+    assert peaks[1600] - peaks[400] < kept + 32_768
 
 
 def test_update_points_retriangulates_under_current_bias(small_scene):
