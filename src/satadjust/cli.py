@@ -63,9 +63,14 @@ class PipelineConfig:
         return MatchParams(**{f.name: getattr(self, f.name)
                               for f in dataclasses.fields(MatchParams)})
 
+    def knobs(self) -> dict:
+        """Every field but ``threads``, which changes no output."""
+        knobs = dataclasses.asdict(self)
+        del knobs["threads"]
+        return knobs
+
     def describe(self) -> str:
-        return " ".join(f"{f.name}={getattr(self, f.name)!r}"
-                        for f in dataclasses.fields(self))
+        return " ".join(f"{k}={v!r}" for k, v in self.knobs().items())
 
 
 def load_config(path) -> dict:
@@ -206,7 +211,8 @@ def cmd_match(products_dir: str, out_dir: str,
     per_pair = _map(run, pairs, config.threads)
     os.makedirs(out_dir, exist_ok=True)
     corr_path = os.path.join(out_dir, "correspondences.txt")
-    match_mod.save_correspondences(per_pair, corr_path, params)
+    match_mod.save_correspondences(per_pair, corr_path,
+                                   header=config.describe())
     track_list = tracks_mod.build_tracks(per_pair)
     track_path = os.path.join(out_dir, "tracks.txt")
     tracks_mod.save_tracks(track_list, track_path,
@@ -279,8 +285,7 @@ def cmd_adjust(track_path: str, products_dir: str, out_dir: str,
         "biases": {image_id: bias for (image_id, _), bias
                    in zip(graph.images, graph.bias.tolist())},
         "gauge_image": None if graph.has_gcp else graph.images[0][0],
-        "config": {f.name: getattr(config, f.name)
-                   for f in dataclasses.fields(config)},
+        "config": config.knobs(),
     }
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -374,8 +379,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--threads", type=int, help="worker cap; output "
-                        "differs only in the threads= it records")
+    parser.add_argument("--threads", type=int, help="worker cap; no "
+                        "output depends on it")
     for f in dataclasses.fields(PipelineConfig):
         if f.name == "threads":
             continue

@@ -573,21 +573,12 @@ def _reprojection_errors(
 
 
 def save_correspondences(
-    pairs: list[tuple[str, str, np.ndarray]], path,
-    params: MatchParams = MatchParams(),
+    pairs: list[tuple[str, str, np.ndarray]], path, header: str = "",
 ) -> None:
     """Write each pair's (left_id, right_id, matches) as text, one line
-    per row of its (n, 5) :func:`match_pair` array, after a
-    configuration header line."""
+    per row of its (n, 5) :func:`match_pair` array."""
     textfile.write(path, (
-        "correspondences"
-        f" window={params.window} blocks={params.blocks}"
-        f" epipolar_buffer_px={params.epipolar_buffer_px!r}"
-        f" ratio_threshold={params.ratio_threshold!r}"
-        f" reproj_filter_px={params.reproj_filter_px!r}"
-        f" fast_threshold={params.fast_threshold!r}"
-        f" nms_radius={params.nms_radius!r}",
-        "pair_id left_row left_col right_row right_col score"), (
+        header, "pair_id left_row left_col right_row right_col score"), (
         f"{left_id}:{right_id} {lr!r} {lc!r} {rr!r} {rc!r} {int(score)}\n"
         for left_id, right_id, matches in pairs
         for lr, lc, rr, rc, score in np.asarray(matches, dtype=np.float64)

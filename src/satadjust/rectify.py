@@ -4,6 +4,10 @@ A level-2 product is the source raster resampled onto a north-up grid on a
 constant-height plane, together with an RPC model refitted to the resampled
 geometry.  Rectification removes most inter-image geometric distortion so a
 constant per-image bias suffices downstream.
+
+A product stores only its raster, model, plane height and geo transform:
+its ground footprint is derived from the grid, and its sampling distance
+is the step of the geo transform.
 """
 
 from __future__ import annotations
@@ -82,14 +86,14 @@ class Level2Product:
 
         lat = gt[0] + gt[1] * col + gt[2] * row
         lon = gt[3] + gt[4] * col + gt[5] * row
+
+    Nothing derivable is stored: :attr:`footprint` comes from the grid.
     """
 
     raster: Raster
     rpc: RpcModel
     plane_height: float
-    gsd: float
     geo_transform: np.ndarray
-    footprint: GroundBBox
     image_id: str = ""
 
     def __post_init__(self):
@@ -106,6 +110,14 @@ class Level2Product:
     def ground_to_pixel(self, lats, lons):
         return _ground_to_pixel(self.geo_transform, lats, lons)
 
+    @property
+    def footprint(self) -> GroundBBox:
+        """Ground bounding box of the grid's four pixel-area corners."""
+        lats, lons = self.pixel_to_ground(
+            *_area_corners(self.raster.pixels.shape))
+        return GroundBBox(float(lats.min()), float(lats.max()),
+                          float(lons.min()), float(lons.max()))
+
 
 def _ground_to_pixel(gt: np.ndarray, lats, lons):
     """Grid (rows, cols) of plane points: the geo transform inverted."""
@@ -117,15 +129,18 @@ def _ground_to_pixel(gt: np.ndarray, lats, lons):
     return rows, cols
 
 
-def _corner_ground(shape: tuple[int, int], rpc: RpcModel, plane: float):
-    """(lats, lons) of the four pixel-area corners (half a pixel beyond
-    the centers) of an image of ``shape`` (height, width) cast onto the
-    plane, so that the footprint area over the pixel count reproduces
-    the sampling distance exactly."""
+def _area_corners(shape: tuple[int, int]):
+    """(rows, cols) of the four pixel-area corners (half a pixel beyond
+    the corner centers) of an image of ``shape`` (height, width)."""
     h, w = shape
-    return rpc_mod.inverse_project_arrays(
-        rpc, [-0.5, -0.5, h - 0.5, h - 0.5],
-        [-0.5, w - 0.5, w - 0.5, -0.5], plane)
+    return [-0.5, -0.5, h - 0.5, h - 0.5], [-0.5, w - 0.5, w - 0.5, -0.5]
+
+
+def _corner_ground(shape: tuple[int, int], rpc: RpcModel, plane: float):
+    """(lats, lons) of the four pixel-area corners of an image of
+    ``shape`` cast onto the plane, so that the footprint area over the
+    pixel count reproduces the sampling distance exactly."""
+    return rpc_mod.inverse_project_arrays(rpc, *_area_corners(shape), plane)
 
 
 def common_plane_height(rpcs: list[RpcModel]) -> float:
@@ -460,9 +475,7 @@ def rectify_image(
         raster=warped,
         rpc=fitted,
         plane_height=plane,
-        gsd=gsd,
         geo_transform=geo_transform,
-        footprint=bbox,
     )
 
 
@@ -470,9 +483,7 @@ def rectify_image(
 # Product files: binary PGM raster plus a KEY: value sidecar
 # ---------------------------------------------------------------------------
 
-_SIDE_KEYS = ("PLANE_HEIGHT", "GSD", "NODATA",
-              "FOOTPRINT_MIN_LAT", "FOOTPRINT_MAX_LAT",
-              "FOOTPRINT_MIN_LON", "FOOTPRINT_MAX_LON",
+_SIDE_KEYS = ("PLANE_HEIGHT", "NODATA",
               *(f"GEO_TRANSFORM_{i}" for i in range(6)))
 
 
@@ -480,9 +491,7 @@ def save_product(product: Level2Product, stem) -> None:
     """Write ``<stem>.pgm`` and ``<stem>.meta`` for a level-2 product."""
     stem = str(stem)
     write_pgm(product.raster, stem + ".pgm")
-    fp = product.footprint
-    values = (product.plane_height, product.gsd, product.raster.nodata,
-              fp.min_lat, fp.max_lat, fp.min_lon, fp.max_lon,
+    values = (product.plane_height, product.raster.nodata,
               *product.geo_transform.tolist())
     textfile.write(stem + ".meta", (), [
         textfile.format_keys(zip(_SIDE_KEYS, values)),
@@ -490,7 +499,9 @@ def save_product(product: Level2Product, stem) -> None:
 
 
 def load_product(stem) -> Level2Product:
-    """Load a product written by :func:`save_product`.
+    """Load a product written by :func:`save_product`.  Keys the format
+    does not define are skipped, so sidecars that still carry ``GSD`` and
+    ``FOOTPRINT_*`` lines load too.
 
     Raises:
         ParseError: a sidecar line or key is missing or malformed (the
@@ -509,24 +520,13 @@ def load_product(stem) -> Level2Product:
     if not values["NODATA"].is_integer():
         raise ParseError(f"{source}: key NODATA must be an integer, got "
                          f"{values['NODATA']!r}")
-    for axis in ("LAT", "LON"):
-        lo, hi = f"FOOTPRINT_MIN_{axis}", f"FOOTPRINT_MAX_{axis}"
-        if not values[lo] <= values[hi]:
-            raise ParseError(f"{source}: key {lo} exceeds {hi}")
     rpc = rpc_mod.rpc_from_keys(values, source)
     raster = read_pgm(stem + ".pgm", nodata=int(values["NODATA"]))
     return Level2Product(
         raster=raster,
         rpc=rpc,
         plane_height=values["PLANE_HEIGHT"],
-        gsd=values["GSD"],
         geo_transform=np.array([values[f"GEO_TRANSFORM_{i}"]
                                 for i in range(6)], dtype=np.float64),
-        footprint=GroundBBox(
-            min_lat=values["FOOTPRINT_MIN_LAT"],
-            max_lat=values["FOOTPRINT_MAX_LAT"],
-            min_lon=values["FOOTPRINT_MIN_LON"],
-            max_lon=values["FOOTPRINT_MAX_LON"],
-        ),
         image_id=stem.rsplit("/", 1)[-1],
     )

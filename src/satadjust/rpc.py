@@ -42,9 +42,9 @@ Sign conventions used throughout the package:
   ``project`` land on the observed pixel of a misregistered image.
 * ``residual = observed - project``.  Its derivative with respect to the
   bias components is exactly the 2x2 identity, and its derivative with
-  respect to (lat, lon, hei) is minus the raw projection derivative; the
-  ``Jacobians`` blocks follow the residual convention so that downstream
-  least squares can use them directly.
+  respect to (lat, lon, hei) is minus the raw projection derivative;
+  :func:`jacobian` follows the residual convention so that downstream
+  least squares can use it directly.
 
 Heights are ellipsoidal meters (the input products do not state a datum;
 this package assumes the ellipsoid throughout).
@@ -109,19 +109,6 @@ class BiasCorrection:
 
     d_row: float = 0.0
     d_col: float = 0.0
-
-
-@dataclass(frozen=True)
-class Jacobians:
-    """Residual derivatives at a linearization point.
-
-    ``a_block`` is d(residual)/d(d_row, d_col), identically the 2x2
-    identity for the constant-bias model.  ``b_block`` is
-    d(residual)/d(lat, lon, hei) in pixels per degree / per meter.
-    """
-
-    a_block: np.ndarray
-    b_block: np.ndarray
 
 
 class RpcArrays(NamedTuple):
@@ -452,11 +439,11 @@ def residual(
     return observed.row - p.row, observed.col - p.col
 
 
-def jacobian(rpc: RpcModel, g0: GroundPoint) -> Jacobians:
-    """Analytic residual derivatives at the linearization point ``g0``.
-
-    The bias block is the identity because the bias enters the residual
-    linearly; the ground block is minus the projection derivative.
+def jacobian(rpc: RpcModel, g0: GroundPoint) -> np.ndarray:
+    """Analytic (2, 3) residual derivative d(residual)/d(lat, lon, hei)
+    at the linearization point ``g0``, in pixels per degree / per meter:
+    minus the projection derivative.  The bias block is the 2x2 identity
+    and is not returned.
 
     Raises:
         DegenerateDenominator: a rational denominator vanished at ``g0``.
@@ -464,7 +451,7 @@ def jacobian(rpc: RpcModel, g0: GroundPoint) -> Jacobians:
     _, d_raw, usable = evaluate_masked(rpc.arrays, None, g0.lat, g0.lon,
                                        g0.hei, derivatives=True)
     _check_usable(usable)
-    return Jacobians(a_block=np.eye(2), b_block=-d_raw)
+    return -d_raw
 
 
 # Per-point outcome of the batched solvers; the one-point wrappers raise

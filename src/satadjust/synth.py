@@ -22,12 +22,11 @@ from . import textfile
 from .errors import ConfigInvalid, DegenerateDenominator, RankDeficient
 from .geodesy import meters_per_degree
 from .raster import Raster, write_pgm
-from .rectify import GroundBBox, Level2Product, fit_rpc
+from .rectify import Level2Product, fit_rpc
 from .rpc import (
     BiasCorrection,
     GroundPoint,
     ImagePoint,
-    Jacobians,
     RpcModel,
 )
 
@@ -50,8 +49,10 @@ RENDER_MAX_PIXELS = 2 ** 25
 
 def fd_jacobian(
     rpc: RpcModel, bias: BiasCorrection, g: GroundPoint, step: float = 1e-7
-) -> Jacobians:
-    """Residual derivatives by central finite differences.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual derivatives by central finite differences: ``(a, b)``,
+    d(residual)/d(d_row, d_col) (2, 2) and d(residual)/d(lat, lon, hei)
+    (2, 3).
 
     ``step`` is relative to each parameter's natural scale: ground
     coordinates are stepped by ``step`` normalized units, bias components
@@ -82,7 +83,7 @@ def fd_jacobian(
         minus = GroundPoint(g.lat - delta[0], g.lon - delta[1],
                             g.hei - delta[2])
         b[:, k] = (res(bias, plus) - res(bias, minus)) / (2 * d)
-    return Jacobians(a_block=a, b_block=b)
+    return a, b
 
 
 def random_rpc(rng: np.random.Generator) -> RpcModel:
@@ -501,21 +502,11 @@ def scene_products(scene: SyntheticScene) -> list[Level2Product]:
             cam.lon0 - cam.row0 * dlon_drow - cam.col0 * dlon_dcol,
             dlon_dcol, dlon_drow,
         ])
-        h, w = img.shape
-        lats = [geo[0] + geo[2] * r + geo[1] * c
-                for r in (0, h - 1) for c in (0, w - 1)]
-        lons = [geo[3] + geo[5] * r + geo[4] * c
-                for r in (0, h - 1) for c in (0, w - 1)]
         products.append(Level2Product(
             raster=img.raster,
             rpc=img.rpc,
             plane_height=scene.plane_height,
-            gsd=cam.gsd,
             geo_transform=geo,
-            footprint=GroundBBox(
-                min_lat=min(lats), max_lat=max(lats),
-                min_lon=min(lons), max_lon=max(lons),
-            ),
             image_id=img.image_id,
         ))
     return products
@@ -579,12 +570,11 @@ def dense_solve(graph, gauge_image: int | None = None):
             rpc, bias = graph.images[i][1], BiasCorrection(*graph.bias[i])
             obs = ImagePoint(*graph.obs_pixel[k].tolist())
             v = rpc_mod.residual(rpc, bias, ground, obs)
-            jac = rpc_mod.jacobian(rpc, ground)
             block = np.zeros((2, n_params))
-            block[:, 2 * i:2 * i + 2] = jac.a_block
+            block[:, 2 * i:2 * i + 2] = np.eye(2)
             if not graph.gcp[j]:
                 col = ground_col[j]
-                block[:, col:col + 3] = jac.b_block * scales
+                block[:, col:col + 3] = rpc_mod.jacobian(rpc, ground) * scales
             rows_j.append(block)
             rows_r.append(v)
     jac_full = np.vstack(rows_j)

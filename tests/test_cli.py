@@ -25,7 +25,7 @@ from satadjust.cli import PipelineConfig, cmd_rectify, load_config, main
 from satadjust.errors import ConfigInvalid, ParseError
 from satadjust.geodesy import meters_per_degree
 from satadjust.raster import Raster
-from satadjust.rectify import GroundBBox, Level2Product, fit_rpc, save_product
+from satadjust.rectify import Level2Product, fit_rpc, save_product
 from satadjust.rpc import BiasCorrection, GroundPoint, project
 from satadjust.synth import PushbroomCamera, camera_fit_samples, gen_scene
 from satadjust.tracks import Track, save_gcps, save_tracks
@@ -205,16 +205,12 @@ def metadata_products(scene, directory):
     directory.mkdir()
     for im in scene.images:
         rpc = im.rpc
-        box = GroundBBox(rpc.lat_off - rpc.lat_scale,
-                         rpc.lat_off + rpc.lat_scale,
-                         rpc.lon_off - rpc.lon_scale,
-                         rpc.lon_off + rpc.lon_scale)
         save_product(Level2Product(
             raster=Raster(np.full((4, 4), 60, dtype=np.uint8)), rpc=rpc,
-            plane_height=rpc.hei_off, gsd=0.5,
-            geo_transform=np.array([box.max_lat, 0.0, -1e-5,
-                                    box.min_lon, 1e-5, 0.0]),
-            footprint=box, image_id=im.image_id,
+            plane_height=rpc.hei_off,
+            geo_transform=np.array([rpc.lat_off + rpc.lat_scale, 0.0, -1e-5,
+                                    rpc.lon_off - rpc.lon_scale, 1e-5, 0.0]),
+            image_id=im.image_id,
         ), str(directory / im.image_id))
 
 
@@ -264,27 +260,21 @@ def test_repeat_run_is_bit_identical(dataset, pipeline_out, tmp_path):
 
 
 def test_multithreaded_run_completes(dataset, pipeline_out, tmp_path):
-    """Four workers write what one writes: the products, matches and text
-    report byte for byte, and the tables and ``report.json`` up to the
-    ``threads`` they record."""
+    """Four workers write what one writes: every file under ``--out``,
+    byte for byte."""
     out = tmp_path / "mt"
     args = ["pipeline", *stems(dataset), "--out", str(out), "--threads", "4"]
     assert main(args) == 0
-    products = sorted(p.name for p in (pipeline_out / "products").iterdir())
-    assert sorted(p.name for p in (out / "products").iterdir()) == products
-    for name in [f"products/{p}" for p in products] + [
-            "correspondences.txt", "report.txt"]:
-        assert (out / name).read_bytes() == (pipeline_out / name).read_bytes()
-    for name in ("tracks.txt", "biases.txt"):
-        one, four = ((d / name).read_text().splitlines()
-                     for d in (pipeline_out, out))
-        assert one[0].endswith(" threads=1") and four[0] == one[0][:-1] + "4"
-        assert four[1:] == one[1:]
-    one, four = (json.loads((d / "report.json").read_text())
-                 for d in (pipeline_out, out))
-    assert (one["config"].pop("threads"), four["config"].pop("threads")) \
-        == (1, 4)
-    assert four == one
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    one, four = files(pipeline_out), files(out)
+    assert len(one) == 5 + 2 * len(stems(dataset))
+    assert four.keys() == one.keys()
+    for name in one:
+        assert four[name] == one[name], name
 
 
 def test_config_file_and_flag_precedence(pipeline_out, tmp_path):
@@ -322,7 +312,8 @@ def test_exit_2_on_data_errors(dataset, pipeline_out, tmp_path):
     broken = tmp_path / "broken"
     shutil.copytree(pipeline_out / "products", broken)
     meta = broken / "img_000.meta"
-    meta.write_text(meta.read_text().replace("GSD:", "GSD: oops #", 1))
+    meta.write_text(meta.read_text().replace("PLANE_HEIGHT:",
+                                              "PLANE_HEIGHT: oops #", 1))
     assert main(["match", "--products", str(broken),
                  "--out", str(tmp_path / "o3")]) == 2
     # bad config file
@@ -343,11 +334,9 @@ def test_exit_2_on_data_errors(dataset, pipeline_out, tmp_path):
     rpc_file.write_text(re.sub(r"^LINE_SCALE: .*$", "LINE_SCALE: 0.0",
                                rpc_file.read_text(), flags=re.M))
     assert main(["rectify", *stems(raw), "--out", str(tmp_path / "o6")]) == 2
-    # malformed numbers in a product sidecar; the third puts the minimum
-    # latitude of the footprint above its maximum
+    # malformed numbers in a product sidecar
     for k, line in enumerate(["SAMP_SCALE: -1.0", "NODATA: nan",
-                              "FOOTPRINT_MIN_LAT: 90.0", "LAT_OFF: nan",
-                              "NODATA: 300"]):
+                              "LAT_OFF: nan", "NODATA: 300"]):
         bad = tmp_path / f"bad_meta_{k}"
         shutil.copytree(pipeline_out / "products", bad)
         meta = bad / "img_000.meta"
@@ -440,18 +429,16 @@ def test_exit_3_on_rank_deficient_network(tmp_path):
     ]
     products_dir = tmp_path / "products"
     products_dir.mkdir()
-    box = GroundBBox(30.0 - lat_half, 30.0 + lat_half,
-                     50.0 - lon_half, 50.0 + lon_half)
     rpcs = []
     for i, cam in enumerate(cams):
         rpc = fit_rpc(*camera_fit_samples(cam, lat_half, lon_half, 100.0))
         rpcs.append(rpc)
         product = Level2Product(
             raster=Raster(np.full((4, 4), 60, dtype=np.uint8)),
-            rpc=rpc, plane_height=200.0, gsd=0.5,
+            rpc=rpc, plane_height=200.0,
             geo_transform=np.array([30.0, 0.0, -0.5 / m_lat,
                                     50.0, 0.5 / m_lon, 0.0]),
-            footprint=box, image_id=f"aff_{i}",
+            image_id=f"aff_{i}",
         )
         save_product(product, str(products_dir / f"aff_{i}"))
 

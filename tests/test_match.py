@@ -709,9 +709,9 @@ def test_match_pair_recall_and_zero_mismatches(stereo):
     scene, products = stereo
     transformed = type(products[1])(
         raster=monotone(products[1].raster), rpc=products[1].rpc,
-        plane_height=products[1].plane_height, gsd=products[1].gsd,
+        plane_height=products[1].plane_height,
         geo_transform=products[1].geo_transform,
-        footprint=products[1].footprint, image_id=products[1].image_id,
+        image_id=products[1].image_id,
     )
     corrs = match(products[0], transformed)
     left_pos = planted_positions(scene, 0)

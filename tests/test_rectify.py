@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import math
+import shutil
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from satadjust import rectify
+from satadjust import rectify, textfile
 from satadjust import rpc as rpc_mod
 from satadjust.errors import EmptyFootprint, EmptyInput, InsufficientSamples, ParseError
 from satadjust.geodesy import meters_per_degree
+from satadjust.match import select_pairs
 from satadjust.raster import Raster, bilinear_sample
 from satadjust.rectify import (
     GroundBBox,
@@ -535,7 +538,6 @@ def test_product_save_load_round_trip(rectified_pair, tmp_path):
     back = load_product(tmp_path / "p0")
     np.testing.assert_array_equal(back.raster.pixels, product.raster.pixels)
     assert back.plane_height == product.plane_height
-    assert back.gsd == product.gsd
     np.testing.assert_array_equal(back.geo_transform, product.geo_transform)
     assert back.footprint == product.footprint
     np.testing.assert_array_equal(back.rpc.samp_num, product.rpc.samp_num)
@@ -546,7 +548,62 @@ def test_product_load_missing_key_names_it(rectified_pair, tmp_path):
     save_product(products[0], tmp_path / "p1")
     meta = (tmp_path / "p1.meta").read_text()
     broken = "\n".join(line for line in meta.splitlines()
-                       if not line.startswith("GSD"))
+                       if not line.startswith("PLANE_HEIGHT"))
     (tmp_path / "p1.meta").write_text(broken)
-    with pytest.raises(ParseError, match="GSD"):
+    with pytest.raises(ParseError, match="PLANE_HEIGHT"):
         load_product(tmp_path / "p1")
+
+
+def test_old_sidecar_layout_loads_the_same_product(rectified_pair,
+                                                   tmp_path):
+    """A sidecar in the earlier layout, which also stored the sampling
+    distance and the source-corner footprint, loads to the same product:
+    the reader skips the keys the format no longer defines."""
+    scene, products = rectified_pair
+    product, im = products[0], scene.images[0]
+    save_product(product, tmp_path / "new")
+    lats, lons = rectify._corner_ground(im.raster.pixels.shape, im.rpc,
+                                        scene.plane_height)
+    plane, nodata, *rest = (tmp_path / "new.meta").read_text() \
+        .splitlines(keepends=True)
+    old = [plane, "GSD: 0.5\n", nodata,
+           textfile.format_keys([
+               ("FOOTPRINT_MIN_LAT", lats.min()),
+               ("FOOTPRINT_MAX_LAT", lats.max()),
+               ("FOOTPRINT_MIN_LON", lons.min()),
+               ("FOOTPRINT_MAX_LON", lons.max())]), *rest]
+    assert plane.startswith("PLANE_HEIGHT:") and nodata.startswith("NODATA:")
+    (tmp_path / "old.meta").write_text("".join(old))
+    shutil.copy(tmp_path / "new.pgm", tmp_path / "old.pgm")
+    new, back = load_product(tmp_path / "new"), load_product(tmp_path / "old")
+    assert back.plane_height == new.plane_height
+    assert back.raster.nodata == new.raster.nodata
+    np.testing.assert_array_equal(back.raster.pixels, new.raster.pixels)
+    np.testing.assert_array_equal(back.geo_transform, new.geo_transform)
+    assert (rpc_mod.format_rpc_text(back.rpc)
+            == rpc_mod.format_rpc_text(new.rpc))
+    assert back.footprint == new.footprint == product.footprint
+
+
+def test_derived_footprint_covers_the_source(rectified_pair):
+    """The footprint derived from the grid covers the four source corners
+    cast onto the plane, and exceeds their bounding box by less than one
+    output pixel on each side; pair selection does not change."""
+    scene, products = rectified_pair
+    source_boxes = []
+    for im, product in zip(scene.images, products):
+        lats, lons = rectify._corner_ground(im.raster.pixels.shape, im.rpc,
+                                            scene.plane_height)
+        source = GroundBBox(lats.min(), lats.max(), lons.min(), lons.max())
+        derived = product.footprint
+        step_lat = -product.geo_transform[2]
+        step_lon = product.geo_transform[4]
+        # how far each side of the derived box lies outside the source box
+        beyond = [(source.min_lat - derived.min_lat) / step_lat,
+                  (derived.max_lat - source.max_lat) / step_lat,
+                  (source.min_lon - derived.min_lon) / step_lon,
+                  (derived.max_lon - source.max_lon) / step_lon]
+        assert all(-1e-6 <= b < 1.0 for b in beyond), beyond
+        source_boxes.append(source)
+    stand_ins = [SimpleNamespace(footprint=box) for box in source_boxes]
+    assert select_pairs(products) == select_pairs(stand_ins) == [(0, 1)]

@@ -19,12 +19,7 @@ from satadjust.adjust import load_biases, save_biases
 from satadjust.errors import ParseError
 from satadjust.match import load_correspondences, save_correspondences
 from satadjust.raster import Raster, read_pgm, write_pgm
-from satadjust.rectify import (
-    GroundBBox,
-    Level2Product,
-    load_product,
-    save_product,
-)
+from satadjust.rectify import Level2Product, load_product, save_product
 from satadjust.rpc import (
     BiasCorrection,
     GroundPoint,
@@ -322,22 +317,17 @@ def test_scene_truth_tables_read_back(scratch, image_ids, data):
             _assert_same_rpc(parse_rpc_text(fh.read()), im.rpc)
 
 
-def _product(rpc: RpcModel, plane: float, gsd: float, nodata: int,
-             lats: list[float], lons: list[float],
+def _product(rpc: RpcModel, plane: float, nodata: int,
              geo: list[float]) -> Level2Product:
     return Level2Product(
         raster=Raster(np.full((2, 3), 7, dtype=np.uint8), nodata=nodata),
-        rpc=rpc, plane_height=plane, gsd=gsd,
-        geo_transform=np.array(geo),
-        footprint=GroundBBox(min(lats), max(lats), min(lons), max(lons)),
+        rpc=rpc, plane_height=plane, geo_transform=np.array(geo),
     )
 
 
 products = st.builds(
-    _product, rpc_models, moderate, positive,
+    _product, rpc_models, moderate,
     _or_numpy(st.integers(0, 255), np.int64),
-    st.lists(moderate, min_size=2, max_size=2),
-    st.lists(moderate, min_size=2, max_size=2),
     st.lists(moderate, min_size=6, max_size=6))
 
 
@@ -349,7 +339,6 @@ def test_product_sidecar_round_trip(scratch, product):
     back = load_product(stem)
     _assert_same_rpc(back.rpc, product.rpc)
     assert back.plane_height == product.plane_height
-    assert back.gsd == product.gsd
     assert back.raster.nodata == product.raster.nodata
     assert back.footprint == product.footprint
     np.testing.assert_array_equal(back.geo_transform, product.geo_transform)
