@@ -286,35 +286,45 @@ def _reduce_chunk(system: ReducedNormalSystem, graph: ObservationGraph,
     ``system``: the used tracks' bias terms and the free tracks' Schur
     terms.  Records the excluded tracks and returns the free mask, the
     tracks that back-substitution steps."""
-    n2 = system.rhs.size
+    n = len(graph.images)
     gcp = graph.gcp[a:b]
     used = lin.usable & (gcp | lin.ok)
     system.excluded_tracks.extend((a + np.flatnonzero(~used)).tolist())
-    diag = np.arange(n2)
-    rows = 2 * image[:, None] + np.arange(2)
     obs_used = used[lin.owner]
-    system.matrix[diag, diag] += np.bincount(rows[obs_used].ravel(),
-                                             minlength=n2)
-    system.rhs -= np.bincount(rows[obs_used].ravel(),
-                              weights=lin.v[obs_used].ravel(), minlength=n2)
+    # each used observation adds one to its image's two bias rows and
+    # subtracts its residual from their right-hand sides
+    counts = np.bincount(image[obs_used], minlength=n)
+    diag = np.arange(2 * n)
+    system.matrix[diag, diag] += np.repeat(counts, 2)
+    for r in range(2):
+        system.rhs[r::2] -= np.bincount(image[obs_used],
+                                        weights=lin.v[r, obs_used],
+                                        minlength=n)
     free = used & ~gcp
     if not free.any():
         return free
     # the other tracks get zero blocks and so add nothing below
-    b_eq = np.where(free[lin.owner][:, None, None], lin.b, 0.0)
-    l_b = np.where(free[:, None], rpc_mod._gradient(lin, lin.v), 0.0)
+    b_eq = np.where(free[lin.owner], lin.b, 0.0)
+    l_b = np.where(free, rpc_mod._gradient(lin, lin.v), 0.0)
     # panel rows: the bias rows of the images the chunk sees
-    seen, local = np.unique(image, return_inverse=True)
+    present = np.bincount(image, minlength=n) > 0
+    seen = np.flatnonzero(present)
+    # each image's position among those seen
+    local = np.cumsum(present) - 1
     bias_rows = (2 * seen[:, None] + np.arange(2)).ravel()
     w = alloc((bias_rows.size, 3 * (b - a)))
     bt = alloc((bias_rows.size, 3 * (b - a)))
     # (panel row, panel column) of each observation row and ground column
-    r = (2 * local[:, None] + np.arange(2))[:, :, None]
-    c = 3 * lin.owner[:, None, None] + np.arange(3)
-    w[r, c] = np.einsum("kri,kij->krj", b_eq, lin.inverse[lin.owner])
+    r = (2 * local[image] + np.arange(2)[:, None])[:, None]
+    c = 3 * lin.owner + np.arange(3)[:, None]
     bt[r, c] = b_eq
+    # a track's three columns of W are its columns of B times its
+    # inverse normal matrix
+    np.matmul(bt.reshape(len(bias_rows), b - a, 3).transpose(1, 0, 2),
+              lin.inverse,
+              out=w.reshape(len(bias_rows), b - a, 3).transpose(1, 0, 2))
     system.matrix[np.ix_(bias_rows, bias_rows)] -= w @ bt.T
-    system.rhs[bias_rows] -= w @ l_b.ravel()
+    system.rhs[bias_rows] -= w @ l_b.T.ravel()
     return free
 
 
@@ -327,7 +337,8 @@ def _warn_excluded(system: ReducedNormalSystem) -> None:
 def solve_bias(
     system: ReducedNormalSystem, gauge_image: int | None = None
 ) -> np.ndarray:
-    """Bias corrections from the reduced system, Cholesky-factored.
+    """Bias corrections from the reduced system, Cholesky-factored in
+    place on one copy of its kept rows and columns.
 
     Args:
         gauge_image: image whose correction is pinned to zero (rows and
@@ -350,7 +361,10 @@ def solve_bias(
         return x.reshape(-1, 2)
     kept = system.matrix[np.ix_(keep, keep)]
     try:
-        factor = scipy.linalg.cho_factor(kept)
+        # the copy is factored in place: its transpose, the same symmetric
+        # matrix in Fortran order, is what LAPACK overwrites
+        factor = scipy.linalg.cho_factor(kept.T, lower=True,
+                                         overwrite_a=True)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
         raise RankDeficient(
             "reduced bias system is not positive definite; free networks "
@@ -386,7 +400,7 @@ def ground_corrections(
         free = lin.usable & lin.ok & ~graph.gcp[a:b]
         tracks.append(a + np.flatnonzero(free))
         # the residual once the biases move by x
-        steps.append(rpc_mod.point_steps(lin, lin.v + shift[image], free))
+        steps.append(rpc_mod.point_steps(lin, lin.v + shift[image].T, free))
     return np.concatenate(tracks), np.concatenate(steps)
 
 
@@ -453,10 +467,10 @@ def _linearization_pass(graph: ObservationGraph, derive: bool):
                 f"denominator vanished or projection not finite at an "
                 f"observation of track "
                 f"{a + int(np.argmin(lin.usable))}")
-        dist = np.column_stack([np.abs(lin.v), np.hypot(*lin.v.T)])
-        sums += dist.sum(axis=0)
-        maxima = np.maximum(maxima, dist.max(axis=0))
-        image_sums += np.bincount(image, weights=dist[:, 2], minlength=n)
+        dist = np.vstack([np.abs(lin.v), np.hypot(*lin.v)])
+        sums += dist.sum(axis=1)
+        maxima = np.maximum(maxima, dist.max(axis=1))
+        image_sums += np.bincount(image, weights=dist[2], minlength=n)
         if derive:
             free = _reduce_chunk(system, graph, a, b, image, lin)
             kept.append((a, b, free, lin._replace(owner=None, usable=None,
@@ -517,7 +531,7 @@ def adjust_loop(
             image = graph.obs_image[graph.track_start[a]:graph.track_start[b]]
             # the residual once the biases move by x; each track's step
             # is in its first image's ground units
-            step = rpc_mod.point_steps(lin, lin.v + x[image], free)
+            step = rpc_mod.point_steps(lin, lin.v + x[image].T, free)
             first = graph.obs_image[graph.track_start[a:b][free]]
             graph.ground[a:b][free] += step * graph.models.scale[first, :3]
         kept = None

@@ -49,8 +49,10 @@ CENSUS_BLOCK = 256
 MAX_CURVE_SAMPLES = 64
 
 # Left features per batched curve cast and tentative matches per batched
-# triangulation: at most 4,096 rows each, since the gathered RPC
-# constants (≈1.7 kB a row) and solver temporaries grow with the rows.
+# triangulation: at most 4,096 rows each, since the solver temporaries
+# grow with the rows.  A block of matches peaks at about 10 MB traced
+# (≈2.5 kB a row, the triangulation's 1,680 B of gathered RPC constants
+# included); the curve casts gather none and peak at ≈0.8 kB a row.
 CURVE_BLOCK = 64
 MATCH_BLOCK = 2048
 

@@ -207,7 +207,7 @@ def fit_rpc(lats, lons, heis, rows, cols) -> RpcModel:
     P = (lats - lat_off) / lat_scale
     L = (lons - lon_off) / lon_scale
     H = (heis - hei_off) / hei_scale
-    t = rpc_mod.poly_terms(P, L, H)
+    t = rpc_mod.poly_terms(P, L, H).T
 
     def solve_rational(target):
         design = np.hstack([t, -target[:, None] * t[:, 1:]])

@@ -6,18 +6,26 @@ polynomials with 20 coefficients each in numerator and denominator.  The
 monomial ordering follows the de-facto RPC00B convention so that real RPC
 text files load correctly.
 
-:func:`evaluate_masked` is the only place the polynomials are evaluated:
-every projection, Jacobian, image-to-ground iteration, triangulation and
-the adjustment's per-track reduction call it on constants packed once
-per model (:class:`RpcArrays`), and it flags vanished denominators and
-non-finite projections per point.  A single model is passed as itself
-(``rpc.arrays``); a batch that mixes models is passed as a stack of them
-(:func:`stack_models`) plus a per-point row index, which it alone
-gathers.  :meth:`RpcModel.validate` and the RPC fit in :mod:`.rectify`
-use the monomials only as a design matrix.
+:func:`evaluate_masked` and its kernel are the only place the
+polynomials are evaluated: every projection, Jacobian, image-to-ground
+iteration, triangulation and the adjustment's per-track reduction use
+them on the 210 constants packed once per model (:class:`RpcArrays`),
+and they flag vanished denominators and non-finite projections per
+point.  A single model is passed as itself (``rpc.arrays``); a batch
+that mixes models is passed as a stack of them (:func:`stack_models`)
+plus a per-point row index, gathered with one ``np.take`` per call.
+The kernel works with the observation axis last: the monomials are
+(20, k) rows, both contractions and the quotient rule run on (., k)
+arrays, and a lone point is evaluated as a pair so that it gets the
+bits it would get in a batch.  :meth:`RpcModel.validate` and the RPC
+fit in :mod:`.rectify` use the monomials only as a design matrix, its
+transpose.
 
 Triangulation and the adjustment's passes share one per-track linearization
 and elimination, :func:`linearize_tracks`, and step, :func:`point_steps`.
+A track's equilibrated 3x3 point block is accepted by a determinant
+screen where that proves it well conditioned, and inverted in closed
+form; only the other blocks are judged by ``eigvalsh``.
 
 Image-to-ground and triangulation are batched: :func:`inverse_project_many`
 and :func:`triangulate_many` iterate many points or tracks in lock-step,
@@ -112,28 +120,34 @@ class BiasCorrection:
 
 
 class RpcArrays(NamedTuple):
-    """Constants of one RPC model, or of a stack of models along leading
-    axes, packed for :func:`evaluate_masked`.  One model is passed as
-    itself, a batch as their stack plus a row index per point.
+    """The constants of one RPC model, or of a stack of models, packed
+    once for :func:`evaluate_masked`: ``table`` is (210,) for one model
+    and (N, 210) for a stack (:func:`stack_models`), a row per model.
 
-    ``offset`` and ``scale`` are (..., 5): latitude, longitude, height,
-    line, sample.  ``coeffs`` is (..., 4, 20): the line and sample
-    numerators, then the line and sample denominators.  ``slopes`` is
-    (..., 4, 3, 10): the derivatives of those four polynomials with
-    respect to normalized (P, L, H), as coefficients of the first ten
-    monomials.
+    Columns 0-4 are the offsets and 5-9 the scales of latitude,
+    longitude, height, line and sample; 10-89 the coefficients (4, 20)
+    of the line and sample numerators, then the line and sample
+    denominators; 90-209 their slopes (4, 3, 10), the derivatives with
+    respect to latitude, longitude and height (per degree and per
+    meter) as coefficients of the first ten monomials.  A batch gathers
+    its points' rows with one ``np.take`` and computes on the
+    transposed view, observation axis last.
     """
 
-    offset: np.ndarray
-    scale: np.ndarray
-    coeffs: np.ndarray
-    slopes: np.ndarray
+    table: np.ndarray
+
+    @property
+    def offset(self) -> np.ndarray:
+        return self.table[..., 0:5]
+
+    @property
+    def scale(self) -> np.ndarray:
+        return self.table[..., 5:10]
 
 
 def stack_models(models) -> RpcArrays:
-    """Stack the packed constants of several models along a new first
-    axis."""
-    return RpcArrays(*(np.stack(a) for a in zip(*(m.arrays for m in models))))
+    """Stack the packed constants of several models, a row per model."""
+    return RpcArrays(np.stack([m.arrays.table for m in models]))
 
 
 @dataclass(frozen=True)
@@ -175,14 +189,14 @@ class RpcModel:
                 raise ValueError(f"{name} must be positive")
         coeffs = np.stack([self.line_num, self.samp_num,
                            self.line_den, self.samp_den])
-        object.__setattr__(self, "arrays", RpcArrays(
-            offset=np.array([self.lat_off, self.lon_off, self.hei_off,
-                             self.line_off, self.samp_off]),
-            scale=np.array([self.lat_scale, self.lon_scale, self.hei_scale,
-                            self.line_scale, self.samp_scale]),
-            coeffs=coeffs,
-            slopes=np.einsum("ct,kts->cks", coeffs, _SLOPES),
-        ))
+        scale = np.array([self.lat_scale, self.lon_scale, self.hei_scale,
+                          self.line_scale, self.samp_scale])
+        # per degree and per meter: chained through the ground
+        # normalization once here rather than at every evaluation
+        slopes = np.einsum("ct,kts->cks", coeffs, _SLOPES) / scale[:3, None]
+        object.__setattr__(self, "arrays", RpcArrays(np.concatenate([
+            [self.lat_off, self.lon_off, self.hei_off, self.line_off,
+             self.samp_off], scale, coeffs.ravel(), slopes.ravel()])))
 
     def validate(self) -> None:
         """Check the denominators over the validity cube.
@@ -194,7 +208,7 @@ class RpcModel:
         has a root in the cube, even between the grid points).
         """
         for name, den in (("line", self.line_den), ("samp", self.samp_den)):
-            vals = _VALIDATION_TERMS @ den
+            vals = den @ _VALIDATION_TERMS
             worst = float(np.min(np.abs(vals)))
             if not worst > DENOMINATOR_EPS:  # NaN too
                 raise DegenerateDenominator(
@@ -208,38 +222,36 @@ class RpcModel:
                 )
 
 
-def poly_terms(P, L, H) -> np.ndarray:
-    """The 20 cubic monomials of the RPC00B convention, last axis length 20.
+# Every monomial after the first four is a product of two earlier ones
+# (``np.power`` costs some 40x a multiplication on [-1, 1]): row t is
+# row a times row b for each (t, a, b).
+_PRODUCTS = ((4, 1, 2), (5, 1, 3), (6, 2, 3), (7, 1, 1), (8, 2, 2),
+             (9, 3, 3), (10, 4, 3), (11, 7, 1), (12, 4, 2), (13, 5, 3),
+             (14, 7, 2), (15, 8, 2), (16, 6, 3), (17, 7, 3), (18, 8, 3),
+             (19, 9, 3))
 
-    Accepts scalars or equally shaped arrays; broadcasting follows numpy
-    rules.  Order: 1, L, P, H, LP, LH, PH, L2, P2, H2, PLH, L3, LP2, LH2,
-    L2P, P3, PH2, L2H, P2H, H3.  Every monomial is a product of two
-    others (``np.power`` costs some 40x a multiplication on [-1, 1]).
+
+def poly_terms(P, L, H) -> np.ndarray:
+    """The 20 cubic monomials of the RPC00B convention, (20, ...): one
+    row per monomial, the points' axes last.
+
+    Accepts scalars or arrays that broadcast together.  Order: 1, L, P,
+    H, LP, LH, PH, L2, P2, H2, PLH, L3, LP2, LH2, L2P, P3, PH2, L2H, P2H,
+    H3.  Its transpose is the design matrix of a fit.
     """
-    P = np.asarray(P, dtype=np.float64)
-    L = np.asarray(L, dtype=np.float64)
-    H = np.asarray(H, dtype=np.float64)
-    one = np.ones(np.broadcast(P, L, H).shape)
-    lp, lh, ph = L * P, L * H, P * H
-    ll, pp, hh = L * L, P * P, H * H
-    return np.stack(
-        [
-            one,
-            L, P, H,
-            lp, lh, ph,
-            ll, pp, hh,
-            lp * H,
-            ll * L, lp * P, lh * H, ll * P,
-            pp * P, ph * H, ll * H, pp * H,
-            hh * H,
-        ],
-        axis=-1,
-    )
+    P, L, H = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64)
+                                    for x in (P, L, H)))
+    terms = np.empty((20,) + P.shape)
+    terms[0] = 1.0
+    terms[1], terms[2], terms[3] = L, P, H
+    for t, a, b in _PRODUCTS:
+        np.multiply(terms[a], terms[b], out=terms[t, ...])
+    return terms
 
 
 def _validation_terms() -> np.ndarray:
     """The monomials of the regular grid that :meth:`RpcModel.validate`
-    samples, (VALIDATION_SAMPLES**3, 20)."""
+    samples, (20, VALIDATION_SAMPLES**3)."""
     axis = np.linspace(-VALIDITY_MARGIN, VALIDITY_MARGIN, VALIDATION_SAMPLES)
     pp, ll, hh = np.meshgrid(axis, axis, axis, indexing="ij")
     return poly_terms(pp.ravel(), ll.ravel(), hh.ravel())
@@ -271,13 +283,62 @@ def _slope_table() -> np.ndarray:
 _SLOPES = _slope_table()
 
 
+def _columns(models: RpcArrays, index) -> np.ndarray:
+    """The constants of each point's model as (210, k) columns, the
+    observation axis last: one gather of the rows ``index`` of a stack,
+    or with ``index`` None the one model as a column broadcast against
+    every point."""
+    if index is None:
+        return models.table[:, None]
+    # whole rows: gathering along the columns of a (210, N) table, which
+    # would give contiguous (210, k) columns, takes three times as long
+    return np.take(models.table, index, axis=0).T
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _evaluate(columns: np.ndarray, lats, lons, heis, derivatives: bool):
+    """The kernel of :func:`evaluate_masked` on (210, k) model
+    ``columns`` (:func:`_columns`) and length-k ground arrays, the
+    observation axis last: (2, k) projections, their (2, 3, k)
+    derivatives or None, and the (k,) usable mask.
+
+    Both contractions sum the monomials in order for every point when
+    k >= 2; a lone point would be summed in another order, so it is
+    evaluated as a pair and every result is the same bits as in a batch.
+    """
+    if len(lats) == 1:
+        pair = _evaluate(columns,
+                         *(np.repeat(x, 2) for x in (lats, lons, heis)),
+                         derivatives)
+        return tuple(None if a is None else a[..., :1] for a in pair)
+    off, scale = columns[0:5], columns[5:10]
+    P = (lats - off[0]) / scale[0]
+    L = (lons - off[1]) / scale[1]
+    H = (heis - off[2]) / scale[2]
+    terms = poly_terms(P, L, H)
+    vals = np.einsum("tk,ctk->ck", terms, columns[10:90].reshape(4, 20, -1))
+    num, den = vals[:2], vals[2:]
+    usable = (np.abs(den) > DENOMINATOR_EPS).all(axis=0)  # NaN too
+    if not usable.all():
+        den = np.where(usable, den, 1.0)
+    ratio = num / den
+    raw = ratio * scale[3:] + off[3:]
+    usable &= np.isfinite(raw).all(axis=0)
+    if not derivatives:
+        return raw, None, usable
+    d_vals = np.einsum("sk,cjsk->cjk", terms[:10],
+                      columns[90:].reshape(4, 3, 10, -1))
+    # quotient rule, chained through the image normalization
+    d_ratio = d_vals[:2] - ratio[:, None] * d_vals[2:]
+    return raw, d_ratio * (scale[3:] / den)[:, None], usable
+
+
 def evaluate_masked(models: RpcArrays, index, lats, lons, heis,
                     derivatives: bool = False):
     """Raw (row, col) projection of ground points by packed RPC models.
     Point k is evaluated under model ``index[k]`` of the stack ``models``
-    (the only gather of per-point model constants), or, with ``index``
-    None, under ``models`` broadcast against the ground arrays.
+    (one gather of per-point model constants), or, with ``index`` None,
+    under ``models`` broadcast against the ground arrays.
 
     Returns:
         ``(raw, d_raw, usable)``: the (..., 2) projection; with
@@ -286,29 +347,21 @@ def evaluate_masked(models: RpcArrays, index, lats, lons, heis,
         ``usable``, False at points whose values are meaningless: a
         denominator vanished or the projection is not finite.
     """
+    if index is None and models.table.ndim == 2:
+        # a stack broadcast against the points: gather each of its rows
+        index = np.arange(len(models.table))
+    shape = np.broadcast_shapes(np.shape(lats), np.shape(lons),
+                                np.shape(heis), np.shape(index))
+    lats, lons, heis = (
+        np.broadcast_to(np.asarray(x, dtype=np.float64), shape).ravel()
+        for x in (lats, lons, heis))
     if index is not None:
-        # np.take copies rows about twice as fast as a[index]
-        models = RpcArrays(*(np.take(a, index, axis=0) for a in models))
-    off, scale = models.offset, models.scale
-    P = (np.asarray(lats, dtype=np.float64) - off[..., 0]) / scale[..., 0]
-    L = (np.asarray(lons, dtype=np.float64) - off[..., 1]) / scale[..., 1]
-    H = (np.asarray(heis, dtype=np.float64) - off[..., 2]) / scale[..., 2]
-    terms = poly_terms(P, L, H)
-    vals = np.einsum("...t,...ct->...c", terms, models.coeffs)
-    num, den = vals[..., :2], vals[..., 2:]
-    usable = (np.abs(den) > DENOMINATOR_EPS).all(axis=-1)  # NaN too
-    if not usable.all():
-        den = np.where(usable[..., None], den, 1.0)
-    raw = num / den * scale[..., 3:] + off[..., 3:]
-    usable &= np.isfinite(raw).all(axis=-1)
-    if not derivatives:
-        return raw, None, usable
-    d_vals = np.einsum("...s,...cks->...ck", terms[..., :10], models.slopes)
-    d_num, d_den = d_vals[..., :2, :], d_vals[..., 2:, :]
-    # quotient rule, chained through the image and ground normalizations
-    d_norm = ((d_num * den[..., None] - num[..., None] * d_den)
-              / (den * den)[..., None])
-    return raw, d_norm * scale[..., 3:, None] / scale[..., None, :3], usable
+        index = np.broadcast_to(index, shape).ravel()
+    raw, d_raw, usable = _evaluate(_columns(models, index), lats, lons, heis,
+                                   derivatives)
+    if d_raw is not None:
+        d_raw = np.moveaxis(d_raw, -1, 0).reshape(*shape, 2, 3)
+    return raw.T.reshape(*shape, 2), d_raw, usable.reshape(shape)
 
 
 def _segment_rows(starts: np.ndarray, which: np.ndarray):
@@ -323,17 +376,19 @@ def _segment_rows(starts: np.ndarray, which: np.ndarray):
 
 
 class TrackLinearization(NamedTuple):
-    """Many tracks linearized at their grounds (:func:`linearize_tracks`).
+    """Many tracks linearized at their grounds (:func:`linearize_tracks`),
+    the observation axis last.
 
-    Track j owns rows ``starts[j]:starts[j + 1]`` of the per-observation
-    arrays; ``owner`` is each row's track.  ``v`` (k, 2) are the
-    residuals, target minus raw projection; ``usable`` is False for a
-    track where a denominator vanished.  With derivatives (else None):
-    ``b`` (k, 2, 3) are the residual Jacobians in each track's first
-    model's normalized ground units over its column norms ``col_norms``
-    (T, 3), ``inverse`` (T, 3, 3) the inverse normal matrices of those
-    columns (the identity where not ``ok``), and ``ok`` False where a
-    column vanishes or is not finite, or the eigenvalue test fails.
+    Track j owns columns ``starts[j]:starts[j + 1]`` of the
+    per-observation arrays; ``owner`` is each column's track.  ``v``
+    (2, k) are the residuals, target minus raw projection; ``usable`` is
+    False for a track where a denominator vanished.  With derivatives
+    (else None): ``b`` (2, 3, k) are the residual Jacobians in each
+    track's first model's normalized ground units over its column norms
+    ``col_norms`` (3, T), ``inverse`` (T, 3, 3) the inverse normal
+    matrices of those columns (the identity where not ``ok``), and
+    ``ok`` False where a column vanishes or is not finite, or the
+    condition test fails.
     """
 
     starts: np.ndarray
@@ -346,6 +401,60 @@ class TrackLinearization(NamedTuple):
     ok: np.ndarray | None = None
 
 
+# The six distinct entries of a symmetric 3x3 matrix, (row, column): the
+# diagonal, then (0, 1), (0, 2) and (1, 2); and where each of the nine
+# entries of the matrix, in row-major order, sits among them.
+_ROW = np.array([0, 1, 2, 0, 0, 1])
+_COL = np.array([0, 1, 2, 1, 2, 2])
+_SYMMETRIC = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _invert_blocks(off: np.ndarray, ok: np.ndarray, cond_max: float):
+    """Judge and invert the unit-diagonal symmetric blocks whose
+    off-diagonal entries (0, 1), (0, 2), (1, 2) are the rows of the
+    (3, T) ``off``, among those ``ok`` already: a block passes when its
+    eigenvalues are positive and the greatest is at most ``cond_max``
+    times the least.
+
+    The eigenvalues of a positive definite block (its leading 2x2 minor
+    and its determinant positive) sum to its trace, 3, so the greatest
+    is at most 3 and the product of the two greater at most 1.5^2; the
+    least is then at least det / 2.25 and the condition at most
+    6.75 / det.  Such a block with det >= 6.75 / cond_max passes without
+    more ado and is inverted as its adjugate over det.  Only the other
+    blocks are decided by their ``eigvalsh`` eigenvalues and, where they
+    pass, inverted by ``np.linalg.inv``: the adjugate loses their small
+    determinants to cancellation.
+
+    Returns:
+        ``(ok, inverse)``: the verdict, updated in ``ok`` itself, and the
+        (T, 3, 3) inverses, the identity where not ``ok``.
+    """
+    a, b, c = off
+    adjugate = np.stack([1.0 - c * c, 1.0 - b * b, 1.0 - a * a,
+                         b * c - a, a * c - b, a * b - c])
+    det = adjugate[0] + a * adjugate[3] + b * adjugate[4]
+    screened = ok & (adjugate[2] > 0.0) & (det >= 6.75 / cond_max)
+    inverse = _unpack(np.where(screened, adjugate / det,
+                               (_ROW == _COL)[:, None]))
+    rest = np.flatnonzero(ok & ~screened)
+    if rest.size:
+        normal = _unpack(np.concatenate([np.ones((3, rest.size)),
+                                         off[:, rest]]))
+        eig = np.linalg.eigvalsh(normal)
+        ok[rest] = passed = (eig[:, 0] > 0.0) & (
+            eig[:, -1] <= cond_max * eig[:, 0])
+        inverse[rest[passed]] = np.linalg.inv(normal[passed])
+    return ok, inverse
+
+
+def _unpack(entries: np.ndarray) -> np.ndarray:
+    """The (T, 3, 3) symmetric matrices of the (6, T) distinct
+    ``entries`` in :data:`_ROW`, :data:`_COL` order."""
+    return entries[_SYMMETRIC].T.reshape(-1, 3, 3)
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def linearize_tracks(models: RpcArrays, index, targets, grounds, starts,
                      cond_max: float | None = None) -> TrackLinearization:
@@ -354,50 +463,57 @@ def linearize_tracks(models: RpcArrays, index, targets, grounds, starts,
 
     Track j's observations are rows ``starts[j]:starts[j + 1]`` of the
     (k, 2) ``targets``, the raw projections its ground should reproduce,
-    and of ``index``, their models in the stack ``models``.
-    Equilibration makes the condition check reflect ray geometry rather
-    than the disparity between planimetric and height sensitivities, and
-    leaves the Schur contribution b (b'b)^-1 b' unchanged.  A block is
-    ``ok`` when its ``eigvalsh`` eigenvalues are positive and the
-    greatest is at most ``cond_max`` times the least.
+    and of ``index``, their models in the stack ``models``.  One kernel
+    call evaluates them all, observation axis last, and each track's
+    point block is reduced once as the six distinct entries of its
+    normal matrix.  Equilibration makes the condition check reflect ray
+    geometry rather than the disparity between planimetric and height
+    sensitivities, and leaves the Schur contribution b (b'b)^-1 b'
+    unchanged.  A block is ``ok`` when its eigenvalues are positive and
+    the greatest is at most ``cond_max`` times the least, decided by a
+    determinant screen or else by ``eigvalsh`` (:func:`_invert_blocks`).
     """
     owner = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    g = grounds[owner]
-    raw, d_raw, usable = evaluate_masked(models, index, g[:, 0], g[:, 1],
-                                         g[:, 2], cond_max is not None)
-    v = targets - raw
+    g = np.take(grounds, owner, axis=0)
+    columns = _columns(models, index)
+    raw, d_raw, usable = _evaluate(columns, g[:, 0], g[:, 1], g[:, 2],
+                                   cond_max is not None)
+    v = np.asarray(targets).T - raw
     usable = np.logical_and.reduceat(usable, starts[:-1])
     if d_raw is None:
         return TrackLinearization(starts, owner, v, usable)
     # residual = observed - project: minus the slope per normalized unit
-    unit = models.scale[index[starts[:-1]], :3]
-    rows = d_raw.reshape(-1, 3)
-    gram = np.add.reduceat(rows[:, :, None] * rows[:, None, :],
-                           2 * starts[:-1])
-    gram *= unit[:, :, None] * unit[:, None]
-    squares = np.einsum("tii->ti", gram)
-    ok = (squares > 0.0).all(axis=1) & np.isfinite(gram).all(axis=(1, 2))
-    col_norms = np.sqrt(np.where(ok[:, None], squares, 1.0))
-    normal = gram / (col_norms[:, :, None] * col_norms[:, None, :])
-    eig = np.linalg.eigvalsh(normal[ok])
-    ok[ok] = (eig[:, 0] > 0.0) & (eig[:, -1] <= cond_max * eig[:, 0])
-    inverse = np.linalg.inv(np.where(ok[:, None, None], normal, np.eye(3)))
-    b = -d_raw * np.take(unit / col_norms, owner, axis=0)[:, None, :]
+    unit = columns[5:8, starts[:-1]]
+    gram = np.add.reduceat(d_raw[0, _ROW] * d_raw[0, _COL]
+                           + d_raw[1, _ROW] * d_raw[1, _COL],
+                           starts[:-1], axis=1)
+    gram *= unit[_ROW] * unit[_COL]
+    squares = gram[:3]
+    ok = (squares > 0.0).all(axis=0) & np.isfinite(gram).all(axis=0)
+    col_norms = np.sqrt(np.where(ok, squares, 1.0))
+    ok, inverse = _invert_blocks(
+        gram[3:] / (col_norms[_ROW[3:]] * col_norms[_COL[3:]]), ok, cond_max)
+    b = -d_raw * np.take(unit / col_norms, owner, axis=1)
     return TrackLinearization(starts, owner, v, usable, b, inverse,
                               col_norms, ok)
 
 
 def _gradient(lin: TrackLinearization, v) -> np.ndarray:
-    """Each track's -sum b'v over its rows of the residuals ``v``."""
-    return -np.add.reduceat(np.einsum("kri,kr->ki", lin.b, v), lin.starts[:-1])
+    """Each track's -sum b'v over its columns of the (2, k) residuals
+    ``v``, (3, T)."""
+    return -np.add.reduceat(lin.b[0] * v[0] + lin.b[1] * v[1],
+                            lin.starts[:-1], axis=1)
 
 
 def point_steps(lin: TrackLinearization, v, which) -> np.ndarray:
-    """Gauss-Newton ground steps, in normalized units, of the tracks
-    selected by the mask ``which``: their inverse normal blocks times
-    their gradients of the residuals ``v`` (``lin.v`` or a shifted copy)."""
-    return (np.einsum("tij,tj->ti", lin.inverse[which],
-                      _gradient(lin, v)[which]) / lin.col_norms[which])
+    """Gauss-Newton ground steps (k, 3), in normalized units, of the
+    tracks selected by the mask ``which``: their inverse normal blocks
+    times their gradients of the (2, k) residuals ``v`` (``lin.v`` or a
+    shifted copy), summed in the same order for any number of tracks."""
+    g = _gradient(lin, v)[:, which, None]
+    inverse = lin.inverse[which]
+    return ((inverse[:, :, 0] * g[0] + inverse[:, :, 1] * g[1]
+             + inverse[:, :, 2] * g[2]) / lin.col_norms[:, which].T)
 
 
 def _check_usable(usable) -> None:
@@ -511,21 +627,21 @@ def inverse_project_many(models: RpcArrays, index, targets, heis):
     for _ in range(MAX_ITERATIONS):
         if not live.size:
             break
-        raw, d_raw, usable = evaluate_masked(
-            models, None if index is None else index[live], lats[live],
-            lons[live], heis[live], derivatives=True)
-        v = targets[live] - raw
-        done = usable & (np.abs(v).max(axis=1) < IMAGE_TOL_PX)
-        a, b = d_raw[:, 0, 0], d_raw[:, 0, 1]
-        c, d = d_raw[:, 1, 0], d_raw[:, 1, 1]
+        raw, d_raw, usable = _evaluate(
+            _columns(models, None if index is None else index[live]),
+            lats[live], lons[live], heis[live], derivatives=True)
+        v = targets[live].T - raw
+        done = usable & (np.abs(v).max(axis=0) < IMAGE_TOL_PX)
+        a, b = d_raw[0, 0], d_raw[0, 1]
+        c, d = d_raw[1, 0], d_raw[1, 1]
         det = a * d - b * c
         status[live[~usable]] = DEGENERATE
         status[live[done]] = SOLVED
         status[live[usable & ~done & (det == 0.0)]] = SINGULAR
         s = np.flatnonzero(usable & ~done & (det != 0.0))
         moving = live[s]
-        lats[moving] += (d[s] * v[s, 0] - b[s] * v[s, 1]) / det[s]
-        lons[moving] += (a[s] * v[s, 1] - c[s] * v[s, 0]) / det[s]
+        lats[moving] += (d[s] * v[0, s] - b[s] * v[1, s]) / det[s]
+        lons[moving] += (a[s] * v[1, s] - c[s] * v[0, s]) / det[s]
         far = ((np.abs(lats[moving] - offset[moving, 0]) / scale[moving, 0]
                 > DIVERGENCE_BOUND)
                | (np.abs(lons[moving] - offset[moving, 1]) / scale[moving, 1]

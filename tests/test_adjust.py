@@ -93,6 +93,34 @@ def random_graph(rng, n_images=3, n_tracks=12, noise=0.3):
     return scene_graph(scene)
 
 
+def test_solve_bias_factors_its_one_copy_in_place():
+    """At 2N = 2,000 (a 32 MB reduced matrix) the solve's traced peak
+    stays within 1.3 times the matrix: one copy of the kept rows and
+    columns, factored in place.  The system is left as it was."""
+    n2 = 2000
+    rng = np.random.default_rng(7)
+    matrix = rng.uniform(-1.0, 1.0, (n2, n2))
+    matrix += matrix.T
+    # diagonally dominant, so positive definite
+    matrix[np.diag_indices(n2)] += 2.0 * n2
+    system = adjust.ReducedNormalSystem(matrix, rng.normal(size=n2), [])
+    before = matrix.copy()
+    for gauge in (None, 0):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            x = solve_bias(system, gauge).ravel()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * matrix.nbytes
+        assert np.array_equal(system.matrix, before)
+        keep = slice(0 if gauge is None else 2, None)
+        np.testing.assert_allclose(matrix[keep, keep] @ x[keep],
+                                   system.rhs[keep], rtol=0, atol=1e-9)
+        assert (x[:2] == 0.0).all() == (gauge == 0)
+
+
 @pytest.mark.parametrize("chunk", [1, 5, 24, adjust.CHUNK_OBSERVATIONS])
 def test_solve_matches_dense_oracle(chunk, rng, monkeypatch):
     monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", chunk)
@@ -719,6 +747,30 @@ def test_adjust_loop_memory_grows_by_one_step_of_kept_arrays():
     assert (observations, tracks) == (7200, 1200)
     kept = per_observation * observations + per_track * tracks
     assert peaks[1600] - peaks[400] < kept + 32_768
+
+
+def test_screen_judges_almost_every_block_of_the_acceptance_scene(
+        monkeypatch):
+    """Assembling and adjusting the N=5/M=500 acceptance scene judges
+    thousands of point blocks, and the determinant screen accepts
+    almost all of them without ``eigvalsh``."""
+    judged, sent = [0], [0]
+    invert, eigvalsh = rpc_mod._invert_blocks, np.linalg.eigvalsh
+
+    def counting_invert(off, ok, cond_max):
+        judged[0] += int(ok.sum())
+        return invert(off, ok, cond_max)
+
+    def counting_eigvalsh(blocks):
+        sent[0] += len(blocks)
+        return eigvalsh(blocks)
+
+    monkeypatch.setattr(rpc_mod, "_invert_blocks", counting_invert)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    graph = scene_graph(gen_scene(5, 500, 30.0, 0.25, seed=42))
+    assert adjust_loop(graph).converged
+    assert judged[0] > 3000
+    assert sent[0] <= 0.01 * judged[0]
 
 
 def test_update_points_retriangulates_under_current_bias(small_scene):

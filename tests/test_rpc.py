@@ -263,6 +263,53 @@ def test_non_finite_evaluations_are_not_usable(rng):
             project_arrays(model, lat, g.lon, g.hei)
 
 
+@pytest.mark.parametrize("gathered", [False, True])
+def test_lone_point_equals_the_same_point_in_a_batch(rng, gathered):
+    """One point, as scalars or as length-1 arrays, gets the bits it gets
+    inside a batch, derivatives and mask too, under one model passed as
+    itself and gathered from a stack: ``np.einsum`` would sum a lone
+    point's monomials in another order than a batch's."""
+    models = [random_rpc(rng) for _ in range(3)]
+    stack = stack_models(models)
+    index = rng.integers(0, 3, 40) if gathered else np.zeros(40, dtype=int)
+    u = rng.uniform(-1.1, 1.1, (3, len(index)))
+    table = stack.table[index]
+    lats, lons, heis = (table[:, i] + u[i] * table[:, 5 + i]
+                        for i in range(3))
+
+    def evaluate(rows, *ground):
+        if gathered:
+            return rpc_mod.evaluate_masked(stack, index[rows], *ground, True)
+        return rpc_mod.evaluate_masked(models[0].arrays, None, *ground, True)
+
+    batch = evaluate(slice(None), lats, lons, heis)
+    for k in range(len(index)):
+        scalar = evaluate(k, lats[k], lons[k], heis[k])
+        one = evaluate(slice(k, k + 1), lats[k:k + 1], lons[k:k + 1],
+                       heis[k:k + 1])
+        for got_scalar, got_one, want in zip(scalar, one, batch):
+            np.testing.assert_array_equal(got_scalar, want[k])
+            np.testing.assert_array_equal(got_one, want[k:k + 1])
+
+
+def test_lone_pixel_cast_equals_the_same_pixel_in_a_batch(small_scene, rng):
+    """The array cast of one pixel, as scalars or as length-1 arrays,
+    gives the bits the pixel gets inside a batch."""
+    rpc = small_scene.images[0].rpc
+    u = rng.uniform(-0.7, 0.7, (3, 30))
+    heis = rpc.hei_off + u[2] * rpc.hei_scale
+    rows, cols = project_arrays(rpc, rpc.lat_off + u[0] * rpc.lat_scale,
+                                rpc.lon_off + u[1] * rpc.lon_scale, heis)
+    lats, lons = rpc_mod.inverse_project_arrays(rpc, rows, cols, heis)
+    for k in range(len(heis)):
+        lat, lon = rpc_mod.inverse_project_arrays(rpc, rows[k], cols[k],
+                                                  heis[k])
+        assert (lat, lon) == (lats[k], lons[k])
+        lat, lon = rpc_mod.inverse_project_arrays(
+            rpc, rows[k:k + 1], cols[k:k + 1], heis[k:k + 1])
+        assert (lat.tolist(), lon.tolist()) == ([lats[k]], [lons[k]])
+
+
 # ---------------------------------------------------------------------------
 # Inverse projection and triangulation
 # ---------------------------------------------------------------------------
@@ -429,6 +476,56 @@ def test_point_block_verdict_is_the_condition_rule(rng, cond_max):
     # are compared, and the verdict goes both ways
     assert apart[600:1000].mean() > 0.25
     assert 0 < lin.ok[apart].mean() < 1
+
+
+@pytest.mark.parametrize("cond_max", [rpc_mod.TRIANGULATION_COND_MAX,
+                                      POINT_BLOCK_COND_MAX])
+def test_determinant_screen_agrees_with_eigvalsh(rng, monkeypatch,
+                                                 cond_max):
+    """Blocks that pass the determinant screen skip ``eigvalsh``; all of
+    them have ``np.linalg.cond <= cond_max``, and the verdict on every
+    block equals the ``eigvalsh`` verdict alone.  Random positive
+    definite blocks, blocks near the bound, indefinite and singular
+    blocks; every accepted block's inverse solves it to 16 eps times its
+    condition."""
+    near = cond_max * (1.0 + rng.choice([-1.0, 1.0], 400)
+                       * 10.0 ** rng.uniform(-9.0, -1.0, 400))
+    x = (10.0 ** rng.uniform(-3, 3, (300, 1, 3))
+         * rng.normal(size=(300, 3, 3)))
+    rows = unit_diagonal_blocks(rng, 400, near)
+    u = rng.normal(size=(100, 1, 3))
+    gram = np.concatenate([np.einsum("tri,trj->tij", x, x),
+                           np.einsum("tri,trj->tij", rows, rows),
+                           np.einsum("tri,trj->tij", u, u)])
+    d = np.sqrt(np.einsum("tii->ti", gram))
+    normal = gram / (d[:, :, None] * d[:, None, :])
+    # and symmetric unit-diagonal blocks whose off-diagonal entries lie
+    # in (-1, 1), many of them indefinite
+    off = np.concatenate([normal[:, [0, 0, 1], [1, 2, 2]].T,
+                          rng.uniform(-1.0, 1.0, (3, 200))], axis=1)
+    unit = rpc_mod._unpack(np.concatenate([np.ones((3, off.shape[1])),
+                                           off]))
+    eig = np.linalg.eigvalsh(unit)
+    verdict = (eig[:, 0] > 0.0) & (eig[:, -1] <= cond_max * eig[:, 0])
+    sent = []
+    real = np.linalg.eigvalsh
+
+    def recording(blocks):
+        sent.extend(block.tobytes() for block in blocks)
+        return real(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    ok, inverse = rpc_mod._invert_blocks(off, np.ones(len(unit), bool),
+                                         cond_max)
+    screened = np.array([block.tobytes() not in sent for block in unit])
+    np.testing.assert_array_equal(ok, verdict)
+    assert (np.linalg.cond(unit[screened]) <= cond_max).all()
+    assert (inverse[~ok] == np.eye(3)).all()
+    cond = np.linalg.cond(unit[ok])
+    residual = np.abs(inverse[ok] @ unit[ok] - np.eye(3)).max(axis=(1, 2))
+    assert (residual <= 16 * np.finfo(float).eps * cond).all()
+    # both routes are taken, and eigvalsh both accepts and rejects
+    assert screened.sum() >= 250 and 0 < ok[~screened].mean() < 1
 
 
 def test_batched_inverse_project_matches_one_point_calls(rng):
