@@ -48,7 +48,7 @@ from .match import (
     match_pair,
     select_pairs,
 )
-from .tracks import Track, build_tracks, track_stats
+from .tracks import Track, TrackTable, build_tracks, track_stats
 from .adjust import (
     AdjustmentResult,
     ObservationGraph,

@@ -8,23 +8,27 @@ contribute only bias terms, the exact limit of an infinitely stiff
 ground constraint.
 
 The passes run on the observations that :class:`ObservationGraph`
-packs once, in chunks of whole tracks holding at most
-``CHUNK_OBSERVATIONS`` observations: one RPC evaluation per chunk and
-stacked 3x3 point blocks.  A chunk's Schur terms are subtracted as one
-dense panel product, whose panels have a row pair per image the chunk
-sees and three columns per track, so every per-chunk array is bounded
-by the chunk size and by N; the one 2N x 2N array is the reduced bias
-system for N images.  A step of :func:`adjust_loop` is one
-linearization pass plus a back-substitution: the pass reports the
-residuals, reduces each chunk and keeps the arrays that
-back-substitution reads, from which the ground corrections follow
-once the biases are solved.  Its working memory is the chunk, the
-2N x 2N matrix and one step's kept arrays (about 64 B per observation
-and 105 B per track).  :func:`accumulate_reduced`,
-:func:`ground_corrections` and :func:`report` each linearize on their
-own and keep nothing.  Triangulation (:func:`update_points`) solves
+takes from a :class:`~satadjust.tracks.TrackTable`, sharing its pixels
+and starts (the table holds about 20 B per observation and 41 B per
+track; the graph adds 8 B per observation, its image indices, and 25 B
+per track, its grounds and GCP flags), in chunks of whole tracks
+holding at most ``CHUNK_OBSERVATIONS`` observations: one RPC
+evaluation per chunk and stacked 3x3 point blocks.  A chunk's Schur
+terms are subtracted as one dense panel product, whose panels have a
+row pair per image the chunk sees and three columns per track, so
+every per-chunk array is bounded by the chunk size and by N; the one
+2N x 2N array is the reduced bias system for N images.  A step of
+:func:`adjust_loop` is one linearization pass plus a
+back-substitution: the pass reports the residuals, reduces each chunk
+and keeps the arrays that back-substitution reads, from which the
+ground corrections follow once the biases are solved.  Its working
+memory is the chunk, the 2N x 2N matrix and one step's kept arrays
+(about 64 B per observation and 105 B per track).
+:func:`accumulate_reduced`, :func:`ground_corrections` and
+:func:`report` each linearize on their own and keep nothing.  Triangulation (:func:`update_points`) solves
 the free tracks of a chunk in one lock-step
-:func:`rpc.triangulate_many` call.
+:func:`rpc.triangulate_many` call, from starts cast for many chunks
+at once.
 
 Free networks (no GCPs) have an unobservable common image-space
 translation; the datum is fixed by pinning image 0's bias correction to
@@ -48,7 +52,7 @@ from .errors import (
     RankDeficient,
 )
 from .rpc import BiasCorrection, GroundPoint, RpcModel
-from .tracks import Track, apply_gcps
+from .tracks import Track, TrackTable, apply_gcps, as_table
 
 logger = logging.getLogger(__name__)
 
@@ -72,21 +76,23 @@ class ObservationGraph:
     the adjustment.
 
     ``images`` holds the ``(image_id, rpc)`` pairs as given, and
-    ``index`` maps an image id to its position.  The observations are
-    packed once on construction, track by track and within a track in
-    image order: ``obs_image`` and ``obs_pixel`` hold each one's image
+    ``index`` maps an image id to its position.  ``tracks`` is the
+    :class:`~satadjust.tracks.TrackTable` the graph was built from; a
+    list of :class:`~satadjust.tracks.Track` is packed into one first.
+    Its observations are taken over track by track and, within a track,
+    in image order: ``obs_image`` and ``obs_pixel`` hold each one's image
     index and observed (row, col) pixel, and track j owns rows
-    ``track_start[j]:track_start[j + 1]``.  ``models`` holds the image
-    models packed in image order.  ``bias`` (N, 2), zero on
-    construction, holds image i's (d_row, d_col) in row i; ``ground``
-    (M, 3) holds each track's (lat, lon, hei), packed from
-    ``Track.ground`` (NaN where that is None), and ``gcp`` flags the GCP
-    tracks.  These arrays, not the images or tracks, are what the
-    passes read and update.
+    ``track_start[j]:track_start[j + 1]``; the pixels and starts are the
+    table's own arrays unless image order differs from image-id order.
+    ``models`` holds the image models packed in image order.  ``bias``
+    (N, 2), zero on construction, holds image i's (d_row, d_col) in row
+    i; ``ground`` (M, 3) holds each track's (lat, lon, hei), a copy of
+    the table's, and ``gcp`` flags the GCP tracks.  These arrays, not
+    the images or tracks, are what the passes read and update.
     """
 
     images: list[tuple[str, RpcModel]]
-    tracks: list[Track]
+    tracks: TrackTable
     index: dict[str, int] = field(init=False)
     obs_image: np.ndarray = field(init=False)
     obs_pixel: np.ndarray = field(init=False)
@@ -103,30 +109,25 @@ class ObservationGraph:
             raise ConfigInvalid("duplicate image ids")
         self.models = rpc_mod.stack_models([rpc for _, rpc in self.images])
         self.bias = np.zeros((len(self.images), 2))
-        image, rows, cols = [], [], []
-        degrees = np.empty(len(self.tracks), dtype=np.intp)
-        for j, track in enumerate(self.tracks):
-            try:
-                image.extend(map(self.index.__getitem__, track.observations))
-            except KeyError as exc:
-                raise ConfigInvalid(f"track references unknown image "
-                                    f"{exc.args[0]}") from None
-            points = track.observations.values()
-            rows.extend(p.row for p in points)
-            cols.extend(p.col for p in points)
-            degrees[j] = len(points)
-        self.track_start = np.zeros(len(self.tracks) + 1, dtype=np.intp)
-        np.cumsum(degrees, out=self.track_start[1:])
-        # track by track, and in image order within a track
-        order = np.lexsort((image, np.repeat(np.arange(len(degrees)),
-                                             degrees)))
-        self.obs_image = np.array(image, dtype=np.intp)[order]
-        self.obs_pixel = np.column_stack([rows, cols])[order]
-        self.ground = np.array(
-            [(np.nan,) * 3 if t.ground is None
-             else (t.ground.lat, t.ground.lon, t.ground.hei)
-             for t in self.tracks], dtype=np.float64).reshape(-1, 3)
-        self.gcp = np.array([t.is_gcp for t in self.tracks], dtype=bool)
+        table = self.tracks = as_table(self.tracks)
+        # each image id's index, -1 for an image the graph lacks
+        to_index = np.array([self.index.get(image_id, -1)
+                             for image_id in table.image_ids], dtype=np.intp)
+        image = to_index[table.image]
+        unknown = image < 0
+        if unknown.any():
+            raise ConfigInvalid(
+                f"track references unknown image "
+                f"{table.image_ids[table.image[np.argmax(unknown)]]}")
+        self.obs_image, self.obs_pixel = image, table.pixel
+        if (np.diff(to_index[to_index >= 0]) <= 0).any():
+            # image order is not image-id order: sort each track's rows
+            order = np.lexsort((image, np.repeat(np.arange(len(table)),
+                                                 np.diff(table.start))))
+            self.obs_image, self.obs_pixel = image[order], table.pixel[order]
+        self.track_start = table.start
+        self.ground = table.ground.copy()
+        self.gcp = table.gcp.copy()
 
     @property
     def has_gcp(self) -> bool:
@@ -210,7 +211,7 @@ def _warn_tracks(tracks: list[int], what: str) -> None:
 
 def assemble(
     images: list[tuple[str, RpcModel]],
-    tracks: list[Track],
+    tracks: TrackTable | list[Track],
     gcps: dict[int, GroundPoint] | None = None,
 ) -> ObservationGraph:
     """Build the observation graph: zero biases, triangulated grounds.
@@ -218,21 +219,22 @@ def assemble(
     GCP tracks (flagged via ``gcps``, keyed by track id) take their
     surveyed coordinates verbatim; the rest are triangulated with zero
     biases by :func:`update_points`, and those that fail are dropped.
-    The tracks are modified in place by :func:`tracks.apply_gcps`.
+    A table given is flagged in place by :func:`tracks.apply_gcps`; a
+    list of tracks is packed into a table first and left as it is.
 
     Raises:
         ConfigInvalid: duplicate or unknown image ids, or a GCP naming an
             unknown track.
     """
+    table = as_table(tracks)
     if gcps:
-        apply_gcps(tracks, gcps)
-    graph = ObservationGraph(images=images, tracks=list(tracks))
+        apply_gcps(table, gcps)
+    graph = ObservationGraph(images=images, tracks=table)
     failed = update_points(graph)
     if not failed:
         return graph
-    kept = np.delete(np.arange(len(tracks)), failed)
-    kept_graph = ObservationGraph(images=images,
-                                  tracks=[tracks[j] for j in kept])
+    kept = np.delete(np.arange(len(table)), failed)
+    kept_graph = ObservationGraph(images=images, tracks=table.take(kept))
     kept_graph.ground[:] = graph.ground[kept]
     return kept_graph
 
@@ -323,7 +325,13 @@ def _reduce_chunk(system: ReducedNormalSystem, graph: ObservationGraph,
     np.matmul(bt.reshape(len(bias_rows), b - a, 3).transpose(1, 0, 2),
               lin.inverse,
               out=w.reshape(len(bias_rows), b - a, 3).transpose(1, 0, 2))
-    system.matrix[np.ix_(bias_rows, bias_rows)] -= w @ bt.T
+    if seen[-1] - seen[0] == len(seen) - 1:
+        # one run of images, as in a full-visibility block: a slice
+        # updates the same entries without gathering them
+        bias_rows = slice(2 * seen[0], 2 * seen[-1] + 2)
+        system.matrix[bias_rows, bias_rows] -= w @ bt.T
+    else:
+        system.matrix[np.ix_(bias_rows, bias_rows)] -= w @ bt.T
     system.rhs[bias_rows] -= w @ l_b.T.ravel()
     return free
 
@@ -407,27 +415,43 @@ def ground_corrections(
 def update_points(graph: ObservationGraph) -> list[int]:
     """Triangulate every non-GCP track afresh with the current biases,
     one lock-step :func:`rpc.triangulate_many` call per chunk of
-    :meth:`ObservationGraph.chunks` that holds a free track.
+    :meth:`ObservationGraph.chunks` that holds a free track.  The
+    chunks' starts are cast together: one :func:`rpc.cast_heads` call
+    per ``CHUNK_OBSERVATIONS // 2`` free tracks (the most a chunk can
+    hold), so the cast's arrays stay within a chunk's.
 
     GCP grounds are never touched.  Tracks whose triangulation fails
     keep their previous ground; their indices are returned in order and
     named in one log warning.
     """
+    free = np.flatnonzero(~graph.gcp)
+    # the starts of free[at:at + len(cast_status)]
+    at, cast_grounds, cast_status = 0, None, np.empty(0)
     failed = []
     for a, b in graph.chunks():
-        free = a + np.flatnonzero(~graph.gcp[a:b])
-        if not free.size:
+        lo, hi = np.searchsorted(free, [a, b])
+        if lo == hi:
             continue
-        rows, starts = rpc_mod._segment_rows(graph.track_start, free)
+        if hi > at + len(cast_status):
+            at = lo
+            first = graph.track_start[
+                free[at:max(hi, at + CHUNK_OBSERVATIONS // 2)]]
+            heads = graph.obs_image[first]
+            # residual = observed - (raw - bias), so fold the bias into
+            # the target, as rpc.triangulate does
+            cast_grounds, cast_status = rpc_mod.cast_heads(
+                graph.models, heads,
+                graph.obs_pixel[first] + graph.bias[heads])
+        mine = free[lo:hi]
+        rows, starts = rpc_mod._segment_rows(graph.track_start, mine)
         image = graph.obs_image[rows]
-        # residual = observed - (raw - bias), so fold the bias into the
-        # target, as rpc.triangulate does
         grounds, status = rpc_mod.triangulate_many(
             graph.models, image, graph.obs_pixel[rows] + graph.bias[image],
-            starts)
+            starts, (cast_grounds[lo - at:hi - at],
+                     cast_status[lo - at:hi - at]))
         solved = status == rpc_mod.SOLVED
-        graph.ground[free[solved]] = grounds[solved]
-        failed.extend(free[~solved].tolist())
+        graph.ground[mine[solved]] = grounds[solved]
+        failed.extend(mine[~solved].tolist())
     _warn_tracks(failed, "failed to triangulate")
     return failed
 

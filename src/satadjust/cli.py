@@ -22,6 +22,7 @@ from . import adjust as adjust_mod
 from . import match as match_mod
 from . import rectify as rectify_mod
 from . import synth as synth_mod
+from . import textfile
 from . import tracks as tracks_mod
 from .errors import ConfigInvalid, DataError, NumericalError, ParseError
 from .match import MatchParams
@@ -82,7 +83,7 @@ def load_config(path) -> dict:
     """
     names = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
     overrides = {}
-    with open(path, "r") as fh:
+    with textfile.open_text(path) as fh:
         for line_no, line in enumerate(fh, 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -213,14 +214,14 @@ def cmd_match(products_dir: str, out_dir: str,
     corr_path = os.path.join(out_dir, "correspondences.txt")
     match_mod.save_correspondences(per_pair, corr_path,
                                    header=config.describe())
-    track_list = tracks_mod.build_tracks(per_pair)
+    table = tracks_mod.TrackTable.from_tracks(
+        tracks_mod.build_tracks(per_pair))
     track_path = os.path.join(out_dir, "tracks.txt")
-    tracks_mod.save_tracks(track_list, track_path,
-                           header=config.describe())
-    stats = tracks_mod.track_stats(track_list)
+    tracks_mod.save_tracks(table, track_path, header=config.describe())
+    stats = tracks_mod.track_stats(table)
     n_matches = sum(len(matches) for *_, matches in per_pair)
     print(f"matched {len(pairs)} pair(s): {n_matches} correspondences, "
-          f"{len(track_list)} tracks {stats}")
+          f"{len(table)} tracks {stats}")
     return corr_path, track_path
 
 
@@ -251,9 +252,9 @@ def _assemble(track_path: str, products_dir: str,
     whose models are read from their sidecars; no raster is read."""
     images = [(os.path.basename(stem), load_rpc_file(stem + ".meta"))
               for stem in _product_stems(products_dir)]
-    track_list = tracks_mod.load_tracks(track_path)
+    table = tracks_mod.load_tracks(track_path)
     gcps = tracks_mod.load_gcps(gcp_path) if gcp_path else None
-    return adjust_mod.assemble(images, track_list, gcps)
+    return adjust_mod.assemble(images, table, gcps)
 
 
 def cmd_adjust(track_path: str, products_dir: str, out_dir: str,
@@ -274,7 +275,8 @@ def cmd_adjust(track_path: str, products_dir: str, out_dir: str,
     table = _format_table(result.before, result.after)
     summary = (f"iterations: {result.iterations}  "
                f"converged: {result.converged}")
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
+    with open(os.path.join(out_dir, "report.txt"), "w",
+              encoding="utf-8") as fh:
         fh.write(table + "\n" + summary + "\n")
     payload = {
         "before": _report_dict(result.before),
@@ -287,7 +289,8 @@ def cmd_adjust(track_path: str, products_dir: str, out_dir: str,
         "gauge_image": None if graph.has_gcp else graph.images[0][0],
         "config": config.knobs(),
     }
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+    with open(os.path.join(out_dir, "report.json"), "w",
+              encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     print(table)

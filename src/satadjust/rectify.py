@@ -509,7 +509,7 @@ def load_product(stem) -> Level2Product:
     """
     stem = str(stem)
     source = stem + ".meta"
-    with open(source, "r") as fh:
+    with textfile.open_text(source) as fh:
         values = textfile.keys(fh.read(), source)
     for key in values:
         if key.startswith("GEO_TRANSFORM_") and key not in _SIDE_KEYS:

@@ -688,7 +688,22 @@ def inverse_project(
     return GroundPoint(float(lats), float(lons), float(hei))
 
 
-def triangulate_many(models: RpcArrays, index, targets, starts):
+def cast_heads(models: RpcArrays, heads, targets):
+    """Ground points at the height offsets of the models ``heads`` whose
+    raw projections under those models are the (T, 2) ``targets``: a
+    track's start in :func:`triangulate_many`.  One
+    :func:`inverse_project_many` call.
+
+    Returns:
+        ``(grounds, status)``: (T, 3) lat, lon, hei and the per-point
+        outcome codes.
+    """
+    hei = models.offset[heads, 2]
+    lats, lons, status = inverse_project_many(models, heads, targets, hei)
+    return np.stack([lats, lons, hei], axis=1), status
+
+
+def triangulate_many(models: RpcArrays, index, targets, starts, cast=None):
     """Least-squares ground points of many tracks by Gauss-Newton in
     lock-step.
 
@@ -699,8 +714,9 @@ def triangulate_many(models: RpcArrays, index, targets, starts):
     Each track is parameterized in its first model's normalized ground
     units with the Jacobian columns equilibrated to unit norm
     (:func:`linearize_tracks`), and started by casting its first
-    observation onto that model's height offset
-    (:func:`inverse_project_many`).  A track leaves the iteration once
+    observation onto that model's height offset (:func:`cast_heads`,
+    whose result for these tracks ``cast`` may hold, so that many calls
+    can share one cast).  A track leaves the iteration once
     every normalized coordinate moves by less than 1e-9, or fails: its
     start fails, a denominator vanishes or a projection is not finite,
     its equilibrated normal matrix fails the eigenvalue test at 1e8, or
@@ -715,10 +731,9 @@ def triangulate_many(models: RpcArrays, index, targets, starts):
     starts = np.asarray(starts, dtype=np.intp)
     heads = index[starts[:-1]]
     scales = models.scale[heads, :3]
-    hei = models.offset[heads, 2]
-    lats, lons, status = inverse_project_many(models, heads,
-                                              targets[starts[:-1]], hei)
-    grounds = np.stack([lats, lons, hei], axis=1)
+    if cast is None:
+        cast = cast_heads(models, heads, targets[starts[:-1]])
+    grounds, status = (np.array(a) for a in cast)
     live = np.flatnonzero(status == SOLVED)
     status[live] = NOT_CONVERGED
     for _ in range(MAX_ITERATIONS):
@@ -843,7 +858,7 @@ def rpc_from_keys(values: dict[str, float], source: str) -> RpcModel:
 
 def load_rpc_file(path) -> RpcModel:
     """Load and validate an RPC model from a text file."""
-    with open(path, "r") as fh:
+    with textfile.open_text(path) as fh:
         rpc = parse_rpc_text(fh.read(), source=str(path))
     rpc.validate()
     return rpc

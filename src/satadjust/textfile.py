@@ -11,6 +11,8 @@ file reads back bit for bit.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from itertools import chain
 from math import isfinite, nan
 from numbers import Integral
 
@@ -29,7 +31,7 @@ def write(path, comments, lines) -> None:
     ``lines``, each ending in its own newline.  Table writers format
     every float field ``{float(x)!r}`` and every integer ``{int(x)}``.
     One write of the joined text is faster than a write per line."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join([*(f"# {c}\n" for c in comments if c), *lines]))
 
 
@@ -42,32 +44,67 @@ def format_keys(pairs) -> str:
         for key, x in pairs)
 
 
-def records(path, fields: str):
-    """Yield ``(line_no, value, ...)`` per record of the whitespace table
-    at ``path``.  ``fields`` has one letter per field: ``i`` an integer,
-    ``f`` a float, ``s`` text.
+@contextmanager
+def open_text(path):
+    """``path`` opened for reading as UTF-8 text, for the ``with`` block.
+    Every text input is read through it.
+
+    Raises:
+        ParseError: bytes that are not UTF-8, wherever in the block they
+            are read.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+
+
+def blocks(path, fields: str):
+    """Yield ``(line_numbers, columns)`` per block of records of the
+    whitespace table at ``path``: each record's line number and its
+    fields, a list per field, converted.  ``fields`` has one letter per
+    field: ``i`` an integer, ``f`` a float, ``s`` text.  A block is the
+    records of about ``BLOCK_CHARS`` characters of lines.
 
     Raises:
         ParseError: a wrong number of fields, or a bad number.
     """
     line_no = 0
-    with open(path, "r") as fh:
+    with open_text(path) as fh:
         while lines := fh.readlines(BLOCK_CHARS):
-            # the block's tokens in one flat list: keeping a list per
-            # record alive would trigger full garbage collections
-            numbers, tokens = [], []
-            for line_no, line in enumerate(lines, line_no + 1):
-                record = line.split()
-                if not record or record[0][0] == "#":
-                    continue
-                if len(record) != len(fields):
-                    _columns(path, fields, numbers, tokens)  # earlier errors
-                    raise ParseError(f"{path}:{line_no}: expected "
-                                     f"{len(fields)} fields, got "
-                                     f"{len(record)}")
-                numbers.append(line_no)
-                tokens.extend(record)
-            yield from zip(numbers, *_columns(path, fields, numbers, tokens))
+            split = list(map(str.split, lines))
+            # the block's tokens go in one flat list: keeping a list per
+            # record alive past its block would trigger full garbage
+            # collections
+            if (set(map(len, split)) == {len(fields)}
+                    and "#" not in "".join(lines)):
+                # every line a record: no per-line checks
+                numbers = list(range(line_no + 1, line_no + 1 + len(lines)))
+                tokens = list(chain.from_iterable(split))
+                line_no += len(lines)
+            else:
+                numbers, tokens = [], []
+                for line_no, record in enumerate(split, line_no + 1):
+                    if not record or record[0][0] == "#":
+                        continue
+                    if len(record) != len(fields):
+                        # earlier errors first
+                        _columns(path, fields, numbers, tokens)
+                        raise ParseError(f"{path}:{line_no}: expected "
+                                         f"{len(fields)} fields, got "
+                                         f"{len(record)}")
+                    numbers.append(line_no)
+                    tokens.extend(record)
+            if numbers:
+                yield numbers, _columns(path, fields, numbers, tokens)
+
+
+def records(path, fields: str):
+    """Yield ``(line_no, value, ...)`` per record of the whitespace table
+    at ``path``: :func:`blocks`, a record at a time."""
+    for numbers, columns in blocks(path, fields):
+        yield from zip(numbers, *columns)
 
 
 def _columns(path, fields: str, numbers: list[int], tokens: list) -> list:

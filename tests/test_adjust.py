@@ -671,9 +671,9 @@ def test_update_points_calls_triangulate_many_once_per_chunk(chunk,
     calls = []
     batched = rpc_mod.triangulate_many
 
-    def count(models, index, targets, starts):
+    def count(models, index, targets, starts, cast=None):
         calls.append(len(starts) - 1)
-        return batched(models, index, targets, starts)
+        return batched(models, index, targets, starts, cast)
 
     monkeypatch.setattr(rpc_mod, "triangulate", refuse)
     monkeypatch.setattr(rpc_mod, "triangulate_many", count)
@@ -685,6 +685,44 @@ def test_update_points_calls_triangulate_many_once_per_chunk(chunk,
     if chunk == 1:
         # one track per chunk: the five GCP tracks are chunks of their own
         assert free.count(0) == 5
+
+
+@pytest.mark.parametrize("chunk", [24, adjust.CHUNK_OBSERVATIONS])
+def test_update_points_casts_the_chunks_starts_together(chunk, monkeypatch):
+    """The starts of every chunk's free tracks are cast in one
+    ``inverse_project_many`` call when there are at most
+    ``CHUNK_OBSERVATIONS // 2`` of them (the most a chunk can hold),
+    else in casts of that many; the grounds are bit for bit those of
+    batches that each cast their own starts."""
+    scene = gen_scene(12, 100, 10.0, 0.2, seed=3)
+    monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", chunk)
+    graph = scene_graph(scene)
+    graph.bias[:] = [(im.true_bias.d_row, im.true_bias.d_col)
+                     for im in scene.images]
+    start = graph.ground.copy()
+    batched, inverse = rpc_mod.triangulate_many, rpc_mod.inverse_project_many
+
+    def own_cast(models, index, targets, starts, cast=None):
+        return batched(models, index, targets, starts)
+
+    monkeypatch.setattr(rpc_mod, "triangulate_many", own_cast)
+    assert update_points(graph) == []
+    separate, graph.ground = graph.ground, start
+    casts = []
+
+    def count(models, index, targets, heis):
+        casts.append(len(targets))
+        return inverse(models, index, targets, heis)
+
+    monkeypatch.setattr(rpc_mod, "triangulate_many", batched)
+    monkeypatch.setattr(rpc_mod, "inverse_project_many", count)
+    assert update_points(graph) == []
+    assert graph.ground.tobytes() == separate.tobytes()
+    assert len(list(graph.chunks())) > 1
+    assert sum(casts) == len(graph.tracks)
+    assert max(casts) <= chunk // 2
+    if chunk // 2 >= len(graph.tracks):
+        assert len(casts) == 1
 
 
 def test_pass_memory_does_not_grow_with_track_count():

@@ -345,6 +345,29 @@ def test_exit_2_on_data_errors(dataset, pipeline_out, tmp_path):
                                flags=re.M))
         assert main(["match", "--products", str(bad),
                      "--out", str(tmp_path / f"o{7 + k}")]) == 2
+    # text that is not UTF-8 in a track file, a GCP file, a product
+    # sidecar, a raw .rpc file and a config file
+    products = str(pipeline_out / "products")
+    not_utf8 = tmp_path / "not_utf8.txt"
+    not_utf8.write_bytes(b"\xff\xfe0 img_000 10.0 20.0\n")
+    assert main(["adjust", "--tracks", str(not_utf8), "--products",
+                 products, "--out", str(tmp_path / "u1")]) == 2
+    assert main(["adjust", "--tracks", str(pipeline_out / "tracks.txt"),
+                 "--products", products, "--gcps", str(not_utf8),
+                 "--out", str(tmp_path / "u2")]) == 2
+    assert main(["match", "--products", products, "--out",
+                 str(tmp_path / "u3"), "--config", str(not_utf8)]) == 2
+    bad = tmp_path / "not_utf8_meta"
+    shutil.copytree(pipeline_out / "products", bad)
+    (bad / "img_000.meta").write_bytes(
+        b"\xff\xfe" + (bad / "img_000.meta").read_bytes())
+    assert main(["match", "--products", str(bad),
+                 "--out", str(tmp_path / "u4")]) == 2
+    raw = tmp_path / "not_utf8_raw"
+    shutil.copytree(dataset, raw)
+    (raw / "img_001.rpc").write_bytes(
+        b"\xff\xfe" + (raw / "img_001.rpc").read_bytes())
+    assert main(["rectify", *stems(raw), "--out", str(tmp_path / "u5")]) == 2
     # synth ranges that are not finite, an extent that is not positive or
     # far wider than a satellite scene, or a render too large to allocate
     # (about 180,000 px square)

@@ -25,10 +25,14 @@ def test_scale_harness_writes_one_record_per_scenario(tmp_path):
     for record in data["scenarios"].values():
         assert set(record) == {
             "images", "points", "visibility", "tracks", "observations",
-            "setup_s", "seconds", "linearize_us_per_1k_obs",
+            "setup_s", "seconds", "bytes_per_observation",
+            "linearize_us_per_1k_obs",
             "tracemalloc_peak_mb", "ru_maxrss_mb", "worst_bias_error_px",
             "iterations", "converged"}
-        assert set(record["seconds"]) == {"assemble", "adjust_loop"}
+        assert set(record["seconds"]) == {"load_tracks", "assemble",
+                                          "adjust_loop"}
+        assert set(record["bytes_per_observation"]) == {"load_tracks",
+                                                        "assemble"}
         assert set(record["tracemalloc_peak_mb"]) == {"assemble",
                                                       "adjust_loop"}
         assert set(record["linearize_us_per_1k_obs"]) == {"residuals",

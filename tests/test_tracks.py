@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from satadjust.adjust import assemble
 from satadjust.errors import ConfigInvalid, ParseError
 from satadjust.rpc import GroundPoint, ImagePoint
 from satadjust.synth import gen_scene
 from satadjust.tracks import (
     Track,
+    TrackTable,
     apply_gcps,
     build_tracks,
     load_gcps,
@@ -107,7 +111,7 @@ def test_track_file_round_trip(tmp_path):
     ])
     path = tmp_path / "tracks.txt"
     save_tracks(tracks, path, header="unit test")
-    assert load_tracks(path) == tracks
+    assert list(load_tracks(path)) == tracks
 
 
 def test_files_round_trip_numpy_scalars_from_gen_scene(tmp_path):
@@ -169,10 +173,10 @@ def test_load_gcps_rejects_malformed_lines(tmp_path):
 
 
 def test_apply_gcps_flags_tracks():
-    tracks = build_tracks([
+    tracks = TrackTable.from_tracks(build_tracks([
         corr("a", 1, 2, "b", 3, 4),
         corr("a", 9, 9, "c", 7, 7),
-    ])
+    ]))
     g = GroundPoint(25.5, 48.25, 410.0)
     apply_gcps(tracks, {1: g})
     assert not tracks[0].is_gcp
@@ -206,6 +210,119 @@ def test_save_tracks_rejects_equal_ids(tmp_path):
 
 
 def test_apply_gcps_rejects_unknown_track():
-    tracks = build_tracks([corr("a", 1, 2, "b", 3, 4)])
+    tracks = TrackTable.from_tracks(build_tracks([corr("a", 1, 2, "b", 3, 4)]))
     with pytest.raises(ConfigInvalid):
         apply_gcps(tracks, {5: GroundPoint(25.5, 48.25, 410.0)})
+
+
+# ---------------------------------------------------------------------------
+# The packed track table
+# ---------------------------------------------------------------------------
+
+
+def scene_table_file(tmp_path, points):
+    """A random-visibility scene's tracks saved to a file, and its
+    images."""
+    scene = gen_scene(6, points, 10.0, 0.2, seed=17, visibility="random")
+    path = tmp_path / f"tracks_{points}.txt"
+    save_tracks([Track(observations={scene.images[i].image_id: p
+                                     for i, p in per_image.items()})
+                 for per_image in scene.true_observations], path,
+                header="table test")
+    return path, [(im.image_id, im.rpc) for im in scene.images]
+
+
+@pytest.mark.parametrize("points", [500, 2000])
+def test_loaded_and_assembled_tracks_hold_at_most_100_bytes_per_observation(
+        tmp_path, points):
+    """``load_tracks`` parses into the table's arrays (about 20 B per
+    observation and 41 B per track), and the graph built from it adds
+    its image indices and a copy of the grounds; with both alive, the
+    traced memory stays within 100 B per observation at degrees 2-6.
+    A ``Track`` per track with a dict of ``ImagePoint`` objects held
+    about 250 B per observation."""
+    path, images = scene_table_file(tmp_path, points)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = load_tracks(path)
+        loaded = tracemalloc.get_traced_memory()[0] - start
+        graph = assemble(images, table)
+        assembled = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    observations = int(table.start[-1])
+    assert len(graph.tracks) == len(table) == points
+    assert loaded / observations <= 100
+    assert assembled / observations <= 100
+
+
+def test_track_file_saves_back_byte_for_byte(tmp_path):
+    path, _ = scene_table_file(tmp_path, 300)
+    resaved = tmp_path / "resaved.txt"
+    save_tracks(load_tracks(path), resaved, header="table test")
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_table_packs_and_gives_back_tracks():
+    tracks = [Track({"b": ImagePoint(1.0, 2.0), "a": ImagePoint(3.0, 4.0)}),
+              Track({"c": ImagePoint(5.0, 6.0), "a": ImagePoint(7.0, 8.0)},
+                    ground=GroundPoint(1.0, 2.0, 3.0), is_gcp=True, id=9)]
+    table = TrackTable.from_tracks(tracks)
+    assert table.ids.tolist() == [0, 9]
+    assert table.start.tolist() == [0, 2, 4]
+    assert table.image_ids == ["a", "b", "c"]
+    # within a track, by image id
+    assert table.image.tolist() == [0, 1, 0, 2]
+    assert table.pixel.tolist() == [[3.0, 4.0], [1.0, 2.0],
+                                    [7.0, 8.0], [5.0, 6.0]]
+    assert table.gcp.tolist() == [False, True]
+    assert np.isnan(table.ground[0]).all()
+    assert list(table) == [Track(dict(sorted(tracks[0].observations.items())),
+                                 id=0), tracks[1]]
+    assert table[-1] == table[1:][0] == tracks[1]
+    # observations are read from the arrays on access
+    observations = table[1].observations
+    assert observations["c"] == ImagePoint(5.0, 6.0)
+    assert "b" not in observations and "z" not in observations
+    assert len(observations) == 2 and list(observations) == ["a", "c"]
+    assert repr(observations) == repr(dict(sorted(
+        tracks[1].observations.items())))
+    kept = table.take([1])
+    assert list(kept) == [tracks[1]] and kept.start.tolist() == [0, 2]
+
+
+def test_repeated_image_is_reported_at_the_line_that_repeats_it(tmp_path):
+    path = tmp_path / "tracks.txt"
+    path.write_text("0 a 1.0 2.0\n1 a 3.0 4.0\n# a comment\n0 b 5.0 6.0\n"
+                    "1 b 7.0 8.0\n0 a 9.0 9.5\n1 b 1.5 2.5\n0 a 3.5 4.5\n")
+    with pytest.raises(ParseError,
+                       match=r"tracks\.txt:6: image a appears twice in "
+                             r"track 0$"):
+        load_tracks(path)
+
+
+def test_one_observation_track_among_interleaved_lines(tmp_path):
+    path = tmp_path / "tracks.txt"
+    path.write_text("7 a 1.0 2.0\n3 a 3.0 4.0\n9 c 0.5 0.5\n7 b 5.0 6.0\n"
+                    "5 c 1.0 1.0\n3 b 7.0 8.0\n")
+    with pytest.raises(ParseError) as info:
+        load_tracks(path)
+    assert str(info.value) == (f"{path}: track 5 has fewer than two "
+                               f"observations")
+
+
+@pytest.mark.parametrize("bad_line", [5, 3000])
+def test_load_tracks_reports_errors_in_reading_order(tmp_path, bad_line):
+    """Records are read and converted a block at a time: a bad number in
+    the block of an earlier repeated image is reported first, one in a
+    later block only after the repeat."""
+    lines = [f"{j // 2} {'ab'[j % 2]} 1.0 2.0\n" for j in range(4000)]
+    lines[2] = "0 a 5.0 6.0\n"
+    lines[bad_line - 1] = lines[bad_line - 1].replace("2.0", "x")
+    path = tmp_path / "tracks.txt"
+    path.write_text("".join(lines))
+    want = (r":5: a field is not a finite number" if bad_line == 5
+            else r":3: image a appears twice in track 0")
+    with pytest.raises(ParseError, match=want):
+        load_tracks(path)

@@ -2,11 +2,15 @@
 does not reach.
 
 Each scenario is a synthetic scene (``synth.gen_scene``, bias range
-30 px, noise 0.25 px) adjusted as a free network through
+30 px, noise 0.25 px) whose tracks are written with ``save_tracks``,
+then adjusted as a free network through ``load_tracks`` ->
 ``assemble`` -> ``adjust_loop``, in a fresh process.  Per scenario it
 records:
 
 * ``seconds``: the best of three runs of each step;
+* ``bytes_per_observation``: the traced memory held after
+  ``load_tracks`` and, with its table still alive, after ``assemble``,
+  per observation;
 * ``linearize_us_per_1k_obs``: one pass of ``rpc.linearize_tracks``
   over every chunk, residuals only and with the point blocks, in
   microseconds per 1,000 observations (best of three);
@@ -34,6 +38,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -83,19 +88,33 @@ def run_scenario(images: int, points: int, visibility: str) -> dict:
     import numpy as np
 
     from satadjust import adjust, synth
-    from satadjust.tracks import Track
+    from satadjust.tracks import Track, load_tracks, save_tracks
 
     t0 = time.perf_counter()
     scene = synth.gen_scene(images, points, BIAS_RANGE_PX, NOISE_PX, SEED,
                             visibility=visibility)
     setup_s = time.perf_counter() - t0
     models = [(im.image_id, im.rpc) for im in scene.images]
-    tracks = [Track(observations={scene.images[i].image_id: p
-                                  for i, p in per_image.items()}, id=j)
-              for j, per_image in enumerate(scene.true_observations)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tracks.txt")
+        save_tracks([Track(observations={scene.images[i].image_id: p
+                                         for i, p in per_image.items()})
+                     for per_image in scene.true_observations], path)
+        seconds = {"load_tracks": _best(lambda: load_tracks(path))}
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            table = load_tracks(path)
+            loaded = tracemalloc.get_traced_memory()[0] - start
+            graph = adjust.assemble(models, table)
+            assembled = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+    observations = int(graph.track_start[-1])
+    held = {"load_tracks": loaded / observations,
+            "assemble": assembled / observations}
 
-    seconds = {"assemble": _best(lambda: adjust.assemble(models, tracks))}
-    graph = adjust.assemble(models, tracks)
+    seconds["assemble"] = _best(lambda: adjust.assemble(models, table))
     grounds = graph.ground.copy()
 
     def reset():
@@ -104,13 +123,12 @@ def run_scenario(images: int, points: int, visibility: str) -> dict:
 
     seconds["adjust_loop"] = _best(lambda: adjust.adjust_loop(graph), reset)
     peaks = {"assemble": _traced_peak_mb(
-        lambda: adjust.assemble(models, tracks))}
+        lambda: adjust.assemble(models, table))}
     reset()
     peaks["adjust_loop"] = _traced_peak_mb(lambda: adjust.adjust_loop(graph))
     reset()
     result = adjust.adjust_loop(graph)
 
-    observations = int(graph.track_start[-1])
     linearize = {}
     for name, cond_max in (("residuals", None),
                            ("blocks", adjust.POINT_BLOCK_COND_MAX)):
@@ -129,6 +147,7 @@ def run_scenario(images: int, points: int, visibility: str) -> dict:
         "observations": observations,
         "setup_s": setup_s,
         "seconds": seconds,
+        "bytes_per_observation": held,
         "linearize_us_per_1k_obs": linearize,
         "tracemalloc_peak_mb": peaks,
         "ru_maxrss_mb": resource.getrusage(
