@@ -260,12 +260,14 @@ def save_tracks(tracks: TrackTable | Iterable[Track], path,
     table = as_table(tracks)
     if np.unique(table.ids).size != table.ids.size:
         raise ValueError("two tracks would be saved with the same id")
+    # each track's id is formatted once, not once per observation
+    heads = np.repeat(np.array([f"{tid} " for tid in table.ids.tolist()],
+                               dtype=object), np.diff(table.start)).tolist()
     rows, cols = table.pixel.T.tolist()
     textfile.write(path, (header, "track_id image_id row col"), [
-        f"{tid} {image_id} {row!r} {col!r}\n"
-        for tid, image_id, row, col in zip(
-            np.repeat(table.ids, np.diff(table.start)).tolist(),
-            map(table.image_ids.__getitem__, table.image.tolist()),
+        f"{head}{image_id} {row!r} {col!r}\n"
+        for head, image_id, row, col in zip(
+            heads, map(table.image_ids.__getitem__, table.image.tolist()),
             rows, cols)])
 
 
