@@ -12,23 +12,33 @@ takes from a :class:`~satadjust.tracks.TrackTable`, sharing its pixels
 and starts (the table holds about 20 B per observation and 41 B per
 track; the graph adds 8 B per observation, its image indices, and 25 B
 per track, its grounds and GCP flags), in chunks of whole tracks
-holding at most ``CHUNK_OBSERVATIONS`` observations: one RPC
-evaluation per chunk and stacked 3x3 point blocks.  A chunk's Schur
-terms are subtracted as one dense panel product, whose panels have a
-row pair per image the chunk sees and three columns per track, so
-every per-chunk array is bounded by the chunk size and by N; the one
-2N x 2N array is the reduced bias system for N images.  A step of
-:func:`adjust_loop` is one linearization pass plus a
+holding at most ``CHUNK_OBSERVATIONS`` observations.  A pass
+linearizes ``BATCH_CHUNKS`` consecutive chunks, a batch, per
+:func:`rpc.linearize_tracks` call, and then reports, reduces and
+back-substitutes chunk by chunk.  Three bounds hold whatever the number
+of tracks:
+
+* the call gathers its models' constants 512 observations at a time,
+  512 x 210 x 8 B = 860,160 B (``rpc.GATHER_OBSERVATIONS``);
+* the rest of its state is about 300 B per observation, some 1.2 MB
+  for a full batch of 4,096, freed before the next batch is linearized;
+* a chunk's Schur terms are subtracted as one dense panel product,
+  whose panels have a row pair per image the chunk sees and three
+  columns per track: at most 2 min(N, 1,024) x 1,536 doubles, 1.2 MB
+  each at N = 50.
+
+The one 2N x 2N array is the reduced bias system for N images.  A step
+of :func:`adjust_loop` is one linearization pass plus a
 back-substitution: the pass reports the residuals, reduces each chunk
 and keeps the arrays that back-substitution reads, from which the
 ground corrections follow once the biases are solved.  Its working
-memory is the chunk, the 2N x 2N matrix and one step's kept arrays
+memory is a batch, the 2N x 2N matrix and one step's kept arrays
 (about 64 B per observation and 105 B per track).
 :func:`accumulate_reduced`, :func:`ground_corrections` and
-:func:`report` each linearize on their own and keep nothing.  Triangulation (:func:`update_points`) solves
-the free tracks of a chunk in one lock-step
-:func:`rpc.triangulate_many` call, from starts cast for many chunks
-at once.
+:func:`report` each linearize on their own and keep nothing.
+Triangulation (:func:`update_points`) solves the free tracks of a batch
+in one lock-step :func:`rpc.triangulate_many` call, from starts cast
+for many batches at once.
 
 Free networks (no GCPs) have an unobservable common image-space
 translation; the datum is fixed by pinning image 0's bias correction to
@@ -37,6 +47,7 @@ zero, so reported biases are relative to image 0.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -65,9 +76,13 @@ PIVOT_RATIO_MIN = 1e-7
 CONVERGENCE_PX = 0.001
 MAX_ITER = 50
 
-# Observations per chunk of the per-track passes; bounds their
-# temporaries whatever the number of tracks.
+# Observations per chunk of the per-track passes; bounds their panels
+# whatever the number of tracks.
 CHUNK_OBSERVATIONS = 1024
+
+# Consecutive chunks linearized or triangulated by one call: fewer calls
+# for the same per-track arithmetic, at about 300 B per observation.
+BATCH_CHUNKS = 4
 
 
 @dataclass
@@ -145,6 +160,13 @@ class ObservationGraph:
             yield a, b
             a = b
 
+    def batches(self):
+        """Runs of up to ``BATCH_CHUNKS`` consecutive :meth:`chunks`, each
+        a list of them."""
+        chunks = self.chunks()
+        while batch := list(itertools.islice(chunks, BATCH_CHUNKS)):
+            yield batch
+
 
 @dataclass
 class ReducedNormalSystem:
@@ -201,6 +223,24 @@ def _linearize(graph: ObservationGraph, a: int, b: int,
     return image, rpc_mod.linearize_tracks(
         graph.models, image, graph.obs_pixel[span] + graph.bias[image],
         graph.ground[a:b], starts, cond_max)
+
+
+def _each_chunk(graph: ObservationGraph, cond_max: float | None,
+                visit) -> None:
+    """Call ``visit(a, b, image, lin)`` for every chunk ``(a, b)`` in
+    order, ``image`` and ``lin`` as :func:`_linearize` gives them: one
+    :func:`_linearize` call per batch of :meth:`ObservationGraph.batches`,
+    taken apart chunk by chunk.  A track's linearization does not depend
+    on the tracks beside it, so each chunk gets the bits of a call of
+    its own.  What ``visit`` does not keep of a batch is freed before
+    the next batch is linearized."""
+    for batch in graph.batches():
+        first = batch[0][0]
+        image, lin = _linearize(graph, first, batch[-1][1], cond_max)
+        for a, b in batch:
+            span = slice(lin.starts[a - first], lin.starts[b - first])
+            visit(a, b, image[span], lin.tracks(a - first, b - first))
+        del image, lin
 
 
 def _warn_tracks(tracks: list[int], what: str) -> None:
@@ -270,9 +310,9 @@ def accumulate_reduced(
         return np.zeros(shape)
 
     system = _empty_system(len(graph.images), alloc)
-    for a, b in graph.chunks():
-        image, lin = _linearize(graph, a, b, POINT_BLOCK_COND_MAX)
-        _reduce_chunk(system, graph, a, b, image, lin, alloc)
+    _each_chunk(graph, POINT_BLOCK_COND_MAX,
+                lambda a, b, image, lin: _reduce_chunk(system, graph, a, b,
+                                                       image, lin, alloc))
     _warn_excluded(system)
     return system
 
@@ -403,57 +443,77 @@ def ground_corrections(
     """
     shift = np.asarray(x, dtype=np.float64).reshape(-1, 2)
     tracks, steps = [np.empty(0, dtype=np.intp)], [np.empty((0, 3))]
-    for a, b in graph.chunks():
-        image, lin = _linearize(graph, a, b, POINT_BLOCK_COND_MAX)
+
+    def correct(a, b, image, lin):
         free = lin.usable & lin.ok & ~graph.gcp[a:b]
         tracks.append(a + np.flatnonzero(free))
         # the residual once the biases move by x
         steps.append(rpc_mod.point_steps(lin, lin.v + shift[image].T, free))
+
+    _each_chunk(graph, POINT_BLOCK_COND_MAX, correct)
     return np.concatenate(tracks), np.concatenate(steps)
 
 
 def update_points(graph: ObservationGraph) -> list[int]:
     """Triangulate every non-GCP track afresh with the current biases,
-    one lock-step :func:`rpc.triangulate_many` call per chunk of
-    :meth:`ObservationGraph.chunks` that holds a free track.  The
-    chunks' starts are cast together: one :func:`rpc.cast_heads` call
-    per ``CHUNK_OBSERVATIONS // 2`` free tracks (the most a chunk can
-    hold), so the cast's arrays stay within a chunk's.
+    one lock-step :func:`rpc.triangulate_many` call per batch of
+    :meth:`ObservationGraph.batches` that holds a free track.  The
+    batches' starts are cast together: one :func:`rpc.cast_heads` call
+    per run of consecutive batches, a run closing once it holds
+    ``CHUNK_OBSERVATIONS // 2`` tracks (the most a chunk can hold), so
+    a cast covers fewer tracks than that plus one batch.  No array spans
+    all tracks.
 
     GCP grounds are never touched.  Tracks whose triangulation fails
     keep their previous ground; their indices are returned in order and
     named in one log warning.
     """
-    free = np.flatnonzero(~graph.gcp)
-    # the starts of free[at:at + len(cast_status)]
-    at, cast_grounds, cast_status = 0, None, np.empty(0)
     failed = []
-    for a, b in graph.chunks():
-        lo, hi = np.searchsorted(free, [a, b])
-        if lo == hi:
-            continue
-        if hi > at + len(cast_status):
-            at = lo
-            first = graph.track_start[
-                free[at:max(hi, at + CHUNK_OBSERVATIONS // 2)]]
-            heads = graph.obs_image[first]
-            # residual = observed - (raw - bias), so fold the bias into
-            # the target, as rpc.triangulate does
-            cast_grounds, cast_status = rpc_mod.cast_heads(
-                graph.models, heads,
-                graph.obs_pixel[first] + graph.bias[heads])
-        mine = free[lo:hi]
-        rows, starts = rpc_mod._segment_rows(graph.track_start, mine)
-        image = graph.obs_image[rows]
-        grounds, status = rpc_mod.triangulate_many(
-            graph.models, image, graph.obs_pixel[rows] + graph.bias[image],
-            starts, (cast_grounds[lo - at:hi - at],
-                     cast_status[lo - at:hi - at]))
-        solved = status == rpc_mod.SOLVED
-        graph.ground[mine[solved]] = grounds[solved]
-        failed.extend(mine[~solved].tolist())
+    for run in _cast_runs(graph):
+        a = run[0][0][0]
+        free = a + np.flatnonzero(~graph.gcp[a:run[-1][-1][1]])
+        first = graph.track_start[free]
+        heads = graph.obs_image[first]
+        # residual = observed - (raw - bias), so fold the bias into the
+        # target, as rpc.triangulate does
+        cast = rpc_mod.cast_heads(graph.models, heads,
+                                  graph.obs_pixel[first] + graph.bias[heads])
+        for batch in run:
+            lo, hi = np.searchsorted(free, [batch[0][0], batch[-1][1]])
+            if lo < hi:
+                failed += _triangulate(graph, free[lo:hi],
+                                       (cast[0][lo:hi], cast[1][lo:hi]))
     _warn_tracks(failed, "failed to triangulate")
     return failed
+
+
+def _cast_runs(graph: ObservationGraph):
+    """Runs of consecutive batches, each closing once it holds
+    ``CHUNK_OBSERVATIONS // 2`` tracks, whose starts
+    :func:`update_points` casts together."""
+    run = []
+    for batch in graph.batches():
+        run.append(batch)
+        if batch[-1][1] - run[0][0][0] >= CHUNK_OBSERVATIONS // 2:
+            yield run
+            run = []
+    if run:
+        yield run
+
+
+def _triangulate(graph: ObservationGraph, tracks, cast) -> list[int]:
+    """Triangulate the free ``tracks`` from their starts ``cast`` in one
+    :func:`rpc.triangulate_many` call and store the grounds solved;
+    returns the tracks that failed.  Its arrays are freed on return,
+    before the next batch's are built."""
+    rows, starts = rpc_mod._segment_rows(graph.track_start, tracks)
+    image = graph.obs_image[rows]
+    grounds, status = rpc_mod.triangulate_many(
+        graph.models, image, graph.obs_pixel[rows] + graph.bias[image],
+        starts, cast)
+    solved = status == rpc_mod.SOLVED
+    graph.ground[tracks[solved]] = grounds[solved]
+    return tracks[~solved].tolist()
 
 
 def report(graph: ObservationGraph) -> ReprojectionReport:
@@ -483,9 +543,9 @@ def _linearization_pass(graph: ObservationGraph, derive: bool):
     image_sums = np.zeros(n)
     system = _empty_system(n) if derive else None
     kept = [] if derive else None
-    for a, b in graph.chunks():
-        image, lin = _linearize(graph, a, b,
-                                POINT_BLOCK_COND_MAX if derive else None)
+
+    def visit(a, b, image, lin):
+        nonlocal sums, maxima, image_sums
         if not lin.usable.all():
             raise DegenerateDenominator(
                 f"denominator vanished or projection not finite at an "
@@ -499,6 +559,8 @@ def _linearization_pass(graph: ObservationGraph, derive: bool):
             free = _reduce_chunk(system, graph, a, b, image, lin)
             kept.append((a, b, free, lin._replace(owner=None, usable=None,
                                                   ok=None)))
+
+    _each_chunk(graph, POINT_BLOCK_COND_MAX if derive else None, visit)
     if derive:
         _warn_excluded(system)
     count = int(graph.track_start[-1])

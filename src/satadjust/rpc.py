@@ -13,7 +13,8 @@ them on the 210 constants packed once per model (:class:`RpcArrays`),
 and they flag vanished denominators and non-finite projections per
 point.  A single model is passed as itself (``rpc.arrays``); a batch
 that mixes models is passed as a stack of them (:func:`stack_models`)
-plus a per-point row index, gathered with one ``np.take`` per call.
+plus a per-point row index, gathered with one ``np.take`` per slice of
+at most ``GATHER_OBSERVATIONS`` points.
 The kernel works with the observation axis last: the monomials are
 (20, k) rows, both contractions and the quotient rule run on (., k)
 arrays, and a lone point is evaluated as a pair so that it gets the
@@ -93,6 +94,9 @@ DIVERGENCE_BOUND = 10.0
 
 TRIANGULATION_COND_MAX = 1e8
 
+# Points whose model constants a stacked evaluation gathers at once.
+GATHER_OBSERVATIONS = 512
+
 
 @dataclass(frozen=True)
 class GroundPoint:
@@ -130,8 +134,9 @@ class RpcArrays(NamedTuple):
     denominators; 90-209 their slopes (4, 3, 10), the derivatives with
     respect to latitude, longitude and height (per degree and per
     meter) as coefficients of the first ten monomials.  A batch gathers
-    its points' rows with one ``np.take`` and computes on the
-    transposed view, observation axis last.
+    its points' rows with one ``np.take`` per slice of at most
+    ``GATHER_OBSERVATIONS`` points and computes on the transposed view,
+    observation axis last.
     """
 
     table: np.ndarray
@@ -283,33 +288,58 @@ def _slope_table() -> np.ndarray:
 _SLOPES = _slope_table()
 
 
-def _columns(models: RpcArrays, index) -> np.ndarray:
-    """The constants of each point's model as (210, k) columns, the
-    observation axis last: one gather of the rows ``index`` of a stack,
-    or with ``index`` None the one model as a column broadcast against
-    every point."""
+def _evaluate(models: RpcArrays, index, lats, lons, heis, derivatives: bool):
+    """The kernel of :func:`evaluate_masked` on length-k ground arrays,
+    point k under model ``index[k]`` of the stack ``models``, or with
+    ``index`` None under the one model ``models``: (2, k) projections,
+    their (2, 3, k) derivatives or None, and the (k,) usable mask.
+
+    One model is broadcast against every point as a (210, 1) column and
+    never gathered.  A stack's rows are gathered ``GATHER_OBSERVATIONS``
+    points at a time, whole rows with one ``np.take`` (gathering along
+    the columns of a (210, N) table takes three times as long), so the
+    gathered constants never exceed 512 x 210 x 8 B = 860,160 B whatever
+    k; beyond them a call holds its 65 B per point of results and
+    per-point temporaries of about 500 B for one slice.
+    """
     if index is None:
-        return models.table[:, None]
-    # whole rows: gathering along the columns of a (210, N) table, which
-    # would give contiguous (210, k) columns, takes three times as long
-    return np.take(models.table, index, axis=0).T
+        return _evaluate_columns(models.table[:, None], lats, lons, heis,
+                                 derivatives)
+    if len(index) <= GATHER_OBSERVATIONS:
+        return _evaluate_columns(np.take(models.table, index, axis=0).T,
+                                 lats, lons, heis, derivatives)
+    # observation-major, the layout of one whole gather's results: a
+    # later sum along the observation axis would run in another order on
+    # another layout
+    raw = np.empty((len(index), 2)).T
+    d_raw = (np.empty((len(index), 2, 3)).transpose(1, 2, 0) if derivatives
+             else None)
+    usable = np.empty(len(index), dtype=bool)
+    for s in range(0, len(index), GATHER_OBSERVATIONS):
+        part = slice(s, s + GATHER_OBSERVATIONS)
+        raw[:, part], d_part, usable[part] = _evaluate_columns(
+            np.take(models.table, index[part], axis=0).T, lats[part],
+            lons[part], heis[part], derivatives)
+        if derivatives:
+            d_raw[..., part] = d_part
+    return raw, d_raw, usable
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _evaluate(columns: np.ndarray, lats, lons, heis, derivatives: bool):
-    """The kernel of :func:`evaluate_masked` on (210, k) model
-    ``columns`` (:func:`_columns`) and length-k ground arrays, the
-    observation axis last: (2, k) projections, their (2, 3, k)
-    derivatives or None, and the (k,) usable mask.
+def _evaluate_columns(columns: np.ndarray, lats, lons, heis,
+                      derivatives: bool):
+    """:func:`_evaluate` on (210, k) model ``columns``, or one (210, 1)
+    column broadcast against the points, the observation axis last.
 
     Both contractions sum the monomials in order for every point when
     k >= 2; a lone point would be summed in another order, so it is
-    evaluated as a pair and every result is the same bits as in a batch.
+    evaluated as a pair and every result is the same bits as in a batch,
+    whichever slice of a gather it falls in.
     """
     if len(lats) == 1:
-        pair = _evaluate(columns,
-                         *(np.repeat(x, 2) for x in (lats, lons, heis)),
-                         derivatives)
+        pair = _evaluate_columns(
+            columns, *(np.repeat(x, 2) for x in (lats, lons, heis)),
+            derivatives)
         return tuple(None if a is None else a[..., :1] for a in pair)
     off, scale = columns[0:5], columns[5:10]
     P = (lats - off[0]) / scale[0]
@@ -357,7 +387,7 @@ def evaluate_masked(models: RpcArrays, index, lats, lons, heis,
         for x in (lats, lons, heis))
     if index is not None:
         index = np.broadcast_to(index, shape).ravel()
-    raw, d_raw, usable = _evaluate(_columns(models, index), lats, lons, heis,
+    raw, d_raw, usable = _evaluate(models, index, lats, lons, heis,
                                    derivatives)
     if d_raw is not None:
         d_raw = np.moveaxis(d_raw, -1, 0).reshape(*shape, 2, 3)
@@ -399,6 +429,17 @@ class TrackLinearization(NamedTuple):
     inverse: np.ndarray | None = None
     col_norms: np.ndarray | None = None
     ok: np.ndarray | None = None
+
+    def tracks(self, lo: int, hi: int) -> TrackLinearization:
+        """Tracks lo..hi-1 alone, numbered from zero: views of these
+        arrays but for ``starts`` and ``owner``."""
+        cols = slice(self.starts[lo], self.starts[hi])
+        derived = () if self.b is None else (
+            self.b[..., cols], self.inverse[lo:hi], self.col_norms[:, lo:hi],
+            self.ok[lo:hi])
+        return TrackLinearization(self.starts[lo:hi + 1] - self.starts[lo],
+                                  self.owner[cols] - lo, self.v[:, cols],
+                                  self.usable[lo:hi], *derived)
 
 
 # The six distinct entries of a symmetric 3x3 matrix, (row, column): the
@@ -472,18 +513,23 @@ def linearize_tracks(models: RpcArrays, index, targets, grounds, starts,
     unchanged.  A block is ``ok`` when its eigenvalues are positive and
     the greatest is at most ``cond_max`` times the least, decided by a
     determinant screen or else by ``eigvalsh`` (:func:`_invert_blocks`).
+
+    Memory: beside the 860,160 B of one slice of the gather
+    (:func:`_evaluate`), a call holds at most about 300 B per
+    observation, tracks of two observations being the worst case, and
+    returns 72 B per observation (``owner``, ``v``, ``b``) and 98 B per
+    track.
     """
     owner = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
     g = np.take(grounds, owner, axis=0)
-    columns = _columns(models, index)
-    raw, d_raw, usable = _evaluate(columns, g[:, 0], g[:, 1], g[:, 2],
+    raw, d_raw, usable = _evaluate(models, index, g[:, 0], g[:, 1], g[:, 2],
                                    cond_max is not None)
     v = np.asarray(targets).T - raw
     usable = np.logical_and.reduceat(usable, starts[:-1])
     if d_raw is None:
         return TrackLinearization(starts, owner, v, usable)
     # residual = observed - project: minus the slope per normalized unit
-    unit = columns[5:8, starts[:-1]]
+    unit = models.scale[index[starts[:-1]], :3].T
     gram = np.add.reduceat(d_raw[0, _ROW] * d_raw[0, _COL]
                            + d_raw[1, _ROW] * d_raw[1, _COL],
                            starts[:-1], axis=1)
@@ -628,8 +674,8 @@ def inverse_project_many(models: RpcArrays, index, targets, heis):
         if not live.size:
             break
         raw, d_raw, usable = _evaluate(
-            _columns(models, None if index is None else index[live]),
-            lats[live], lons[live], heis[live], derivatives=True)
+            models, None if index is None else index[live], lats[live],
+            lons[live], heis[live], derivatives=True)
         v = targets[live].T - raw
         done = usable & (np.abs(v).max(axis=0) < IMAGE_TOL_PX)
         a, b = d_raw[0, 0], d_raw[0, 1]

@@ -420,25 +420,53 @@ def test_adjust_loop_equals_the_separate_passes(with_gcps, max_iter,
     assert (res.before, res.after) == (before, after)
 
 
+@pytest.mark.parametrize("with_gcps", [False, True])
+def test_batches_of_chunks_change_no_bit(with_gcps, monkeypatch):
+    """Linearizing and triangulating ``BATCH_CHUNKS`` chunks per call
+    gives the bytes of one chunk per call: on a random-visibility scene
+    of several batches, ``assemble`` and ``adjust_loop`` give the same
+    biases, grounds, iterations, steps and reports."""
+    scene = gen_scene(8, 1500, 10.0, 0.3, seed=29, visibility="random")
+    gcps = ({j: scene.true_points[j] for j in (0, 1, 2)}
+            if with_gcps else None)
+    runs = []
+    for batch_chunks in (adjust.BATCH_CHUNKS, 1):
+        monkeypatch.setattr(adjust, "BATCH_CHUNKS", batch_chunks)
+        graph = scene_graph(scene, gcps=gcps)
+        if batch_chunks > 1:
+            assert (len(list(graph.chunks())) > len(list(graph.batches()))
+                    > 1)
+        res = adjust_loop(graph)
+        assert res.converged
+        runs.append((graph.bias.tobytes(), graph.ground.tobytes(),
+                     res.iterations, np.array(res.steps).tobytes(),
+                     res.before, res.after))
+    assert runs[0] == runs[1]
+
+
 def test_adjust_loop_linearizes_each_chunk_once_per_step(small_scene,
                                                          monkeypatch):
-    """S steps over C chunks take S * C linearizations with derivatives
-    and C without: the last pass only reports."""
+    """S steps over B batches of chunks take S * B linearizations with
+    derivatives and B without, the last pass only reporting; each call
+    covers exactly the tracks of one batch, in order."""
     monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", 24)
     graph = scene_graph(small_scene)
     calls = []
     linearize = rpc_mod.linearize_tracks
 
     def count(models, index, targets, grounds, starts, cond_max=None):
-        calls.append(cond_max is not None)
+        calls.append((cond_max is not None, len(starts) - 1))
         return linearize(models, index, targets, grounds, starts, cond_max)
 
     monkeypatch.setattr(rpc_mod, "linearize_tracks", count)
     result = adjust_loop(graph)
-    chunks = len(list(graph.chunks()))
-    assert result.converged and result.iterations > 1 and chunks > 1
-    assert calls.count(True) == result.iterations * chunks
-    assert calls.count(False) == chunks
+    batches = [batch[-1][1] - batch[0][0] for batch in graph.batches()]
+    assert result.converged and result.iterations > 1 and len(batches) > 1
+    assert len(list(graph.chunks())) > len(batches)
+    assert sum(batches) == len(graph.tracks)
+    assert ([n for derived, n in calls if derived]
+            == batches * result.iterations)
+    assert [n for derived, n in calls if not derived] == batches
 
 
 def twin_image_tracks(scene, count):
@@ -657,11 +685,11 @@ def test_update_points_equals_per_track_triangulation(chunk, monkeypatch,
 
 
 @pytest.mark.parametrize("chunk", [1, 24])
-def test_update_points_calls_triangulate_many_once_per_chunk(chunk,
+def test_update_points_calls_triangulate_many_once_per_batch(chunk,
                                                              monkeypatch):
-    """One batched call per chunk that holds a free track, covering
-    exactly its free tracks; none for a chunk of GCP tracks only, and
-    no one-track call at all."""
+    """One batched call per batch of chunks that holds a free track,
+    covering exactly its free tracks; none for a batch of GCP tracks
+    only, and no one-track call at all."""
     monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", chunk)
     graph = mixed_graph()
 
@@ -678,23 +706,26 @@ def test_update_points_calls_triangulate_many_once_per_chunk(chunk,
     monkeypatch.setattr(rpc_mod, "triangulate", refuse)
     monkeypatch.setattr(rpc_mod, "triangulate_many", count)
     update_points(graph)
-    free = [sum(not t.is_gcp for t in graph.tracks[a:b])
-            for a, b in graph.chunks()]
+    free = [sum(not t.is_gcp for t in graph.tracks[batch[0][0]:batch[-1][1]])
+            for batch in graph.batches()]
     assert calls == [f for f in free if f]
     assert len(calls) > 1
     if chunk == 1:
-        # one track per chunk: the five GCP tracks are chunks of their own
-        assert free.count(0) == 5
+        # one track per chunk: GCP tracks 0-3 fill the first batch
+        assert adjust.BATCH_CHUNKS == 4 and free.count(0) == 1
 
 
 @pytest.mark.parametrize("chunk", [24, adjust.CHUNK_OBSERVATIONS])
 def test_update_points_casts_the_chunks_starts_together(chunk, monkeypatch):
-    """The starts of every chunk's free tracks are cast in one
-    ``inverse_project_many`` call when there are at most
-    ``CHUNK_OBSERVATIONS // 2`` of them (the most a chunk can hold),
-    else in casts of that many; the grounds are bit for bit those of
-    batches that each cast their own starts."""
-    scene = gen_scene(12, 100, 10.0, 0.2, seed=3)
+    """The starts of runs of consecutive batches are cast in one
+    ``inverse_project_many`` call per run, a run closing once it holds
+    ``CHUNK_OBSERVATIONS // 2`` tracks (the most a chunk can hold): each
+    start is cast once, in casts of fewer than that plus one batch's
+    tracks, and in one cast when there are at most that many tracks.
+    The grounds are bit for bit those of batches that each cast their
+    own starts.  At either chunk size the scene fills more than one
+    batch."""
+    scene = gen_scene(12, 400, 10.0, 0.2, seed=3)
     monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", chunk)
     graph = scene_graph(scene)
     graph.bias[:] = [(im.true_bias.d_row, im.true_bias.d_col)
@@ -718,24 +749,27 @@ def test_update_points_casts_the_chunks_starts_together(chunk, monkeypatch):
     monkeypatch.setattr(rpc_mod, "inverse_project_many", count)
     assert update_points(graph) == []
     assert graph.ground.tobytes() == separate.tobytes()
-    assert len(list(graph.chunks())) > 1
+    assert len(list(graph.batches())) > 1
     assert sum(casts) == len(graph.tracks)
-    assert max(casts) <= chunk // 2
+    most = max(batch[-1][1] - batch[0][0] for batch in graph.batches())
+    assert max(casts) < chunk // 2 + most
     if chunk // 2 >= len(graph.tracks):
         assert len(casts) == 1
 
 
 def test_pass_memory_does_not_grow_with_track_count():
-    """Triangulation and the reduction work chunk by chunk: quadrupling
-    the tracks leaves the peak of their temporaries where it was, and
-    they keep no per-track objects.  A temporary is what a call frees
+    """Triangulation and the reduction work batch by batch of chunks:
+    quadrupling the tracks, from more than one batch's worth, leaves the
+    peak of their temporaries where it was, and they keep no per-track
+    objects.  A temporary is what a call frees
     before it returns, so its size is the traced peak above the memory
     held after the call; what a call holds is the growth of the traced
     memory across it (its result: the failed list, the reduced
     system)."""
     peaks, held = {}, {}
-    for m in (400, 1600):
+    for m in (800, 3200):
         graph = scene_graph(gen_scene(6, m, 10.0, 0.2, seed=5))
+        assert len(list(graph.batches())) > 1
         tracemalloc.start()
         try:
             for name, fn in (("update_points", update_points),
@@ -748,12 +782,12 @@ def test_pass_memory_does_not_grow_with_track_count():
                 held[name, m] = now - start
         finally:
             tracemalloc.stop()
-    # 1200 more tracks hold 7200 more observations; one float per
-    # observation would be 57,600 bytes, one new ground object per track
-    # about 160,000
+    # 2400 more tracks hold 14,400 more observations; one float per
+    # observation would be 115,200 bytes, one new ground object per track
+    # about 320,000
     for name in ("update_points", "accumulate_reduced"):
-        assert peaks[name, 1600] - peaks[name, 400] < 16_384, name
-        assert held[name, 1600] - held[name, 400] < 32_768, name
+        assert peaks[name, 3200] - peaks[name, 800] < 16_384, name
+        assert held[name, 3200] - held[name, 800] < 32_768, name
 
 
 def test_adjust_loop_memory_grows_by_one_step_of_kept_arrays():

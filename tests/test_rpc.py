@@ -292,6 +292,78 @@ def test_lone_point_equals_the_same_point_in_a_batch(rng, gathered):
             np.testing.assert_array_equal(got_one, want[k:k + 1])
 
 
+def pair_tracks(rng, stack, k):
+    """k observations under random rows of ``stack``, in tracks of two
+    (the last alone when k is odd): their models, grounds inside the
+    models' cubes, noisy raw projections as targets, the tracks' starts
+    and the grounds of their first observations."""
+    index = rng.integers(0, len(stack.table), k)
+    u = rng.uniform(-0.7, 0.7, (3, k))
+    table = stack.table[index]
+    g = np.column_stack([table[:, i] + u[i] * table[:, 5 + i]
+                         for i in range(3)])
+    targets = (rpc_mod.evaluate_masked(stack, index, *g.T)[0]
+               + rng.normal(0.0, 0.5, (k, 2)))
+    starts = np.r_[np.arange(0, k, 2), k]
+    return index, g, targets, starts, g[starts[:-1]]
+
+
+S = rpc_mod.GATHER_OBSERVATIONS
+
+
+@pytest.mark.parametrize("k", [1, 2, S - 1, S, S + 1, 2 * S + 1])
+def test_sliced_gather_gives_the_bytes_of_one_whole_gather(rng, monkeypatch,
+                                                           k):
+    """A stacked evaluation gathers its models' constants
+    ``GATHER_OBSERVATIONS`` points at a time.  Whichever slice a point
+    falls in, a trailing slice of one point (evaluated as a pair)
+    included, every result of :func:`evaluate_masked` under a stack
+    broadcast against the points and under a row index, of
+    :func:`linearize_tracks` and of :func:`inverse_project_many` has the
+    bytes and the layout of one whole gather: a later sum along the
+    observation axis runs in another order on another layout."""
+    stack = stack_models([random_rpc(rng) for _ in range(3)])
+    index, g, targets, starts, grounds = pair_tracks(rng, stack, k)
+    rows = rpc_mod.RpcArrays(stack.table[index])
+
+    def run():
+        return (*rpc_mod.evaluate_masked(rows, None, *g.T, True),
+                *rpc_mod.evaluate_masked(stack, index, *g.T, True),
+                *rpc_mod.linearize_tracks(stack, index, targets, grounds,
+                                          starts,
+                                          rpc_mod.TRIANGULATION_COND_MAX),
+                *rpc_mod.inverse_project_many(stack, index, targets, g[:, 2]))
+
+    sliced = run()
+    monkeypatch.setattr(rpc_mod, "GATHER_OBSERVATIONS", k)
+    whole = run()
+    assert len(sliced) == len(whole) == 17
+    for got, want in zip(sliced, whole):
+        assert (got.dtype, got.strides) == (want.dtype, want.strides)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_linearize_tracks_memory_per_observation(rng):
+    """One :func:`linearize_tracks` call with point blocks, on tracks of
+    two observations (the most tracks per observation), grows its traced
+    peak by at most 400 B per observation from 4,096 observations to
+    16,384: the model constants are gathered a slice at a time, where a
+    whole gather alone would take 1,680 B per observation."""
+    stack = stack_models([random_rpc(rng) for _ in range(3)])
+    peaks = {}
+    for k in (4096, 16384):
+        index, _, targets, starts, grounds = pair_tracks(rng, stack, k)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rpc_mod.linearize_tracks(stack, index, targets, grounds, starts,
+                                     rpc_mod.TRIANGULATION_COND_MAX)
+            peaks[k] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert peaks[16384] - peaks[4096] <= 400 * (16384 - 4096)
+
+
 def test_lone_pixel_cast_equals_the_same_pixel_in_a_batch(small_scene, rng):
     """The array cast of one pixel, as scalars or as length-1 arrays,
     gives the bits the pixel gets inside a batch."""

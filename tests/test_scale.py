@@ -26,7 +26,7 @@ def test_scale_harness_writes_one_record_per_scenario(tmp_path):
         assert set(record) == {
             "images", "points", "visibility", "tracks", "observations",
             "setup_s", "seconds", "bytes_per_observation",
-            "linearize_us_per_1k_obs",
+            "linearize_us_per_1k_obs", "linearize_calls_per_pass",
             "tracemalloc_peak_mb", "ru_maxrss_mb", "worst_bias_error_px",
             "iterations", "converged"}
         assert set(record["seconds"]) == {"load_tracks", "assemble",
@@ -37,3 +37,5 @@ def test_scale_harness_writes_one_record_per_scenario(tmp_path):
                                                       "adjust_loop"}
         assert set(record["linearize_us_per_1k_obs"]) == {"residuals",
                                                           "blocks"}
+        # toy scenes fill one chunk, so one batch
+        assert record["linearize_calls_per_pass"] == 1

@@ -12,8 +12,11 @@ records:
   ``load_tracks`` and, with its table still alive, after ``assemble``,
   per observation;
 * ``linearize_us_per_1k_obs``: one pass of ``rpc.linearize_tracks``
-  over every chunk, residuals only and with the point blocks, in
-  microseconds per 1,000 observations (best of three);
+  over every batch of chunks, as the adjustment's passes call it,
+  residuals only and with the point blocks, in microseconds per 1,000
+  observations (best of three);
+* ``linearize_calls_per_pass``: the ``rpc.linearize_tracks`` calls that
+  one ``adjust.report`` pass makes, counted;
 * ``tracemalloc_peak_mb``: each step's traced peak above its start, in
   a run of its own (tracing slows the Python code, so the timed runs
   are untraced), and the process's ``ru_maxrss_mb``;
@@ -87,7 +90,7 @@ def run_scenario(images: int, points: int, visibility: str) -> dict:
     """Measure one scenario in this process."""
     import numpy as np
 
-    from satadjust import adjust, synth
+    from satadjust import adjust, rpc, synth
     from satadjust.tracks import Track, load_tracks, save_tracks
 
     t0 = time.perf_counter()
@@ -132,9 +135,22 @@ def run_scenario(images: int, points: int, visibility: str) -> dict:
     linearize = {}
     for name, cond_max in (("residuals", None),
                            ("blocks", adjust.POINT_BLOCK_COND_MAX)):
-        best = _best(lambda: [adjust._linearize(graph, a, b, cond_max)
-                              for a, b in graph.chunks()])
+        best = _best(lambda: [
+            adjust._linearize(graph, batch[0][0], batch[-1][1], cond_max)
+            for batch in graph.batches()])
         linearize[name] = best * 1e9 / observations
+    calls = [0]
+    linearize_tracks = rpc.linearize_tracks
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return linearize_tracks(*args, **kwargs)
+
+    rpc.linearize_tracks = counted
+    try:
+        adjust.report(graph)
+    finally:
+        rpc.linearize_tracks = linearize_tracks
 
     truth = np.array([(im.true_bias.d_row, im.true_bias.d_col)
                       for im in scene.images])
@@ -149,6 +165,7 @@ def run_scenario(images: int, points: int, visibility: str) -> dict:
         "seconds": seconds,
         "bytes_per_observation": held,
         "linearize_us_per_1k_obs": linearize,
+        "linearize_calls_per_pass": calls[0],
         "tracemalloc_peak_mb": peaks,
         "ru_maxrss_mb": resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024,
