@@ -459,7 +459,8 @@ def update_points(graph: ObservationGraph) -> list[int]:
     one lock-step :func:`rpc.triangulate_many` call per batch of
     :meth:`ObservationGraph.batches` that holds a free track.  The
     batches' starts are cast together: one :func:`rpc.cast_heads` call
-    per run of consecutive batches, a run closing once it holds
+    per run of consecutive batches that holds a free track, a run
+    closing once it holds
     ``CHUNK_OBSERVATIONS // 2`` tracks (the most a chunk can hold), so
     a cast covers fewer tracks than that plus one batch.  No array spans
     all tracks.
@@ -472,6 +473,8 @@ def update_points(graph: ObservationGraph) -> list[int]:
     for run in _cast_runs(graph):
         a = run[0][0][0]
         free = a + np.flatnonzero(~graph.gcp[a:run[-1][-1][1]])
+        if not free.size:
+            continue
         first = graph.track_start[free]
         heads = graph.obs_image[first]
         # residual = observed - (raw - bias), so fold the bias into the

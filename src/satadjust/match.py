@@ -6,6 +6,12 @@ window), and matched along quasi-epipolar curves obtained by casting each
 left pixel onto a series of height planes.  A ratio test plus an
 offset-compensated reprojection filter remove outliers.
 
+The search is local: the right features of a pair are bucketed once in
+a grid of cells as wide as the epipolar buffer, and each curve tests
+only the features in the cells around it, so a pair costs its curve
+vertices times the features near each curve rather than times all the
+right features.
+
 The census pre-filter is a 5x5 binomial kernel (a discrete Gaussian with
 sigma 1.0) evaluated in exact integer arithmetic, which makes descriptors
 bit-identical under any positive affine integer intensity map; robustness
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,14 +118,17 @@ def _arc_table() -> np.ndarray:
 _ARC_TABLE = _arc_table()
 
 
-def _segment_test(px: np.ndarray, r0: int, r1: int, threshold: float):
-    """Corners and their scores among the pixels of rows r0..r1, the
-    3-pixel border excluded.
+def _segment_test(px: np.ndarray, r0: int, r1: int, c0: int, c1: int,
+                  threshold: float):
+    """Corners and their scores among the pixels of rows r0..r1 and
+    columns c0..c1, which must lie 3 pixels inside the raster.
 
     Any 9 contiguous ring pixels hold two compass pixels (ring positions
     0, 4, 8 and 12) four apart, so a pixel can pass only if some adjacent
     compass pair is both brighter, or both darker, than its threshold.
-    That pre-test is the only work done on every pixel.  The survivors'
+    That pre-test is the only work done on every pixel, and it holds
+    about 7 bytes a pixel: the differences and, per compass pair, the
+    brighter and darker masks, each folded in place.  The survivors'
     16 brighter and 16 darker ring comparisons are packed into two 16-bit
     codes, both looked up in a table of the codes that hold a 9-long
     circular run; the pixels that pass are scored by the minimum over
@@ -133,20 +143,27 @@ def _segment_test(px: np.ndarray, r0: int, r1: int, threshold: float):
     limit = int(np.iinfo(diff_type).max)
     t = min(max(math.floor(threshold), -limit), limit)
     w = px.shape[1]
-    center = px[r0:r1, 3:w - 3]
+    center = px[r0:r1, c0:c1]
     diff = np.empty(center.shape, dtype=diff_type)
-    bright, dark = [], []
-    for dr, dc in FAST_CIRCLE[::4]:
-        np.subtract(px[r0 + dr:r1 + dr, 3 + dc:w - 3 + dc], center, out=diff,
-                    dtype=diff_type)
-        bright.append(diff > t)
-        dark.append(diff < -t)
+    # brighter and darker at compass 0 or 8, then at compass 4 or 12
+    tests = []
+    for compass in (FAST_CIRCLE[0::8], FAST_CIRCLE[4::8]):
+        bright = np.zeros(center.shape, dtype=bool)
+        dark = np.zeros(center.shape, dtype=bool)
+        for dr, dc in compass:
+            np.subtract(px[r0 + dr:r1 + dr, c0 + dc:c1 + dc], center,
+                        out=diff, dtype=diff_type)
+            bright |= diff > t
+            dark |= diff < -t
+        tests.append((bright, dark))
     # both pixels of a compass pair (0, 4), (4, 8), (8, 12) or (12, 0)
-    rows, cols = np.nonzero(
-        ((bright[0] | bright[2]) & (bright[1] | bright[3]))
-        | ((dark[0] | dark[2]) & (dark[1] | dark[3])))
+    (bright, dark), (bright_b, dark_b) = tests
+    bright &= bright_b
+    dark &= dark_b
+    bright |= dark
+    rows, cols = np.nonzero(bright)
     rows += r0
-    cols += 3
+    cols += c0
 
     flat = px.ravel()
     at = rows * w + cols
@@ -168,6 +185,16 @@ def _segment_test(px: np.ndarray, r0: int, r1: int, threshold: float):
     return rows[keep], cols[keep], scores[keep].astype(np.float64)
 
 
+def _data_columns(px: np.ndarray, nodata: int) -> tuple[int, int]:
+    """First and one past the last column of ``px`` holding a pixel other
+    than ``nodata``; (0, 0) when there is none.  Column extremes, not a
+    mask of ``px``, so nothing of its size is allocated."""
+    data = (px.min(axis=0) != nodata) | (px.max(axis=0) != nodata)
+    if not data.any():
+        return 0, 0
+    return int(data.argmax()), len(data) - int(data[::-1].argmax())
+
+
 def detect_corners(
     raster: Raster, threshold: float = MatchParams.fast_threshold,
     nms_radius: float = MatchParams.nms_radius,
@@ -185,16 +212,32 @@ def detect_corners(
 
     The test runs in row tiles of about FAST_TILE_PIXELS pixels
     (:func:`_segment_test`), so its memory does not grow with the
-    raster.
+    raster.  A tile is tested only between the first and last columns
+    holding a pixel other than ``raster.nodata`` within 3 rows of it,
+    widened by 3 pixels: a pixel whose 7x7 window is all nodata differs
+    from no ring pixel, so it cannot pass at a threshold of 0 or more.
+    The nodata outside a rectified footprint thus costs one comparison
+    per pixel.
+
+    Raises:
+        ValueError: ``threshold`` is negative or not finite.
     """
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold ({threshold!r}) must be non-negative "
+                         "and finite")
     px = raster.pixels
     h, w = px.shape
     if h < 7 or w < 7:
         return np.empty((0, 2))
     tile = max(1, FAST_TILE_PIXELS // w)
-    rows, cols, scores = (np.concatenate(parts) for parts in zip(*(
-        _segment_test(px, r0, min(r0 + tile, h - 3), threshold)
-        for r0 in range(3, h - 3, tile))))
+    parts = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
+    for r0 in range(3, h - 3, tile):
+        r1 = min(r0 + tile, h - 3)
+        c0, c1 = _data_columns(px[r0 - 3:r1 + 3], raster.nodata)
+        c0, c1 = max(c0 - 3, 3), min(c1 + 3, w - 3)
+        if c0 < c1:
+            parts.append(_segment_test(px, r0, r1, c0, c1, threshold))
+    rows, cols, scores = (np.concatenate(p) for p in zip(*parts))
     order = np.lexsort((cols, rows, -scores))
     # Kept corners are bucketed in square cells no narrower than the
     # radius, so any within it of a candidate lie in the 3x3 cells around
@@ -361,6 +404,36 @@ def epipolar_curves(
     Raises:
         ValueError: min_h is not below max_h.
     """
+    vertices, counts, status = _curve_vertices(points, left, right, min_h,
+                                               max_h)
+    return np.split(vertices, np.cumsum(counts)[:-1]), status
+
+
+def _curve_heights(spans, min_h: float, max_h: float):
+    """``(counts, heights)``: per curve spanning ``spans`` px, the heights
+    that place its vertices about 1 px apart, at most MAX_CURVE_SAMPLES
+    of them, one curve after another.
+
+    Heights are accumulated step by step (``np.add.accumulate`` adds in
+    order), not by ``np.linspace``, whose heights differ in the last
+    bits; an accumulated height within 1e-12 of max_h gives way to max_h.
+    """
+    n_vertices = np.clip(np.ceil(spans) + 1, 2, MAX_CURVE_SAMPLES)
+    heights = np.empty((len(n_vertices), MAX_CURVE_SAMPLES + 1))
+    heights[:, 0] = min_h
+    heights[:, 1:] = ((max_h - min_h) / (n_vertices - 1))[:, None]
+    np.add.accumulate(heights, axis=1, out=heights)
+    heights[:, -1] = max_h
+    kept = ((np.arange(MAX_CURVE_SAMPLES + 1) < n_vertices[:, None])
+            & (heights < max_h - 1e-12))
+    kept[:, -1] = True
+    return kept.sum(axis=1), heights[kept]
+
+
+def _curve_vertices(points, left, right, min_h: float, max_h: float):
+    """:func:`epipolar_curves` as flat arrays: ``(vertices, counts,
+    status)``, the (V, 2) vertices of all curves one after another,
+    each curve's vertex count and each cast's outcome code."""
     if not min_h < max_h:
         raise ValueError("min_h must be below max_h")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
@@ -371,35 +444,20 @@ def epipolar_curves(
     status = np.where(end_status[:, 0] != rpc_mod.SOLVED, end_status[:, 0],
                       end_status[:, 1])
     good = np.flatnonzero(status == rpc_mod.SOLVED)
-    heights = []
-    starts = [0]
-    for i in good:
-        (r0, c0), (r1, c1) = ends[2 * i:2 * i + 2]
-        span = math.hypot(r1 - r0, c1 - c0)
-        n_vertices = int(min(max(math.ceil(span) + 1, 2), MAX_CURVE_SAMPLES))
-        dh = (max_h - min_h) / (n_vertices - 1)
-        # accumulated steps, not np.linspace, whose heights differ in the
-        # last bits
-        h = min_h
-        while h < max_h - 1e-12:
-            heights.append(h)
-            h += dh
-        heights.append(max_h)
-        starts.append(len(heights))
-    pix, row_status = _cast(
-        left, right, np.repeat(points[good], np.diff(starts), axis=0),
-        np.array(heights))
+    # math.hypot, not np.hypot, which rounds differently in the last bit
+    counts, heights = _curve_heights(
+        [math.hypot(*d) for d in
+         (ends[2 * good + 1] - ends[2 * good]).tolist()], min_h, max_h)
+    owner = np.repeat(good, counts)
+    pix, row_status = _cast(left, right, points[owner], heights)
+    failed = np.flatnonzero(row_status != rpc_mod.SOLVED)
+    first = failed[np.diff(owner[failed], prepend=-1) != 0]
+    status[owner[first]] = row_status[first]
     rows, cols = pix[:, 0], pix[:, 1]
-    inside = ((0 <= rows) & (rows <= right.raster.height - 1)
-              & (0 <= cols) & (cols <= right.raster.width - 1))
-    curves = [np.empty((0, 2))] * n
-    for i, lo, hi in zip(good, starts[:-1], starts[1:]):
-        failed = row_status[lo:hi][row_status[lo:hi] != rpc_mod.SOLVED]
-        if failed.size:
-            status[i] = failed[0]
-        else:
-            curves[i] = pix[lo:hi][inside[lo:hi]]
-    return curves, status
+    keep = ((status[owner] == rpc_mod.SOLVED)
+            & (0 <= rows) & (rows <= right.raster.height - 1)
+            & (0 <= cols) & (cols <= right.raster.width - 1))
+    return pix[keep], np.bincount(owner[keep], minlength=n), status
 
 
 def epipolar_curve(
@@ -423,27 +481,96 @@ def epipolar_curve(
     return [ImagePoint(r, c) for r, c in curves[0].tolist()]
 
 
-def _nearest_on_polyline(points: np.ndarray, vertices: np.ndarray):
-    """Closest points of a polyline (m, 2) to points (n, 2).
+class _Grid(NamedTuple):
+    """Points bucketed in square cells of a side, row-major from the
+    cell of ``origin``: the points' sorted cell keys and their indices in
+    that order, in point order within a cell."""
+
+    origin: np.ndarray
+    side: float
+    shape: np.ndarray
+    keys: np.ndarray
+    order: np.ndarray
+
+    def cells(self, xy: np.ndarray) -> np.ndarray:
+        """(row, col) cells of positions, as floats; non-decreasing in
+        each coordinate, so a box's corners bound its points' cells."""
+        return np.floor((xy - self.origin) / self.side)
+
+
+def _grid(points: np.ndarray, side: float) -> _Grid:
+    origin = points.min(axis=0)
+    cells = np.floor((points - origin) / side).astype(np.int64)
+    shape = cells.max(axis=0) + 1
+    keys = cells[:, 0] * shape[1] + cells[:, 1]
+    order = np.argsort(keys, kind="stable")
+    return _Grid(origin, side, shape, keys[order], order)
+
+
+def _runs(counts: np.ndarray):
+    """``(owner, rank)`` of the items of consecutive runs holding
+    ``counts`` items each: each item's run and its place in that run."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    firsts = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - firsts[owner]
+
+
+def _in_boxes(grid: _Grid, lo: np.ndarray, hi: np.ndarray):
+    """``(box, point)``: the points in the cells that each box, (k, 2)
+    corners ``lo`` and ``hi``, touches, box by box.  One key range per
+    cell row of a box, found by binary search."""
+    first = np.clip(grid.cells(lo), 0, grid.shape).astype(np.int64)
+    last = np.clip(grid.cells(hi), -1, grid.shape - 1).astype(np.int64)
+    n_rows = np.where((first <= last).all(axis=1),
+                      last[:, 0] - first[:, 0] + 1, 0)
+    box, rank = _runs(n_rows)
+    row_key = (first[box, 0] + rank) * grid.shape[1]
+    start = np.searchsorted(grid.keys, row_key + first[box, 1])
+    stop = np.searchsorted(grid.keys, row_key + last[box, 1], side="right")
+    run, rank = _runs(stop - start)
+    return box[run], grid.order[start[run] + rank]
+
+
+def _near_curves(vertices: np.ndarray, counts: np.ndarray,
+                 points: np.ndarray, grid: _Grid, buffer: float):
+    """The points within ``buffer`` of each curve, the curves given as
+    :func:`_curve_vertices` gives them and the points bucketed in
+    ``grid``.
+
+    A curve's candidates are the points in the cells its bounding box
+    touches, widened by the buffer and a pixel that absorbs rounding.
+    Each (curve, point) candidate is tested against every segment of its
+    curve, a one-vertex curve being one segment of zero length, and
+    takes the first segment at its least distance.
 
     Returns:
-        ``(distances, nearest)``: the (n,) distances and the (n, 2)
-        closest polyline points.
+        ``(curve, point, distance, nearest)`` per pair within the
+        buffer, by curve: the indices, the distance to the curve and the
+        (k, 2) closest curve point.
     """
-    if len(vertices) == 1:
-        nearest = np.broadcast_to(vertices[0], points.shape)
-        return np.hypot(*(points - nearest).T), nearest
-    a = vertices[:-1]
-    seg = vertices[1:] - a
+    live = np.flatnonzero(counts)
+    curve_start = np.cumsum(counts) - counts
+    pad = buffer + 1.0
+    box, point = _in_boxes(
+        grid, np.minimum.reduceat(vertices, curve_start[live]) - pad,
+        np.maximum.reduceat(vertices, curve_start[live]) + pad)
+    curve = live[box]
+    # the flat (candidate, segment) list
+    n_segments = np.where(counts > 1, counts - 1, 1)[curve]
+    pair, rank = _runs(n_segments)
+    a = curve_start[curve][pair] + rank
+    va, vb = vertices[a], vertices[a + (n_segments[pair] > 1)]
+    p = points[point][pair]
+    seg = vb - va
     seg_len2 = np.maximum((seg * seg).sum(axis=1), 1e-30)
-    rel = points[:, None, :] - a[None, :, :]
-    t = np.clip((rel * seg[None]).sum(axis=2) / seg_len2[None], 0.0, 1.0)
-    on_segment = a[None] + t[:, :, None] * seg[None]
-    d = np.hypot(points[:, None, 0] - on_segment[:, :, 0],
-                 points[:, None, 1] - on_segment[:, :, 1])
-    k = d.argmin(axis=1)
-    n = np.arange(len(points))
-    return d[n, k], on_segment[n, k]
+    t = np.clip(((p - va) * seg).sum(axis=1) / seg_len2, 0.0, 1.0)
+    on_segment = va + t[:, None] * seg
+    d = np.hypot(p[:, 0] - on_segment[:, 0], p[:, 1] - on_segment[:, 1])
+    dist = np.minimum.reduceat(d, np.cumsum(n_segments) - n_segments)
+    near = dist <= buffer
+    hit = np.flatnonzero(near[pair] & (d == dist[pair]))
+    hit = hit[np.diff(pair[hit], prepend=-1) != 0]
+    return curve[near], point[near], dist[near], on_segment[hit]
 
 
 def match_pair(
@@ -466,10 +593,20 @@ def match_pair(
     epipolar buffer of its height-swept curve; the best census score wins
     if it beats ``ratio_threshold`` times the second best (a lone
     candidate is accepted, the geometric filter below still guards it;
-    ties prefer the candidate closest to the curve).  Tentative matches
-    are then offset-compensated by their median displacement from the
-    curve and kept only if the triangulated pair reprojects within the
-    filter tolerance.
+    ties prefer the candidate closest to the curve, then the first
+    right feature).  Tentative matches are then offset-compensated by
+    their median displacement from the curve and kept only if the
+    triangulated pair reprojects within the filter tolerance.
+
+    The right features are bucketed once in a grid of cells
+    ``epipolar_buffer_px`` wide, and the left features are taken
+    CURVE_BLOCK at a time: one cast draws the block's curves, and one
+    flat list of (left, right, curve segment) triples, drawn from the
+    cells around each curve, is measured, reduced to each pair's nearest
+    segment, scored and ranked, with no loop over features.  The work
+    and memory of a block grow with its curves' vertices times the
+    right features near them, not with all the right features, whose
+    grid costs a few bytes each.
 
     Raises:
         EmptyHeightRange: the left product's height range is empty.
@@ -483,36 +620,32 @@ def match_pair(
     if not len(left_features) or not len(right_features):
         return np.empty((0, 5))
 
-    curves = []
+    grid = _grid(right_features, params.epipolar_buffer_px)
+    matches = []  # (left indices, right indices, scores, displacements)
     for lo in range(0, len(left_features), CURVE_BLOCK):
-        curves += epipolar_curves(left_features[lo:lo + CURVE_BLOCK], left,
-                                  right, min_h, max_h)[0]
-
-    matches = []  # (left index, right index, score)
-    disps = []
-    for i, vertices in enumerate(curves):
-        if not len(vertices):
-            continue
-        dist, nearest = _nearest_on_polyline(right_features, vertices)
-        candidates = np.flatnonzero(dist <= params.epipolar_buffer_px)
-        if candidates.size == 0:
-            continue
-        scores = np.count_nonzero(right_bits[candidates] != left_bits[i],
+        vertices, counts, _ = _curve_vertices(
+            left_features[lo:lo + CURVE_BLOCK], left, right, min_h, max_h)
+        il, ir, dist, nearest = _near_curves(
+            vertices, counts, right_features, grid,
+            params.epipolar_buffer_px)
+        scores = np.count_nonzero(right_bits[ir] != left_bits[lo + il],
                                   axis=(1, 2))
-        # stable: ties in score and distance keep the feature order
-        order = np.lexsort((dist[candidates], scores))
-        best = candidates[order[0]]
-        if (len(order) > 1 and not scores[order[0]]
-                < params.ratio_threshold * scores[order[1]]):
-            continue
-        matches.append((i, best, scores[order[0]]))
-        disps.append(right_features[best] - nearest[best])
+        # per left feature: by score, then distance, then right index
+        order = np.lexsort((ir, dist, scores, il))
+        il, scores = il[order], scores[order]
+        head = np.flatnonzero(np.diff(il, prepend=-1))
+        lone = np.r_[head[1:], len(il)] == head + 1
+        runner_up = scores[np.minimum(head + 1, len(il) - 1)]
+        best = head[lone | (scores[head]
+                            < params.ratio_threshold * runner_up)]
+        won = order[best]
+        matches.append((lo + il[best], ir[won], scores[best],
+                        right_features[ir[won]] - nearest[won]))
 
-    if not matches:
+    il, ir, scores, disps = (np.concatenate(a) for a in zip(*matches))
+    if not il.size:
         return np.empty((0, 5))
-
-    il, ir, scores = np.array(matches).T
-    median = np.median(np.array(disps), axis=0)
+    median = np.median(disps, axis=0)
     # The curves assume zero right bias; observed rights sit at curve +
     # displacement, so the compensating right-image bias is minus the
     # median displacement.

@@ -684,6 +684,28 @@ def test_update_points_equals_per_track_triangulation(chunk, monkeypatch,
             assert GroundPoint(*ground) == new
 
 
+def test_update_points_casts_no_run_of_gcp_tracks_only(monkeypatch):
+    """A run of batches holding only GCP tracks (tracks 0-3, one per
+    chunk) makes no cast, and the grounds are those of one run over all
+    tracks, bit for bit."""
+    whole = mixed_graph()
+    update_points(whole)
+    monkeypatch.setattr(adjust, "CHUNK_OBSERVATIONS", 1)
+    graph = mixed_graph()
+    cast = rpc_mod.cast_heads
+    heads = []
+
+    def count(models, head, targets):
+        heads.append(len(head))
+        return cast(models, head, targets)
+
+    monkeypatch.setattr(rpc_mod, "cast_heads", count)
+    update_points(graph)
+    assert heads and min(heads) > 0
+    assert sum(heads) == np.count_nonzero(~graph.gcp)
+    assert graph.ground.tobytes() == whole.ground.tobytes()
+
+
 @pytest.mark.parametrize("chunk", [1, 24])
 def test_update_points_calls_triangulate_many_once_per_batch(chunk,
                                                              monkeypatch):

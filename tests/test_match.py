@@ -26,7 +26,6 @@ from satadjust.match import (
     FAST_CIRCLE,
     MAX_CURVE_SAMPLES,
     MatchParams,
-    _nearest_on_polyline,
     _reprojection_errors,
     _segment_test,
     census_bits,
@@ -83,6 +82,26 @@ def planted_positions(scene, index):
         out.append((raw.row - img.true_bias.d_row,
                     raw.col - img.true_bias.d_col))
     return np.array(out)
+
+
+def _nearest_on_polyline(points: np.ndarray, vertices: np.ndarray):
+    """Closest points of a polyline (m, 2) to points (n, 2): ``(distances,
+    nearest)``, the (n,) distances and the (n, 2) closest polyline
+    points, the first segment winning a tie."""
+    if len(vertices) == 1:
+        nearest = np.broadcast_to(vertices[0], points.shape)
+        return np.hypot(*(points - nearest).T), nearest
+    a = vertices[:-1]
+    seg = vertices[1:] - a
+    seg_len2 = np.maximum((seg * seg).sum(axis=1), 1e-30)
+    rel = points[:, None, :] - a[None, :, :]
+    t = np.clip((rel * seg[None]).sum(axis=2) / seg_len2[None], 0.0, 1.0)
+    on_segment = a[None] + t[:, :, None] * seg[None]
+    d = np.hypot(points[:, None, 0] - on_segment[:, :, 0],
+                 points[:, None, 1] - on_segment[:, :, 1])
+    k = d.argmin(axis=1)
+    n = np.arange(len(points))
+    return d[n, k], on_segment[n, k]
 
 
 def pair_offset(matches, left, right) -> tuple[float, float]:
@@ -207,7 +226,7 @@ def check_against_oracle(raster: Raster, threshold: float,
     oracles; returns the corners."""
     scored = segment_test_oracle(raster, threshold)
     rows, cols, scores = _segment_test(raster.pixels, 3, raster.height - 3,
-                                       threshold)
+                                       3, raster.width - 3, threshold)
     assert list(zip(scores.tolist(), rows.tolist(), cols.tolist())) == scored
     corners = detect_corners(raster, threshold, nms_radius)
     np.testing.assert_array_equal(corners,
@@ -236,6 +255,37 @@ def test_detect_corners_dense_equals_per_pixel_oracle(nms_radius):
     gen = np.random.default_rng(10)
     raster = Raster(gen.integers(0, 256, (110, 110)).astype(np.uint8))
     assert len(check_against_oracle(raster, 20.0, nms_radius)) > 200
+
+
+@pytest.mark.parametrize("tile", [1, match_mod.FAST_TILE_PIXELS])
+def test_detect_corners_beside_nodata_equals_per_pixel_oracle(tile,
+                                                              monkeypatch):
+    """Data between a diagonal and a vertical nodata edge, tested one
+    row per tile and in one tile: the column bounds of each tile lose no
+    corner, here one planted 3 px inside the diagonal edge and one on
+    the first data column."""
+    gen = np.random.default_rng(13)
+    rows, cols = np.mgrid[:64, :64]
+    data = (np.abs(cols - rows - 5) <= 12) & (cols >= 10)
+    px = np.where(data, gen.integers(1, 256, (64, 64)), 0)
+    planted = [(30, 30 + 5 + 12 - 3), (12, 10)]
+    for r, c in planted:
+        # a bright pixel on a flat patch, its ring reaching into nodata
+        px[r - 3:r + 4, c - 3:c + 4] = np.where(
+            data[r - 3:r + 4, c - 3:c + 4], 60, 0)
+        px[r, c] = 250
+    raster = Raster(px.astype(np.uint8), nodata=0)
+    monkeypatch.setattr(match_mod, "FAST_TILE_PIXELS", tile)
+    corners = check_against_oracle(raster, 20.0, 1.5).tolist()
+    assert all([r, c] in corners for r, c in planted)
+    assert len(corners) > 50
+
+
+@pytest.mark.parametrize("threshold", [-1.0, -0.5, math.inf, math.nan])
+def test_detect_corners_rejects_bad_threshold(threshold):
+    raster = Raster(np.zeros((16, 16), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        detect_corners(raster, threshold)
 
 
 def test_detect_corners_is_tile_independent(stereo, monkeypatch):
@@ -597,33 +647,35 @@ def test_select_pairs_by_overlap(stereo):
     assert select_pairs(products) == [(0, 1)]
 
 
-def match_pair_oracle(left, right, params, left_features, right_features):
+def match_pair_oracle(left, right, params, left_features, right_features,
+                      left_bits=None, right_bits=None):
     """match_pair one left feature at a time: one descriptor and one
     match_score call per candidate, ranked by sorted() on (score,
-    distance to the curve)."""
+    distance to the curve).  Without bits, the features whose windows
+    fit are described one by one; with them, every feature is used as
+    given."""
     margin = params.window // 2 + 2
 
-    def usable(features, raster):
-        return [ImagePoint(r, c) for r, c in features.tolist()
-                if margin <= round(r) < raster.height - margin
-                and margin <= round(c) < raster.width - margin]
+    def usable(features, raster, bits):
+        if bits is not None:
+            return [ImagePoint(r, c) for r, c in features.tolist()], bits
+        use = [ImagePoint(r, c) for r, c in features.tolist()
+               if margin <= round(r) < raster.height - margin
+               and margin <= round(c) < raster.width - margin]
+        return use, [mbcensus_descriptor(raster, p, params.window,
+                                         params.blocks) for p in use]
 
-    left_use = usable(left_features, left.raster)
-    right_use = usable(right_features, right.raster)
-    right_desc = [mbcensus_descriptor(right.raster, p, params.window,
-                                      params.blocks)
-                  for p in right_use]
+    left_use, left_desc = usable(left_features, left.raster, left_bits)
+    right_use, right_desc = usable(right_features, right.raster, right_bits)
     right_pos = np.array([(p.row, p.col) for p in right_use])
     min_h = left.rpc.hei_off - left.rpc.hei_scale
     max_h = left.rpc.hei_off + left.rpc.hei_scale
     curves, _ = epipolar_curves([(p.row, p.col) for p in left_use], left,
                                 right, min_h, max_h)
     tentative = []
-    for pl, vertices in zip(left_use, curves):
+    for pl, dl, vertices in zip(left_use, left_desc, curves):
         if not len(vertices):
             continue
-        dl = mbcensus_descriptor(left.raster, pl, params.window,
-                                 params.blocks)
         dist, nearest = _nearest_on_polyline(right_pos, vertices)
         candidates = np.nonzero(dist <= params.epipolar_buffer_px)[0]
         if candidates.size == 0:
@@ -685,6 +737,178 @@ def test_match_pair_equals_per_feature_oracle(stereo, duplicates, ratio):
         rights = [tuple(p) for p in corrs[:, 2:4].tolist()]
         assert {p in first for p in rights} == {True, False}
         assert all(p in first or p in moved for p in rights)
+
+
+def described(products, params=MatchParams()):
+    """(positions, bits) of each product's detected corners."""
+    return [describe_features(p.raster, detect_corners(p.raster),
+                              params.window, params.blocks)
+            for p in products]
+
+
+def edit_curves(monkeypatch, edit):
+    """Make match_pair, and the oracle through epipolar_curves, see each
+    left pixel's curve as ``edit(pixel, curve)``."""
+    real = match_mod._curve_vertices
+
+    def edited(points, *args):
+        vertices, counts, status = real(points, *args)
+        curves = [edit(p, c) for p, c in zip(
+            np.asarray(points).reshape(-1, 2),
+            np.split(vertices, np.cumsum(counts)[:-1]))]
+        return (np.concatenate([np.empty((0, 2)), *curves]),
+                np.array([len(c) for c in curves], dtype=int), status)
+
+    monkeypatch.setattr(match_mod, "_curve_vertices", edited)
+
+
+def parity(p) -> int:
+    return int(p[0] + p[1]) % 2
+
+
+def one_vertex(p, curve):
+    """The middle vertex, rounded to whole pixels, of the curves of
+    even-parity pixels; the other curves as they are."""
+    if not len(curve) or parity(p):
+        return curve
+    return np.round(curve[len(curve) // 2:len(curve) // 2 + 1])
+
+
+def shifted_out(p, curve):
+    """The curves of even-parity pixels moved wholly off the right
+    raster, to each of its four sides in turn."""
+    if parity(p):
+        return curve
+    shifts = ((-3000.0, 0.0), (3000.0, 0.0), (0.0, -3000.0), (0.0, 3000.0))
+    return curve + shifts[int(p[0]) % 4]
+
+
+def test_match_pair_takes_the_first_of_equally_near_segments(stereo,
+                                                             monkeypatch):
+    """Each matched left pixel's curve bent into a V around its right
+    feature, which then lies 10 * sqrt(2) px from both arms: the first
+    arm's foot gives a displacement 10 px across the curves with the
+    sign of the true one (about -10.6 px; the curves run along the
+    columns), the second's 10 px the other way, which the reprojection
+    filter rejects."""
+    _, (left, right) = stereo
+    baseline = match(left, right)
+    right_of = {tuple(m[:2]): m[2:4] for m in baseline.tolist()}
+    sign = np.sign(pair_offset(baseline, left, right)[0])
+
+    def v_shape(p, curve):
+        if tuple(p) not in right_of:
+            return curve
+        apex = np.array(right_of[tuple(p)]) - (0.0, 20.0)
+        return apex + [(-40.0 * sign, 40.0), (0.0, 0.0), (40.0 * sign, 40.0)]
+
+    edit_curves(monkeypatch, v_shape)
+    corrs = match(left, right)
+    (lf, _), (rf, _) = described((left, right))
+    np.testing.assert_array_equal(
+        corrs, match_pair_oracle(left, right, MatchParams(), lf, rf))
+    assert len(corrs) >= 0.9 * len(baseline)
+
+
+@pytest.mark.parametrize("case", ["one_vertex", "outside", "at_buffer",
+                                  "ties"])
+def test_match_pair_equals_oracle_on_edited_curves(stereo, monkeypatch,
+                                                   case):
+    """One-vertex curves, curves off the right raster, right features at
+    exactly the buffer distance and just beyond it, and candidates equal
+    in score and distance on opposite sides of a curve, which the grid
+    may hold in different cells."""
+    _, (left, right) = stereo
+    params = MatchParams(ratio_threshold=1.5 if case == "ties" else 0.6)
+    (lf, lb), (rf, rb) = described((left, right), params)
+    edit_curves(monkeypatch, shifted_out if case == "outside"
+                else one_vertex)
+    if case == "outside":
+        # a left pixel whose curve misses the right raster altogether
+        lf = np.concatenate([lf, [(left.raster.height + 400.0, 0.0)]])
+        lb = np.concatenate([lb, lb[:1]])
+
+    def run(rf, rb):
+        corrs = match_pair(left, right, params, left_features=lf,
+                           left_bits=lb, right_features=rf, right_bits=rb)
+        expected = match_pair_oracle(left, right, params, lf, rf, lb, rb)
+        np.testing.assert_array_equal(corrs, expected)
+        return corrs
+
+    baseline = run(rf, rb)
+    assert len(baseline) > 20
+    kinds = {parity(p) for p in baseline[:, :2].tolist()}
+    if case == "outside":
+        assert kinds == {1}
+        return
+    assert kinds == {0, 1}
+    if case == "one_vertex":
+        return
+    min_h = left.rpc.hei_off - left.rpc.hei_scale
+    max_h = left.rpc.hei_off + left.rpc.hei_scale
+    curves, _ = epipolar_curves(lf, left, right, min_h, max_h)
+    one = [j for j, (p, c) in enumerate(zip(lf, curves))
+           if not parity(p) and len(c)]
+    if case == "at_buffer":
+        # a copy of the left bits, 30 px from the curve or just beyond:
+        # within the buffer it wins the ratio test over the true match
+        beyond = [j for j in one if int(lf[j][0]) % 2]
+        offsets = np.where(np.isin(one, beyond)[:, None], (18.0, 24.000001),
+                           (18.0, 24.0))
+        fakes = np.array([curves[j][0] for j in one]) + offsets
+        corrs = run(np.concatenate([rf, fakes]),
+                    np.concatenate([rb, lb[one]]))
+        moved = [j for j in one if j not in beyond]
+    else:
+        # each matched right feature mirrored through the one vertex, with
+        # its bits, ahead of the originals: the mirror ties in score and
+        # distance and wins on its lower index
+        rows = {tuple(p): k for k, p in enumerate(rf.tolist())}
+        lefts = {tuple(p): j for j, p in enumerate(lf.tolist())}
+        mirrored = [(lefts[tuple(m[:2])], rows[tuple(m[2:4])])
+                    for m in baseline.tolist()
+                    if lefts[tuple(m[:2])] in one]
+        mirrors = np.array([2 * curves[j][0] - rf[k] for j, k in mirrored])
+        corrs = run(np.concatenate([mirrors, rf]),
+                    np.concatenate([rb[[k for _, k in mirrored]], rb]))
+        moved = [j for j, _ in mirrored]
+
+    def rows_of(matches, js):
+        keep = [tuple(lf[j]) for j in js]
+        return [m for m in matches.tolist() if tuple(m[:2]) in keep]
+
+    still = [j for j in range(len(lf)) if j not in moved]
+    assert rows_of(corrs, still) == rows_of(baseline, still)
+    assert rows_of(baseline, moved)
+    assert not any(m in rows_of(baseline, moved)
+                   for m in rows_of(corrs, moved))
+
+
+def test_match_pair_memory_does_not_grow_with_right_features(stereo):
+    """Right features far from every curve cost the grid a few bytes
+    each, and no search memory."""
+    _, products = stereo
+    (lf, lb), (rf, rb) = described(products)
+    n = 20_000
+    far = np.concatenate([rf, rf[np.arange(n) % len(rf)] + 5000.0])
+    far_bits = np.concatenate([rb, np.broadcast_to(rb[:1],
+                                                   (n, *rb.shape[1:]))])
+
+    def peak(rf, rb):
+        tracemalloc.start()
+        try:
+            corrs = match_pair(*products, left_features=lf, left_bits=lb,
+                               right_features=rf, right_bits=rb)
+            return corrs, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    near, base = peak(rf, rb)
+    same, grown = peak(far, far_bits)
+    np.testing.assert_array_equal(same, near)
+    # about 16 B each; a search over all right features per left feature
+    # took n * 13 vertices * 16 B per temporary
+    assert grown - base < 64 * n
 
 
 def test_match_pair_without_features_is_empty(stereo):

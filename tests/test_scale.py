@@ -21,7 +21,22 @@ def test_scale_harness_writes_one_record_per_scenario(tmp_path):
     assert set(data) == {"commit", "toy", "machine", "scenarios"}
     assert data["toy"] is True
     assert path.name == f"BENCH_scale_{data['commit']}.json"
-    assert set(data["scenarios"]) == {"random-n10-m30k", "full-n50-m2k"}
+    assert set(data["scenarios"]) == {"random-n10-m30k", "full-n50-m2k",
+                                      "match-800", "match-1600",
+                                      "match-3200"}
+    for name in ("match-800", "match-1600", "match-3200"):
+        record = data["scenarios"].pop(name)
+        assert set(record) == {
+            "points", "half_extent_m", "raster_px", "features",
+            "correspondences", "setup_s", "seconds",
+            "match_stage_ms_per_feature", "tracemalloc_peak_mb",
+            "ru_maxrss_mb"}
+        assert set(record["seconds"]) == {"match_stage", "detect_corners",
+                                          "match_pair"}
+        assert set(record["tracemalloc_peak_mb"]) == {"match_stage",
+                                                      "match_pair"}
+        assert min(record["features"]) > 0
+        assert record["correspondences"] > 0
     for record in data["scenarios"].values():
         assert set(record) == {
             "images", "points", "visibility", "tracks", "observations",

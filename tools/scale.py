@@ -1,11 +1,11 @@
-"""Scale harness: the adjustment's time and memory at sizes the benchmark
-does not reach.
+"""Scale harness: the adjustment's and the matching's time and memory at
+sizes the benchmark does not reach.  Each scenario runs in a fresh
+process.
 
-Each scenario is a synthetic scene (``synth.gen_scene``, bias range
-30 px, noise 0.25 px) whose tracks are written with ``save_tracks``,
-then adjusted as a free network through ``load_tracks`` ->
-``assemble`` -> ``adjust_loop``, in a fresh process.  Per scenario it
-records:
+An adjustment scenario is a synthetic scene (``synth.gen_scene``, bias
+range 30 px, noise 0.25 px) whose tracks are written with
+``save_tracks``, then adjusted as a free network through
+``load_tracks`` -> ``assemble`` -> ``adjust_loop``.  It records:
 
 * ``seconds``: the best of three runs of each step;
 * ``bytes_per_observation``: the traced memory held after
@@ -22,6 +22,21 @@ records:
   are untraced), and the process's ``ru_maxrss_mb``;
 * ``worst_bias_error_px``: the largest bias error against the truth,
   relative to image 0 (the gauge), and ``iterations``.
+
+A match scenario is a rendered two-image pair (``satadjust synth
+--render``, seed 7, then ``satadjust rectify``) with a given number of
+planted points.  It records:
+
+* ``seconds``: the best of three runs of the match stage
+  (``cli.cmd_match``: detection, description, matching, tracks and
+  files), of ``detect_corners`` on both products and of ``match_pair``
+  on their described features;
+* ``features``: the described features of each product, and
+  ``match_stage_ms_per_feature``, the match stage over their mean;
+* ``tracemalloc_peak_mb``: the traced peak of the match stage and of
+  ``match_pair``, above their start, and the process's
+  ``ru_maxrss_mb``;
+* ``correspondences`` and the product size ``raster_px``.
 
 One ``BENCH_scale_<commit>.json`` is written per run::
 
@@ -57,6 +72,19 @@ TOY_SCENARIOS = {
     "random-n10-m30k": (4, 60, "random"),
     "full-n50-m2k": (5, 20, "full"),
 }
+# name: (planted points, half extent in m) of a rendered pair; 800 m
+# renders 3,440^2 images
+MATCH_SCENARIOS = {
+    "match-800": (800, 800.0),
+    "match-1600": (1_600, 800.0),
+    "match-3200": (3_200, 800.0),
+}
+TOY_MATCH_SCENARIOS = {
+    "match-800": (10, 100.0),
+    "match-1600": (20, 100.0),
+    "match-3200": (40, 100.0),
+}
+MATCH_SEED = 7
 BIAS_RANGE_PX = 30.0
 NOISE_PX = 0.25
 SEED = 1
@@ -175,6 +203,75 @@ def run_scenario(images: int, points: int, visibility: str) -> dict:
     }
 
 
+def run_match_scenario(points: int, half_extent_m: float) -> dict:
+    """Measure one match scenario in this process."""
+    import contextlib
+    import io
+
+    from satadjust import cli, match, rectify
+
+    def quiet(fn, *args):
+        with contextlib.redirect_stdout(io.StringIO()):
+            return fn(*args)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, products, out = (os.path.join(tmp, d)
+                              for d in ("raw", "products", "out"))
+        t0 = time.perf_counter()
+        for argv in (["synth", "--out", raw, "--images", "2", "--points",
+                      str(points), "--seed", str(MATCH_SEED), "--render",
+                      "--half-extent", repr(half_extent_m)],
+                     ["rectify", os.path.join(raw, "img_000"),
+                      os.path.join(raw, "img_001"), "--out", products]):
+            if quiet(cli.main, argv) != 0:
+                raise RuntimeError(f"satadjust {argv[0]} failed")
+        setup_s = time.perf_counter() - t0
+
+        config = cli.PipelineConfig()
+        params = config.match_params()
+
+        def stage():
+            quiet(cli.cmd_match, products, out, config)
+
+        left, right = (rectify.load_product(stem)
+                       for stem in cli._product_stems(products))
+
+        def detect():
+            return [match.detect_corners(p.raster, params.fast_threshold,
+                                         params.nms_radius)
+                    for p in (left, right)]
+
+        (lf, lb), (rf, rb) = (
+            match.describe_features(p.raster, f, params.window,
+                                    params.blocks)
+            for p, f in zip((left, right), detect()))
+
+        def pair():
+            return match.match_pair(left, right, params, left_features=lf,
+                                    left_bits=lb, right_features=rf,
+                                    right_bits=rb)
+
+        seconds = {"match_stage": _best(stage), "detect_corners":
+                   _best(detect), "match_pair": _best(pair)}
+        peaks = {"match_stage": _traced_peak_mb(stage),
+                 "match_pair": _traced_peak_mb(pair)}
+        correspondences = len(pair())
+    return {
+        "points": points,
+        "half_extent_m": half_extent_m,
+        "raster_px": list(left.raster.pixels.shape),
+        "features": [len(lf), len(rf)],
+        "correspondences": correspondences,
+        "setup_s": setup_s,
+        "seconds": seconds,
+        "match_stage_ms_per_feature":
+            seconds["match_stage"] * 1e3 / ((len(lf) + len(rf)) / 2),
+        "tracemalloc_peak_mb": peaks,
+        "ru_maxrss_mb": resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
 def _commit() -> str:
     try:
         return subprocess.run(
@@ -194,14 +291,18 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     scenarios = TOY_SCENARIOS if args.toy else SCENARIOS
+    matches = TOY_MATCH_SCENARIOS if args.toy else MATCH_SCENARIOS
     if args.scenario:
         # the child process: one scenario, its record on stdout
-        print(json.dumps(run_scenario(*scenarios[args.scenario])))
+        record = (run_match_scenario(*matches[args.scenario])
+                  if args.scenario in matches
+                  else run_scenario(*scenarios[args.scenario]))
+        print(json.dumps(record))
         return 0
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     records = {}
-    for name in scenarios:
+    for name in [*scenarios, *matches]:
         child = subprocess.run(
             [sys.executable, __file__, "--scenario", name,
              *(["--toy"] if args.toy else [])],
